@@ -29,7 +29,7 @@
 use crate::cli::Options;
 use mab_ledger::{code_version, Append, ArmRun, Ledger, RunRecord};
 use mab_monitor::Monitor;
-use mab_runner::ArmObservation;
+use mab_runner::{ArmEvent, ArmObservation, ObserverId};
 use mab_telemetry::progress;
 use mab_telemetry::summary::StatsSnapshot;
 use std::path::PathBuf;
@@ -62,6 +62,8 @@ struct LedgerCapture {
     base: Option<StatsSnapshot>,
     /// Arms observed by `mab-runner` sweeps while this session was active.
     arms: Arc<Mutex<Vec<ArmObservation>>>,
+    /// The runner observer feeding `arms`; removed at finish.
+    observer: ObserverId,
     started: Instant,
 }
 
@@ -130,14 +132,10 @@ impl TelemetrySession {
                 .profile
                 .clone()
                 .filter(|_| mab_telemetry::STATIC_ENABLED),
-            ledger: opts.ledger.as_ref().map(|dir| {
-                let capture = LedgerCapture::start(name, dir.clone(), opts);
-                let sink = Arc::clone(&capture.arms);
-                mab_runner::set_arm_observer(Some(Arc::new(move |obs| {
-                    sink.lock().unwrap().push(obs);
-                })));
-                capture
-            }),
+            ledger: opts
+                .ledger
+                .as_ref()
+                .map(|dir| LedgerCapture::start(name, dir.clone(), opts)),
             monitor: Mutex::new(monitor),
         }
     }
@@ -191,7 +189,7 @@ impl TelemetrySession {
             progress!("monitor on {endpoint} served {scrapes} scrapes");
         }
         if let Some(capture) = &self.ledger {
-            mab_runner::set_arm_observer(None);
+            mab_runner::remove_observer(capture.observer);
             let record = capture.seal(monitor_meta);
             match Ledger::open(&capture.dir).and_then(|ledger| ledger.record(&record)) {
                 Ok(Append::Recorded(digest)) => progress!(
@@ -224,7 +222,8 @@ fn identity_record(name: &str, opts: &Options) -> RunRecord {
 }
 
 impl LedgerCapture {
-    /// Builds the identity half of the record and snapshots the recorder.
+    /// Builds the identity half of the record, snapshots the recorder and
+    /// registers the runner observer that collects completed arms.
     fn start(name: &str, dir: PathBuf, opts: &Options) -> LedgerCapture {
         let mut record = identity_record(name, opts);
         record.jobs = opts.jobs as u64;
@@ -232,7 +231,6 @@ impl LedgerCapture {
         // Host circumstance: lets cross-host trend/regress comparisons
         // attribute wall-time differences. Never digested.
         record.cpus = mab_telemetry::blackbox::cpus() as u64;
-        record.kernel_mode = Some(mab_telemetry::blackbox::kernel_mode().to_string());
         record.host = Some(mab_telemetry::blackbox::hostname());
         let mut artifact = |kind: &str, path: &Option<PathBuf>| {
             if let Some(path) = path {
@@ -245,11 +243,19 @@ impl LedgerCapture {
         artifact("trace", &opts.trace);
         artifact("trace_dir", &opts.trace_dir);
         artifact("profile", &opts.profile);
+        let arms = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&arms);
+        let observer = mab_runner::add_observer(Arc::new(move |event: &ArmEvent| {
+            if let ArmEvent::ArmFinish(obs) = event {
+                sink.lock().unwrap().push(*obs);
+            }
+        }));
         LedgerCapture {
             dir,
             record,
             base: mab_telemetry::recorder().map(mab_telemetry::summary::snapshot),
-            arms: Arc::new(Mutex::new(Vec::new())),
+            arms,
+            observer,
             started: Instant::now(),
         }
     }
@@ -416,7 +422,6 @@ mod tests {
         assert_eq!(record.code, code_version());
         // Host circumstance is recorded but never digested.
         assert!(record.cpus >= 1);
-        assert!(matches!(record.kernel_mode.as_deref(), Some("simd" | "scalar")));
         assert!(record.host.as_deref().is_some_and(|h| !h.is_empty()));
 
         // A second identical session in the same process dedups (unless the

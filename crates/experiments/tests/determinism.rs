@@ -25,25 +25,6 @@ fn stdout_of(exe: &str, args: &[&str]) -> String {
     String::from_utf8(output.stdout).expect("experiment output is UTF-8")
 }
 
-/// Like [`stdout_of`] but with extra environment variables set on the
-/// child — used to flip process-wide switches such as the kernel mode.
-fn stdout_of_env(exe: &str, args: &[&str], envs: &[(&str, &str)]) -> String {
-    let mut cmd = Command::new(exe);
-    cmd.args(args);
-    for (key, value) in envs {
-        cmd.env(key, value);
-    }
-    let output = cmd
-        .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {exe}: {e}"));
-    assert!(
-        output.status.success(),
-        "{exe} {args:?} (env {envs:?}) failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    String::from_utf8(output.stdout).expect("experiment output is UTF-8")
-}
-
 #[test]
 fn fig13_report_is_byte_identical_at_any_job_count() {
     let exe = env!("CARGO_BIN_EXE_fig13_smt_scurve");
@@ -102,22 +83,6 @@ fn fourcore_pipelined_run_matches_sequential_stepping() {
         run(false),
         run(true),
         "pipelined four-core driver diverged from sequential stepping"
-    );
-}
-
-/// End to end: the fig. 14 binary prints byte-identical output under the
-/// default chunked kernels + pipelined driver and under the scalar
-/// reference selected by `MAB_SCALAR_KERNELS=1`.
-#[test]
-fn fig14_report_is_byte_identical_across_kernel_modes() {
-    let exe = env!("CARGO_BIN_EXE_fig14_fourcore");
-    let args = ["--instructions", "1500"];
-    let chunked = stdout_of_env(exe, &args, &[]);
-    let scalar = stdout_of_env(exe, &args, &[("MAB_SCALAR_KERNELS", "1")]);
-    assert_eq!(chunked, scalar, "fig14 stdout diverged across kernel modes");
-    assert!(
-        chunked.contains("ALL (gmean)"),
-        "fig14 produced no report:\n{chunked}"
     );
 }
 

@@ -99,13 +99,8 @@ pub fn render_postmortem(report: &CrashReport) -> String {
     out.push_str(&format!("  time:     {} (unix)\n", report.time_unix));
     if report.cpus > 0 || !report.hostname.is_empty() {
         out.push_str(&format!(
-            "  host:     {} cpus, {} kernels, {}\n",
+            "  host:     {} cpus, {}\n",
             report.cpus,
-            if report.kernel_mode.is_empty() {
-                "?"
-            } else {
-                &report.kernel_mode
-            },
             if report.hostname.is_empty() {
                 "?"
             } else {
@@ -248,9 +243,8 @@ pub fn postmortem_json(report: &CrashReport) -> String {
     }
     out.push_str("},");
     out.push_str(&format!(
-        "\"host\":{{\"cpus\":{},\"kernel_mode\":\"{}\",\"hostname\":\"{}\"}},",
+        "\"host\":{{\"cpus\":{},\"hostname\":\"{}\"}},",
         report.cpus,
-        json_escape(&report.kernel_mode),
         json_escape(&report.hostname)
     ));
     match report.sweep {
@@ -338,7 +332,6 @@ mod tests {
             digest: "deadbeef".to_string(),
             config: vec![("quick".to_string(), "true".to_string())],
             cpus: 8,
-            kernel_mode: "simd".to_string(),
             hostname: "ci-runner".to_string(),
             sweep: Some((3, 12, true)),
             arm: Some((3, 42)),
@@ -373,7 +366,7 @@ mod tests {
         assert!(text.contains("crash postmortem — fig08_singlecore (digest deadbeef)"));
         assert!(text.contains("cause:    panic"));
         assert!(text.contains("message:  injected test panic"));
-        assert!(text.contains("8 cpus, simd kernels, ci-runner"));
+        assert!(text.contains("8 cpus, ci-runner"));
         assert!(text.contains("sweep:    3/12 arms done (sweep active)"));
         assert!(text.contains("arm:      index 3, seed 42"));
         assert!(text.contains("quick = true"));

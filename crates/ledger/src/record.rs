@@ -79,9 +79,6 @@ pub struct RunRecord {
     /// Logical CPUs on the host that ran this (circumstance; 0 = unknown).
     /// Makes cross-host `trend`/`regress` wall-time comparisons attributable.
     pub cpus: u64,
-    /// Hot-loop kernel implementation the run used (`"simd"`, or `"scalar"`
-    /// under `MAB_SCALAR_KERNELS=1`), if recorded (circumstance).
-    pub kernel_mode: Option<String>,
     /// Hostname of the machine that ran this, if recorded (circumstance).
     pub host: Option<String>,
 }
@@ -104,7 +101,6 @@ impl RunRecord {
             served: None,
             cache_hit: false,
             cpus: 0,
-            kernel_mode: None,
             host: None,
         }
     }
@@ -213,9 +209,6 @@ impl RunRecord {
         if self.cpus != 0 {
             out.push_str(&format!(",\"cpus\":{}", self.cpus));
         }
-        if let Some(mode) = &self.kernel_mode {
-            out.push_str(&format!(",\"kernel_mode\":\"{}\"", json::escape(mode)));
-        }
         if let Some(host) = &self.host {
             out.push_str(&format!(",\"host\":\"{}\"", json::escape(host)));
         }
@@ -297,10 +290,6 @@ impl RunRecord {
             .and_then(JsonValue::as_bool)
             .unwrap_or(false);
         record.cpus = v.get("cpus").and_then(JsonValue::as_u64).unwrap_or(0);
-        record.kernel_mode = v
-            .get("kernel_mode")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string);
         record.host = v
             .get("host")
             .and_then(JsonValue::as_str)
@@ -493,21 +482,17 @@ mod tests {
     fn host_circumstance_round_trips() {
         let mut r = sample();
         r.cpus = 8;
-        r.kernel_mode = Some("scalar".to_string());
         r.host = Some("ci-runner-3".to_string());
         let parsed = RunRecord::from_json(&r.to_json()).unwrap();
         assert_eq!(parsed.cpus, 8);
-        assert_eq!(parsed.kernel_mode.as_deref(), Some("scalar"));
         assert_eq!(parsed.host.as_deref(), Some("ci-runner-3"));
         assert!(r.same_outcome(&parsed));
         // Absent when unrecorded (and in the JSON).
         let plain = sample();
-        assert!(!plain.to_json().contains("kernel_mode"), "{}", plain.to_json());
-        assert!(!plain.to_json().contains("\"host\""));
+        assert!(!plain.to_json().contains("\"host\""), "{}", plain.to_json());
         assert!(!plain.to_json().contains("\"cpus\""));
         let reparsed = RunRecord::from_json(&plain.to_json()).unwrap();
         assert_eq!(reparsed.cpus, 0);
-        assert_eq!(reparsed.kernel_mode, None);
         assert_eq!(reparsed.host, None);
     }
 
@@ -535,7 +520,6 @@ mod tests {
         b.served = Some("ci:4".to_string());
         b.cache_hit = true;
         b.cpus = 128;
-        b.kernel_mode = Some("scalar".to_string());
         b.host = Some("elsewhere".to_string());
         assert_eq!(a.digest(), b.digest());
         // …but any identity change produces a new digest.

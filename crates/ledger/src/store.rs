@@ -389,6 +389,37 @@ mod tests {
     }
 
     #[test]
+    fn old_line_with_the_retired_kernel_mode_field_loads_and_dedups() {
+        // Lines written before the kernel-mode switch was deleted carry a
+        // `kernel_mode` circumstance. It was never digested, so such a line
+        // still reads back and still dedups a fresh record of the same run.
+        let dir = temp_dir("old-kernel-mode");
+        let ledger = Ledger::open(&dir).unwrap();
+        let fresh = record(1);
+        let old = format!(
+            concat!(
+                "{{\"v\":1,\"digest\":\"{}\",\"experiment\":\"fig_test\",",
+                "\"code\":\"0.1.0+abc1234\",\"config\":{{\"instructions\":\"1000\",",
+                "\"seed\":\"1\"}},\"jobs\":2,\"started_unix\":5,\"wall_ms\":3.5,",
+                "\"metrics\":{{\"ipc\":2.5}},\"arms\":[{{\"sweep\":0,\"index\":0,",
+                "\"seed\":1,\"wall_ns\":99}}],\"cpus\":8,\"kernel_mode\":\"scalar\",",
+                "\"host\":\"old-host\",\"artifacts\":{{}}}}"
+            ),
+            fresh.digest()
+        );
+        std::fs::write(dir.join(SEGMENT), frame(&old)).unwrap();
+        let out = ledger.read_all().unwrap();
+        assert!(out.warnings.is_empty(), "{:?}", out.warnings);
+        assert_eq!(out.records.len(), 1);
+        assert_eq!(out.records[0].host.as_deref(), Some("old-host"));
+        assert!(matches!(
+            ledger.record(&fresh).unwrap(),
+            Append::Deduplicated(_)
+        ));
+        assert_eq!(ledger.read_all().unwrap().records.len(), 1);
+    }
+
+    #[test]
     fn rerecord_with_full_64_bit_seeds_still_dedups() {
         // Dedup compares the fresh in-memory record against the *parsed*
         // stored one, so any serialization lossiness (e.g. seeds above

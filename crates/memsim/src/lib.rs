@@ -33,7 +33,6 @@ pub mod cache;
 pub mod config;
 pub mod core;
 pub mod dram;
-pub mod hotpath;
 pub mod prefetcher;
 pub mod system;
 

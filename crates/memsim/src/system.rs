@@ -184,9 +184,6 @@ pub struct System {
     /// L2 demand accesses on the black-box epoch-summary clock (separate
     /// from `occ_accesses`, which only ticks while telemetry records).
     bb_accesses: u64,
-    /// Use sequential stepping in [`System::run_multi`]; latched from
-    /// [`crate::hotpath`] at construction.
-    scalar: bool,
 }
 
 impl std::fmt::Debug for System {
@@ -243,7 +240,6 @@ impl System {
             probe: ProbeCounts::new(),
             occ_accesses: 0,
             bb_accesses: 0,
-            scalar: crate::hotpath::scalar_kernels(),
         }
     }
 
@@ -315,10 +311,9 @@ impl System {
     /// instructions, interleaving cores by simulated time. Returns per-core
     /// statistics.
     ///
-    /// In the default chunked kernel mode the cores are stepped in
-    /// **pipelined batches** ([`System::drive_pipelined`]); in scalar mode
-    /// this is plain per-record sequential stepping. Both orders are
-    /// byte-identical by construction — see the driver docs.
+    /// The cores are stepped in **pipelined batches**
+    /// ([`System::drive_pipelined`]), which reproduce plain per-record
+    /// sequential stepping record for record.
     ///
     /// # Panics
     ///
@@ -329,31 +324,31 @@ impl System {
         traces: &mut [&mut dyn Iterator<Item = TraceRecord>],
         instructions_per_core: u64,
     ) -> Vec<RunStats> {
-        let scalar = self.scalar;
-        self.run_multi_with(traces, instructions_per_core, !scalar)
+        self.run_multi_with(traces, instructions_per_core, Self::drive_pipelined)
     }
 
-    /// [`System::run_multi`] forced onto the sequential per-record stepping
-    /// order, regardless of kernel mode — the reference the pipelined
-    /// driver's byte-identity tests and the fig. 14 scheduling bench
-    /// compare against.
+    /// [`System::run_multi`] on the sequential per-record stepping order:
+    /// the reference the byte-identity tests of pipelined stepping compare
+    /// against. Not part of the API proper; it is public only because
+    /// integration tests cannot reach test-only items.
     ///
     /// # Panics
     ///
     /// As for [`System::run_multi`].
+    #[doc(hidden)]
     pub fn run_multi_sequential(
         &mut self,
         traces: &mut [&mut dyn Iterator<Item = TraceRecord>],
         instructions_per_core: u64,
     ) -> Vec<RunStats> {
-        self.run_multi_with(traces, instructions_per_core, false)
+        self.run_multi_with(traces, instructions_per_core, Self::drive_sequential)
     }
 
     fn run_multi_with(
         &mut self,
         traces: &mut [&mut dyn Iterator<Item = TraceRecord>],
         instructions_per_core: u64,
-        pipelined: bool,
+        drive: fn(&mut Self, &mut [&mut dyn Iterator<Item = TraceRecord>], u64),
     ) -> Vec<RunStats> {
         assert_eq!(
             traces.len(),
@@ -364,11 +359,7 @@ impl System {
             ctx.done = false;
         }
         let start_cycles: u64 = self.cores.iter().map(|c| c.core.cycles()).sum();
-        if pipelined {
-            self.drive_pipelined(traces, instructions_per_core);
-        } else {
-            self.drive_sequential(traces, instructions_per_core);
-        }
+        drive(self, traces, instructions_per_core);
         let end_cycles: u64 = self.cores.iter().map(|c| c.core.cycles()).sum();
         self.probe.add(Stat::SimCycles, end_cycles - start_cycles);
         self.probe.flush();

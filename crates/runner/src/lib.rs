@@ -40,8 +40,7 @@ mod seed;
 mod sweep;
 
 pub use observe::{
-    add_observer, remove_observer, set_arm_observer, ArmEvent, ArmObservation, ArmObserver,
-    EventObserver, ObserverId,
+    add_observer, remove_observer, ArmEvent, ArmObservation, EventObserver, ObserverId,
 };
 pub use pool::{CancelToken, TaskHandle, WorkerPool};
 pub use seed::child_seed;

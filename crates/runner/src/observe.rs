@@ -1,15 +1,11 @@
 //! Optional sweep/arm observation hooks for run-ledger recording and live
 //! monitoring.
 //!
-//! Two observer flavors coexist:
-//!
-//! - The legacy **arm observer** ([`set_arm_observer`]) receives one
-//!   [`ArmObservation`] per *completed* arm — this is what `--ledger`
-//!   recording installs.
-//! - **Event observers** ([`add_observer`] / [`remove_observer`]) receive
-//!   the full [`ArmEvent`] stream: sweep begin/end plus per-arm start and
-//!   finish — this is what the `mab-monitor` live plane installs. Any
-//!   number can be registered concurrently.
+//! Observers ([`add_observer`] / [`remove_observer`]) receive the full
+//! [`ArmEvent`] stream: sweep begin/end plus per-arm start and finish. Any
+//! number can be registered concurrently; `--ledger` recording keeps the
+//! [`ArmEvent::ArmFinish`] observations, the `mab-monitor` live plane all
+//! of them.
 //!
 //! The `(sweep, index, seed)` triple follows the ordered-slot discipline —
 //! it depends only on program order and spec position, never on worker
@@ -72,9 +68,6 @@ pub enum ArmEvent {
     },
 }
 
-/// Legacy per-completed-arm observer callback type.
-pub type ArmObserver = Arc<dyn Fn(ArmObservation) + Send + Sync>;
-
 /// Full-lifecycle event observer callback type.
 pub type EventObserver = Arc<dyn Fn(&ArmEvent) + Send + Sync>;
 
@@ -85,8 +78,6 @@ pub struct ObserverId(u64);
 static OBSERVERS: RwLock<Vec<(u64, EventObserver)>> = RwLock::new(Vec::new());
 static NEXT_OBSERVER: AtomicU64 = AtomicU64::new(1);
 static SWEEP_SEQ: AtomicU32 = AtomicU32::new(0);
-/// Registration id of the legacy observer slot, 0 when none is installed.
-static LEGACY_SLOT: AtomicU64 = AtomicU64::new(0);
 
 /// Registers an event observer; it stays active until [`remove_observer`].
 pub fn add_observer(observer: EventObserver) -> ObserverId {
@@ -98,25 +89,6 @@ pub fn add_observer(observer: EventObserver) -> ObserverId {
 /// Removes a previously registered event observer (idempotent).
 pub fn remove_observer(id: ObserverId) {
     OBSERVERS.write().unwrap().retain(|(held, _)| *held != id.0);
-}
-
-/// Installs (or, with `None`, removes) the process-wide legacy arm
-/// observer. Implemented as an event observer that forwards only
-/// [`ArmEvent::ArmFinish`]; at most one legacy observer exists at a time
-/// (a new one replaces the old).
-pub fn set_arm_observer(observer: Option<ArmObserver>) {
-    let old = LEGACY_SLOT.swap(0, Ordering::Relaxed);
-    if old != 0 {
-        remove_observer(ObserverId(old));
-    }
-    if let Some(f) = observer {
-        let id = add_observer(Arc::new(move |event| {
-            if let ArmEvent::ArmFinish(obs) = event {
-                f(*obs);
-            }
-        }));
-        LEGACY_SLOT.store(id.0, Ordering::Relaxed);
-    }
 }
 
 /// The currently registered event observers, cloned once per sweep.
@@ -153,12 +125,14 @@ mod tests {
 
         let log: Arc<Mutex<Vec<ArmObservation>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&log);
-        set_arm_observer(Some(Arc::new(move |obs: ArmObservation| {
-            sink.lock().unwrap().push(obs);
-        })));
+        let id = add_observer(Arc::new(move |event: &ArmEvent| {
+            if let ArmEvent::ArmFinish(obs) = event {
+                sink.lock().unwrap().push(*obs);
+            }
+        }));
         sweep(&specs, SweepOptions::new(1, master_seed), |_, spec| *spec).unwrap();
         sweep(&specs, SweepOptions::new(8, master_seed), |_, spec| *spec).unwrap();
-        set_arm_observer(None);
+        remove_observer(id);
 
         // Group this test's observations by sweep id, normalize each sweep
         // to its sorted (index, seed) set, and demand the serial and
@@ -232,19 +206,5 @@ mod tests {
                 .any(|e| matches!(e, ArmEvent::SweepEnd { sweep } if *sweep == my_sweep)),
             "missing SweepEnd: {events:?}"
         );
-    }
-
-    #[test]
-    fn legacy_observer_replacement_drops_the_old_one() {
-        let a: Arc<Mutex<u32>> = Arc::new(Mutex::new(0));
-        let b: Arc<Mutex<u32>> = Arc::new(Mutex::new(0));
-        let (ca, cb) = (Arc::clone(&a), Arc::clone(&b));
-        set_arm_observer(Some(Arc::new(move |_| *ca.lock().unwrap() += 1)));
-        set_arm_observer(Some(Arc::new(move |_| *cb.lock().unwrap() += 1)));
-        let specs = [(); 4];
-        sweep(&specs, SweepOptions::new(1, 3), |_, _| ()).unwrap();
-        set_arm_observer(None);
-        assert_eq!(*a.lock().unwrap(), 0, "replaced observer still fired");
-        assert_eq!(*b.lock().unwrap(), 4);
     }
 }

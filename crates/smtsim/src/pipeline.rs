@@ -28,6 +28,13 @@ const RING_WORDS: usize = DEP_RING / 64;
 /// Sentinel: instruction dispatched but not yet completed.
 const PENDING: u64 = u64::MAX;
 
+/// One thread's issue scan: `(thread, cycle, budget, window, penalty)` in,
+/// the unspent issue budget out. Runs use [`SmtPipeline::issue_thread`];
+/// the differential tests drive a scalar reference through the same cycle
+/// loop.
+trait IssueScan: Fn(&mut ThreadState, u64, u32, usize, u64) -> u32 + Copy {}
+impl<F: Fn(&mut ThreadState, u64, u32, usize, u64) -> u32 + Copy> IssueScan for F {}
+
 /// Why the rename stage could not make progress in a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RenameBlock {
@@ -99,11 +106,9 @@ impl SmtStats {
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     seq: u64,
-    dep_seq: u64,
     latency: u32,
     complete_at: u64,
     issued: bool,
-    in_iq: bool,
     is_load: bool,
     is_store: bool,
     is_branch: bool,
@@ -159,13 +164,8 @@ struct ThreadState {
     fetch_queue: VecDeque<SmtInstr>,
     fetch_blocked_until: u64,
     rob: VecDeque<Slot>,
-    /// Index of the first ROB slot that may be unissued: every slot before
-    /// it is known issued, so the issue stage starts scanning here instead
-    /// of walking the issued prefix each cycle. Commits (front pops) shift
-    /// it down; issues of the leading slots push it up.
-    issue_hint: usize,
     complete_time: Box<[u64; DEP_RING]>,
-    /// Eligibility mask for the chunked issue scan, indexed by
+    /// Eligibility mask for the issue scan, indexed by
     /// `seq % DEP_RING`: a bit is set exactly while its slot is in the ROB
     /// and unissued (set at rename, cleared at issue; committed heads are
     /// always issued, so commit never touches it). The in-ROB seq range is
@@ -173,9 +173,9 @@ struct ThreadState {
     /// order starting at the head's position is ROB order and every set
     /// bit belongs to a live slot.
     unissued: [u64; RING_WORDS],
-    /// `dep_seq` by `seq % DEP_RING`, written at rename: the chunked scan
-    /// gathers dependency readiness from two flat arrays (this one and
-    /// `complete_time`) instead of walking 48-byte ROB slots.
+    /// The producer's seq by `seq % DEP_RING`, written at rename: the issue
+    /// scan gathers dependency readiness from two flat arrays (this one and
+    /// `complete_time`) instead of walking ROB slots.
     dep_seqs: Box<[u64; DEP_RING]>,
     seq_next: u64,
     committed: u64,
@@ -196,7 +196,6 @@ impl ThreadState {
             fetch_queue: VecDeque::new(),
             fetch_blocked_until: 0,
             rob: VecDeque::new(),
-            issue_hint: 0,
             complete_time: Box::new([0; DEP_RING]),
             unissued: [0; RING_WORDS],
             dep_seqs: Box::new([0; DEP_RING]),
@@ -260,9 +259,6 @@ pub struct SmtPipeline {
     /// at epoch boundaries. Per-cycle span guards would cost more than the
     /// stages themselves.
     stage_ns: [u64; 4],
-    /// Use the scalar reference issue scan; latched from
-    /// [`mab_telemetry::hotpath`] at construction.
-    scalar: bool,
 }
 
 /// Cycles between wall-clock-timed stage samples while profiling.
@@ -321,7 +317,6 @@ impl SmtPipeline {
             stage_cycles: 0,
             stage_timed: 0,
             stage_ns: [0; 4],
-            scalar: mab_telemetry::hotpath::scalar_kernels(),
         }
     }
 
@@ -364,6 +359,17 @@ impl SmtPipeline {
         controller: &mut dyn PgController,
         commits_per_thread: u64,
     ) -> SmtStats {
+        self.run_with_scan(controller, commits_per_thread, Self::issue_thread)
+    }
+
+    /// [`SmtPipeline::run_with`] driving issue through `scan`, the
+    /// per-thread issue scan.
+    fn run_with_scan(
+        &mut self,
+        controller: &mut dyn PgController,
+        commits_per_thread: u64,
+        scan: impl IssueScan,
+    ) -> SmtStats {
         let epoch_len = self.params.epoch_cycles.max(1);
         // Controllers only change their policy and shares inside
         // `on_epoch` (the trait reads them through `&self`), so the per-
@@ -378,7 +384,7 @@ impl SmtPipeline {
         while self.threads[0].committed < commits_per_thread
             || self.threads[1].committed < commits_per_thread
         {
-            self.step(policy, shares);
+            self.step(policy, shares, scan);
             cycles_left -= 1;
             if cycles_left == 0 {
                 cycles_left = epoch_len;
@@ -450,7 +456,7 @@ impl SmtPipeline {
     }
 
     /// Advances one cycle under the given policy and gating shares.
-    fn step(&mut self, policy: PgPolicy, shares: [f64; 2]) {
+    fn step(&mut self, policy: PgPolicy, shares: [f64; 2], scan: impl IssueScan) {
         self.cycle += 1;
         let cycle = self.cycle;
 
@@ -463,10 +469,10 @@ impl SmtPipeline {
         }
 
         if mab_telemetry::STATIC_ENABLED && self.profile_on {
-            self.step_stages_profiled(cycle, policy, shares);
+            self.step_stages_profiled(cycle, policy, shares, scan);
         } else {
             self.commit_stage(cycle);
-            self.issue_stage(cycle);
+            self.issue_stage(cycle, scan);
             self.rename_stage(cycle, policy);
             self.fetch_stage(cycle, policy, shares);
         }
@@ -476,11 +482,17 @@ impl SmtPipeline {
     /// wall-clock timing only on every [`STAGE_SAMPLE_PERIOD`]th cycle —
     /// per-cycle span guards (two `Instant::now` calls each) would dwarf
     /// the stages themselves at ~360 ns/cycle.
-    fn step_stages_profiled(&mut self, cycle: u64, policy: PgPolicy, shares: [f64; 2]) {
+    fn step_stages_profiled(
+        &mut self,
+        cycle: u64,
+        policy: PgPolicy,
+        shares: [f64; 2],
+        scan: impl IssueScan,
+    ) {
         self.stage_cycles += 1;
         if !cycle.is_multiple_of(STAGE_SAMPLE_PERIOD) {
             self.commit_stage(cycle);
-            self.issue_stage(cycle);
+            self.issue_stage(cycle, scan);
             self.rename_stage(cycle, policy);
             self.fetch_stage(cycle, policy, shares);
             return;
@@ -488,7 +500,7 @@ impl SmtPipeline {
         let t0 = std::time::Instant::now();
         self.commit_stage(cycle);
         let t1 = std::time::Instant::now();
-        self.issue_stage(cycle);
+        self.issue_stage(cycle, scan);
         let t2 = std::time::Instant::now();
         self.rename_stage(cycle, policy);
         let t3 = std::time::Instant::now();
@@ -517,9 +529,6 @@ impl SmtPipeline {
                     break;
                 }
                 let slot = t.rob.pop_front().expect("checked non-empty");
-                // The committed head was issued, so the issue hint's
-                // issued-prefix invariant survives the index shift.
-                t.issue_hint = t.issue_hint.saturating_sub(1);
                 budget -= 1;
                 t.committed += 1;
                 if slot.is_load {
@@ -544,81 +553,31 @@ impl SmtPipeline {
         }
     }
 
-    fn issue_stage(&mut self, cycle: u64) {
+    fn issue_stage(&mut self, cycle: u64, scan: impl IssueScan) {
         let mut budget = self.params.issue_width;
         let window = self.params.scheduler_window;
         let penalty = self.params.mispredict_penalty as u64;
-        let scalar = self.scalar;
         let first = (cycle % 2) as usize;
         for off in 0..2 {
             if budget == 0 {
                 break;
             }
             let t = &mut self.threads[(first + off) % 2];
-            budget = if scalar {
-                Self::issue_thread_scalar(t, cycle, budget, window, penalty)
-            } else {
-                Self::issue_thread_chunked(t, cycle, budget, window, penalty)
-            };
+            budget = scan(t, cycle, budget, window, penalty);
         }
     }
 
-    /// Scalar reference issue scan for one thread: walk the ROB from the
-    /// issue hint, skipping issued slots. Kept as the differential baseline
-    /// for [`SmtPipeline::issue_thread_chunked`].
-    fn issue_thread_scalar(
-        t: &mut ThreadState,
-        cycle: u64,
-        mut budget: u32,
-        window: usize,
-        penalty: u64,
-    ) -> u32 {
-        // Advance past the issued prefix once, then scan from there:
-        // the scheduler window counts only unissued slots, so skipping
-        // already-issued leading slots visits the same candidates the
-        // full walk would.
-        while t.rob.get(t.issue_hint).is_some_and(|slot| slot.issued) {
-            t.issue_hint += 1;
-        }
-        let mut scanned = 0usize;
-        for slot in t.rob.range_mut(t.issue_hint..) {
-            if budget == 0 || scanned >= window {
-                break;
-            }
-            if slot.issued {
-                continue;
-            }
-            scanned += 1;
-            let dep_ready = t.complete_time[(slot.dep_seq % DEP_RING as u64) as usize] <= cycle;
-            if !dep_ready {
-                continue;
-            }
-            slot.issued = true;
-            slot.complete_at = cycle + slot.latency as u64;
-            t.complete_time[(slot.seq % DEP_RING as u64) as usize] = slot.complete_at;
-            t.unissued[(slot.seq as usize % DEP_RING) / 64] &= !(1u64 << (slot.seq % 64));
-            t.iq -= 1;
-            slot.in_iq = false;
-            budget -= 1;
-            if slot.mispredicted {
-                // Redirect at execute: the front end refills afterwards.
-                t.fetch_blocked_until = t.fetch_blocked_until.max(slot.complete_at + penalty);
-            }
-        }
-        budget
-    }
-
-    /// Chunked issue scan: candidates come straight off the seq-indexed
-    /// `unissued` bitset — one `trailing_zeros` per candidate over at most
-    /// [`RING_WORDS`] words — instead of walking 48-byte ROB slots, and
-    /// dependency readiness gathers from the flat `dep_seqs` /
-    /// `complete_time` rings. Visits exactly the scalar scan's candidates
-    /// in ROB order: set bits exist only for in-ROB unissued slots, ring
-    /// order from the head's position is seq order (the live range is
-    /// narrower than the ring), and issuing cannot flip a later
-    /// candidate's readiness within the cycle because every latency is
-    /// ≥ 1 (`PENDING` before issue, `cycle + latency > cycle` after).
-    fn issue_thread_chunked(
+    /// Issue scan for one thread: candidates come straight off the
+    /// seq-indexed `unissued` bitset — one `trailing_zeros` per candidate
+    /// over at most [`RING_WORDS`] words — instead of walking ROB slots,
+    /// and dependency readiness gathers from the flat `dep_seqs` /
+    /// `complete_time` rings. Visits the unissued slots in ROB order: set
+    /// bits exist only for in-ROB unissued slots, ring order from the
+    /// head's position is seq order (the live range is narrower than the
+    /// ring), and issuing cannot flip a later candidate's readiness within
+    /// the cycle because every latency is ≥ 1 (`PENDING` before issue,
+    /// `cycle + latency > cycle` after).
+    fn issue_thread(
         t: &mut ThreadState,
         cycle: u64,
         mut budget: u32,
@@ -637,7 +596,6 @@ impl SmtPipeline {
         // aligned with ROB order even if that ever changed.
         let mut word = t.unissued[word_idx] & !((1u64 << (head_pos % 64)) - 1);
         let mut scanned = 0usize;
-        let mut hint_updated = false;
         'scan: for words_left in (0..RING_WORDS).rev() {
             while word != 0 {
                 if budget == 0 || scanned >= window {
@@ -648,12 +606,6 @@ impl SmtPipeline {
                 let ring_pos = word_idx * 64 + lane;
                 // Ring position → ROB index (offset past the head).
                 let offset = (ring_pos + DEP_RING - head_pos) % DEP_RING;
-                if !hint_updated {
-                    // First unissued slot: exactly where the scalar
-                    // prefix-advance parks the hint.
-                    t.issue_hint = offset;
-                    hint_updated = true;
-                }
                 scanned += 1;
                 let dep_seq = t.dep_seqs[ring_pos];
                 if t.complete_time[(dep_seq % DEP_RING as u64) as usize] > cycle {
@@ -665,7 +617,6 @@ impl SmtPipeline {
                 slot.complete_at = cycle + slot.latency as u64;
                 let complete_at = slot.complete_at;
                 let mispredicted = slot.mispredicted;
-                slot.in_iq = false;
                 t.complete_time[ring_pos] = complete_at;
                 t.unissued[word_idx] &= !(1u64 << lane);
                 t.iq -= 1;
@@ -680,11 +631,6 @@ impl SmtPipeline {
             }
             word_idx = (word_idx + 1) % RING_WORDS;
             word = t.unissued[word_idx];
-        }
-        if !hint_updated {
-            // No unissued slot anywhere: the scalar prefix-advance would
-            // have walked off the end of the ROB.
-            t.issue_hint = t.rob.len();
         }
         budget
     }
@@ -759,8 +705,8 @@ impl SmtPipeline {
                 let ring_pos = (seq % DEP_RING as u64) as usize;
                 t.complete_time[ring_pos] = PENDING;
                 let dep_seq = seq.saturating_sub(instr.dep_distance as u64);
-                // Keep the chunked-issue gather arrays in lockstep: the
-                // slot enters the ROB unissued.
+                // Keep the issue-scan gather arrays in lockstep: the slot
+                // enters the ROB unissued.
                 t.unissued[ring_pos / 64] |= 1u64 << (ring_pos % 64);
                 t.dep_seqs[ring_pos] = dep_seq;
                 let (latency, is_load, is_store, is_branch, mispredicted, drain) = match instr.kind
@@ -816,11 +762,9 @@ impl SmtPipeline {
                 }
                 t.rob.push_back(Slot {
                     seq,
-                    dep_seq,
                     latency,
                     complete_at: 0,
                     issued: false,
-                    in_iq: true,
                     is_load,
                     is_store,
                     is_branch,
@@ -1041,14 +985,49 @@ mod tests {
     }
 
     mod differential {
-        //! Chunked vs scalar eligible-mask scan differential: the chunked
+        //! Chunked vs scalar issue scan differential: the eligible-mask
         //! issue scan must produce bit-identical pipeline behaviour — the
-        //! full stats struct, not just IPC — for arbitrary thread mixes,
-        //! seeds and controllers.
+        //! full stats struct, not just IPC — to a scalar ROB walk, for
+        //! arbitrary thread mixes, seeds and controllers.
 
         use super::*;
         use proptest::prelude::*;
-        use std::sync::Mutex;
+
+        /// Scalar reference issue scan for one thread: walk the ROB in
+        /// order, skip issued slots, and issue every ready candidate inside
+        /// the scheduler window.
+        fn issue_thread_scalar(
+            t: &mut ThreadState,
+            cycle: u64,
+            mut budget: u32,
+            window: usize,
+            penalty: u64,
+        ) -> u32 {
+            let mut scanned = 0usize;
+            for slot in t.rob.iter_mut() {
+                if budget == 0 || scanned >= window {
+                    break;
+                }
+                if slot.issued {
+                    continue;
+                }
+                scanned += 1;
+                let ring_pos = (slot.seq % DEP_RING as u64) as usize;
+                let dep_seq = t.dep_seqs[ring_pos];
+                if t.complete_time[(dep_seq % DEP_RING as u64) as usize] > cycle {
+                    continue;
+                }
+                slot.issued = true;
+                slot.complete_at = cycle + slot.latency as u64;
+                t.complete_time[ring_pos] = slot.complete_at;
+                t.iq -= 1;
+                budget -= 1;
+                if slot.mispredicted {
+                    t.fetch_blocked_until = t.fetch_blocked_until.max(slot.complete_at + penalty);
+                }
+            }
+            budget
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
@@ -1062,18 +1041,8 @@ mod tests {
             ) {
                 let apps = smt::smt_apps();
                 let specs = [apps[a % apps.len()].clone(), apps[b % apps.len()].clone()];
-                // The kernel mode is process-wide and latched at pipeline
-                // construction; both constructions happen under one lock.
-                let (mut scalar, mut chunked) = {
-                    static MODE_LOCK: Mutex<()> = Mutex::new(());
-                    let _guard = MODE_LOCK.lock().unwrap();
-                    mab_telemetry::hotpath::force_scalar(true);
-                    let scalar =
-                        SmtPipeline::new(SmtParams::test_scale(), specs.clone(), seed);
-                    mab_telemetry::hotpath::force_scalar(false);
-                    let chunked = SmtPipeline::new(SmtParams::test_scale(), specs, seed);
-                    (scalar, chunked)
-                };
+                let mut scalar = SmtPipeline::new(SmtParams::test_scale(), specs.clone(), seed);
+                let mut chunked = SmtPipeline::new(SmtParams::test_scale(), specs, seed);
                 let controller = || -> Box<dyn PgController> {
                     if choi {
                         Box::new(ChoiController::new())
@@ -1081,7 +1050,7 @@ mod tests {
                         Box::new(StaticPgController::new(PgPolicy::ICOUNT))
                     }
                 };
-                let s = scalar.run(controller(), 3_000);
+                let s = scalar.run_with_scan(controller().as_mut(), 3_000, issue_thread_scalar);
                 let c = chunked.run(controller(), 3_000);
                 prop_assert_eq!(s, c);
             }

@@ -472,15 +472,11 @@ pub fn cpus() -> usize {
         .unwrap_or(1)
 }
 
-/// Which kernel implementation the hot paths run: `"scalar"` when
-/// `MAB_SCALAR_KERNELS=1` forces the scalar reference kernels, `"simd"`
-/// otherwise (the SIMD-shaped defaults).
+/// Which kernel implementation the hot paths run. Every hot loop has one
+/// production form (the SIMD-shaped one), so this is a constant; it stays
+/// for host headers that still print it.
 pub fn kernel_mode() -> &'static str {
-    if crate::hotpath::scalar_kernels() {
-        "scalar"
-    } else {
-        "simd"
-    }
+    "simd"
 }
 
 /// Best-effort hostname: `/proc/sys/kernel/hostname`, then `$HOSTNAME`,
@@ -555,9 +551,8 @@ fn render_body(
         ));
     }
     body.push_str(&format!(
-        "{{\"kind\":\"host\",\"cpus\":{},\"kernel_mode\":\"{}\",\"hostname\":\"{}\"}}\n",
+        "{{\"kind\":\"host\",\"cpus\":{},\"hostname\":\"{}\"}}\n",
         cpus(),
-        kernel_mode(),
         escape(&hostname())
     ));
     if let Some(sweep) = crate::live::sweep_snapshot() {
@@ -690,7 +685,6 @@ pub struct CrashReport {
     pub digest: String,
     pub config: Vec<(String, String)>,
     pub cpus: u64,
-    pub kernel_mode: String,
     pub hostname: String,
     /// `(done, total, active)` sweep progress at crash time, if a sweep ran.
     pub sweep: Option<(u64, u64, bool)>,
@@ -767,7 +761,6 @@ pub fn read_report(path: &Path) -> Result<CrashReport, String> {
             }
             Some("host") => {
                 report.cpus = json_u64(line, "cpus").unwrap_or(0);
-                report.kernel_mode = json_str(line, "kernel_mode").unwrap_or_default();
                 report.hostname = json_str(line, "hostname").unwrap_or_default();
             }
             Some("sweep") => {
@@ -1082,6 +1075,24 @@ mod tests {
         let junk = dir.join("junk.mabcrash");
         std::fs::write(&junk, b"hello world\n").unwrap();
         assert!(read_report(&junk).unwrap_err().contains("not a"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn report_with_the_retired_kernel_mode_field_still_loads() {
+        // Reports written before the kernel-mode switch was deleted carry
+        // `kernel_mode` on their host line; readers skip it.
+        let dir = temp_dir("old-host-line");
+        let body = concat!(
+            "{\"kind\":\"crash\",\"cause\":\"panic\",\"message\":\"old\",\"thread\":\"main\",",
+            "\"time_unix\":1,\"experiment\":\"fig08_singlecore\",\"digest\":\"ab12\"}\n",
+            "{\"kind\":\"host\",\"cpus\":4,\"kernel_mode\":\"scalar\",\"hostname\":\"old-host\"}\n",
+        );
+        let path = write_report(&dir, body).unwrap();
+        let report = read_report(&path).expect("old report loads");
+        assert_eq!(report.experiment, "fig08_singlecore");
+        assert_eq!(report.cpus, 4);
+        assert_eq!(report.hostname, "old-host");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

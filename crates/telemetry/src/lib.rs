@@ -41,7 +41,6 @@ pub mod counters;
 pub mod event;
 pub mod export;
 pub mod hist;
-pub mod hotpath;
 pub mod live;
 pub mod perfetto;
 pub mod profile;

@@ -20,43 +20,13 @@ pub trait Codec {
     /// The record type this codec carries.
     type Record: Copy + PartialEq + std::fmt::Debug;
     /// Delta state; `Default` is the block-boundary reset value.
-    type State: Default + Clone + std::fmt::Debug;
-
-    /// Zero padding the reader appends past the block payload so
-    /// [`Codec::decode_padded`] implementations can use a fixed decode
-    /// window without a per-record remaining-bytes branch.
-    const BLOCK_PAD: usize = 0;
+    type State: Default + std::fmt::Debug;
 
     /// Appends the encoding of `record` to `out`.
     fn encode(state: &mut Self::State, record: &Self::Record, out: &mut Vec<u8>);
 
     /// Decodes one record from `buf` at `*pos`, advancing `*pos`.
     fn decode(state: &mut Self::State, buf: &[u8], pos: &mut usize) -> Result<Self::Record>;
-
-    /// Decodes one record of a verified block through a chunk cursor over
-    /// the zero-padded payload. `padded` is the block payload (the first
-    /// `real_len` bytes) followed by at least [`Codec::BLOCK_PAD`] zero
-    /// bytes, so implementations can issue fixed-width unaligned loads
-    /// from any cursor inside the payload without a remaining-bytes check.
-    /// Returns `Some` only when the record decoded cleanly from the real
-    /// payload, in which case `state` and `pos` advance past it. On `None`
-    /// nothing is committed — `state` and `pos` are untouched — so a
-    /// per-record [`Codec::decode`] call replays from the same point and
-    /// surfaces the scalar error behaviour (partial state mutation,
-    /// trailing-byte detection) byte for byte.
-    fn decode_padded(
-        state: &mut Self::State,
-        padded: &[u8],
-        real_len: usize,
-        pos: &mut usize,
-    ) -> Option<Self::Record> {
-        let mut st = state.clone();
-        let mut p = *pos;
-        let record = Self::decode(&mut st, &padded[..real_len], &mut p).ok()?;
-        *state = st;
-        *pos = p;
-        Some(record)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -68,7 +38,7 @@ pub trait Codec {
 pub struct MemCodec;
 
 /// Previous-record values the deltas are taken against.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct MemState {
     prev_pc: u64,
     prev_addr: u64,
@@ -88,7 +58,6 @@ impl Codec for MemCodec {
     const KIND: PayloadKind = PayloadKind::Mem;
     type Record = TraceRecord;
     type State = MemState;
-    const BLOCK_PAD: usize = FAST_WINDOW;
 
     #[inline]
     fn encode(state: &mut MemState, record: &TraceRecord, out: &mut Vec<u8>) {
@@ -142,68 +111,6 @@ impl Codec for MemCodec {
             pc,
             mem: Some((kind, addr)),
             is_branch,
-        })
-    }
-
-    /// Chunk-cursor decode over the zero-padded payload.
-    ///
-    /// Identical math to [`decode_fast`], minus the per-record window
-    /// check: the [`Codec::BLOCK_PAD`] zero bytes past the payload keep
-    /// both fixed-width varint loads in bounds from any cursor inside the
-    /// payload, so the hot loop carries no remaining-bytes branch. A
-    /// cursor that only advanced by consuming padding (truncated trailing
-    /// varint) is rejected *before* committing, which is how the scalar
-    /// path behaves when its window check sends the block tail to the
-    /// byte-wise decoder.
-    ///
-    /// Failure cases match [`decode_fast`]'s bail-outs — corrupt tag,
-    /// varint longer than 8 bytes, cursor past the real payload — and
-    /// commit nothing, so the per-record path replays the record and
-    /// reports the exact scalar error.
-    #[inline]
-    fn decode_padded(
-        state: &mut MemState,
-        padded: &[u8],
-        real_len: usize,
-        pos: &mut usize,
-    ) -> Option<TraceRecord> {
-        let p = *pos;
-        if p >= real_len {
-            return None;
-        }
-        let bytes = padded.get(p..p + FAST_WINDOW)?;
-        let tag = bytes[0];
-        if !matches!(
-            tag,
-            TAG_ALU | TAG_LOAD | TAG_STORE | TAG_BRANCH | TAG_BRANCH_LOAD | TAG_BRANCH_STORE
-        ) {
-            return None;
-        }
-        let (dpc, pc_len) = fast_ivarint(&bytes[1..9])?;
-        let pc = state.prev_pc.wrapping_add(dpc as u64);
-        // As in `decode_fast`: the address varint decodes unconditionally
-        // and is discarded for ALU/branch records so the data-dependent
-        // record kind never becomes a branch.
-        let (daddr, addr_len) = fast_ivarint(&bytes[1 + pc_len..9 + pc_len])?;
-        let base = tag & !TAG_BRANCH_MEM;
-        let has_mem = base == TAG_LOAD || base == TAG_STORE;
-        let addr = state.prev_addr.wrapping_add(daddr as u64);
-        let next = p + 1 + pc_len + if has_mem { addr_len } else { 0 };
-        if next > real_len {
-            return None; // ran into the padding: truncated trailing varint
-        }
-        state.prev_pc = pc;
-        state.prev_addr = if has_mem { addr } else { state.prev_addr };
-        *pos = next;
-        let kind = if base == TAG_LOAD {
-            MemKind::Load
-        } else {
-            MemKind::Store
-        };
-        Some(TraceRecord {
-            pc,
-            mem: if has_mem { Some((kind, addr)) } else { None },
-            is_branch: tag >= TAG_BRANCH,
         })
     }
 }
@@ -389,70 +296,9 @@ fn class_from(code: u8) -> MemClass {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn random_records(rng: &mut StdRng, n: usize) -> Vec<TraceRecord> {
-        (0..n)
-            .map(|_| match rng.gen_range(0..4) {
-                0 => TraceRecord::alu(rng.gen()),
-                1 => TraceRecord::branch(rng.gen()),
-                2 => TraceRecord::load(rng.gen(), rng.gen()),
-                _ => TraceRecord {
-                    pc: rng.gen(),
-                    mem: Some((MemKind::Store, rng.gen())),
-                    is_branch: rng.gen(),
-                },
-            })
-            .collect()
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The padded chunk-cursor decode never disagrees with the scalar
-        /// decode: whenever it accepts a record, the scalar path decodes
-        /// the same record with the same cursor advance and delta state —
-        /// including on corrupted buffers, where the padded path may
-        /// reject (fall back) but must never accept something the scalar
-        /// path would decode differently.
-        #[test]
-        fn padded_decode_agrees_with_scalar_decode(
-            case in 0u64..u64::MAX,
-            n in 0usize..50,
-            corrupt in prop::bool::ANY,
-        ) {
-            let mut rng = StdRng::seed_from_u64(case);
-            let mut enc = MemState::default();
-            let mut buf = Vec::new();
-            for r in random_records(&mut rng, n) {
-                MemCodec::encode(&mut enc, &r, &mut buf);
-            }
-            if corrupt && !buf.is_empty() {
-                let at = rng.gen_range(0..buf.len());
-                buf[at] ^= 1u8 << rng.gen_range(0..8);
-            }
-            let real_len = buf.len();
-            let mut padded = buf.clone();
-            padded.resize(real_len + FAST_WINDOW, 0);
-
-            let mut st_scalar = MemState::default();
-            let mut st_padded = MemState::default();
-            let mut p_scalar = 0usize;
-            let mut p_padded = 0usize;
-            while let Some(got) =
-                MemCodec::decode_padded(&mut st_padded, &padded, real_len, &mut p_padded)
-            {
-                let want = MemCodec::decode(&mut st_scalar, &buf, &mut p_scalar);
-                prop_assert_eq!(want.ok(), Some(got));
-                prop_assert_eq!(p_scalar, p_padded);
-                prop_assert_eq!(st_scalar.prev_pc, st_padded.prev_pc);
-                prop_assert_eq!(st_scalar.prev_addr, st_padded.prev_addr);
-            }
-            // A rejected record commits nothing, so the scalar decode
-            // replays from the exact same point.
-            prop_assert_eq!(p_scalar, p_padded);
-        }
 
         /// `fast_ivarint` (branchless stop-bit decode) agrees with the
         /// byte-wise `get_ivarint` reference on every varint it accepts.

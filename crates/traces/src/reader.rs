@@ -2,17 +2,10 @@
 //!
 //! [`Reader::open`] validates the header eagerly (magic, version, payload
 //! kind, finalization) and loads the index footer when present. Payloads
-//! are read and CRC-verified a block at a time. In the default chunked
-//! kernel mode ([`mab_telemetry::hotpath`]) records decode through a
-//! chunk cursor running over a zero-padded copy of the payload
-//! ([`Codec::decode_padded`]), whose fixed-width unaligned loads never
-//! need a remaining-bytes branch; in scalar mode — and from the first
-//! record the padded cursor rejects, i.e. the block is corrupt or ends in
-//! a truncated varint — records decode on demand straight out of the
-//! verified block, which is also the differential reference the chunked
-//! path is tested against. Either way replay stays cheaper than
-//! regenerating the records from the seeded RNG generators (see
-//! `BENCH_trace_io.json`).
+//! are read and CRC-verified a block at a time, and records decode on
+//! demand straight out of the verified block through [`Codec::decode`].
+//! Replay stays cheaper than regenerating the records from the seeded RNG
+//! generators (see `BENCH_trace_io.json`).
 //!
 //! Two record access styles:
 //!
@@ -47,15 +40,6 @@ pub struct Reader<C: Codec> {
     pos: usize,
     /// Records of the current block not yet decoded.
     block_remaining: u32,
-    /// Padded copy of `raw` for [`Codec::decode_padded`] (chunked mode).
-    scratch: Vec<u8>,
-    /// Use the per-record scalar decode path unconditionally; latched from
-    /// [`mab_telemetry::hotpath`] at open.
-    scalar: bool,
-    /// Decode the current block through the padded chunk cursor; disarmed
-    /// by the first rejected record so a corrupt block replays per-record
-    /// from the same cursor position.
-    eager: bool,
     /// Records handed out so far (across all blocks).
     records_read: u64,
     /// Blocks loaded so far (for error messages).
@@ -89,9 +73,6 @@ impl<C: Codec> Reader<C> {
             raw: Vec::new(),
             pos: 0,
             block_remaining: 0,
-            scratch: Vec::new(),
-            scalar: mab_telemetry::hotpath::scalar_kernels(),
-            eager: false,
             records_read: 0,
             blocks_read: 0,
             _codec: PhantomData,
@@ -173,28 +154,7 @@ impl<C: Codec> Reader<C> {
     pub fn next_record(&mut self) -> Result<Option<C::Record>> {
         loop {
             if self.block_remaining > 0 {
-                let record = if self.eager {
-                    // Chunked path: decode straight off the padded scratch
-                    // copy, no per-record window check. A rejected record
-                    // (corrupt or truncated data) committed nothing, so
-                    // the per-record path replays it from the same cursor
-                    // and surfaces the error exactly as the scalar path
-                    // would.
-                    match C::decode_padded(
-                        &mut self.state,
-                        &self.scratch,
-                        self.raw.len(),
-                        &mut self.pos,
-                    ) {
-                        Some(record) => record,
-                        None => {
-                            self.eager = false;
-                            C::decode(&mut self.state, &self.raw, &mut self.pos)?
-                        }
-                    }
-                } else {
-                    C::decode(&mut self.state, &self.raw, &mut self.pos)?
-                };
+                let record = C::decode(&mut self.state, &self.raw, &mut self.pos)?;
                 self.block_remaining -= 1;
                 self.records_read += 1;
                 if self.block_remaining == 0 && self.pos != self.raw.len() {
@@ -257,16 +217,6 @@ impl<C: Codec> Reader<C> {
         self.pos = 0;
         self.block_remaining = n_records;
         self.blocks_read += 1;
-        // Codecs without a padded fast path (BLOCK_PAD == 0) decode
-        // per-record in every mode; the scratch copy would buy nothing.
-        self.eager = !self.scalar && C::BLOCK_PAD > 0;
-        if self.eager {
-            // One padded copy per block arms the chunk cursor with a fixed
-            // decode window past every record.
-            self.scratch.clear();
-            self.scratch.extend_from_slice(&self.raw);
-            self.scratch.resize(self.raw.len() + C::BLOCK_PAD, 0);
-        }
         Ok(())
     }
 
@@ -302,7 +252,6 @@ impl<C: Codec> Reader<C> {
         self.raw.clear();
         self.pos = 0;
         self.block_remaining = 0;
-        self.eager = false;
         self.records_read = block_start;
         while self.records_read < n && self.next_record()?.is_some() {}
         Ok(())

@@ -1,12 +1,16 @@
 //! Corruption contract: a damaged trace file must always surface a
 //! descriptive [`TraceError`] through [`Reader::next_record`] — never a
 //! panic, never silently wrong records. Each test damages a well-formed
-//! file in one specific way and pins the error variant it maps to.
+//! file in one specific way and pins the error variant it maps to; two
+//! properties then damage random files at random points.
 
 use mab_traces::format::{self, TraceMeta, RECORD_COUNT_OFFSET};
 use mab_traces::{SmtTraceReader, TraceError, TraceReader, TraceWriter};
-use mab_workloads::TraceRecord;
-use std::path::PathBuf;
+use mab_workloads::{MemKind, TraceRecord};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::path::{Path, PathBuf};
 
 fn temp_path(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mab-traces-corruption-{}", std::process::id()));
@@ -30,19 +34,100 @@ fn healthy_bytes(tag: &str) -> (PathBuf, Vec<u8>) {
     (path, bytes)
 }
 
-/// Reads the whole file through the non-panicking API, returning the first
-/// error (or None if the file is clean).
-fn first_error(path: &PathBuf) -> Option<TraceError> {
+/// Reads the whole file through the non-panicking API, returning the
+/// records handed out and the first error (None if the file is clean).
+fn replay(path: &Path) -> (Vec<TraceRecord>, Option<TraceError>) {
+    let mut records = Vec::new();
     let mut reader = match TraceReader::open(path) {
         Ok(r) => r,
-        Err(e) => return Some(e),
+        Err(e) => return (records, Some(e)),
     };
     loop {
         match reader.next_record() {
-            Ok(Some(_)) => continue,
-            Ok(None) => return None,
-            Err(e) => return Some(e),
+            Ok(Some(r)) => records.push(r),
+            Ok(None) => return (records, None),
+            Err(e) => return (records, Some(e)),
         }
+    }
+}
+
+fn first_error(path: &Path) -> Option<TraceError> {
+    replay(path).1
+}
+
+fn random_records(rng: &mut StdRng, n: usize) -> Vec<TraceRecord> {
+    (0..n)
+        .map(|_| match rng.gen_range(0..4) {
+            0 => TraceRecord::alu(rng.gen()),
+            1 => TraceRecord::branch(rng.gen()),
+            2 => TraceRecord::load(rng.gen(), rng.gen()),
+            _ => TraceRecord {
+                pc: rng.gen(),
+                mem: Some((MemKind::Store, rng.gen())),
+                is_branch: rng.gen(),
+            },
+        })
+        .collect()
+}
+
+/// Writes `records` in blocks of `block_len` and returns the file bytes.
+fn write_records(path: &Path, seed: u64, records: &[TraceRecord], block_len: u32) -> Vec<u8> {
+    let mut meta = TraceMeta::new(seed, "test:corruption");
+    meta.block_len = block_len;
+    let mut writer = TraceWriter::create(path, meta).expect("create");
+    for r in records {
+        writer.push(r).expect("push");
+    }
+    writer.finish().expect("finish");
+    std::fs::read(path).expect("read back")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A random bit flip anywhere in the file never makes `open` or
+    /// `next_record` panic, and every record handed out before the error
+    /// (or the end) is the one written there. The CRC rejects most flips;
+    /// the survivors land in headers the decoder must catch itself.
+    #[test]
+    fn bit_flips_never_panic_or_alter_the_replayed_prefix(
+        case in 0u64..u64::MAX,
+        n in 1usize..300,
+        block_len in 1u32..48,
+    ) {
+        let mut rng = StdRng::seed_from_u64(case);
+        let records = random_records(&mut rng, n);
+        let path = temp_path(&format!("flip-{case}"));
+        let mut bytes = write_records(&path, case, &records, block_len);
+        let at = rng.gen_range(0..bytes.len());
+        bytes[at] ^= 1u8 << rng.gen_range(0..8);
+        std::fs::write(&path, &bytes).expect("write corrupted");
+
+        let (replayed, _) = replay(&path);
+        prop_assert!(replayed.len() <= records.len());
+        prop_assert_eq!(&replayed[..], &records[..replayed.len()]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Cutting the file at a random point never panics either, and the
+    /// records read before the truncation surfaces are the written prefix.
+    #[test]
+    fn truncations_never_panic_or_alter_the_replayed_prefix(
+        case in 0u64..u64::MAX,
+        n in 1usize..300,
+        block_len in 1u32..48,
+    ) {
+        let mut rng = StdRng::seed_from_u64(case);
+        let records = random_records(&mut rng, n);
+        let path = temp_path(&format!("cut-{case}"));
+        let bytes = write_records(&path, case, &records, block_len);
+        let keep = rng.gen_range(0..bytes.len());
+        std::fs::write(&path, &bytes[..keep]).expect("write truncated");
+
+        let (replayed, _) = replay(&path);
+        prop_assert!(replayed.len() <= records.len());
+        prop_assert_eq!(&replayed[..], &records[..replayed.len()]);
+        std::fs::remove_file(&path).ok();
     }
 }
 

@@ -125,63 +125,6 @@ impl Criterion {
         self
     }
 
-    /// Runs two benchmarks with interleaved samples (shim extension, not
-    /// part of the real criterion API).
-    ///
-    /// A/B comparisons whose arms run back to back as separate
-    /// `bench_function` calls are exposed to slow drift — frequency
-    /// scaling, a noisy neighbor — landing on one arm's whole measurement
-    /// window and biasing the ratio. Here each sample round times arm A
-    /// then arm B, so drift hits both arms alike and the medians stay
-    /// comparable. Results are recorded under `id_a` / `id_b` exactly as
-    /// if each arm had run through [`Criterion::bench_function`].
-    pub fn bench_pair<FA, FB>(
-        &mut self,
-        id_a: &str,
-        id_b: &str,
-        mut fa: FA,
-        mut fb: FB,
-    ) -> &mut Self
-    where
-        FA: FnMut(&mut Bencher),
-        FB: FnMut(&mut Bencher),
-    {
-        let iters_a = self.calibrate(&mut fa);
-        let iters_b = self.calibrate(&mut fb);
-        let mut samples_a = Vec::with_capacity(self.samples);
-        let mut samples_b = Vec::with_capacity(self.samples);
-        // Round 0 warms both arms and is discarded.
-        for i in 0..=self.samples {
-            for (f, iters, samples) in [
-                (
-                    &mut fa as &mut dyn FnMut(&mut Bencher),
-                    iters_a,
-                    &mut samples_a,
-                ),
-                (&mut fb, iters_b, &mut samples_b),
-            ] {
-                let mut b = Bencher {
-                    iters,
-                    elapsed: Duration::ZERO,
-                };
-                f(&mut b);
-                if i > 0 {
-                    samples.push(b.elapsed.as_secs_f64() * 1e9 / iters as f64);
-                }
-            }
-        }
-        for (id, mut samples) in [(id_a, samples_a), (id_b, samples_b)] {
-            samples.sort_by(|a, b| a.total_cmp(b));
-            let ns = samples[samples.len() / 2];
-            println!("{id:<50} {ns:>14.1} ns/iter");
-            self.results.push(BenchResult {
-                id: id.to_string(),
-                ns_per_iter: ns,
-            });
-        }
-        self
-    }
-
     /// All results recorded so far, in execution order.
     pub fn results(&self) -> &[BenchResult] {
         &self.results
@@ -344,19 +287,6 @@ mod tests {
         c.bench_function("noop", |b| b.iter(|| black_box(1 + 1)));
         assert_eq!(c.results().len(), 1);
         assert!(c.result_ns("noop").unwrap() >= 0.0);
-    }
-
-    #[test]
-    fn bench_pair_records_both_arms() {
-        let mut c = Criterion::default().measurement_time(Duration::from_millis(5));
-        c.bench_pair(
-            "pair/a",
-            "pair/b",
-            |b| b.iter(|| black_box(1 + 1)),
-            |b| b.iter(|| black_box(2 + 2)),
-        );
-        assert!(c.result_ns("pair/a").is_some());
-        assert!(c.result_ns("pair/b").is_some());
     }
 
     #[test]
