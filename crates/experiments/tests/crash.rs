@@ -57,12 +57,19 @@ fn injected_panic_dumps_a_report_naming_the_arm_and_its_decisions() {
         .iter()
         .filter(|r| r.message.starts_with("injected test panic"))
         .collect();
-    assert_eq!(injected.len(), 1, "expected exactly one injected-panic report");
+    assert_eq!(
+        injected.len(),
+        1,
+        "expected exactly one injected-panic report"
+    );
     let report = injected[0];
 
     assert_eq!(report.cause, "panic");
     assert_eq!(report.experiment, "fig08_singlecore");
-    assert!(!report.digest.is_empty(), "report missing the config digest");
+    assert!(
+        !report.digest.is_empty(),
+        "report missing the config digest"
+    );
     assert!(
         report
             .config

@@ -94,7 +94,14 @@ fn corrupt_lines_are_skipped_with_warnings_not_panics() {
     let seeds: Vec<_> = out
         .records
         .iter()
-        .map(|r| r.config.iter().find(|(k, _)| k == "seed").unwrap().1.clone())
+        .map(|r| {
+            r.config
+                .iter()
+                .find(|(k, _)| k == "seed")
+                .unwrap()
+                .1
+                .clone()
+        })
         .collect();
     assert_eq!(seeds, ["1", "3"], "records around the damage must survive");
     assert_eq!(out.warnings.len(), 2, "{:?}", out.warnings);

@@ -7,8 +7,10 @@
 //! with the same signature, the whole recorded footprint is prefetched at
 //! once.
 
+use crate::linemap::LineMap;
 use mab_memsim::{L2Access, PrefetchQueue, Prefetcher};
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 /// Lines per region (2 KB regions as in the Bingo paper).
 pub const REGION_LINES: u64 = 32;
@@ -45,14 +47,23 @@ struct HistoryEntry {
 /// let mut bingo = Bingo::new();
 /// let mut q = PrefetchQueue::new();
 /// let access = |line| L2Access { pc: 0x400, line, hit: false, cycle: 0, instructions: 0, kind: MemKind::Load };
-/// // First visit to the region records its footprint …
-/// for l in [64, 65, 67, 70] { bingo.train(&access(l), &mut q); }
+/// // Two visits to regions entered at offset 0 touch the same footprint
+/// // {0, 1, 3, 6}; visiting 100 other regions in between retires each
+/// // visit's footprint into the history.
+/// for base in [64, 6400] {
+///     for l in [base, base + 1, base + 3, base + 6] { bingo.train(&access(l), &mut q); }
+///     for r in 1..=100 { bingo.train(&access(base + r * 32), &mut q); }
+/// }
+/// q.drain();
+/// // Entering a new region at offset 0 replays the footprint, nearest first.
+/// bingo.train(&access(32_000), &mut q);
+/// assert_eq!(q.drain().collect::<Vec<_>>(), [32_001, 32_003, 32_006]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Bingo {
-    accumulating: HashMap<u64, Generation>,
+    accumulating: LineMap<Generation>,
     accum_order: VecDeque<u64>,
-    history: HashMap<u64, HistoryEntry>,
+    history: LineMap<HistoryEntry>,
     history_order: VecDeque<u64>,
 }
 
@@ -76,9 +87,10 @@ impl Bingo {
         if generation.footprint.count_ones() < 2 {
             return;
         }
-        match self.history.get_mut(&generation.trigger_sig) {
-            Some(entry) => {
+        match self.history.entry(generation.trigger_sig) {
+            Entry::Occupied(mut slot) => {
                 // Confidence grows only when generations agree.
+                let entry = slot.get_mut();
                 let overlap = (entry.footprint & generation.footprint).count_ones();
                 let union = (entry.footprint | generation.footprint).count_ones();
                 if overlap * 2 >= union {
@@ -88,20 +100,37 @@ impl Bingo {
                 }
                 entry.footprint = generation.footprint;
             }
-            None => {
+            Entry::Vacant(slot) => {
                 self.history_order.push_back(generation.trigger_sig);
-                self.history.insert(
-                    generation.trigger_sig,
-                    HistoryEntry {
-                        footprint: generation.footprint,
-                        confidence: 1,
-                    },
-                );
+                slot.insert(HistoryEntry {
+                    footprint: generation.footprint,
+                    confidence: 1,
+                });
             }
         }
         while self.history.len() > HISTORY_CAPACITY {
             if let Some(old) = self.history_order.pop_front() {
                 self.history.remove(&old);
+            }
+        }
+    }
+}
+
+/// Queues up to [`REPLAY_CAP`] lines of `footprint` (bits are offsets from
+/// `base`) other than the trigger `offset`, walking outward from it: nearest
+/// first and, at equal distance, the lower line first.
+fn replay(base: u64, offset: u64, footprint: u32, queue: &mut PrefetchQueue) {
+    let mut rest = footprint & !(1 << offset);
+    let mut left = REPLAY_CAP;
+    for distance in 1..REGION_LINES {
+        for bit in [offset.wrapping_sub(distance), offset + distance] {
+            if bit < REGION_LINES && rest & (1 << bit) != 0 {
+                queue.push(base + bit);
+                rest &= !(1 << bit);
+                left -= 1;
+                if left == 0 || rest == 0 {
+                    return;
+                }
             }
         }
     }
@@ -116,36 +145,30 @@ impl Prefetcher for Bingo {
         let region = access.line / REGION_LINES;
         let offset = access.line % REGION_LINES;
 
-        if let Some(generation) = self.accumulating.get_mut(&region) {
-            generation.footprint |= 1 << offset;
-            return;
-        }
-
-        // Trigger access: a region is entered anew. Replay the stored
-        // footprint, nearest lines first, capped so a full-region footprint
-        // does not flood the memory bus in one burst.
         let sig = Bingo::signature(access.pc, offset);
-        if let Some(&entry) = self.history.get(&sig) {
-            if entry.confidence >= 2 {
-                let base = region * REGION_LINES;
-                let mut lines: Vec<u64> = (0..REGION_LINES)
-                    .filter(|&bit| bit != offset && entry.footprint & (1 << bit) != 0)
-                    .collect();
-                lines.sort_by_key(|&bit| bit.abs_diff(offset));
-                for bit in lines.into_iter().take(REPLAY_CAP) {
-                    queue.push(base + bit);
-                }
+        match self.accumulating.entry(region) {
+            Entry::Occupied(mut generation) => {
+                generation.get_mut().footprint |= 1 << offset;
+                return;
+            }
+            // Trigger access: a region is entered anew. Start accumulating
+            // its new generation.
+            Entry::Vacant(slot) => {
+                slot.insert(Generation {
+                    trigger_sig: sig,
+                    footprint: 1 << offset,
+                });
             }
         }
 
-        // Start accumulating this region's new generation.
-        self.accumulating.insert(
-            region,
-            Generation {
-                trigger_sig: sig,
-                footprint: 1 << offset,
-            },
-        );
+        // Replay the stored footprint, nearest lines first, capped so a
+        // full-region footprint does not flood the memory bus in one burst.
+        if let Some(&entry) = self.history.get(&sig) {
+            if entry.confidence >= 2 {
+                replay(region * REGION_LINES, offset, entry.footprint, queue);
+            }
+        }
+
         self.accum_order.push_back(region);
         while self.accumulating.len() > ACCUM_CAPACITY {
             if let Some(old_region) = self.accum_order.pop_front() {
@@ -278,6 +301,67 @@ mod tests {
         let issued = drive(&mut b, &[(7, 50 * REGION_LINES)]);
         assert!(issued.contains(&(50 * REGION_LINES + 2)));
         assert!(!issued.contains(&(50 * REGION_LINES + 5)));
+    }
+
+    mod reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Reference replay: collect the footprint's other lines and
+        /// stable-sort them by distance from the trigger.
+        fn replay_sorted(base: u64, offset: u64, footprint: u32) -> Vec<u64> {
+            let mut lines: Vec<u64> = (0..REGION_LINES)
+                .filter(|&bit| bit != offset && footprint & (1 << bit) != 0)
+                .collect();
+            lines.sort_by_key(|&bit| bit.abs_diff(offset));
+            lines
+                .into_iter()
+                .take(REPLAY_CAP)
+                .map(|bit| base + bit)
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The outward walk queues the same lines in the same order as
+            /// the sort, for any footprint density and trigger offset.
+            #[test]
+            fn outward_walk_matches_the_sort(
+                bits in 0u64..u64::MAX,
+                density in 0u32..8,
+                offset in 0u64..REGION_LINES,
+                region in 0u64..1 << 40,
+            ) {
+                // Sparser footprints AND shifted copies of the bits into
+                // them, denser ones OR them in.
+                let mut footprint = bits as u32;
+                for k in 1..=density % 4 {
+                    let other = (bits >> (8 * k)) as u32;
+                    footprint = if density < 4 { footprint & other } else { footprint | other };
+                }
+                let base = region * REGION_LINES;
+                let mut q = PrefetchQueue::new();
+                replay(base, offset, footprint, &mut q);
+                prop_assert_eq!(q.drain().collect::<Vec<_>>(), replay_sorted(base, offset, footprint));
+            }
+        }
+
+        #[test]
+        fn edge_footprints_replay_like_the_sort() {
+            for footprint in [0, u32::MAX, 1, 1 << 31, 0x8000_0001, 0x5555_5555] {
+                for offset in 0..REGION_LINES {
+                    let mut q = PrefetchQueue::new();
+                    replay(64, offset, footprint, &mut q);
+                    let walked: Vec<u64> = q.drain().collect();
+                    assert_eq!(
+                        walked,
+                        replay_sorted(64, offset, footprint),
+                        "{footprint:#x} @ {offset}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,6 +47,7 @@ pub mod classified;
 pub mod composite;
 pub mod ip_stride;
 pub mod ipcp;
+mod linemap;
 pub mod mlop;
 pub mod nextline;
 pub mod pythia;

@@ -10,10 +10,12 @@
 //! The action space matches the paper's description of Pythia: 16 offsets ×
 //! 4 degrees = 64 actions (one offset is "no prefetch").
 
+use crate::linemap::{mix, LineMap};
 use mab_memsim::{L2Access, PrefetchQueue, Prefetcher};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 /// The 16 prefetch offsets (0 = no prefetch).
 pub const OFFSETS: [i64; 16] = [0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, -1, -2, -3, -4];
@@ -78,7 +80,7 @@ pub struct Pythia {
     deltas: [i64; 3],
     last: Option<StateAction>,
     /// Outstanding prefetched lines awaiting an outcome.
-    tracked: HashMap<u64, StateAction>,
+    tracked: LineMap<StateAction>,
     tracked_order: VecDeque<u64>,
     action_counts: Vec<u64>,
 }
@@ -101,7 +103,7 @@ impl Pythia {
             last_line_per_pc: Box::new([(0, 0); 64]),
             deltas: [0; 3],
             last: None,
-            tracked: HashMap::new(),
+            tracked: LineMap::default(),
             tracked_order: VecDeque::new(),
             action_counts: vec![0; ACTIONS],
         }
@@ -129,22 +131,13 @@ impl Pythia {
         )
     }
 
-    fn hash(x: u64) -> u64 {
-        let mut h = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-        h ^ (h >> 33)
-    }
-
     fn features(&self, pc: u64) -> (usize, usize) {
         let d = self.deltas;
-        let f1 = Pythia::hash(pc ^ (d[0] as u64).wrapping_mul(31)) as usize % TABLE_ROWS;
-        let f2 = Pythia::hash(
-            (d[0] as u64)
-                .wrapping_mul(1_000_003)
-                .wrapping_add((d[1] as u64).wrapping_mul(10_007))
-                .wrapping_add(d[2] as u64),
-        ) as usize
+        let f1 = mix(pc ^ (d[0] as u64).wrapping_mul(31)) as usize % TABLE_ROWS;
+        let f2 = mix((d[0] as u64)
+            .wrapping_mul(1_000_003)
+            .wrapping_add((d[1] as u64).wrapping_mul(10_007))
+            .wrapping_add(d[2] as u64)) as usize
             % TABLE_ROWS;
         (f1, f2)
     }
@@ -157,16 +150,7 @@ impl Pythia {
         if self.rng.gen::<f64>() < EPSILON {
             return self.rng.gen_range(0..ACTIONS);
         }
-        let mut best = 0;
-        let mut best_q = f64::NEG_INFINITY;
-        for a in 0..ACTIONS {
-            let q = self.q(f1, f2, a);
-            if q > best_q {
-                best_q = q;
-                best = a;
-            }
-        }
-        best
+        greedy(&self.q1[f1], &self.q2[f2])
     }
 
     /// SARSA update: `Q(s,a) += α (r + γ Q(s',a') − Q(s,a))`, where
@@ -181,10 +165,10 @@ impl Pythia {
     }
 
     fn track(&mut self, line: u64, sa: StateAction) {
-        if self.tracked.contains_key(&line) {
+        let Entry::Vacant(slot) = self.tracked.entry(line) else {
             return;
-        }
-        self.tracked.insert(line, sa);
+        };
+        slot.insert(sa);
         self.tracked_order.push_back(line);
         while self.tracked.len() > TRACK_CAPACITY {
             if let Some(old) = self.tracked_order.pop_front() {
@@ -202,13 +186,41 @@ impl Pythia {
     }
 }
 
+/// The greedy action for Q-value rows `q1` and `q2`: the first index of the
+/// largest sum `q1[a] + q2[a]`, ignoring NaN sums, or 0 when no sum exceeds
+/// −∞. That is the index a strict-`>` scan from `(0, −∞)` returns: the scan
+/// moves only to a larger sum, so it stops on the first index equal to the
+/// maximum. Equality, not bit identity, decides that index, so ±0 tie.
+fn greedy(q1: &[f32; ACTIONS], q2: &[f32; ACTIONS]) -> usize {
+    let mut sums = [0.0f32; ACTIONS];
+    for (sum, (a, b)) in sums.iter_mut().zip(q1.iter().zip(q2)) {
+        *sum = a + b;
+    }
+    // Eight running maxima, so the pass vectorises; NaN never wins `>`.
+    let mut lanes = [f32::NEG_INFINITY; 8];
+    for chunk in sums.chunks_exact(8) {
+        for (lane, &sum) in lanes.iter_mut().zip(chunk) {
+            if sum > *lane {
+                *lane = sum;
+            }
+        }
+    }
+    let max = lanes
+        .into_iter()
+        .fold(f32::NEG_INFINITY, |m, x| if x > m { x } else { m });
+    if max == f32::NEG_INFINITY {
+        return 0;
+    }
+    sums.iter().position(|&sum| sum == max).unwrap_or(0)
+}
+
 impl Prefetcher for Pythia {
     fn name(&self) -> &str {
         "pythia"
     }
 
     fn train(&mut self, access: &L2Access, queue: &mut PrefetchQueue) {
-        let slot = (Pythia::hash(access.pc) % 64) as usize;
+        let slot = (mix(access.pc) % 64) as usize;
         let (tag, last_line) = self.last_line_per_pc[slot];
         let delta = if tag == access.pc {
             access.line as i64 - last_line as i64
@@ -357,6 +369,161 @@ mod tests {
             q.drain().count();
         }
         assert!(p.tracked.len() <= TRACK_CAPACITY);
+    }
+
+    #[test]
+    fn a_stale_order_key_ages_out_a_re_tracked_line() {
+        // Resolving a tracked line leaves its key in `tracked_order`; when
+        // the line is tracked again, that stale key, not the new one, ages
+        // the new entry out, a full capacity of tracks after the first.
+        let mut p = Pythia::new(5);
+        let old = StateAction {
+            f1: 1,
+            f2: 1,
+            action: 1,
+        };
+        let new = StateAction {
+            f1: 5,
+            f2: 6,
+            action: 7,
+        };
+        let filler = StateAction {
+            f1: 0,
+            f2: 0,
+            action: 2,
+        };
+        let line = 1 << 30;
+        p.track(line, old);
+        p.resolve(line, R_TIMELY);
+        p.track(line, new);
+        assert_eq!(p.tracked_order.len(), 2);
+        for other in 0..TRACK_CAPACITY as u64 - 1 {
+            p.track(other, filler);
+        }
+        assert!(p.tracked.contains_key(&line));
+        assert_eq!(p.q1[new.f1][new.action], 0.0);
+        p.track(TRACK_CAPACITY as u64, filler);
+        assert!(!p.tracked.contains_key(&line), "aged out by the stale key");
+        assert_eq!(p.tracked.len(), TRACK_CAPACITY);
+        let aged = (ALPHA * R_AGED_OUT / 2.0) as f32;
+        assert_eq!(p.q1[new.f1][new.action], aged);
+        assert_eq!(p.q2[new.f2][new.action], aged);
+        // The live key behind it finds nothing and ages the oldest filler.
+        p.track(TRACK_CAPACITY as u64 + 1, filler);
+        assert!(!p.tracked.contains_key(&0));
+        assert!(p.tracked.contains_key(&1));
+        assert_eq!(p.tracked.len(), TRACK_CAPACITY);
+    }
+
+    #[test]
+    fn tracking_a_tracked_line_keeps_the_first_entry() {
+        let mut p = Pythia::new(6);
+        let first = StateAction {
+            f1: 1,
+            f2: 2,
+            action: 3,
+        };
+        p.track(42, first);
+        p.track(
+            42,
+            StateAction {
+                f1: 4,
+                f2: 5,
+                action: 6,
+            },
+        );
+        assert_eq!(p.tracked_order.len(), 1);
+        p.resolve(42, R_TIMELY);
+        assert!(p.q1[1][3] > 0.0);
+        assert_eq!(p.q1[4][6], 0.0);
+    }
+
+    mod reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Reference greedy choice: a strict-`>` scan over the sums
+        /// widened to `f64`.
+        fn scan(q1: &[f32; ACTIONS], q2: &[f32; ACTIONS]) -> usize {
+            let mut best = 0;
+            let mut best_q = f64::NEG_INFINITY;
+            for a in 0..ACTIONS {
+                let q = (q1[a] + q2[a]) as f64;
+                if q > best_q {
+                    best_q = q;
+                    best = a;
+                }
+            }
+            best
+        }
+
+        /// Values that stress the comparison: NaN, signed zeros and
+        /// infinities, and a few small numbers that tie often.
+        const SALT: [f32; 9] = [
+            f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            -1.0,
+            0.5,
+            -12.0,
+        ];
+        /// Salt with nothing above zero, so the maximum is often a zero of
+        /// either sign, or −∞ behind a NaN.
+        const NON_POSITIVE: [f32; 5] = [f32::NAN, 0.0, -0.0, f32::NEG_INFINITY, -1.0];
+
+        fn row(rng: &mut StdRng, salt: &[f32], salt_percent: u32) -> [f32; ACTIONS] {
+            std::array::from_fn(|_| {
+                if rng.gen_range(0u32..100) < salt_percent {
+                    salt[rng.gen_range(0..salt.len())]
+                } else {
+                    rng.gen_range(-20.0f32..20.0)
+                }
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The two-pass argmax picks the strict-`>` scan's index on
+            /// rows salted with NaN, ±0, ±∞ and ties.
+            #[test]
+            fn greedy_matches_the_strict_scan(
+                case in 0u64..u64::MAX,
+                non_positive in 0u32..2,
+                salt_percent in 0u32..=100,
+            ) {
+                let salt: &[f32] = if non_positive == 1 { &NON_POSITIVE } else { &SALT };
+                let mut rng = StdRng::seed_from_u64(case);
+                for _ in 0..16 {
+                    let q1 = row(&mut rng, salt, salt_percent);
+                    let q2 = row(&mut rng, salt, salt_percent);
+                    prop_assert_eq!(greedy(&q1, &q2), scan(&q1, &q2));
+                }
+            }
+        }
+
+        #[test]
+        fn greedy_handles_degenerate_rows() {
+            let zeros = [0.0; ACTIONS];
+            for fill in [f32::NAN, f32::NEG_INFINITY, 0.0, -0.0, f32::INFINITY] {
+                let mut q1 = [fill; ACTIONS];
+                assert_eq!(greedy(&q1, &zeros), scan(&q1, &zeros), "{fill}");
+                // A NaN row with one −∞: nothing exceeds −∞, the scan stays at 0.
+                q1[37] = f32::NEG_INFINITY;
+                assert_eq!(greedy(&q1, &zeros), scan(&q1, &zeros), "{fill}");
+                q1[40] = -0.0;
+                assert_eq!(greedy(&q1, &zeros), scan(&q1, &zeros), "{fill}");
+            }
+            // The first zero is +0 in lane 1, but lane 0 meets −0 first.
+            let mut q1 = [-1.0; ACTIONS];
+            q1[8] = -0.0;
+            q1[1] = 0.0;
+            assert_eq!(greedy(&q1, &zeros), 1);
+            assert_eq!(scan(&q1, &zeros), 1);
+        }
     }
 
     #[test]

@@ -818,9 +818,11 @@ impl ServeState {
             let Some(job) = jobs.jobs.get_mut(&job_id) else {
                 return;
             };
-            let crash = candidates
-                .into_iter()
-                .find(|p| !job.arms.iter().any(|a| a.crash.as_deref() == Some(p.as_str())));
+            let crash = candidates.into_iter().find(|p| {
+                !job.arms
+                    .iter()
+                    .any(|a| a.crash.as_deref() == Some(p.as_str()))
+            });
             let arm = &mut job.arms[arm_idx];
             arm.status = if failed {
                 ArmStatus::Failed
@@ -839,7 +841,14 @@ impl ServeState {
                 .iter()
                 .all(|a| a.status.is_terminal())
                 .then(|| (job.status(), job.cache_hits()));
-            (spec, digest, label, Arc::clone(&job.events), finished, crash)
+            (
+                spec,
+                digest,
+                label,
+                Arc::clone(&job.events),
+                finished,
+                crash,
+            )
         };
         let (spec, digest, label, job_events, finished, crash) = completion;
         if !failed {

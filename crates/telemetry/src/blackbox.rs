@@ -97,7 +97,12 @@ static CONTEXT: Mutex<Option<Context>> = Mutex::new(None);
 /// is armed and `false` is returned. Safe to call again (e.g. from tests or
 /// a daemon re-resolving a spec): the context is replaced, hooks stay
 /// installed.
-pub fn install(experiment: &str, digest: &str, config: &[(String, String)], crash_dir: &Path) -> bool {
+pub fn install(
+    experiment: &str,
+    digest: &str,
+    config: &[(String, String)],
+    crash_dir: &Path,
+) -> bool {
     if disabled_by_env() {
         set_enabled(false);
         return false;
@@ -526,10 +531,15 @@ fn render_body(
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let thread = std::thread::current()
-        .name()
-        .unwrap_or("unnamed")
-        .to_string();
+    // The crashing thread's ring, found by identity: an unnamed thread's
+    // ring is named at registration, and names need not be unique. `get`
+    // only, so a thread without a ring does not register one here.
+    let own = RING.try_with(|cell| cell.get().cloned()).ok().flatten();
+    let current = std::thread::current();
+    let thread = own.as_ref().map_or_else(
+        || current.name().unwrap_or("unnamed"),
+        |ring| ring.name.as_str(),
+    );
     let mut body = String::with_capacity(16 * 1024);
     let sig = match signal {
         Some(s) => format!(",\"signal\":{s},\"signal_name\":\"{}\"", fatal::name(s)),
@@ -539,7 +549,7 @@ fn render_body(
         "{{\"kind\":\"crash\",\"cause\":\"{}\",\"message\":\"{}\"{sig},\"thread\":\"{}\",\"time_unix\":{time_unix},\"experiment\":\"{}\",\"digest\":\"{}\"}}\n",
         escape(cause),
         escape(message),
-        escape(&thread),
+        escape(thread),
         escape(&ctx.experiment),
         escape(&ctx.digest),
     ));
@@ -562,26 +572,23 @@ fn render_body(
         ));
     }
     // The crashing thread's current sweep arm, if it was running one.
-    let _ = RING.try_with(|cell| {
-        if let Some(ring) = cell.get() {
-            let arm = match ring.inner.try_lock() {
-                Ok(inner) => inner.arm,
-                Err(_) => None,
-            };
-            if let Some((index, seed)) = arm {
-                body.push_str(&format!(
-                    "{{\"kind\":\"arm\",\"index\":{index},\"seed\":{seed}}}\n"
-                ));
-            }
+    if let Some(ring) = &own {
+        let arm = match ring.inner.try_lock() {
+            Ok(inner) => inner.arm,
+            Err(_) => None,
+        };
+        if let Some((index, seed)) = arm {
+            body.push_str(&format!(
+                "{{\"kind\":\"arm\",\"index\":{index},\"seed\":{seed}}}\n"
+            ));
         }
-    });
+    }
     for (depth, frame) in crate::span::current_stack().iter().enumerate() {
         body.push_str(&format!(
             "{{\"kind\":\"span\",\"depth\":{depth},\"frame\":\"{}\"}}\n",
             escape(frame)
         ));
     }
-    let current_name = thread;
     let rings: Vec<Arc<ThreadRing>> = if best_effort {
         match REGISTRY.try_lock() {
             Ok(reg) => reg.clone(),
@@ -609,7 +616,7 @@ fn render_body(
         body.push_str(&format!(
             "{{\"kind\":\"thread\",\"id\":{idx},\"name\":\"{}\",\"current\":{},\"dropped\":{},\"events\":{}}}\n",
             escape(&ring.name),
-            ring.name == current_name,
+            own.as_ref().is_some_and(|own| Arc::ptr_eq(own, ring)),
             inner.dropped,
             inner.events.len()
         ));
@@ -873,9 +880,7 @@ fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
         }
         None
     } else {
-        let end = rest
-            .find([',', '}'])
-            .unwrap_or(rest.len());
+        let end = rest.find([',', '}']).unwrap_or(rest.len());
         Some(rest[..end].trim())
     }
 }
@@ -976,10 +981,7 @@ mod tests {
             "{{\"kind\":\"note\",\"text\":\"{}\",\"n\":42,\"x\":-1.5,\"ok\":true}}",
             escape("a \"quoted\"\nline\\end")
         );
-        assert_eq!(
-            json_str(&line, "text").unwrap(),
-            "a \"quoted\"\nline\\end"
-        );
+        assert_eq!(json_str(&line, "text").unwrap(), "a \"quoted\"\nline\\end");
         assert_eq!(json_u64(&line, "n"), Some(42));
         assert_eq!(json_f64(&line, "x"), Some(-1.5));
         assert_eq!(json_bool(&line, "ok"), Some(true));
@@ -1005,7 +1007,14 @@ mod tests {
         ];
         assert!(install("fig08_singlecore", "ab12cd34", &config, &dir));
         for step in 0..12 {
-            decision(7, step, (step % 3) as usize, 0.5 + step as f64 * 0.01, 0.9, step % 2 == 0);
+            decision(
+                7,
+                step,
+                (step % 3) as usize,
+                0.5 + step as f64 * 0.01,
+                0.9,
+                step % 2 == 0,
+            );
         }
         epoch("mem", 3, 120_000, 1.25);
         arm_start(4, 123_456);
@@ -1050,6 +1059,32 @@ mod tests {
         let text = json_str(&first_note.line, "text").unwrap();
         let idx: usize = text[1..].parse().unwrap();
         assert!(idx >= extra, "oldest retained = {text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_report_from_an_unnamed_thread_marks_that_threads_ring_current() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        let dir = temp_dir("unnamed");
+        assert!(install("unnamed_test", "d1gest", &[], &dir));
+        note("on the named test thread");
+        let path = std::thread::spawn(|| {
+            for step in 0..3 {
+                decision(9, step, 1, 0.5, 0.6, false);
+            }
+            dump("panic", "unnamed worker", None, false)
+        })
+        .join()
+        .unwrap()
+        .expect("dump");
+        set_enabled(false);
+
+        let report = read_report(&path).expect("parse");
+        let ring = report.current_thread().expect("current thread ring");
+        assert!(ring.name.starts_with("thread-"), "{}", ring.name);
+        assert_eq!(report.thread, ring.name);
+        assert_eq!(report.threads.iter().filter(|t| t.current).count(), 1);
+        assert_eq!(report.last_decisions().len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -383,10 +383,7 @@ pub fn current_stack() -> Vec<String> {
             let name = if n.label == 0 {
                 cat.to_string()
             } else {
-                match labels
-                    .as_ref()
-                    .and_then(|l| l.get((n.label - 1) as usize))
-                {
+                match labels.as_ref().and_then(|l| l.get((n.label - 1) as usize)) {
                     Some(label) => format!("{cat}:{label}"),
                     None => format!("{cat}:#{}", n.label),
                 }
