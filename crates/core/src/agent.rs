@@ -297,65 +297,64 @@ impl BanditAgent {
             phase: self.phase.telemetry_name(),
         });
         self.record_decision(arm);
-        self.record_blackbox(arm);
         arm
     }
 
-    /// Always-on flight-recorder capture of the decision (chosen arm, its
-    /// mean reward and selection bound). Unlike [`record_decision`] this
-    /// does not need the `telemetry` feature; while the black box is off it
-    /// costs one relaxed load and a branch per bandit step.
-    fn record_blackbox(&mut self, arm: ArmId) {
-        if mab_telemetry::blackbox::is_on() {
-            let mut bounds = Vec::with_capacity(self.config.arms);
-            self.algorithm.probe_bounds(&self.tables, &mut bounds);
-            let q = self.tables.reward(arm);
-            let explore = self.phase != AgentPhase::Main || arm != self.tables.best_by_reward();
-            mab_telemetry::blackbox::decision(
-                self.config.seed,
-                self.steps,
-                arm.index(),
-                q,
-                bounds.get(arm.index()).copied().unwrap_or(q),
-                explore,
-            );
+    /// Captures the decision for both observation sinks from one probe of
+    /// the algorithm's selection bounds and one explore/exploit
+    /// classification:
+    ///
+    /// - the always-on black box gets the chosen arm with its mean reward
+    ///   and bound (no `telemetry` feature needed);
+    /// - a live recorder's trace ring gets the full provenance — per-arm
+    ///   Q-values, bounds and pull counts — and [`BanditAgent::observe_reward`]
+    ///   later attributes the delayed reward back to it.
+    ///
+    /// With neither sink live this costs a relaxed load and a branch per
+    /// sink (the recorder's folds away without the `telemetry` feature).
+    fn record_decision(&self, arm: ArmId) {
+        let recorder = if mab_telemetry::enabled() {
+            mab_telemetry::recorder()
+        } else {
+            None
+        };
+        if recorder.is_none() && !mab_telemetry::blackbox::is_on() {
+            return;
         }
-    }
-
-    /// Captures full decision provenance — per-arm Q-values, the algorithm's
-    /// selection bounds, pull counts, the explore/exploit classification —
-    /// into the recorder's trace ring. The delayed reward is attributed back
-    /// by [`BanditAgent::observe_reward`]. Compiles to nothing without the
-    /// `telemetry` feature; the per-arm scan only runs while a recorder is
-    /// live.
-    fn record_decision(&mut self, arm: ArmId) {
-        if mab_telemetry::enabled() {
-            if let Some(rec) = mab_telemetry::recorder() {
-                let mut bounds = Vec::with_capacity(self.config.arms);
-                self.algorithm.probe_bounds(&self.tables, &mut bounds);
-                let explore = self.phase != AgentPhase::Main || arm != self.tables.best_by_reward();
-                let arms = self
-                    .tables
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (_, r, n))| mab_telemetry::ArmProbe {
-                        q: r,
-                        bound: bounds.get(i).copied().unwrap_or(r),
-                        pulls: n,
-                    })
-                    .collect();
-                rec.trace().push(mab_telemetry::DecisionRecord {
-                    agent: self.config.seed,
-                    epoch: self.steps,
-                    cycle: rec.clock(),
-                    chosen: arm.index(),
-                    explore,
-                    phase: self.phase.telemetry_name(),
-                    arms,
-                    reward: f64::NAN,
-                    normalized: f64::NAN,
-                });
-            }
+        let mut bounds = Vec::with_capacity(self.config.arms);
+        self.algorithm.probe_bounds(&self.tables, &mut bounds);
+        let explore = self.phase != AgentPhase::Main || arm != self.tables.best_by_reward();
+        let q = self.tables.reward(arm);
+        mab_telemetry::blackbox::decision(
+            self.config.seed,
+            self.steps,
+            arm.index(),
+            q,
+            bounds.get(arm.index()).copied().unwrap_or(q),
+            explore,
+        );
+        if let Some(rec) = recorder {
+            let arms = self
+                .tables
+                .iter()
+                .enumerate()
+                .map(|(i, (_, r, n))| mab_telemetry::ArmProbe {
+                    q: r,
+                    bound: bounds.get(i).copied().unwrap_or(r),
+                    pulls: n,
+                })
+                .collect();
+            rec.trace().push(mab_telemetry::DecisionRecord {
+                agent: self.config.seed,
+                epoch: self.steps,
+                cycle: rec.clock(),
+                chosen: arm.index(),
+                explore,
+                phase: self.phase.telemetry_name(),
+                arms,
+                reward: f64::NAN,
+                normalized: f64::NAN,
+            });
         }
     }
 

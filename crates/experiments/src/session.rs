@@ -92,7 +92,7 @@ impl TelemetrySession {
             );
         }
         if mab_telemetry::STATIC_ENABLED {
-            mab_telemetry::install(mab_telemetry::RecorderConfig::default());
+            mab_telemetry::install();
             if opts.profile.is_some() {
                 mab_telemetry::profile::reset();
                 mab_telemetry::profile::set_enabled(true);

@@ -8,7 +8,7 @@
 #![cfg(feature = "telemetry")]
 
 use mab_inspect::artifact::RunArtifact;
-use mab_telemetry::{Hist, Recorder, RecorderConfig};
+use mab_telemetry::{Hist, Recorder, EVENT_CAPACITY};
 
 fn absorb_jsonl(rec: &Recorder) -> RunArtifact {
     let mut out = Vec::new();
@@ -24,33 +24,30 @@ fn absorb_jsonl(rec: &Recorder) -> RunArtifact {
 
 #[test]
 fn overflowed_event_ring_drops_surface_in_export_and_report() {
-    let rec = Recorder::new(RecorderConfig {
-        ring_capacity: 4,
-        ..RecorderConfig::default()
-    });
-    for step in 0..10 {
-        rec.ring()
-            .push(mab_telemetry::Event::EpochReset { agent: 1, step });
+    let rec = Recorder::new();
+    let total = EVENT_CAPACITY as u64 + 6;
+    for step in 0..total {
+        rec.emit(mab_telemetry::Event::EpochReset { agent: 1, step });
     }
     assert_eq!(rec.ring().dropped(), 6);
 
     let artifact = absorb_jsonl(&rec);
-    assert_eq!(artifact.events_retained, Some(4));
+    assert_eq!(artifact.events_retained, Some(EVENT_CAPACITY as u64));
     assert_eq!(artifact.events_dropped, Some(6));
-    assert_eq!(artifact.events_total, Some(10));
+    assert_eq!(artifact.events_total, Some(total));
     // Only the retained suffix made it into the file.
-    assert_eq!(artifact.event_counts["epoch_reset"], 4);
+    assert_eq!(artifact.event_counts["epoch_reset"], EVENT_CAPACITY as u64);
 
     let report = mab_inspect::report::render_report(&artifact, 4);
     assert!(
-        report.contains("WARNING: event ring dropped 6 of 10"),
+        report.contains(&format!("WARNING: event ring dropped 6 of {total}")),
         "{report}"
     );
 }
 
 #[test]
 fn histogram_buckets_and_span_totals_round_trip_through_jsonl() {
-    let rec = Recorder::new(RecorderConfig::default());
+    let rec = Recorder::new();
     for value in [0.25, 0.5, 0.5, 4.0] {
         rec.hist(Hist::Reward).record_f64(value);
     }
@@ -90,8 +87,8 @@ fn histogram_buckets_and_span_totals_round_trip_through_jsonl() {
 
 #[test]
 fn csv_export_round_trips_the_retained_events() {
-    let rec = Recorder::new(RecorderConfig::default());
-    rec.ring().push(mab_telemetry::Event::ArmPulled {
+    let rec = Recorder::new();
+    rec.emit(mab_telemetry::Event::ArmPulled {
         agent: 7,
         step: 3,
         arm: 2,

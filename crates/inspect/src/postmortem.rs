@@ -11,24 +11,11 @@
 //! accounting.
 
 use mab_telemetry::blackbox::{json_bool, json_f64, json_str, json_u64, CrashEvent, CrashReport};
+use mab_telemetry::signal;
 
 /// How many trailing events of the crashing thread the timeline shows.
 /// Decisions get their own full table, so the raw tail stays short.
 const TIMELINE_TAIL: usize = 16;
-
-/// Best-effort name for the fatal signals the blackbox handler catches.
-/// The report body carries the authoritative `signal_name`, but the parsed
-/// [`CrashReport`] keeps only the number — this covers the gap for display.
-fn signal_name(sig: i64) -> &'static str {
-    match sig {
-        4 => "SIGILL",
-        6 => "SIGABRT",
-        7 => "SIGBUS",
-        8 => "SIGFPE",
-        11 => "SIGSEGV",
-        _ => "signal",
-    }
-}
 
 /// One-line summary of an event for the timeline tail.
 fn describe(event: &CrashEvent) -> String {
@@ -89,7 +76,7 @@ pub fn render_postmortem(report: &CrashReport) -> String {
     out.push('\n');
     out.push_str(&format!("  cause:    {}", report.cause));
     if let Some(sig) = report.signal {
-        out.push_str(&format!(" ({} {sig})", signal_name(sig)));
+        out.push_str(&format!(" ({} {sig})", signal::name(sig)));
     }
     out.push('\n');
     if !report.message.is_empty() {
@@ -219,7 +206,7 @@ pub fn postmortem_json(report: &CrashReport) -> String {
     match report.signal {
         Some(sig) => out.push_str(&format!(
             "\"signal\":{sig},\"signal_name\":\"{}\",",
-            signal_name(sig)
+            signal::name(sig)
         )),
         None => out.push_str("\"signal\":null,"),
     }

@@ -5,6 +5,8 @@
 
 use std::fmt::Write as _;
 
+use mab_telemetry::{EVENT_CAPACITY, TRACE_CAPACITY};
+
 use crate::analysis;
 use crate::artifact::RunArtifact;
 use crate::diff::MetricDelta;
@@ -21,8 +23,9 @@ pub fn render_report(run: &RunArtifact, windows: usize) -> String {
     if let Some(dropped) = run.events_dropped.filter(|&d| d > 0) {
         let _ = writeln!(
             out,
-            "WARNING: event ring dropped {dropped} of {} events — oldest events are \
-             missing from this artifact; raise RecorderConfig::event_capacity to keep them",
+            "WARNING: event ring dropped {dropped} of {} events — the ring keeps only \
+             the newest {EVENT_CAPACITY} events, so the oldest were evicted and are missing \
+             from this artifact",
             run.events_total.unwrap_or(dropped)
         );
     }
@@ -35,8 +38,9 @@ pub fn render_report(run: &RunArtifact, windows: usize) -> String {
         if tm.dropped > 0 {
             let _ = writeln!(
                 out,
-                "WARNING: trace ring dropped {} of {} decisions — the earliest decisions \
-                 are missing; raise RecorderConfig::trace_capacity to keep them",
+                "WARNING: trace ring dropped {} of {} decisions — the ring keeps only \
+                 the newest {TRACE_CAPACITY} decisions, so the earliest were evicted and are \
+                 missing from this artifact",
                 tm.dropped, tm.total
             );
         }
@@ -389,11 +393,19 @@ mod tests {
         );
         let text = render_report(&a, 4);
         assert!(
-            text.contains("WARNING: event ring dropped 6 of 10"),
+            text.contains(
+                "WARNING: event ring dropped 6 of 10 events — the ring keeps only the \
+                 newest 65536 events, so the oldest were evicted and are missing from this \
+                 artifact"
+            ),
             "{text}"
         );
         assert!(
-            text.contains("WARNING: trace ring dropped 2 of 5"),
+            text.contains(
+                "WARNING: trace ring dropped 2 of 5 decisions — the ring keeps only the \
+                 newest 65536 decisions, so the earliest were evicted and are missing from \
+                 this artifact"
+            ),
             "{text}"
         );
     }

@@ -526,12 +526,6 @@ impl System {
             );
             for &(filled, fill_l1) in &fills {
                 self.probe.bump(Stat::L2Fill);
-                mab_telemetry::emit_sim!(CacheFill {
-                    level: mab_telemetry::CacheLevel::L2,
-                    core: i,
-                    line: filled,
-                    prefetch: true,
-                });
                 if let Some(ev) = ctx.l2.fill(filled, true) {
                     if ev.unused_prefetch {
                         ctx.pf.wrong += 1;
@@ -554,13 +548,6 @@ impl System {
         } else {
             self.probe.bump(Stat::L1DemandMiss);
         }
-        mab_telemetry::emit_sim!(CacheAccess {
-            level: mab_telemetry::CacheLevel::L1,
-            core: i,
-            line: line,
-            hit: l1_hit,
-            cycle: t,
-        });
         // The L1 prefetcher trains on every demand access.
         let l1_access = L2Access {
             pc,
@@ -647,13 +634,6 @@ impl System {
         } else {
             self.probe.bump(Stat::L2DemandMiss);
         }
-        mab_telemetry::emit_sim!(CacheAccess {
-            level: mab_telemetry::CacheLevel::L2,
-            core: i,
-            line: line,
-            hit: hit,
-            cycle: t,
-        });
         let latency = match l2_result {
             LookupResult::Hit { first_prefetch_use } => {
                 if first_prefetch_use {
@@ -840,11 +820,6 @@ impl System {
             ctx.mshr.insert(line, t + fill_latency, true);
             ctx.pf.issued += 1;
             self.probe.bump(Stat::PrefetchIssued);
-            mab_telemetry::emit_sim!(PrefetchIssued {
-                core: i,
-                line: line,
-                cycle: t,
-            });
         }
         ctx.req_scratch = requests;
     }
@@ -891,11 +866,6 @@ impl System {
             ctx.mshr.insert(line, t + fill_latency, false);
             ctx.pf.issued += 1;
             self.probe.bump(Stat::PrefetchIssued);
-            mab_telemetry::emit_sim!(PrefetchIssued {
-                core: i,
-                line: line,
-                cycle: t,
-            });
         }
         ctx.req_scratch = requests;
     }

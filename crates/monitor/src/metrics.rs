@@ -105,7 +105,7 @@ pub fn render_parts(
             &mut out,
             "mab_monitor_arm_rows_evicted_total",
             "Arm-table rows evicted to stay under the cap.",
-            table.evicted as f64,
+            table.arms.dropped() as f64,
         );
     }
     counter(
@@ -268,7 +268,6 @@ pub fn escape_label(raw: &str) -> String {
 mod tests {
     use super::*;
     use crate::state::RunInfo;
-    use mab_telemetry::RecorderConfig;
 
     /// Minimal exposition-format validator: every non-comment line is
     /// `name[{labels}] value`, names are in the legal alphabet, label
@@ -331,7 +330,7 @@ mod tests {
             jobs: 8,
             started_unix: 0,
         });
-        let rec = Recorder::new(RecorderConfig::default());
+        let rec = Recorder::new();
         rec.counters().add(Stat::ArmPulls, 42);
         rec.hist(Hist::MissLatency).record(3);
         rec.hist(Hist::MissLatency).record(200);
@@ -364,7 +363,7 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_and_close_with_inf() {
         let state = MonitorState::new(RunInfo::default());
-        let rec = Recorder::new(RecorderConfig::default());
+        let rec = Recorder::new();
         // Raw-unit histogram: values 3 and 200 land in le=3 and le=255.
         rec.hist(Hist::MissLatency).record(3);
         rec.hist(Hist::MissLatency).record(200);

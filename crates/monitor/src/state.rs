@@ -9,9 +9,9 @@
 //! step: the hot path inside an arm touches no monitor state at all.
 
 use mab_runner::ArmEvent;
-use std::collections::VecDeque;
+use mab_telemetry::Ring;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Maximum arms retained in the live table; older entries are evicted (and
@@ -76,12 +76,11 @@ pub struct WorkerState {
 }
 
 /// The live arm table plus sweep/worker aggregates, updated per arm event.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ArmTable {
-    /// Most recent arms, oldest first, capped at [`ARM_TABLE_CAP`].
-    pub arms: VecDeque<ArmState>,
-    /// Rows evicted from the table to stay under the cap.
-    pub evicted: u64,
+    /// Most recent arms, oldest first, capped at [`ARM_TABLE_CAP`]; its
+    /// drop count is the number of rows evicted to stay under the cap.
+    pub arms: Ring<ArmState>,
     /// Per-worker accounting, indexed by worker id.
     pub workers: Vec<WorkerState>,
     /// Arms started, cumulatively across sweeps.
@@ -92,20 +91,24 @@ pub struct ArmTable {
     pub current: Option<(u32, usize, usize)>,
 }
 
+impl Default for ArmTable {
+    fn default() -> Self {
+        ArmTable {
+            arms: Ring::with_reserve(ARM_TABLE_CAP, 0),
+            workers: Vec::new(),
+            started: 0,
+            finished: 0,
+            current: None,
+        }
+    }
+}
+
 impl ArmTable {
     fn worker_mut(&mut self, worker: usize) -> &mut WorkerState {
         if self.workers.len() <= worker {
             self.workers.resize_with(worker + 1, WorkerState::default);
         }
         &mut self.workers[worker]
-    }
-
-    fn push_arm(&mut self, arm: ArmState) {
-        if self.arms.len() == ARM_TABLE_CAP {
-            self.arms.pop_front();
-            self.evicted += 1;
-        }
-        self.arms.push_back(arm);
     }
 }
 
@@ -115,31 +118,33 @@ impl ArmTable {
 /// sequence it wants and calls [`EventRing::wait_after`], which returns the
 /// available suffix plus how many events it missed (evicted before it could
 /// read them).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EventRing {
-    inner: Mutex<RingInner>,
+    /// Retained `(event_name, payload)` pairs; an event's sequence number
+    /// is its push number.
+    inner: Mutex<Ring<(&'static str, String)>>,
     cond: Condvar,
 }
 
-#[derive(Debug, Default)]
-struct RingInner {
-    /// Sequence number the next published event will get.
-    next_seq: u64,
-    /// Retained `(seq, event_name, payload)` triples, oldest first.
-    items: VecDeque<(u64, &'static str, String)>,
+impl Default for EventRing {
+    fn default() -> Self {
+        EventRing {
+            inner: Mutex::new(Ring::with_reserve(SSE_RING_CAP, 0)),
+            cond: Condvar::new(),
+        }
+    }
 }
 
 impl EventRing {
+    fn lock(&self) -> MutexGuard<'_, Ring<(&'static str, String)>> {
+        self.inner
+            .lock()
+            .expect("SSE ring lock poisoned by a panicking thread")
+    }
+
     /// Appends an event and wakes all waiting streamers.
     pub fn publish(&self, event: &'static str, payload: String) {
-        let mut inner = self.inner.lock().unwrap();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if inner.items.len() == SSE_RING_CAP {
-            inner.items.pop_front();
-        }
-        inner.items.push_back((seq, event, payload));
-        drop(inner);
+        self.lock().push((event, payload));
         self.cond.notify_all();
     }
 
@@ -152,27 +157,25 @@ impl EventRing {
         from: u64,
         timeout: Duration,
     ) -> (Vec<(u64, &'static str, String)>, u64) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.items.back().is_none_or(|(seq, _, _)| *seq < from) {
-            let (guard, _) = self.cond.wait_timeout(inner, timeout).unwrap();
-            inner = guard;
+        let mut ring = self.lock();
+        if ring.total() <= from {
+            let (guard, _) = self
+                .cond
+                .wait_timeout(ring, timeout)
+                .expect("SSE ring lock poisoned by a panicking thread");
+            ring = guard;
         }
-        let dropped = match inner.items.front() {
-            Some((oldest, _, _)) if *oldest > from => oldest - from,
-            _ => 0,
-        };
-        let events = inner
-            .items
-            .iter()
-            .filter(|(seq, _, _)| *seq >= from)
-            .cloned()
+        let events = ring
+            .numbered()
+            .filter(|(seq, _)| *seq >= from)
+            .map(|(seq, (event, payload))| (seq, *event, payload.clone()))
             .collect();
-        (events, dropped)
+        (events, ring.dropped().saturating_sub(from))
     }
 
     /// Sequence number the next published event will receive.
     pub fn next_seq(&self) -> u64 {
-        self.inner.lock().unwrap().next_seq
+        self.lock().total()
     }
 }
 
@@ -244,7 +247,7 @@ impl MonitorState {
                     let mut table = self.table.lock().unwrap();
                     table.started += 1;
                     table.worker_mut(worker).running = Some((sweep, index));
-                    table.push_arm(ArmState {
+                    table.arms.push(ArmState {
                         sweep,
                         index,
                         seed,
@@ -282,7 +285,7 @@ impl MonitorState {
                             arm.phase = ArmPhase::Done;
                             arm.wall_ns = obs.wall_ns;
                         }
-                        None => table.push_arm(ArmState {
+                        None => table.arms.push(ArmState {
                             sweep: obs.sweep,
                             index: obs.index,
                             seed: obs.seed,
@@ -378,8 +381,8 @@ mod tests {
         }
         let table = state.table.lock().unwrap();
         assert_eq!(table.arms.len(), ARM_TABLE_CAP);
-        assert_eq!(table.evicted, 10);
-        assert_eq!(table.arms.front().unwrap().index, 10);
+        assert_eq!(table.arms.dropped(), 10);
+        assert_eq!(table.arms.iter().next().unwrap().index, 10);
     }
 
     #[test]
@@ -417,7 +420,7 @@ mod tests {
         // Arm 0's running row has been evicted by now.
         finish(&state, 0, 0, 0, 42);
         let table = state.table.lock().unwrap();
-        let row = table.arms.back().unwrap();
+        let row = table.arms.iter().next_back().unwrap();
         assert_eq!(row.index, 0);
         assert_eq!(row.phase, ArmPhase::Done);
         assert_eq!(row.wall_ns, 42);

@@ -59,7 +59,9 @@ pub fn render(state: &MonitorState) -> String {
     let table = state.table.lock().unwrap();
     out.push_str(&format!(
         ",\"arms_started\":{},\"arms_finished\":{},\"arm_rows_evicted\":{}",
-        table.started, table.finished, table.evicted
+        table.started,
+        table.finished,
+        table.arms.dropped()
     ));
     out.push_str(",\"workers\":[");
     for (worker, w) in table.workers.iter().enumerate() {

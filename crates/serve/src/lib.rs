@@ -26,6 +26,7 @@
 //! execution), [`state`] (scheduler, dispatcher, persistence), [`api`]
 //! (HTTP routes), [`signal`] (graceful-shutdown hooks).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;

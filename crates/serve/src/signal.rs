@@ -1,12 +1,12 @@
 //! Minimal SIGTERM/SIGINT hook for graceful daemon shutdown.
 //!
-//! The workspace is dependency-free, so instead of a signal crate this
-//! module registers a trivial `libc::signal`-style handler that flips one
-//! process-global flag. The handler body is async-signal-safe (a single
-//! relaxed atomic store); all actual shutdown work — draining the pool,
-//! persisting the job table — happens on the main thread's poll loop in
-//! `mab-serve`.
+//! The handler, registered through `mab-telemetry`'s shared `signal(2)`
+//! shim, flips one process-global flag. Its body is async-signal-safe (a
+//! single relaxed atomic store); all actual shutdown work — draining the
+//! pool, persisting the job table — happens on the main thread's poll loop
+//! in `mab-serve`.
 
+use mab_telemetry::signal::{self, SIGINT, SIGTERM};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -22,36 +22,13 @@ pub fn request() {
     SHUTDOWN.store(true, Ordering::Relaxed);
 }
 
-#[cfg(unix)]
-mod unix {
-    use super::SHUTDOWN;
-    use std::sync::atomic::Ordering;
-
-    extern "C" fn handle(_signum: i32) {
-        // Only async-signal-safe work here: one atomic store.
-        SHUTDOWN.store(true, Ordering::Relaxed);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    pub fn install() {
-        // SAFETY: `signal(2)` with a handler that performs a single atomic
-        // store is async-signal-safe; both signal numbers are the
-        // POSIX-mandated constants on every Linux/macOS target we build.
-        unsafe {
-            signal(SIGINT, handle);
-            signal(SIGTERM, handle);
-        }
-    }
+extern "C" fn handle(_signum: i32) {
+    // Only async-signal-safe work here: one atomic store.
+    SHUTDOWN.store(true, Ordering::Relaxed);
 }
 
 /// Installs the SIGTERM/SIGINT handlers (no-op on non-unix targets).
 pub fn install() {
-    #[cfg(unix)]
-    unix::install();
+    signal::set_handler(SIGINT, handle);
+    signal::set_handler(SIGTERM, handle);
 }

@@ -826,10 +826,6 @@ impl SmtPipeline {
                 if mab_telemetry::STATIC_ENABLED {
                     self.probe_fetch[1] += 1;
                 }
-                mab_telemetry::emit_sim!(FetchGated {
-                    thread: i,
-                    cycle: cycle,
-                });
                 continue;
             }
             eligible_mask |= 1 << i;
@@ -868,10 +864,6 @@ impl SmtPipeline {
             self.probe_fetch[0] += 1;
             self.epoch_grants[chosen] += 1;
         }
-        mab_telemetry::emit_sim!(FetchSlotGrant {
-            thread: chosen,
-            cycle: cycle,
-        });
         let t = &mut self.threads[chosen];
         for _ in 0..p.fetch_width {
             let instr = t.gen.next_instr();

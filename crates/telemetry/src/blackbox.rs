@@ -12,13 +12,13 @@
 //!   per-thread mutex. The owning thread is the only steady-state locker,
 //!   so the lock is uncontended (lock-light, not lock-free); a crash dump
 //!   on another thread contends only for the microseconds of the dump.
-//! - Rings never grow: beyond [`RING_CAPACITY`] the oldest event is
-//!   evicted and a per-thread drop counter accounts for it. Global
-//!   sequence numbers let a postmortem interleave rings across threads.
+//! - Rings never grow: each is a [`Ring`] of [`RING_CAPACITY`] entries that
+//!   evicts the oldest event and counts the drop. Entries carry a global
+//!   sequence number so a postmortem can interleave rings across threads.
 //!
 //! On `panic!` (hooked via `std::panic::set_hook`, chaining the previous
 //! hook) or a fatal signal (`SIGILL`/`SIGABRT`/`SIGBUS`/`SIGSEGV`, via the
-//! same `signal(2)` FFI shape `mab-serve` uses for SIGTERM) the recorder
+//! shared [`crate::signal`] shim) the recorder
 //! serializes every thread ring, the active span stack, the installed
 //! run identity (experiment, config digest, config pairs), live sweep
 //! progress and host info into a CRC-framed `crash-<ts>-<pid>-<n>.mabcrash`
@@ -32,7 +32,8 @@
 //! `SIG_DFL` first so the process still dies with the original signal if
 //! the dump itself faults.
 
-use std::collections::VecDeque;
+use crate::export::escape_json;
+use crate::ring::Ring;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -148,35 +149,15 @@ fn install_hooks() {
 }
 
 // ---------------------------------------------------------------------------
-// Fatal-signal handler (same signal(2) FFI shape as mab-serve's drain)
+// Fatal-signal handler
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
 mod fatal {
-    pub const SIGILL: i32 = 4;
-    pub const SIGABRT: i32 = 6;
-    pub const SIGBUS: i32 = 7;
-    pub const SIGSEGV: i32 = 11;
-
-    const SIG_DFL: usize = 0;
-
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
+    use crate::signal::{self, SIGABRT, SIGBUS, SIGILL, SIGSEGV};
 
     pub fn install() {
         for sig in [SIGILL, SIGABRT, SIGBUS, SIGSEGV] {
-            unsafe { signal(sig, on_fatal as *const () as usize) };
-        }
-    }
-
-    pub fn name(sig: i32) -> &'static str {
-        match sig {
-            SIGILL => "SIGILL",
-            SIGABRT => "SIGABRT",
-            SIGBUS => "SIGBUS",
-            SIGSEGV => "SIGSEGV",
-            _ => "signal",
+            signal::set_handler(sig, on_fatal);
         }
     }
 
@@ -185,23 +166,15 @@ mod fatal {
         // or when the handler returns (the faulting instruction re-executes
         // for SEGV/BUS/ILL; abort() re-raises for ABRT), the process still
         // dies with the original signal.
-        unsafe { signal(sig, SIG_DFL) };
+        signal::set_default(sig);
         if super::is_on() {
-            let message = format!("fatal signal {} ({sig})", name(sig));
+            let message = format!("fatal signal {} ({sig})", signal::name(sig.into()));
             if let Some(path) = super::dump("signal", &message, Some(sig), true) {
                 // Already past the point of async-signal-safety (dump
                 // allocates); the announcement costs nothing extra.
                 eprintln!("blackbox: crash report written to {}", path.display());
             }
         }
-    }
-}
-
-#[cfg(not(unix))]
-mod fatal {
-    pub fn install() {}
-    pub fn name(_sig: i32) -> &'static str {
-        "signal"
     }
 }
 
@@ -293,16 +266,16 @@ impl BbEvent {
             BbEvent::SweepEnd { done } => format!("{head},\"done\":{done}}}"),
             BbEvent::Job { job, what, detail } => format!(
                 "{head},\"job\":{job},\"what\":\"{what}\",\"detail\":\"{}\"}}",
-                escape(detail)
+                escape_json(detail)
             ),
-            BbEvent::Note { text } => format!("{head},\"text\":\"{}\"}}", escape(text)),
+            BbEvent::Note { text } => format!("{head},\"text\":\"{}\"}}", escape_json(text)),
         }
     }
 }
 
 struct RingInner {
-    events: VecDeque<(u64, BbEvent)>,
-    dropped: u64,
+    /// `(global sequence number, event)` pairs.
+    events: Ring<(u64, BbEvent)>,
     /// Sweep arm currently executing on this thread, if any.
     arm: Option<(usize, u64)>,
 }
@@ -315,12 +288,11 @@ struct ThreadRing {
 impl ThreadRing {
     fn push(&self, event: BbEvent) {
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock().unwrap();
-        if inner.events.len() == RING_CAPACITY {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back((seq, event));
+        self.inner
+            .lock()
+            .expect("black-box ring lock poisoned by a panicking thread")
+            .events
+            .push((seq, event));
     }
 }
 
@@ -344,8 +316,7 @@ fn with_ring(f: impl FnOnce(&ThreadRing)) {
             let ring = Arc::new(ThreadRing {
                 name,
                 inner: Mutex::new(RingInner {
-                    events: VecDeque::with_capacity(RING_CAPACITY),
-                    dropped: 0,
+                    events: Ring::new(RING_CAPACITY),
                     arm: None,
                 }),
             });
@@ -542,28 +513,31 @@ fn render_body(
     );
     let mut body = String::with_capacity(16 * 1024);
     let sig = match signal {
-        Some(s) => format!(",\"signal\":{s},\"signal_name\":\"{}\"", fatal::name(s)),
+        Some(s) => format!(
+            ",\"signal\":{s},\"signal_name\":\"{}\"",
+            crate::signal::name(s.into())
+        ),
         None => String::new(),
     };
     body.push_str(&format!(
         "{{\"kind\":\"crash\",\"cause\":\"{}\",\"message\":\"{}\"{sig},\"thread\":\"{}\",\"time_unix\":{time_unix},\"experiment\":\"{}\",\"digest\":\"{}\"}}\n",
-        escape(cause),
-        escape(message),
-        escape(thread),
-        escape(&ctx.experiment),
-        escape(&ctx.digest),
+        escape_json(cause),
+        escape_json(message),
+        escape_json(thread),
+        escape_json(&ctx.experiment),
+        escape_json(&ctx.digest),
     ));
     for (key, value) in &ctx.config {
         body.push_str(&format!(
             "{{\"kind\":\"config\",\"key\":\"{}\",\"value\":\"{}\"}}\n",
-            escape(key),
-            escape(value)
+            escape_json(key),
+            escape_json(value)
         ));
     }
     body.push_str(&format!(
         "{{\"kind\":\"host\",\"cpus\":{},\"hostname\":\"{}\"}}\n",
         cpus(),
-        escape(&hostname())
+        escape_json(&hostname())
     ));
     if let Some(sweep) = crate::live::sweep_snapshot() {
         body.push_str(&format!(
@@ -586,7 +560,7 @@ fn render_body(
     for (depth, frame) in crate::span::current_stack().iter().enumerate() {
         body.push_str(&format!(
             "{{\"kind\":\"span\",\"depth\":{depth},\"frame\":\"{}\"}}\n",
-            escape(frame)
+            escape_json(frame)
         ));
     }
     let rings: Vec<Arc<ThreadRing>> = if best_effort {
@@ -615,12 +589,12 @@ fn render_body(
         };
         body.push_str(&format!(
             "{{\"kind\":\"thread\",\"id\":{idx},\"name\":\"{}\",\"current\":{},\"dropped\":{},\"events\":{}}}\n",
-            escape(&ring.name),
+            escape_json(&ring.name),
             own.as_ref().is_some_and(|own| Arc::ptr_eq(own, ring)),
-            inner.dropped,
+            inner.events.dropped(),
             inner.events.len()
         ));
-        for (seq, event) in &inner.events {
+        for (seq, event) in inner.events.iter() {
             events.push_str(&event.to_json(idx, *seq));
             events.push('\n');
         }
@@ -820,22 +794,6 @@ pub fn read_report(path: &Path) -> Result<CrashReport, String> {
 // Minimal JSON helpers (flat objects, the only shape the report uses)
 // ---------------------------------------------------------------------------
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -979,7 +937,7 @@ mod tests {
     fn json_helpers_round_trip_escapes() {
         let line = format!(
             "{{\"kind\":\"note\",\"text\":\"{}\",\"n\":42,\"x\":-1.5,\"ok\":true}}",
-            escape("a \"quoted\"\nline\\end")
+            escape_json("a \"quoted\"\nline\\end")
         );
         assert_eq!(json_str(&line, "text").unwrap(), "a \"quoted\"\nline\\end");
         assert_eq!(json_u64(&line, "n"), Some(42));

@@ -1,35 +1,10 @@
 //! Structured telemetry events.
 //!
-//! Two families share the ring buffer:
-//!
-//! - **Bandit events** trace every agent decision (`ArmPulled`,
-//!   `RewardObserved`, `EpochReset`, `QSnapshot`). These are low-frequency
-//!   (one per bandit step) and always logged when a recorder is installed.
-//! - **Simulator probe events** trace individual cache/prefetch/SMT actions.
-//!   They are emitted only when [`crate::RecorderConfig::sim_events`] is set,
-//!   because per-access logging would dominate simulator runtime.
-
-/// Cache hierarchy level, labeling per-level probe events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLevel {
-    /// Per-core L1 data cache.
-    L1,
-    /// Per-core L2 cache (the bandit's home).
-    L2,
-    /// Shared last-level cache.
-    Llc,
-}
-
-impl CacheLevel {
-    /// Stable lowercase name used by the exporters.
-    pub const fn name(self) -> &'static str {
-        match self {
-            CacheLevel::L1 => "l1",
-            CacheLevel::L2 => "l2",
-            CacheLevel::Llc => "llc",
-        }
-    }
-}
+//! Bandit events trace every agent decision (`ArmPulled`, `RewardObserved`,
+//! `EpochReset`, `QSnapshot`); simulators add sampled `Occupancy` readings
+//! at bandit-epoch granularity. All of them are low-frequency — per-access
+//! and per-cycle simulator activity is counted by [`crate::Stat`] counters,
+//! never logged as events.
 
 /// A single structured telemetry event.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,58 +53,10 @@ pub enum Event {
         /// Total (possibly discounted) pull mass across arms.
         n_total: f64,
     },
-    /// A demand access probed a cache level (sim probe).
-    CacheAccess {
-        /// Cache level probed.
-        level: CacheLevel,
-        /// Core issuing the access.
-        core: usize,
-        /// Line address.
-        line: u64,
-        /// Whether the probe hit.
-        hit: bool,
-        /// Cycle of the access.
-        cycle: u64,
-    },
-    /// A line was filled into a cache level (sim probe).
-    CacheFill {
-        /// Cache level filled.
-        level: CacheLevel,
-        /// Core owning the cache (0 for shared levels).
-        core: usize,
-        /// Line address.
-        line: u64,
-        /// Whether the fill came from a prefetch.
-        prefetch: bool,
-    },
-    /// A prefetch left the queue toward memory (sim probe).
-    PrefetchIssued {
-        /// Core issuing the prefetch.
-        core: usize,
-        /// Target line address.
-        line: u64,
-        /// Cycle of issue.
-        cycle: u64,
-    },
-    /// An SMT fetch slot was granted to a thread this cycle (sim probe).
-    FetchSlotGrant {
-        /// Winning thread index.
-        thread: usize,
-        /// Cycle of the grant.
-        cycle: u64,
-    },
-    /// A thread was gated off fetch by the PG policy this cycle (sim probe).
-    FetchGated {
-        /// Gated thread index.
-        thread: usize,
-        /// Cycle of the decision.
-        cycle: u64,
-    },
     /// A sampled occupancy/utilization reading from a simulator resource
     /// (DRAM backlog, MSHR fill, per-thread fetch share). Sampled at bandit
-    /// epoch granularity — far below probe frequency — so it is *not* gated
-    /// on [`crate::RecorderConfig::sim_events`]; these become counter tracks
-    /// in the Perfetto export.
+    /// epoch granularity; these become counter tracks in the Perfetto
+    /// export.
     Occupancy {
         /// Resource track name (e.g. `dram_backlog`, `fetch_share`).
         track: &'static str,
@@ -150,24 +77,7 @@ impl Event {
             Event::RewardObserved { .. } => "reward_observed",
             Event::EpochReset { .. } => "epoch_reset",
             Event::QSnapshot { .. } => "q_snapshot",
-            Event::CacheAccess { .. } => "cache_access",
-            Event::CacheFill { .. } => "cache_fill",
-            Event::PrefetchIssued { .. } => "prefetch_issued",
-            Event::FetchSlotGrant { .. } => "fetch_slot_grant",
-            Event::FetchGated { .. } => "fetch_gated",
             Event::Occupancy { .. } => "occupancy",
         }
-    }
-
-    /// True for the high-frequency simulator probe family.
-    pub const fn is_sim_probe(&self) -> bool {
-        matches!(
-            self,
-            Event::CacheAccess { .. }
-                | Event::CacheFill { .. }
-                | Event::PrefetchIssued { .. }
-                | Event::FetchSlotGrant { .. }
-                | Event::FetchGated { .. }
-        )
     }
 }

@@ -7,7 +7,6 @@
 use crate::counters::Stat;
 use crate::event::Event;
 use crate::hist::Hist;
-use crate::ring::SeqEvent;
 use crate::Recorder;
 use std::io::{self, Write};
 
@@ -18,8 +17,6 @@ pub enum Field {
     U64(u64),
     /// Floating point; non-finite values export as `null` / empty.
     F64(f64),
-    /// Boolean.
-    Bool(bool),
     /// Static string.
     Str(&'static str),
 }
@@ -67,43 +64,6 @@ pub fn event_fields(event: &Event) -> Vec<(&'static str, Field)> {
             ("best_q", Field::F64(best_q)),
             ("n_total", Field::F64(n_total)),
         ],
-        Event::CacheAccess {
-            level,
-            core,
-            line,
-            hit,
-            cycle,
-        } => vec![
-            ("level", Field::Str(level.name())),
-            ("core", Field::U64(core as u64)),
-            ("line", Field::U64(line)),
-            ("hit", Field::Bool(hit)),
-            ("cycle", Field::U64(cycle)),
-        ],
-        Event::CacheFill {
-            level,
-            core,
-            line,
-            prefetch,
-        } => vec![
-            ("level", Field::Str(level.name())),
-            ("core", Field::U64(core as u64)),
-            ("line", Field::U64(line)),
-            ("prefetch", Field::Bool(prefetch)),
-        ],
-        Event::PrefetchIssued { core, line, cycle } => vec![
-            ("core", Field::U64(core as u64)),
-            ("line", Field::U64(line)),
-            ("cycle", Field::U64(cycle)),
-        ],
-        Event::FetchSlotGrant { thread, cycle } => vec![
-            ("thread", Field::U64(thread as u64)),
-            ("cycle", Field::U64(cycle)),
-        ],
-        Event::FetchGated { thread, cycle } => vec![
-            ("thread", Field::U64(thread as u64)),
-            ("cycle", Field::U64(cycle)),
-        ],
         Event::Occupancy {
             track,
             id,
@@ -147,12 +107,25 @@ pub fn escape_csv(s: &str) -> String {
     }
 }
 
+/// A float as a JSON number, or `null` when it is not finite.
+pub fn json_number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// Floats as a JSON array of [`json_number`]s.
+pub fn json_number_array(values: impl Iterator<Item = f64>) -> String {
+    let items: Vec<String> = values.map(json_number).collect();
+    format!("[{}]", items.join(","))
+}
+
 fn json_value(f: Field) -> String {
     match f {
         Field::U64(v) => v.to_string(),
-        Field::F64(v) if v.is_finite() => format!("{v}"),
-        Field::F64(_) => "null".to_string(),
-        Field::Bool(v) => v.to_string(),
+        Field::F64(v) => json_number(v),
         Field::Str(s) => format!("\"{}\"", escape_json(s)),
     }
 }
@@ -162,19 +135,14 @@ fn csv_value(f: Field) -> String {
         Field::U64(v) => v.to_string(),
         Field::F64(v) if v.is_finite() => format!("{v}"),
         Field::F64(_) => String::new(),
-        Field::Bool(v) => v.to_string(),
         Field::Str(s) => escape_csv(s),
     }
 }
 
-/// One event as a JSON object on a single line.
-pub fn event_to_json(e: &SeqEvent) -> String {
-    let mut line = format!(
-        "{{\"seq\":{},\"kind\":\"{}\"",
-        e.seq,
-        escape_json(e.event.kind())
-    );
-    for (key, value) in event_fields(&e.event) {
+/// Event number `seq` as a JSON object on a single line.
+pub fn event_to_json(seq: u64, event: &Event) -> String {
+    let mut line = format!("{{\"seq\":{seq},\"kind\":\"{}\"", escape_json(event.kind()));
+    for (key, value) in event_fields(event) {
         line.push_str(&format!(",\"{}\":{}", escape_json(key), json_value(value)));
     }
     line.push('}');
@@ -182,7 +150,10 @@ pub fn event_to_json(e: &SeqEvent) -> String {
 }
 
 /// Every CSV column, in output order. Events leave inapplicable columns
-/// empty, so heterogeneous kinds share one table.
+/// empty, so heterogeneous kinds share one table. No event carries
+/// `level`, `core`, `thread`, `line`, `hit` or `prefetch`; those columns
+/// stay, always empty, so readers keyed on this 21-column header keep
+/// working.
 pub const CSV_COLUMNS: [&str; 21] = [
     "seq",
     "kind",
@@ -207,14 +178,14 @@ pub const CSV_COLUMNS: [&str; 21] = [
     "cycle",
 ];
 
-/// One event as a CSV row following [`CSV_COLUMNS`].
-pub fn event_to_csv(e: &SeqEvent) -> String {
-    let fields = event_fields(&e.event);
+/// Event number `seq` as a CSV row following [`CSV_COLUMNS`].
+pub fn event_to_csv(seq: u64, event: &Event) -> String {
+    let fields = event_fields(event);
     let mut row = Vec::with_capacity(CSV_COLUMNS.len());
     for &col in &CSV_COLUMNS {
         match col {
-            "seq" => row.push(e.seq.to_string()),
-            "kind" => row.push(escape_csv(e.event.kind())),
+            "seq" => row.push(seq.to_string()),
+            "kind" => row.push(escape_csv(event.kind())),
             _ => row.push(
                 fields
                     .iter()
@@ -230,13 +201,13 @@ pub fn event_to_csv(e: &SeqEvent) -> String {
 /// Writes the full recorder state as JSON lines: a meta line, one line per
 /// non-zero counter, one per non-empty histogram, then every retained event.
 pub fn write_jsonl<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
-    let ring = rec.ring();
+    let ring = rec.ring().clone();
     writeln!(
         w,
         "{{\"kind\":\"meta\",\"events_retained\":{},\"events_dropped\":{},\"events_total\":{}}}",
         ring.len(),
         ring.dropped(),
-        ring.total_pushed()
+        ring.total()
     )?;
     for stat in Stat::ALL {
         let value = rec.counters().sum(stat);
@@ -285,8 +256,8 @@ pub fn write_jsonl<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
             self_ns.get(path).copied().unwrap_or(0),
         )?;
     }
-    for e in ring.events() {
-        writeln!(w, "{}", event_to_json(&e))?;
+    for (seq, event) in ring.numbered() {
+        writeln!(w, "{}", event_to_json(seq, event))?;
     }
     Ok(())
 }
@@ -294,8 +265,9 @@ pub fn write_jsonl<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
 /// Writes the retained events as a CSV table ([`CSV_COLUMNS`] header first).
 pub fn write_csv<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
     writeln!(w, "{}", CSV_COLUMNS.join(","))?;
-    for e in rec.ring().events() {
-        writeln!(w, "{}", event_to_csv(&e))?;
+    let ring = rec.ring().clone();
+    for (seq, event) in ring.numbered() {
+        writeln!(w, "{}", event_to_csv(seq, event))?;
     }
     Ok(())
 }
@@ -303,7 +275,6 @@ pub fn write_csv<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CacheLevel;
 
     #[test]
     fn json_escaping_covers_specials() {
@@ -324,17 +295,14 @@ mod tests {
 
     #[test]
     fn arm_pulled_round_trips_to_json() {
-        let e = SeqEvent {
-            seq: 7,
-            event: Event::ArmPulled {
-                agent: 3,
-                step: 12,
-                arm: 4,
-                phase: "main",
-            },
+        let e = Event::ArmPulled {
+            agent: 3,
+            step: 12,
+            arm: 4,
+            phase: "main",
         };
         assert_eq!(
-            event_to_json(&e),
+            event_to_json(7, &e),
             "{\"seq\":7,\"kind\":\"arm_pulled\",\"agent\":3,\"step\":12,\"arm\":4,\"phase\":\"main\"}"
         );
     }
@@ -355,13 +323,6 @@ mod tests {
                 reward: 1.25,
                 normalized: 0.9,
             },
-            Event::CacheAccess {
-                level: CacheLevel::L2,
-                core: 0,
-                line: 42,
-                hit: true,
-                cycle: 99,
-            },
             Event::Occupancy {
                 track: "dram_backlog",
                 id: 0,
@@ -370,27 +331,21 @@ mod tests {
             },
         ];
         for (seq, event) in events.into_iter().enumerate() {
-            let row = event_to_csv(&SeqEvent {
-                seq: seq as u64,
-                event,
-            });
+            let row = event_to_csv(seq as u64, &event);
             assert_eq!(row.split(',').count(), CSV_COLUMNS.len(), "{row}");
         }
     }
 
     #[test]
     fn non_finite_floats_export_as_null() {
-        let e = SeqEvent {
-            seq: 0,
-            event: Event::RewardObserved {
-                agent: 0,
-                step: 0,
-                arm: 0,
-                reward: f64::NAN,
-                normalized: f64::INFINITY,
-            },
+        let e = Event::RewardObserved {
+            agent: 0,
+            step: 0,
+            arm: 0,
+            reward: f64::NAN,
+            normalized: f64::INFINITY,
         };
-        let json = event_to_json(&e);
+        let json = event_to_json(0, &e);
         assert!(json.contains("\"reward\":null"), "{json}");
         assert!(json.contains("\"normalized\":null"), "{json}");
     }

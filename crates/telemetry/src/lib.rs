@@ -8,8 +8,11 @@
 //!   prefetch subsystem.
 //! - [`Histogram`](hist::Histogram) — lock-free log2-bucket histograms for
 //!   reward, epoch-IPC and latency distributions.
-//! - [`EventRing`](ring::EventRing) — fixed-capacity ring buffer of
-//!   structured [`Event`]s with sequence numbers and drop accounting.
+//! - [`Ring`] — the one fixed-capacity, evict-oldest buffer with push
+//!   numbering and drop accounting. The recorder's [`Event`] ring, the
+//!   decision [`TraceRing`] and each black-box thread ring are built on it
+//!   (as are `mab-monitor`'s SSE ring and arm table); each owner keeps it
+//!   under its own lock.
 //! - [`export`] — hand-rolled JSON-lines and CSV exporters.
 //! - [`summary`] — the periodic-summary sink used by experiment binaries.
 //! - [`live`] — the seqlock'd sweep-progress cell and the shared ETA/rate
@@ -21,6 +24,9 @@
 //! - [`blackbox`] — the always-on (feature-independent) flight recorder:
 //!   per-thread rings of recent decisions/epochs/arm events plus a
 //!   panic-hook/fatal-signal crash dump to `.mabcrash` reports.
+//! - [`signal`] — the workspace's one `signal(2)` shim and signal-name
+//!   table, shared by the black box's fatal handlers, `mab-serve`'s
+//!   shutdown drain and `mab-inspect postmortem`.
 //!
 //! # Gating
 //!
@@ -32,9 +38,11 @@
 //! — zero runtime cost. With the feature on, the macros are additionally
 //! gated at runtime on a recorder having been [`install`]ed.
 //!
-//! High-frequency simulator probe events (cache accesses, fetch slots) are
-//! only pushed into the ring when [`RecorderConfig::sim_events`] is set;
-//! their counters are always cheap and always on.
+//! Events are per bandit step or per sampled epoch; per-access and
+//! per-cycle simulator activity only bumps [`Stat`] counters.
+
+// `unsafe` is confined to the `signal(2)` shim, which allows it locally.
+#![deny(unsafe_code)]
 
 pub mod blackbox;
 pub mod counters;
@@ -45,72 +53,62 @@ pub mod live;
 pub mod perfetto;
 pub mod profile;
 pub mod ring;
+pub mod signal;
 pub mod span;
 pub mod summary;
 pub mod trace;
 
 pub use counters::{Counters, Stat};
-pub use event::{CacheLevel, Event};
+pub use event::Event;
 pub use hist::{Hist, Histogram};
 pub use profile::ProfileReport;
-pub use ring::{EventRing, SeqEvent};
+pub use ring::Ring;
 pub use span::{Category, SpanGuard, SpanTotals};
 pub use summary::SummarySink;
-pub use trace::{ArmProbe, DecisionRecord, SeqDecision, TraceRing};
+pub use trace::{ArmProbe, DecisionRecord, TraceRing};
 
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Compile-time master switch: `true` only when the `on` feature is enabled.
 /// The instrumentation macros test this constant, so with the feature off
 /// they compile to nothing.
 pub const STATIC_ENABLED: bool = cfg!(feature = "on");
 
-/// Configuration for a [`Recorder`].
-#[derive(Debug, Clone)]
-pub struct RecorderConfig {
-    /// Maximum events retained in the ring (oldest evicted beyond this).
-    pub ring_capacity: usize,
-    /// Also push high-frequency simulator probe events into the ring.
-    /// Off by default: per-access logging would dominate simulator runtime.
-    pub sim_events: bool,
-    /// Maximum decision records retained in the trace ring (oldest evicted
-    /// beyond this).
-    pub trace_capacity: usize,
-}
+/// Events the recorder's ring retains; the oldest beyond this are evicted
+/// and counted.
+pub const EVENT_CAPACITY: usize = 65_536;
 
-impl Default for RecorderConfig {
-    fn default() -> Self {
-        RecorderConfig {
-            ring_capacity: 65_536,
-            sim_events: false,
-            trace_capacity: 65_536,
-        }
-    }
-}
+/// Decision records the trace ring retains; the oldest beyond this are
+/// evicted and counted.
+pub const TRACE_CAPACITY: usize = 65_536;
 
 /// The telemetry registry: counters, histograms and the event ring.
 pub struct Recorder {
     counters: Counters,
     hists: [Histogram; Hist::COUNT],
-    ring: EventRing,
+    ring: Mutex<Ring<Event>>,
     trace: TraceRing,
     clock: AtomicU64,
-    sim_events: bool,
+}
+
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder::new()
+    }
 }
 
 impl Recorder {
     /// A fresh, empty recorder.
-    pub fn new(config: RecorderConfig) -> Self {
+    pub fn new() -> Self {
         Recorder {
             counters: Counters::new(),
             hists: std::array::from_fn(|_| Histogram::new()),
-            ring: EventRing::new(config.ring_capacity),
-            trace: TraceRing::new(config.trace_capacity),
+            ring: Mutex::new(Ring::new(EVENT_CAPACITY)),
+            trace: TraceRing::new(TRACE_CAPACITY),
             clock: AtomicU64::new(0),
-            sim_events: config.sim_events,
         }
     }
 
@@ -126,10 +124,13 @@ impl Recorder {
         &self.hists[h as usize]
     }
 
-    /// The event ring.
+    /// The event ring, locked. Hold the guard only briefly: every
+    /// [`emit!`] waits on it.
     #[inline]
-    pub fn ring(&self) -> &EventRing {
-        &self.ring
+    pub fn ring(&self) -> MutexGuard<'_, Ring<Event>> {
+        self.ring
+            .lock()
+            .expect("event ring lock poisoned by a panicking thread")
     }
 
     /// The decision-provenance trace ring.
@@ -152,19 +153,10 @@ impl Recorder {
         self.clock.load(Ordering::Relaxed)
     }
 
-    /// Whether simulator probe events are ring-logged.
-    #[inline]
-    pub fn sim_events(&self) -> bool {
-        self.sim_events
-    }
-
-    /// Pushes an event into the ring. Simulator probe events are dropped
-    /// unless [`RecorderConfig::sim_events`] was set.
+    /// Pushes an event into the ring.
     #[inline]
     pub fn emit(&self, event: Event) {
-        if !event.is_sim_probe() || self.sim_events {
-            self.ring.push(event);
-        }
+        self.ring().push(event);
     }
 
     /// Converts a stored histogram value into display units (micro-unit
@@ -211,10 +203,9 @@ impl Recorder {
 static RECORDER: OnceLock<Recorder> = OnceLock::new();
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
-/// Installs the global recorder (idempotent: the first configuration wins)
-/// and returns it.
-pub fn install(config: RecorderConfig) -> &'static Recorder {
-    let rec = RECORDER.get_or_init(|| Recorder::new(config));
+/// Installs the global recorder (idempotent) and returns it.
+pub fn install() -> &'static Recorder {
+    let rec = RECORDER.get_or_init(Recorder::new);
     ACTIVE.store(true, Ordering::SeqCst);
     rec
 }
@@ -311,23 +302,6 @@ macro_rules! clock {
     };
 }
 
-/// Like [`emit!`] but for high-frequency simulator probe events: checks
-/// [`RecorderConfig::sim_events`] *before* constructing the event, so with
-/// ring-logging of probes off (the default) the per-access/per-cycle cost is
-/// one predictable branch.
-#[macro_export]
-macro_rules! emit_sim {
-    ($variant:ident { $($field:ident : $value:expr),* $(,)? }) => {
-        if $crate::STATIC_ENABLED {
-            if let Some(r) = $crate::recorder() {
-                if r.sim_events() {
-                    r.emit($crate::Event::$variant { $($field : $value),* });
-                }
-            }
-        }
-    };
-}
-
 /// Opens a hierarchical profiling span covering the rest of the enclosing
 /// scope: `span!(CacheAccess)`, or `span!(PrefetchTrain, label_id)` with a
 /// label from [`span::intern`]. With the `on` feature off this folds to
@@ -353,47 +327,23 @@ mod tests {
     }
 
     #[test]
-    fn recorder_routes_bandit_events_to_the_ring() {
-        let rec = Recorder::new(RecorderConfig {
-            ring_capacity: 8,
-            sim_events: false,
-            ..RecorderConfig::default()
-        });
+    fn recorder_routes_events_to_the_ring() {
+        let rec = Recorder::new();
         rec.emit(Event::ArmPulled {
             agent: 1,
             step: 0,
             arm: 2,
             phase: "main",
         });
-        rec.emit(Event::CacheAccess {
-            level: CacheLevel::L1,
-            core: 0,
-            line: 1,
-            hit: true,
-            cycle: 5,
-        });
-        // The sim probe is dropped because sim_events is off.
-        assert_eq!(rec.ring().len(), 1);
-        assert_eq!(rec.ring().events()[0].event.kind(), "arm_pulled");
-    }
-
-    #[test]
-    fn sim_events_opt_in_logs_probes() {
-        let rec = Recorder::new(RecorderConfig {
-            ring_capacity: 8,
-            sim_events: true,
-            ..RecorderConfig::default()
-        });
-        rec.emit(Event::FetchSlotGrant {
-            thread: 1,
-            cycle: 3,
-        });
-        assert_eq!(rec.ring().len(), 1);
+        let ring = rec.ring();
+        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.capacity(), EVENT_CAPACITY);
+        assert_eq!(ring.iter().next().unwrap().kind(), "arm_pulled");
     }
 
     #[test]
     fn export_to_writer_produces_parseable_lines() {
-        let rec = Recorder::new(RecorderConfig::default());
+        let rec = Recorder::new();
         rec.counters().add(Stat::ArmPulls, 2);
         rec.hist(Hist::Reward).record_f64(1.5);
         rec.emit(Event::EpochReset { agent: 9, step: 44 });

@@ -12,14 +12,13 @@
 //! - **pid 2 `memsim`** — [`Event::Occupancy`] samples (DRAM backlog, MSHR
 //!   fill) as named counter tracks.
 //! - **pid 3 `smtsim`** — fetch/thread occupancy tracks (per-thread fetch
-//!   share, per-thread IPC) plus fetch-slot grant/gate instants when probe
-//!   ring-logging was enabled.
+//!   share, per-thread IPC).
 //!
 //! Timestamps are trace-event microseconds carrying simulated cycles 1:1 —
 //! absolute durations read as "cycles", which is the unit that matters here.
 
 use crate::event::Event;
-use crate::export::escape_json;
+use crate::export::{escape_json, json_number, json_number_array};
 use crate::trace::SeqDecision;
 use crate::Recorder;
 use std::io::{self, Write};
@@ -27,14 +26,6 @@ use std::io::{self, Write};
 const PID_BANDIT: u64 = 1;
 const PID_MEMSIM: u64 = 2;
 const PID_SMTSIM: u64 = 3;
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Comma-separating JSON array item writer.
 struct Items<'a, W: Write> {
@@ -87,27 +78,15 @@ fn decision_args(d: &SeqDecision) -> String {
     let r = &d.record;
     format!(
         "{{\"epoch\":{},\"phase\":\"{}\",\"explore\":{},\"reward\":{},\
-         \"normalized\":{},\"q\":[{}],\"bound\":[{}],\"pulls\":[{}]}}",
+         \"normalized\":{},\"q\":{},\"bound\":{},\"pulls\":{}}}",
         r.epoch,
         escape_json(r.phase),
         r.explore,
-        json_f64(r.reward),
-        json_f64(r.normalized),
-        r.arms
-            .iter()
-            .map(|a| json_f64(a.q))
-            .collect::<Vec<_>>()
-            .join(","),
-        r.arms
-            .iter()
-            .map(|a| json_f64(a.bound))
-            .collect::<Vec<_>>()
-            .join(","),
-        r.arms
-            .iter()
-            .map(|a| json_f64(a.pulls))
-            .collect::<Vec<_>>()
-            .join(","),
+        json_number(r.reward),
+        json_number(r.normalized),
+        json_number_array(r.arms.iter().map(|a| a.q)),
+        json_number_array(r.arms.iter().map(|a| a.bound)),
+        json_number_array(r.arms.iter().map(|a| a.pulls)),
     )
 }
 
@@ -164,7 +143,7 @@ pub fn write_trace_json<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
                  \"name\":\"reward (agent {:#x})\",\"args\":{{\"normalized\":{}}}}}",
                 r.cycle,
                 r.agent,
-                json_f64(r.normalized)
+                json_number(r.normalized)
             ))?;
         }
         let switched = decisions[..i]
@@ -181,9 +160,10 @@ pub fn write_trace_json<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
         }
     }
 
-    // Ring events: occupancy counter tracks, restart-sweep + fetch instants.
-    for e in rec.ring().events() {
-        match e.event {
+    // Ring events: occupancy counter tracks and restart-sweep instants.
+    let ring = rec.ring().clone();
+    for event in ring.iter() {
+        match *event {
             Event::Occupancy {
                 track,
                 id,
@@ -195,7 +175,7 @@ pub fn write_trace_json<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
                      \"args\":{{\"value\":{}}}}}",
                     occupancy_pid(track),
                     escape_json(track),
-                    json_f64(value)
+                    json_number(value)
                 ))?;
             }
             Event::EpochReset { agent, step } if agents.contains(&agent) => {
@@ -204,20 +184,6 @@ pub fn write_trace_json<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
                      \"cat\":\"reset\",\"name\":\"restart sweep (step {step})\"}}",
                     tid_of(agent),
                     rec.clock()
-                ))?;
-            }
-            Event::FetchSlotGrant { thread, cycle } => {
-                items.item(&format!(
-                    "{{\"ph\":\"i\",\"pid\":{PID_SMTSIM},\"tid\":{},\"ts\":{cycle},\"s\":\"t\",\
-                     \"cat\":\"fetch\",\"name\":\"grant t{thread}\"}}",
-                    thread as u64 + 1
-                ))?;
-            }
-            Event::FetchGated { thread, cycle } => {
-                items.item(&format!(
-                    "{{\"ph\":\"i\",\"pid\":{PID_SMTSIM},\"tid\":{},\"ts\":{cycle},\"s\":\"t\",\
-                     \"cat\":\"fetch\",\"name\":\"gate t{thread}\"}}",
-                    thread as u64 + 1
                 ))?;
             }
             _ => {}
@@ -231,7 +197,7 @@ pub fn write_trace_json<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::trace::{ArmProbe, DecisionRecord};
-    use crate::{Recorder, RecorderConfig};
+    use crate::Recorder;
 
     fn decision(agent: u64, epoch: u64, cycle: u64, chosen: usize) -> DecisionRecord {
         DecisionRecord {
@@ -259,7 +225,7 @@ mod tests {
     }
 
     fn sample_recorder() -> Recorder {
-        let rec = Recorder::new(RecorderConfig::default());
+        let rec = Recorder::new();
         rec.trace().push(decision(7, 0, 100, 1));
         rec.trace().push(decision(7, 1, 200, 0));
         rec.emit(Event::Occupancy {
@@ -343,7 +309,7 @@ mod tests {
 
     #[test]
     fn empty_recorder_still_produces_a_loadable_document() {
-        let rec = Recorder::new(RecorderConfig::default());
+        let rec = Recorder::new();
         let mut out = Vec::new();
         write_trace_json(&rec, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();

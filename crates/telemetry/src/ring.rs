@@ -1,138 +1,129 @@
-//! Fixed-capacity ring buffer for structured events.
+//! The one bounded buffer behind every observation ring.
 //!
-//! The ring keeps the most recent `capacity` events; older events are
-//! overwritten and counted in `dropped`. Every pushed event receives a
-//! monotonically increasing sequence number, so consumers can detect gaps
-//! after wraparound. Pushes take a mutex — events are per-bandit-step (or
-//! explicitly opted-in sim probes), orders of magnitude rarer than counter
-//! bumps, so a short critical section is the right trade.
+//! [`Ring`] keeps the most recent `capacity` entries; pushing into a full
+//! ring evicts the oldest entry and counts it as dropped. Every push is
+//! numbered (0-based, never reused). Eviction only ever removes the oldest
+//! entry, so the retained entries always carry contiguous numbers ending at
+//! `total - 1`, and the number of the oldest one equals the drop count —
+//! consumers detect gaps after wraparound without a per-entry stamp.
+//!
+//! The ring is deliberately unsynchronised: each owner keeps it under the
+//! lock it already holds for its own state (the recorder's event ring, the
+//! decision trace with its reward attribution, each black-box thread ring
+//! with its current-arm slot, the monitor's SSE ring with its condition
+//! variable, the monitor's arm table).
 
-use crate::event::Event;
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
-/// A sequence-numbered event as stored in the ring.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeqEvent {
-    /// Global sequence number (0-based, never reused).
-    pub seq: u64,
-    /// The event payload.
-    pub event: Event,
-}
+/// The most slots a ring reserves up front; beyond this it grows on demand
+/// up to its capacity.
+const MAX_RESERVE: usize = 4096;
 
-struct RingInner {
-    buf: VecDeque<SeqEvent>,
-    next_seq: u64,
-    dropped: u64,
-}
-
-/// Fixed-capacity, overwrite-oldest event log.
-pub struct EventRing {
+/// Fixed-capacity, evict-oldest buffer with push numbering and drop
+/// accounting.
+#[derive(Debug, Clone)]
+pub struct Ring<T> {
+    buf: VecDeque<T>,
     capacity: usize,
-    inner: Mutex<RingInner>,
+    total: u64,
 }
 
-impl EventRing {
-    /// A ring holding at most `capacity` events (minimum 1).
+impl<T> Ring<T> {
+    /// An empty ring holding at most `capacity` entries (minimum 1), with
+    /// `min(capacity, MAX_RESERVE)` slots reserved up front.
     pub fn new(capacity: usize) -> Self {
-        EventRing {
+        Ring::with_reserve(capacity, capacity.min(MAX_RESERVE))
+    }
+
+    /// An empty ring holding at most `capacity` entries (minimum 1), with
+    /// `reserve` slots reserved up front.
+    pub fn with_reserve(capacity: usize, reserve: usize) -> Self {
+        Ring {
+            buf: VecDeque::with_capacity(reserve),
             capacity: capacity.max(1),
-            inner: Mutex::new(RingInner {
-                buf: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-                next_seq: 0,
-                dropped: 0,
-            }),
+            total: 0,
         }
     }
 
-    /// Maximum number of retained events.
+    /// Maximum number of retained entries.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Appends an event, evicting the oldest if the ring is full.
-    pub fn push(&self, event: Event) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.buf.len() == self.capacity {
-            inner.buf.pop_front();
-            inner.dropped += 1;
+    /// Appends `value`, evicting the oldest entry if the ring is full.
+    pub fn push(&mut self, value: T) {
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
         }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.buf.push_back(SeqEvent { seq, event });
+        self.buf.push_back(value);
+        self.total += 1;
     }
 
-    /// Number of events currently retained.
+    /// Number of entries currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().buf.len()
+        self.buf.len()
     }
 
-    /// True when no events are retained.
+    /// True when no entries are retained.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.buf.is_empty()
     }
 
-    /// Number of events lost to wraparound.
+    /// Total entries ever pushed.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Entries evicted to stay within capacity — also the number of the
+    /// oldest retained entry.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
+        self.total - self.buf.len() as u64
     }
 
-    /// Total events ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.inner.lock().unwrap().next_seq
+    /// The retained entries, oldest first.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> + ExactSizeIterator {
+        self.buf.iter()
     }
 
-    /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<SeqEvent> {
-        self.inner.lock().unwrap().buf.iter().cloned().collect()
+    /// The retained entries, oldest first, mutably.
+    pub fn iter_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut T> + ExactSizeIterator {
+        self.buf.iter_mut()
+    }
+
+    /// The retained entries with their push numbers, oldest first.
+    pub fn numbered(&self) -> impl DoubleEndedIterator<Item = (u64, &T)> + ExactSizeIterator {
+        let first = self.dropped();
+        self.buf
+            .iter()
+            .enumerate()
+            .map(move |(i, value)| (first + i as u64, value))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn ev(step: u64) -> Event {
-        Event::EpochReset { agent: 1, step }
-    }
-
-    #[test]
-    fn retains_in_insertion_order() {
-        let ring = EventRing::new(10);
-        for i in 0..5 {
-            ring.push(ev(i));
+    proptest! {
+        #[test]
+        fn keeps_the_newest_entries_numbered_in_push_order(cap in 0usize..=8, n in 0u64..=40) {
+            let mut ring = Ring::new(cap);
+            for i in 0..n {
+                ring.push(i);
+            }
+            let kept = n.min(cap.max(1) as u64);
+            prop_assert_eq!(ring.capacity(), cap.max(1));
+            prop_assert_eq!(ring.len() as u64, kept);
+            prop_assert_eq!(ring.is_empty(), n == 0);
+            prop_assert_eq!(ring.dropped() + ring.len() as u64, ring.total());
+            prop_assert_eq!(ring.total(), n);
+            // The newest `kept` pushes survive, in push order, each under
+            // its own (hence contiguous) number.
+            let numbered: Vec<(u64, u64)> = ring.numbered().map(|(seq, &v)| (seq, v)).collect();
+            let expected: Vec<(u64, u64)> = (n - kept..n).map(|i| (i, i)).collect();
+            prop_assert_eq!(numbered, expected);
+            prop_assert!(ring.iter().copied().eq(n - kept..n));
         }
-        let got = ring.events();
-        assert_eq!(got.len(), 5);
-        for (i, e) in got.iter().enumerate() {
-            assert_eq!(e.seq, i as u64);
-            assert_eq!(e.event, ev(i as u64));
-        }
-        assert_eq!(ring.dropped(), 0);
-    }
-
-    #[test]
-    fn wraparound_keeps_newest_and_counts_dropped() {
-        let ring = EventRing::new(4);
-        for i in 0..10 {
-            ring.push(ev(i));
-        }
-        let got = ring.events();
-        assert_eq!(got.len(), 4);
-        // The four newest survive, with contiguous sequence numbers 6..=9.
-        let seqs: Vec<u64> = got.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
-        assert_eq!(ring.dropped(), 6);
-        assert_eq!(ring.total_pushed(), 10);
-    }
-
-    #[test]
-    fn capacity_floor_is_one() {
-        let ring = EventRing::new(0);
-        assert_eq!(ring.capacity(), 1);
-        ring.push(ev(0));
-        ring.push(ev(1));
-        assert_eq!(ring.events().len(), 1);
-        assert_eq!(ring.events()[0].seq, 1);
     }
 }

@@ -240,13 +240,13 @@ impl SummarySink {
                 )?;
             }
         }
-        let ring = rec.ring();
+        let (retained, dropped, total) = {
+            let ring = rec.ring();
+            (ring.len(), ring.dropped(), ring.total())
+        };
         writeln!(
             w,
-            "{PREFIX}   events: {} retained, {} dropped, {} total",
-            ring.len(),
-            ring.dropped(),
-            ring.total_pushed()
+            "{PREFIX}   events: {retained} retained, {dropped} dropped, {total} total"
         )?;
         let trace = rec.trace();
         if trace.total_pushed() != 0 {
@@ -267,11 +267,11 @@ impl SummarySink {
 mod tests {
     use super::*;
     use crate::counters::Stat;
-    use crate::{Recorder, RecorderConfig};
+    use crate::Recorder;
 
     #[test]
     fn summary_lists_nonzero_counters_only() {
-        let rec = Recorder::new(RecorderConfig::default());
+        let rec = Recorder::new();
         rec.counters().add(Stat::ArmPulls, 5);
         rec.hist(Hist::Reward).record_f64(1.0);
         let sink = SummarySink::new(0);
@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn tick_summarizes_at_cadence() {
-        let rec = Recorder::new(RecorderConfig::default());
+        let rec = Recorder::new();
         let sink = SummarySink::new(3);
         assert!(!sink.tick(&rec));
         assert!(!sink.tick(&rec));
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn key_stats_are_deltas_not_totals() {
-        let rec = Recorder::new(RecorderConfig::default());
+        let rec = Recorder::new();
         rec.counters().add(Stat::ArmPulls, 7);
         rec.hist(Hist::Reward).record_f64(2.0);
         let base = snapshot(&rec);
@@ -343,7 +343,7 @@ mod tests {
 
     #[test]
     fn key_stats_since_fresh_snapshot_of_idle_recorder_is_empty() {
-        let rec = Recorder::new(RecorderConfig::default());
+        let rec = Recorder::new();
         rec.counters().add(Stat::ArmPulls, 7);
         let base = snapshot(&rec);
         assert!(key_stats_since(&rec, &base).is_empty());
@@ -351,7 +351,7 @@ mod tests {
 
     #[test]
     fn empty_recorder_reports_no_samples() {
-        let rec = Recorder::new(RecorderConfig::default());
+        let rec = Recorder::new();
         let sink = SummarySink::new(0);
         let mut out = Vec::new();
         sink.write_summary(&rec, &mut out).unwrap();

@@ -8,13 +8,14 @@
 //! chosen arm, whether the pick was exploratory, and — once the bandit step
 //! finishes — the delayed reward attributed back to the decision.
 //!
-//! Records live in a [`TraceRing`] with the same bounded-buffer discipline
-//! as the event ring: fixed capacity, overwrite-oldest, sequence numbers and
-//! drop accounting, a short mutex critical section (decisions are per
+//! Records live in a [`TraceRing`]: a [`Ring`] (fixed capacity,
+//! evict-oldest, sequence numbers and drop accounting) plus delayed-reward
+//! attribution, under one short mutex critical section (decisions are per
 //! bandit step, orders of magnitude rarer than counter bumps).
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use crate::export::{escape_json, json_number, json_number_array};
+use crate::ring::Ring;
+use std::sync::{Mutex, MutexGuard};
 
 /// Per-arm agent state captured at decision time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,9 +68,7 @@ pub struct SeqDecision {
 }
 
 struct TraceInner {
-    buf: VecDeque<SeqDecision>,
-    next_seq: u64,
-    dropped: u64,
+    ring: Ring<DecisionRecord>,
     /// Rewards whose decision was already evicted when attribution arrived.
     unattributed: u64,
 }
@@ -77,7 +76,6 @@ struct TraceInner {
 /// Fixed-capacity, overwrite-oldest decision log with delayed-reward
 /// attribution.
 pub struct TraceRing {
-    capacity: usize,
     inner: Mutex<TraceInner>,
 }
 
@@ -85,31 +83,22 @@ impl TraceRing {
     /// A ring holding at most `capacity` decisions (minimum 1).
     pub fn new(capacity: usize) -> Self {
         TraceRing {
-            capacity: capacity.max(1),
             inner: Mutex::new(TraceInner {
-                buf: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-                next_seq: 0,
-                dropped: 0,
+                ring: Ring::new(capacity),
                 unattributed: 0,
             }),
         }
     }
 
-    /// Maximum number of retained decisions.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    fn lock(&self) -> MutexGuard<'_, TraceInner> {
+        self.inner
+            .lock()
+            .expect("trace ring lock poisoned by a panicking thread")
     }
 
     /// Appends a decision, evicting the oldest if the ring is full.
     pub fn push(&self, record: DecisionRecord) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.buf.len() == self.capacity {
-            inner.buf.pop_front();
-            inner.dropped += 1;
-        }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.buf.push_back(SeqDecision { seq, record });
+        self.lock().ring.push(record);
     }
 
     /// Attributes the delayed reward of step `epoch` of `agent` back to its
@@ -117,20 +106,24 @@ impl TraceRing {
     /// most recent record of that agent. Counts the attribution as lost when
     /// the decision has already been evicted.
     pub fn attribute(&self, agent: u64, epoch: u64, reward: f64, normalized: f64) {
-        let mut inner = self.inner.lock().unwrap();
-        for d in inner.buf.iter_mut().rev() {
-            if d.record.agent == agent && d.record.epoch == epoch {
-                d.record.reward = reward;
-                d.record.normalized = normalized;
-                return;
+        let mut inner = self.lock();
+        let found = inner
+            .ring
+            .iter_mut()
+            .rev()
+            .find(|d| d.agent == agent && d.epoch == epoch);
+        match found {
+            Some(d) => {
+                d.reward = reward;
+                d.normalized = normalized;
             }
+            None => inner.unattributed += 1,
         }
-        inner.unattributed += 1;
     }
 
     /// Number of decisions currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().buf.len()
+        self.lock().ring.len()
     }
 
     /// True when no decisions are retained.
@@ -140,43 +133,31 @@ impl TraceRing {
 
     /// Number of decisions lost to wraparound.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
+        self.lock().ring.dropped()
     }
 
     /// Total decisions ever pushed.
     pub fn total_pushed(&self) -> u64 {
-        self.inner.lock().unwrap().next_seq
+        self.lock().ring.total()
     }
 
     /// Rewards that arrived after their decision was evicted.
     pub fn unattributed(&self) -> u64 {
-        self.inner.lock().unwrap().unattributed
+        self.lock().unattributed
     }
 
     /// The retained decisions, oldest first.
     pub fn decisions(&self) -> Vec<SeqDecision> {
-        self.inner.lock().unwrap().buf.iter().cloned().collect()
+        let inner = self.lock();
+        inner
+            .ring
+            .numbered()
+            .map(|(seq, record)| SeqDecision {
+                seq,
+                record: record.clone(),
+            })
+            .collect()
     }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_f64_array(values: impl Iterator<Item = f64>) -> String {
-    let mut out = String::from("[");
-    for (i, v) in values.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_f64(v));
-    }
-    out.push(']');
-    out
 }
 
 /// One decision as a JSON object on a single line
@@ -193,12 +174,12 @@ pub fn decision_to_json(d: &SeqDecision) -> String {
         r.cycle,
         r.chosen,
         r.explore,
-        crate::export::escape_json(r.phase),
-        json_f64(r.reward),
-        json_f64(r.normalized),
-        json_f64_array(r.arms.iter().map(|a| a.q)),
-        json_f64_array(r.arms.iter().map(|a| a.bound)),
-        json_f64_array(r.arms.iter().map(|a| a.pulls)),
+        escape_json(r.phase),
+        json_number(r.reward),
+        json_number(r.normalized),
+        json_number_array(r.arms.iter().map(|a| a.q)),
+        json_number_array(r.arms.iter().map(|a| a.bound)),
+        json_number_array(r.arms.iter().map(|a| a.pulls)),
     )
 }
 

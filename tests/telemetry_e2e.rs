@@ -4,11 +4,19 @@
 //! installed, exports the telemetry as JSON lines, and checks that the
 //! exported event log *reconstructs* the run: per-arm `arm_pulled` counts
 //! must equal the per-arm counts in the bandit's own selection history, and
-//! the exported counters must agree with the simulator's `RunStats`.
+//! the exported counters must agree with the simulator's `RunStats`. It then
+//! arms the black box, drives a DUCB agent directly and dumps a crash
+//! report: every black-box decision must match its trace record, because
+//! the agent probes each decision once and feeds both sinks the same values.
+//!
+//! One test function: the recorder is process-global, so a second test in
+//! this binary would push into the same rings and break the exact counts.
 #![cfg(feature = "telemetry")]
 
+use mab_core::{AlgorithmKind, BanditAgent, BanditConfig};
 use mab_memsim::{config::SystemConfig, System};
 use mab_prefetch::{shared::SharedPrefetcher, BanditL2};
+use mab_telemetry::blackbox::{self, json_bool, json_f64, json_u64};
 use mab_workloads::suites;
 
 const SEED: u64 = 11;
@@ -30,7 +38,7 @@ fn field_u64(line: &str, key: &str) -> u64 {
 
 #[test]
 fn exported_event_log_replays_the_prefetch_run() {
-    let rec = mab_telemetry::install(mab_telemetry::RecorderConfig::default());
+    let rec = mab_telemetry::install();
 
     let mut bandit = BanditL2::paper_default(SEED);
     bandit.record_history();
@@ -161,4 +169,75 @@ fn exported_event_log_replays_the_prefetch_run() {
         "one duration slice per decision"
     );
     assert!(perfetto.contains("dram_backlog"), "occupancy track missing");
+
+    // --- One probe, two sinks ---------------------------------------------
+    // A directly driven DUCB agent with the black box armed: each decision
+    // the black box kept must have a trace record for the same agent and
+    // epoch carrying the same arm, explore flag, q and bound (at the
+    // report's six decimals).
+    const AGENT: u64 = 0xD0CB;
+    const STEPS: u64 = 60;
+    let crash_dir = std::env::temp_dir().join(format!("mab-e2e-blackbox-{}", std::process::id()));
+    assert!(
+        blackbox::install("telemetry_e2e", "e2e", &[], &crash_dir),
+        "MAB_BLACKBOX=0 disarms the black box this check needs"
+    );
+    let mut agent = BanditAgent::new(
+        BanditConfig::builder(6)
+            .algorithm(AlgorithmKind::Ducb {
+                gamma: 0.975,
+                c: 0.01,
+            })
+            .seed(AGENT)
+            .build()
+            .expect("valid config"),
+    );
+    for step in 0..STEPS {
+        let arm = agent.select_arm();
+        agent.observe_reward(0.4 + 0.1 * arm.index() as f64 + 0.05 * (step % 4) as f64);
+    }
+    let path = blackbox::dump("test", "e2e probe check", None, false).expect("crash report");
+    blackbox::set_enabled(false);
+    let report = blackbox::read_report(&path).expect("parse crash report");
+    let _ = std::fs::remove_dir_all(&crash_dir);
+
+    let traced: Vec<_> = rec
+        .trace()
+        .decisions()
+        .into_iter()
+        .map(|d| d.record)
+        .filter(|r| r.agent == AGENT)
+        .collect();
+    assert_eq!(traced.len() as u64, STEPS);
+    let boxed = report.last_decisions();
+    assert_eq!(boxed.len() as u64, STEPS, "black box lost decisions");
+    let mut explored = 0;
+    for event in boxed {
+        let line = &event.line;
+        assert_eq!(json_u64(line, "agent"), Some(AGENT), "{line}");
+        let step = json_u64(line, "step").expect("step");
+        let record = traced
+            .iter()
+            .find(|r| r.epoch == step)
+            .unwrap_or_else(|| panic!("no trace record for step {step}"));
+        let arm = record.chosen;
+        assert_eq!(json_u64(line, "arm"), Some(arm as u64), "{line}");
+        assert_eq!(json_bool(line, "explore"), Some(record.explore), "{line}");
+        let six = |v: f64| format!("{v:.6}");
+        assert_eq!(
+            six(json_f64(line, "q").unwrap()),
+            six(record.arms[arm].q),
+            "{line}"
+        );
+        assert_eq!(
+            six(json_f64(line, "bound").unwrap()),
+            six(record.arms[arm].bound),
+            "{line}"
+        );
+        explored += usize::from(record.explore);
+    }
+    assert!(
+        explored > 0 && explored < STEPS as usize,
+        "the check should see both explore and exploit decisions ({explored} explored)"
+    );
 }
