@@ -11,7 +11,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
-use crate::json::{self, JsonValue};
+use mab_telemetry::json::{self, JsonValue};
 
 /// One bandit decision parsed back from a trace line.
 #[derive(Debug, Clone, PartialEq)]

@@ -16,8 +16,8 @@
 //! owns ledger I/O and exit codes.
 
 use crate::diff::{compare, MetricDelta};
-use mab_ledger::json::{escape, fmt_f64};
 use mab_ledger::RunRecord;
+use mab_telemetry::json::{escape, fmt_f64};
 
 /// Record filter shared by `history` and `trend`.
 #[derive(Debug, Clone, Default)]
@@ -521,12 +521,12 @@ mod tests {
     fn json_renderers_emit_parseable_output() {
         let records = [record("a", "c", 10, 1.5)];
         let rows: Vec<&RunRecord> = records.iter().collect();
-        let parsed = mab_ledger::json::parse(history_json(&rows).trim()).unwrap();
+        let parsed = mab_telemetry::json::parse(history_json(&rows).trim()).unwrap();
         match parsed {
-            mab_ledger::json::JsonValue::Arr(items) => assert_eq!(items.len(), 1),
+            mab_telemetry::json::JsonValue::Arr(items) => assert_eq!(items.len(), 1),
             other => panic!("expected array, got {other:?}"),
         }
         let t = trend_json(&trend(&rows, "epoch_ipc_mean"), "epoch_ipc_mean");
-        assert!(mab_ledger::json::parse(t.trim()).is_ok());
+        assert!(mab_telemetry::json::parse(t.trim()).is_ok());
     }
 }

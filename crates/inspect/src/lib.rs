@@ -35,8 +35,3 @@ pub mod history;
 pub mod postmortem;
 pub mod report;
 pub mod watch;
-
-// The mini JSON parser moved to `mab-ledger` (the lowest layer that both
-// writes and reads JSONL); re-exported here so `mab_inspect::json` keeps
-// working.
-pub use mab_ledger::json;

@@ -10,52 +10,102 @@
 //! the last bandit decisions broken out as a table, and per-thread drop
 //! accounting.
 
-use mab_telemetry::blackbox::{json_bool, json_f64, json_str, json_u64, CrashEvent, CrashReport};
+use mab_telemetry::blackbox::{CrashEvent, CrashReport};
+use mab_telemetry::json::{self, JsonValue};
 use mab_telemetry::signal;
 
 /// How many trailing events of the crashing thread the timeline shows.
 /// Decisions get their own full table, so the raw tail stays short.
 const TIMELINE_TAIL: usize = 16;
 
+/// A decision event's fields, read once for the three views that show
+/// them.
+struct DecisionFields {
+    agent: u64,
+    step: u64,
+    arm: u64,
+    q: f64,
+    /// A `null` bound is an arm with no pulls yet, whose UCB bound is
+    /// infinite: the text view shows `inf` and `--json` writes `null`.
+    bound: f64,
+    explore: bool,
+}
+
+impl DecisionFields {
+    fn of(event: &CrashEvent) -> DecisionFields {
+        DecisionFields {
+            agent: u64_of(event, "agent"),
+            step: u64_of(event, "step"),
+            arm: u64_of(event, "arm"),
+            q: f64_of(event, "q", f64::NAN),
+            bound: f64_of(event, "bound", f64::INFINITY),
+            explore: event.fields.get("explore").and_then(JsonValue::as_bool) == Some(true),
+        }
+    }
+}
+
+/// A float field. The report writes non-finite floats as `null`, which
+/// reads back as `null_as`.
+fn f64_of(event: &CrashEvent, key: &str, null_as: f64) -> f64 {
+    match event.fields.get(key) {
+        Some(JsonValue::Null) => null_as,
+        value => value.and_then(JsonValue::as_f64).unwrap_or(0.0),
+    }
+}
+
+fn u64_of(event: &CrashEvent, key: &str) -> u64 {
+    event
+        .fields
+        .get(key)
+        .and_then(JsonValue::as_u64)
+        .unwrap_or(0)
+}
+
+fn str_of<'a>(event: &'a CrashEvent, key: &str) -> &'a str {
+    event
+        .fields
+        .get(key)
+        .and_then(JsonValue::as_str)
+        .unwrap_or_default()
+}
+
 /// One-line summary of an event for the timeline tail.
 fn describe(event: &CrashEvent) -> String {
-    let l = &event.line;
     match event.etype.as_str() {
-        "decision" => format!(
-            "decision  agent={} step={} arm={} q={:.4} bound={:.4}{}",
-            json_u64(l, "agent").unwrap_or(0),
-            json_u64(l, "step").unwrap_or(0),
-            json_u64(l, "arm").unwrap_or(0),
-            json_f64(l, "q").unwrap_or(0.0),
-            json_f64(l, "bound").unwrap_or(0.0),
-            if json_bool(l, "explore").unwrap_or(false) {
-                " explore"
-            } else {
-                ""
-            },
-        ),
+        "decision" => {
+            let d = DecisionFields::of(event);
+            format!(
+                "decision  agent={} step={} arm={} q={:.4} bound={:.4}{}",
+                d.agent,
+                d.step,
+                d.arm,
+                d.q,
+                d.bound,
+                if d.explore { " explore" } else { "" },
+            )
+        }
         "epoch" => format!(
             "epoch     sim={} id={} cycle={} value={:.4}",
-            json_str(l, "sim").unwrap_or_default(),
-            json_u64(l, "id").unwrap_or(0),
-            json_u64(l, "cycle").unwrap_or(0),
-            json_f64(l, "value").unwrap_or(0.0),
+            str_of(event, "sim"),
+            u64_of(event, "id"),
+            u64_of(event, "cycle"),
+            f64_of(event, "value", f64::NAN),
         ),
         "arm_start" => format!(
             "arm_start index={} seed={}",
-            json_u64(l, "index").unwrap_or(0),
-            json_u64(l, "seed").unwrap_or(0),
+            u64_of(event, "index"),
+            u64_of(event, "seed"),
         ),
-        "arm_finish" => format!("arm_finish index={}", json_u64(l, "index").unwrap_or(0)),
-        "sweep_begin" => format!("sweep_begin total={}", json_u64(l, "total").unwrap_or(0)),
-        "sweep_end" => format!("sweep_end done={}", json_u64(l, "done").unwrap_or(0)),
+        "arm_finish" => format!("arm_finish index={}", u64_of(event, "index")),
+        "sweep_begin" => format!("sweep_begin total={}", u64_of(event, "total")),
+        "sweep_end" => format!("sweep_end done={}", u64_of(event, "done")),
         "job" => format!(
             "job       id={} {} {}",
-            json_u64(l, "job").unwrap_or(0),
-            json_str(l, "what").unwrap_or_default(),
-            json_str(l, "detail").unwrap_or_default(),
+            u64_of(event, "job"),
+            str_of(event, "what"),
+            str_of(event, "detail"),
         ),
-        "note" => format!("note      {}", json_str(l, "text").unwrap_or_default()),
+        "note" => format!("note      {}", str_of(event, "text")),
         other => other.to_string(),
     }
 }
@@ -126,21 +176,17 @@ pub fn render_postmortem(report: &CrashReport) -> String {
             decisions.len()
         ));
         out.push_str("  seq        agent  step     arm  q          bound      explore\n");
-        for d in &decisions {
-            let l = &d.line;
+        for event in &decisions {
+            let d = DecisionFields::of(event);
             out.push_str(&format!(
                 "  {:<9}  {:<5}  {:<7}  {:<3}  {:<9.4}  {:<9.4}  {}\n",
-                d.seq,
-                json_u64(l, "agent").unwrap_or(0),
-                json_u64(l, "step").unwrap_or(0),
-                json_u64(l, "arm").unwrap_or(0),
-                json_f64(l, "q").unwrap_or(0.0),
-                json_f64(l, "bound").unwrap_or(0.0),
-                if json_bool(l, "explore").unwrap_or(false) {
-                    "yes"
-                } else {
-                    "no"
-                },
+                event.seq,
+                d.agent,
+                d.step,
+                d.arm,
+                d.q,
+                d.bound,
+                if d.explore { "yes" } else { "no" },
             ));
         }
     }
@@ -177,22 +223,6 @@ pub fn render_postmortem(report: &CrashReport) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the `--json` document: the whole report as one JSON object,
 /// with the last bandit decisions pre-extracted for scripting.
 #[must_use]
@@ -200,8 +230,8 @@ pub fn postmortem_json(report: &CrashReport) -> String {
     let mut out = String::from("{");
     out.push_str(&format!(
         "\"cause\":\"{}\",\"message\":\"{}\",",
-        json_escape(&report.cause),
-        json_escape(&report.message)
+        json::escape(&report.cause),
+        json::escape(&report.message)
     ));
     match report.signal {
         Some(sig) => out.push_str(&format!(
@@ -212,10 +242,10 @@ pub fn postmortem_json(report: &CrashReport) -> String {
     }
     out.push_str(&format!(
         "\"thread\":\"{}\",\"time_unix\":{},\"experiment\":\"{}\",\"digest\":\"{}\",",
-        json_escape(&report.thread),
+        json::escape(&report.thread),
         report.time_unix,
-        json_escape(&report.experiment),
-        json_escape(&report.digest)
+        json::escape(&report.experiment),
+        json::escape(&report.digest)
     ));
     out.push_str("\"config\":{");
     for (i, (key, value)) in report.config.iter().enumerate() {
@@ -224,15 +254,15 @@ pub fn postmortem_json(report: &CrashReport) -> String {
         }
         out.push_str(&format!(
             "\"{}\":\"{}\"",
-            json_escape(key),
-            json_escape(value)
+            json::escape(key),
+            json::escape(value)
         ));
     }
     out.push_str("},");
     out.push_str(&format!(
         "\"host\":{{\"cpus\":{},\"hostname\":\"{}\"}},",
         report.cpus,
-        json_escape(&report.hostname)
+        json::escape(&report.hostname)
     ));
     match report.sweep {
         Some((done, total, active)) => out.push_str(&format!(
@@ -251,24 +281,24 @@ pub fn postmortem_json(report: &CrashReport) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\"{}\"", json_escape(frame)));
+        out.push_str(&format!("\"{}\"", json::escape(frame)));
     }
     out.push_str("],");
     out.push_str("\"last_decisions\":[");
-    for (i, d) in report.last_decisions().iter().enumerate() {
+    for (i, event) in report.last_decisions().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let l = &d.line;
+        let d = DecisionFields::of(event);
         out.push_str(&format!(
             "{{\"seq\":{},\"agent\":{},\"step\":{},\"arm\":{},\"q\":{},\"bound\":{},\"explore\":{}}}",
-            d.seq,
-            json_u64(l, "agent").unwrap_or(0),
-            json_u64(l, "step").unwrap_or(0),
-            json_u64(l, "arm").unwrap_or(0),
-            json_f64(l, "q").unwrap_or(0.0),
-            json_f64(l, "bound").unwrap_or(0.0),
-            json_bool(l, "explore").unwrap_or(false),
+            event.seq,
+            d.agent,
+            d.step,
+            d.arm,
+            json::fmt_f64(d.q),
+            json::fmt_f64(d.bound),
+            d.explore,
         ));
     }
     out.push_str("],");
@@ -279,7 +309,7 @@ pub fn postmortem_json(report: &CrashReport) -> String {
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"current\":{},\"dropped\":{},\"events\":{}}}",
-            json_escape(&thread.name),
+            json::escape(&thread.name),
             thread.current,
             thread.dropped,
             thread.events.len()
@@ -292,20 +322,28 @@ pub fn postmortem_json(report: &CrashReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mab_ledger::json::JsonValue;
     use mab_telemetry::blackbox::{CrashEvent, CrashThread};
 
-    fn decision_event(thread: usize, seq: u64, arm: u64, q: f64) -> CrashEvent {
+    fn event(thread: usize, seq: u64, etype: &str, line: &str) -> CrashEvent {
         CrashEvent {
             thread,
             seq,
-            etype: "decision".to_string(),
-            line: format!(
+            etype: etype.to_string(),
+            fields: json::parse(line).unwrap(),
+        }
+    }
+
+    fn decision_event(thread: usize, seq: u64, arm: u64, q: f64) -> CrashEvent {
+        event(
+            thread,
+            seq,
+            "decision",
+            &format!(
                 "{{\"kind\":\"event\",\"thread\":{thread},\"seq\":{seq},\"type\":\"decision\",\
                  \"agent\":0,\"step\":{seq},\"arm\":{arm},\"q\":{q:.6},\"bound\":{:.6},\"explore\":false}}",
                 q + 0.5
             ),
-        }
+        )
     }
 
     fn sample_report() -> CrashReport {
@@ -328,14 +366,13 @@ mod tests {
                     name: "main".to_string(),
                     current: false,
                     dropped: 0,
-                    events: vec![CrashEvent {
-                        thread: 0,
-                        seq: 1,
-                        etype: "sweep_begin".to_string(),
-                        line: "{\"kind\":\"event\",\"thread\":0,\"seq\":1,\
-                               \"type\":\"sweep_begin\",\"total\":12}"
-                            .to_string(),
-                    }],
+                    events: vec![event(
+                        0,
+                        1,
+                        "sweep_begin",
+                        "{\"kind\":\"event\",\"thread\":0,\"seq\":1,\
+                         \"type\":\"sweep_begin\",\"total\":12}",
+                    )],
                 },
                 CrashThread {
                     name: "worker-2".to_string(),
@@ -378,7 +415,7 @@ mod tests {
     #[test]
     fn json_output_parses_and_round_trips_key_fields() {
         let doc = postmortem_json(&sample_report());
-        let value = mab_ledger::json::parse(&doc).expect("postmortem --json must be valid JSON");
+        let value = json::parse(&doc).expect("postmortem --json must be valid JSON");
         assert_eq!(
             value.get("cause").and_then(JsonValue::as_str),
             Some("panic")
@@ -401,5 +438,23 @@ mod tests {
             threads[1].get("dropped").and_then(JsonValue::as_u64),
             Some(5)
         );
+    }
+
+    #[test]
+    fn a_null_bound_reads_inf_in_text_and_stays_null_in_json() {
+        let mut report = sample_report();
+        report.threads[1].events = vec![event(
+            1,
+            2,
+            "decision",
+            "{\"kind\":\"event\",\"thread\":1,\"seq\":2,\"type\":\"decision\",\
+             \"agent\":0,\"step\":0,\"arm\":3,\"q\":0.000000,\"bound\":null,\"explore\":true}",
+        )];
+        let text = render_postmortem(&report);
+        assert!(text.contains("0.0000     inf        yes"), "{text}");
+        assert!(text.contains("q=0.0000 bound=inf explore"), "{text}");
+        let doc = postmortem_json(&report);
+        assert!(doc.contains("\"q\":0,\"bound\":null,"), "{doc}");
+        assert!(json::parse(&doc).is_ok(), "{doc}");
     }
 }

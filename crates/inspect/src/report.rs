@@ -263,7 +263,7 @@ pub fn render_profile(run: &RunArtifact, top: usize, cycles: Option<u64>) -> Str
 /// the same rows as [`render_profile`] (top-N by self time) plus the run
 /// totals, machine-readable for dashboards and CI gates.
 pub fn profile_json(run: &RunArtifact, top: usize, cycles: Option<u64>) -> String {
-    use mab_ledger::json::{escape, fmt_f64};
+    use mab_telemetry::json::{escape, fmt_f64};
     let total_self: u64 = run.spans.values().map(|s| s.self_ns).sum();
     let cycles = cycles.or_else(|| run.counters.get("sim_cycles").copied());
     let mut rows: Vec<(&String, &crate::artifact::SpanLine)> = run.spans.iter().collect();
@@ -449,7 +449,7 @@ mod tests {
         a.absorb_line("run;cache_access 3000");
         a.absorb_line("run;cache_access;mshr 1000");
         a.absorb_line("{\"kind\":\"counter\",\"stat\":\"sim_cycles\",\"value\":500}");
-        let doc = mab_ledger::json::parse(profile_json(&a, 2, None).trim()).unwrap();
+        let doc = mab_telemetry::json::parse(profile_json(&a, 2, None).trim()).unwrap();
         assert_eq!(doc.get("paths_total").unwrap().as_u64(), Some(3));
         assert_eq!(doc.get("total_self_ns").unwrap().as_u64(), Some(5000));
         assert_eq!(doc.get("sim_cycles").unwrap().as_u64(), Some(500));

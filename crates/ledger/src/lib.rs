@@ -21,14 +21,21 @@
 //! - **corruption tolerance** — every line is CRC-framed; damaged or torn
 //!   lines are skipped with warnings, never panics, so a shared
 //!   append-only history degrades gracefully.
+//!
+//! Records are written and read with `mab-telemetry`'s JSON codec and
+//! framed with its CRC32, the same two functions every other artifact in
+//! the workspace uses; the ledger owns neither.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod json;
 pub mod record;
 pub mod store;
+
+/// The workspace's JSON codec, which lives in `mab-telemetry`; re-exported
+/// for callers that still import it from here.
+pub use mab_telemetry::json;
 
 pub use bench::{file_metrics, ingest_bench_file};
 pub use record::{code_version, config_digest, ArmRun, RunRecord};

@@ -17,7 +17,7 @@
 //!   artifact paths. Never compared, never digested: reruns differ here by
 //!   nature.
 
-use crate::json::{self, JsonValue};
+use mab_telemetry::json::{self, JsonValue};
 
 /// One sweep-arm execution inside a run, as observed by `mab-runner`.
 ///

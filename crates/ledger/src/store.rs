@@ -28,7 +28,7 @@
 //! the marker disagrees with the file.
 
 use crate::record::RunRecord;
-use mab_traces::format::crc32;
+use mab_telemetry::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};

@@ -3,19 +3,17 @@
 //! daemon).
 //!
 //! One accept-loop thread owns the listener; each accepted connection is
-//! handled on a short-lived thread bounded by [`HttpConfig::max_connections`]
-//! — beyond the cap the connection is answered `503` and closed, so a scrape
+//! handled on a short-lived thread bounded by [`MAX_CONNECTIONS`] — beyond
+//! the cap the connection is answered `503` and closed, so a scrape
 //! storm cannot exhaust threads. Routing is a caller-supplied [`Handler`]
 //! callback: plain endpoints render a snapshot and close, SSE endpoints keep
 //! the [`Conn`] open streaming frames until the client hangs up or the server
 //! stops. Shutdown sets a stop flag and pokes the listener with a loopback
 //! connect so the blocking `accept` wakes immediately.
 //!
-//! Both the connection cap and the per-connection IO timeout are
-//! configurable through the environment: `MAB_HTTP_CONNS` overrides the cap
-//! (default [`MAX_CONNECTIONS`]) and `MAB_HTTP_TIMEOUT_MS` the timeout
-//! (default [`IO_TIMEOUT`]). `POST` bodies are read up to `Content-Length`,
-//! bounded by [`MAX_BODY_BYTES`] (`413` beyond it).
+//! Every connection's reads time out after [`IO_TIMEOUT`]; these limits are
+//! constants, with no environment overrides. `POST` bodies are read up to
+//! `Content-Length`, bounded by [`MAX_BODY_BYTES`] (`413` beyond it).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -23,63 +21,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default maximum concurrently handled connections; the rest get `503`.
+/// Maximum concurrently handled connections; the rest get `503`.
 pub const MAX_CONNECTIONS: usize = 32;
 
-/// Default per-connection IO (read) timeout.
+/// Per-connection IO (read) timeout.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Largest accepted request body (1 MiB); longer bodies are answered `413`.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
-
-/// Tunable server limits, resolved once at server start.
-#[derive(Debug, Clone)]
-pub struct HttpConfig {
-    /// Maximum concurrently handled connections (`MAB_HTTP_CONNS`).
-    pub max_connections: usize,
-    /// Per-connection read timeout (`MAB_HTTP_TIMEOUT_MS`).
-    pub io_timeout: Duration,
-    /// Name given to the accept-loop thread (connection threads append
-    /// `-conn`).
-    pub thread_name: String,
-}
-
-impl Default for HttpConfig {
-    fn default() -> HttpConfig {
-        HttpConfig {
-            max_connections: MAX_CONNECTIONS,
-            io_timeout: IO_TIMEOUT,
-            thread_name: "mab-http".to_string(),
-        }
-    }
-}
-
-impl HttpConfig {
-    /// Builds a config named `thread_name`, honoring the `MAB_HTTP_CONNS`
-    /// and `MAB_HTTP_TIMEOUT_MS` environment overrides (unparsable or zero
-    /// values fall back to the defaults).
-    pub fn from_env(thread_name: &str) -> HttpConfig {
-        let mut config = HttpConfig {
-            thread_name: thread_name.to_string(),
-            ..HttpConfig::default()
-        };
-        if let Some(conns) = env_u64("MAB_HTTP_CONNS") {
-            config.max_connections = conns as usize;
-        }
-        if let Some(ms) = env_u64("MAB_HTTP_TIMEOUT_MS") {
-            config.io_timeout = Duration::from_millis(ms);
-        }
-        config
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse::<u64>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => None,
-    }
-}
 
 /// Counters the server core maintains across all connections.
 #[derive(Debug, Default)]
@@ -192,14 +141,15 @@ impl Drop for ServerHandle {
 }
 
 /// Binds `addr` (e.g. `127.0.0.1:9464`, or port `0` for an ephemeral port)
-/// and starts dispatching requests to `handler` on a background thread.
+/// and starts dispatching requests to `handler` on a background thread
+/// named `thread_name` (connection threads append `-conn`).
 ///
 /// # Errors
 ///
 /// Returns the bind error when the address is unavailable.
 pub fn serve_with(
     addr: &str,
-    config: HttpConfig,
+    thread_name: &str,
     stats: Arc<HttpStats>,
     stop: Arc<AtomicBool>,
     handler: Handler,
@@ -207,9 +157,9 @@ pub fn serve_with(
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let accept_stop = Arc::clone(&stop);
-    let conn_thread_name = format!("{}-conn", config.thread_name);
+    let conn_thread_name = format!("{thread_name}-conn");
     let accept_thread = std::thread::Builder::new()
-        .name(config.thread_name.clone())
+        .name(thread_name.to_string())
         .spawn(move || {
             let active = Arc::new(AtomicUsize::new(0));
             for conn in listener.incoming() {
@@ -217,7 +167,7 @@ pub fn serve_with(
                     break;
                 }
                 let Ok(stream) = conn else { continue };
-                if active.load(Ordering::SeqCst) >= config.max_connections {
+                if active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
                     stats.rejected_conns.fetch_add(1, Ordering::Relaxed);
                     let mut conn = Conn {
                         stream,
@@ -234,11 +184,10 @@ pub fn serve_with(
                 let stop = Arc::clone(&accept_stop);
                 let conn_active = Arc::clone(&active);
                 let handler = Arc::clone(&handler);
-                let io_timeout = config.io_timeout;
                 let spawned = std::thread::Builder::new()
                     .name(conn_thread_name.clone())
                     .spawn(move || {
-                        handle_connection(stream, io_timeout, stop, handler);
+                        handle_connection(stream, stop, handler);
                         conn_active.fetch_sub(1, Ordering::SeqCst);
                     });
                 if spawned.is_err() {
@@ -253,14 +202,9 @@ pub fn serve_with(
     })
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    io_timeout: Duration,
-    stop: Arc<AtomicBool>,
-    handler: Handler,
-) {
+fn handle_connection(stream: TcpStream, stop: Arc<AtomicBool>, handler: Handler) {
     // Bound header/body reads so a half-open client cannot pin the thread.
-    let _ = stream.set_read_timeout(Some(io_timeout));
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let mut conn = Conn { stream, stop };
     match read_request(&conn.stream) {
         Ok(Some(request)) => handler(&request, &mut conn),
@@ -333,15 +277,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_env_overrides_parse_and_fall_back() {
-        // Not set → defaults (the test env never sets these globally).
-        let config = HttpConfig::from_env("t");
-        assert_eq!(config.max_connections, MAX_CONNECTIONS);
-        assert_eq!(config.io_timeout, IO_TIMEOUT);
-        assert_eq!(config.thread_name, "t");
-    }
-
-    #[test]
     fn query_params_split() {
         let req = Request {
             method: "GET".to_string(),
@@ -362,8 +297,7 @@ mod tests {
             let body = format!("{} {} q={} [{}]", req.method, req.path, req.query, req.body);
             let _ = conn.respond("200 OK", "text/plain; charset=utf-8", &body);
         });
-        let mut server =
-            serve_with("127.0.0.1:0", HttpConfig::default(), stats, stop, handler).unwrap();
+        let mut server = serve_with("127.0.0.1:0", "t", stats, stop, handler).unwrap();
         let url = format!("http://{}/echo?x=1", server.addr());
         let resp = crate::client::post(&url, "{\"k\":2}", Duration::from_secs(5)).unwrap();
         assert_eq!(resp.status, 200);

@@ -44,7 +44,7 @@ pub mod sse;
 pub mod state;
 pub mod status;
 
-pub use http::{HttpConfig, HttpStats, IO_TIMEOUT, MAX_CONNECTIONS};
+pub use http::{HttpStats, IO_TIMEOUT, MAX_CONNECTIONS};
 pub use state::{ArmPhase, ArmState, EventRing, MonitorState, RunInfo};
 
 use mab_runner::ObserverId;
@@ -78,13 +78,7 @@ impl Monitor {
         let stop = Arc::new(AtomicBool::new(false));
         let route_state = Arc::clone(&state);
         let handler: http::Handler = Arc::new(move |req, conn| route(&route_state, req, conn));
-        let server = http::serve_with(
-            addr,
-            http::HttpConfig::from_env("mab-monitor"),
-            Arc::clone(&state.http),
-            stop,
-            handler,
-        )?;
+        let server = http::serve_with(addr, "mab-monitor", Arc::clone(&state.http), stop, handler)?;
         let observer_state = Arc::clone(&state);
         let observer = mab_runner::add_observer(Arc::new(move |event| {
             observer_state.observe(event);
@@ -216,7 +210,7 @@ mod tests {
 
         let status = client::get(&format!("{url}/status"), timeout).unwrap();
         assert_eq!(status.status, 200);
-        let doc = mab_ledger::json::parse(status.body.trim()).unwrap();
+        let doc = mab_telemetry::json::parse(status.body.trim()).unwrap();
         assert_eq!(doc.get("experiment").unwrap().as_str(), Some("unit"));
 
         let missing = client::get(&format!("{url}/nope"), timeout).unwrap();

@@ -4,14 +4,13 @@
 //! version), the live sweep figures (from the same
 //! [`mab_telemetry::live`] helpers as `/metrics` and the progress line),
 //! per-worker accounting, scrape counters, and the per-arm state table
-//! (most recent [`crate::state::ARM_TABLE_CAP`] arms). Strings are escaped
-//! with `mab_ledger::json::escape`, so the output parses with the
-//! workspace's own JSON parser — which is exactly what `mab-inspect watch`
-//! and the smoke tests do.
+//! (most recent [`crate::state::ARM_TABLE_CAP`] arms). Strings and floats
+//! are written with the [`mab_telemetry::json`] codec, so the output parses
+//! with the workspace's one JSON parser — which is exactly what
+//! `mab-inspect watch` and the smoke tests do.
 
 use crate::state::{ArmPhase, MonitorState};
-use mab_ledger::json;
-use mab_telemetry::live;
+use mab_telemetry::{json, live};
 use std::sync::atomic::Ordering;
 
 /// Renders the status document (single line, no trailing newline).

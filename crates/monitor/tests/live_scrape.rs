@@ -46,7 +46,7 @@ fn endpoints_respond_during_a_live_sweep() {
 
             let status = client::get(&format!("{url}/status"), TIMEOUT).unwrap();
             assert_eq!(status.status, 200);
-            let doc = mab_ledger::json::parse(status.body.trim()).unwrap();
+            let doc = mab_telemetry::json::parse(status.body.trim()).unwrap();
             assert_eq!(doc.get("experiment").unwrap().as_str(), Some("live_scrape"));
             let sweep_obj = doc.get("sweep").unwrap();
             assert_eq!(sweep_obj.get("total").unwrap().as_u64(), Some(24));

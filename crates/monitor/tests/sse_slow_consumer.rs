@@ -5,7 +5,7 @@
 //! comment so the client knows its view has a gap.
 
 use mab_monitor::client::SseClient;
-use mab_monitor::http::{serve_with, Handler, HttpConfig, HttpStats};
+use mab_monitor::http::{serve_with, Handler, HttpStats};
 use mab_monitor::sse::stream_ring;
 use mab_monitor::EventRing;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,7 +28,7 @@ fn slow_consumer_drops_are_counted_and_announced() {
     };
     let mut server = serve_with(
         "127.0.0.1:0",
-        HttpConfig::from_env("sse-slow-test"),
+        "sse-slow-test",
         Arc::new(HttpStats::default()),
         Arc::new(AtomicBool::new(false)),
         handler,

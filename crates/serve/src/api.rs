@@ -13,6 +13,10 @@
 //! | GET    | `/experiments`          | the experiment registry with defaults |
 //! | GET    | `/` or `/healthz`       | `ok` |
 //!
+//! `POST /jobs` answers `400` for a malformed spec and for a grid with more
+//! arms than the queue cap (it could never be admitted), and `429` while
+//! admitting it would overflow the arms already queued.
+//!
 //! Runs on `mab-monitor`'s shared std-only HTTP core; SSE streams use the
 //! same ring/heartbeat machinery as the monitor's `/events`.
 
@@ -57,7 +61,7 @@ pub fn route(state: &Arc<ServeState>, req: &Request, conn: &mut Conn) {
 }
 
 fn submit(state: &Arc<ServeState>, req: &Request, conn: &mut Conn) {
-    let spec = match parse_job(&req.body) {
+    let spec = match parse_job(&req.body, state.config.queue_cap) {
         Ok(spec) => spec,
         Err(message) => {
             let _ = conn.respond("400 Bad Request", "text/plain", &format!("{message}\n"));
@@ -178,7 +182,7 @@ mod tests {
 
     #[test]
     fn experiments_json_lists_the_registry() {
-        let doc = mab_ledger::json::parse(experiments_json().trim()).unwrap();
+        let doc = mab_telemetry::json::parse(experiments_json().trim()).unwrap();
         let list = doc.get("experiments").unwrap().as_arr().unwrap();
         assert_eq!(list.len(), mab_experiments::spec::EXPERIMENTS.len());
         assert!(list

@@ -10,7 +10,7 @@
 //! submissions (503), drains in-flight arms into the cache, and persists
 //! unfinished jobs so the next start resumes them instead of recomputing.
 
-use mab_monitor::http::{self, HttpConfig};
+use mab_monitor::http;
 use mab_serve::{api, signal, BinaryExecutor, ServeConfig, ServeState};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -112,7 +112,7 @@ fn main() {
     let handler_state = Arc::clone(&state);
     let mut server = match http::serve_with(
         &flags.addr,
-        HttpConfig::from_env("mab-serve-http"),
+        "mab-serve-http",
         Arc::clone(&state.http),
         Arc::clone(&stop),
         Arc::new(move |req, conn| api::route(&handler_state, req, conn)),

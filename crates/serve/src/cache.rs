@@ -19,7 +19,7 @@
 //! so concurrent writers and crashed daemons can never publish a torn
 //! entry.
 
-use mab_traces::format::crc32;
+use mab_telemetry::crc32;
 use std::path::{Path, PathBuf};
 
 /// A content-addressed result store rooted at one directory.
@@ -50,7 +50,7 @@ impl Cache {
     pub fn lookup(&self, digest: &str) -> Option<String> {
         let dir = self.root.join(digest);
         let meta_text = std::fs::read_to_string(dir.join("meta.json")).ok()?;
-        let meta = mab_ledger::json::parse(meta_text.trim()).ok()?;
+        let meta = mab_telemetry::json::parse(meta_text.trim()).ok()?;
         let stated_crc = meta.get("crc32").and_then(|v| v.as_str())?.to_string();
         let stated_bytes = meta.get("bytes").and_then(|v| v.as_u64())?;
         let report = std::fs::read_to_string(dir.join("report.txt")).ok()?;
@@ -77,7 +77,7 @@ impl Cache {
         std::fs::create_dir_all(&tmp)?;
         let meta = format!(
             "{{\"digest\":\"{digest}\",\"experiment\":\"{}\",\"bytes\":{},\"crc32\":\"{:08x}\"}}\n",
-            mab_ledger::json::escape(experiment),
+            mab_telemetry::json::escape(experiment),
             report.len(),
             crc32(report.as_bytes()),
         );

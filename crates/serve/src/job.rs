@@ -7,7 +7,7 @@
 //! scheduler queues, the cache stores, and the ledger records.
 
 use mab_experiments::spec::{self, RunSpec};
-use mab_ledger::json::{self, JsonValue};
+use mab_telemetry::json::{self, JsonValue};
 
 /// Scheduling state of one arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,10 +202,14 @@ pub struct JobSpec {
 /// `mixes` (scalar or list) default to the experiment's registry defaults
 /// (scaled by `quick` when set), exactly as the binary CLI resolves them.
 ///
+/// The grid's arm count is checked against `max_arms` (the daemon's queue
+/// cap) before any spec is built: a grid larger than the cap could never
+/// be admitted, so it is refused outright rather than expanded.
+///
 /// # Errors
 ///
 /// Returns a message suitable for a `400` response.
-pub fn parse_job(body: &str) -> Result<JobSpec, String> {
+pub fn parse_job(body: &str, max_arms: usize) -> Result<JobSpec, String> {
     let doc = json::parse(body.trim()).map_err(|e| format!("invalid JSON body: {e}"))?;
     let experiment = doc
         .get("experiment")
@@ -233,7 +237,18 @@ pub fn parse_job(body: &str) -> Result<JobSpec, String> {
         Some(list) => list.into_iter().map(|m| Some(m as usize)).collect(),
         None => vec![None],
     };
-    let mut specs = Vec::new();
+    let arms = instructions
+        .len()
+        .checked_mul(mixes.len())
+        .and_then(|n| n.checked_mul(seeds.len()));
+    let Some(arms) = arms.filter(|&n| n <= max_arms) else {
+        let count = arms.map_or_else(|| "too many".to_string(), |n| n.to_string());
+        return Err(format!(
+            "config grid has {count} arms, more than the queue cap of {max_arms}; \
+             split it into smaller jobs"
+        ));
+    };
+    let mut specs = Vec::with_capacity(arms);
     for &i in &instructions {
         for &m in &mixes {
             for &seed in &seeds {
@@ -277,9 +292,12 @@ fn u64_list(doc: &JsonValue, key: &str) -> Result<Option<Vec<u64>>, String> {
 mod tests {
     use super::*;
 
+    /// The daemon's default queue cap.
+    const CAP: usize = 256;
+
     #[test]
     fn minimal_submission_uses_defaults() {
-        let job = parse_job("{\"experiment\":\"fig08_singlecore\"}").unwrap();
+        let job = parse_job("{\"experiment\":\"fig08_singlecore\"}", CAP).unwrap();
         assert_eq!(job.client, "anon");
         assert_eq!(job.specs.len(), 1);
         let spec = &job.specs[0];
@@ -294,6 +312,7 @@ mod tests {
         let job = parse_job(
             "{\"experiment\":\"fig13_smt_scurve\",\"client\":\"a\",\
              \"seeds\":[1,2],\"instructions\":[1000,2000],\"mixes\":4,\"quick\":true}",
+            CAP,
         )
         .unwrap();
         assert_eq!(job.specs.len(), 4);
@@ -311,18 +330,44 @@ mod tests {
 
     #[test]
     fn quick_applies_registry_preset() {
-        let job = parse_job("{\"experiment\":\"fig08_singlecore\",\"quick\":true}").unwrap();
+        let job = parse_job("{\"experiment\":\"fig08_singlecore\",\"quick\":true}", CAP).unwrap();
         assert_eq!(job.specs[0].instructions, 200_000);
         assert!(job.specs[0].quick);
     }
 
     #[test]
     fn bad_submissions_are_rejected() {
-        assert!(parse_job("not json").is_err());
-        assert!(parse_job("{}").is_err());
-        assert!(parse_job("{\"experiment\":\"nope\"}").is_err());
-        assert!(parse_job("{\"experiment\":\"fig08_singlecore\",\"seeds\":[]}").is_err());
-        assert!(parse_job("{\"experiment\":\"fig08_singlecore\",\"seeds\":\"x\"}").is_err());
+        assert!(parse_job("not json", CAP).is_err());
+        assert!(parse_job("{}", CAP).is_err());
+        assert!(parse_job("{\"experiment\":\"nope\"}", CAP).is_err());
+        assert!(parse_job("{\"experiment\":\"fig08_singlecore\",\"seeds\":[]}", CAP).is_err());
+        assert!(parse_job("{\"experiment\":\"fig08_singlecore\",\"seeds\":\"x\"}", CAP).is_err());
+    }
+
+    #[test]
+    fn a_grid_over_the_cap_is_refused_before_it_is_expanded() {
+        let list = |n: usize| (1..=n).map(|v| v.to_string()).collect::<Vec<_>>().join(",");
+        let grid = |seeds: usize| {
+            format!(
+                "{{\"experiment\":\"fig08_singlecore\",\"seeds\":[{}],\"mixes\":[1,2]}}",
+                list(seeds)
+            )
+        };
+        assert_eq!(parse_job(&grid(CAP / 2), CAP).unwrap().specs.len(), CAP);
+        let err = parse_job(&grid(CAP / 2 + 1), CAP).unwrap_err();
+        assert!(
+            err.contains("258 arms") && err.contains("queue cap of 256"),
+            "{err}"
+        );
+        // 10^9 arms from about 15 KB of body: refused without building any.
+        let huge = format!(
+            "{{\"experiment\":\"fig08_singlecore\",\"seeds\":[{0}],\
+             \"instructions\":[{0}],\"mixes\":[{0}]}}",
+            list(1000)
+        );
+        assert!(parse_job(&huge, CAP)
+            .unwrap_err()
+            .contains("1000000000 arms"));
     }
 
     #[test]
@@ -349,7 +394,7 @@ mod tests {
         assert_eq!(job.cache_hits(), 1);
         job.arms[1].status = ArmStatus::Done;
         assert_eq!(job.status(), "done");
-        let doc = mab_ledger::json::parse(&job.to_json()).unwrap();
+        let doc = mab_telemetry::json::parse(&job.to_json()).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("done"));
         assert_eq!(doc.get("cache_hits").unwrap().as_u64(), Some(1));
         job.arms[0].status = ArmStatus::Failed;

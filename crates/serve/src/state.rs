@@ -12,7 +12,8 @@
 //! cannot starve another client's two-arm probe. Admission is bounded:
 //! when the number of admitted-but-unfinished arms would exceed
 //! `queue_cap`, submission fails with [`SubmitError::QueueFull`] (HTTP
-//! `429`).
+//! `429`). A job whose grid alone exceeds `queue_cap` never gets here:
+//! [`crate::job::parse_job`] refuses it (HTTP `400`) before expanding it.
 //!
 //! # Memoization
 //!
@@ -35,10 +36,10 @@ use crate::cache::Cache;
 use crate::exec::Executor;
 use crate::job::{Arm, ArmStatus, Job, JobSpec};
 use mab_experiments::spec::RunSpec;
-use mab_ledger::json::{self, JsonValue};
 use mab_ledger::{Append, Ledger};
 use mab_monitor::http::HttpStats;
 use mab_monitor::EventRing;
+use mab_telemetry::json::{self, JsonValue};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,7 +52,7 @@ pub struct ServeConfig {
     /// Worker threads executing arms.
     pub workers: usize,
     /// Maximum admitted-but-unfinished arms across all clients; beyond it
-    /// submissions get `429`.
+    /// submissions get `429`, and a single job larger than it gets `400`.
     pub queue_cap: usize,
     /// Root of the content-addressed result cache.
     pub cache_dir: PathBuf,

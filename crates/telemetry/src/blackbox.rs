@@ -32,7 +32,7 @@
 //! `SIG_DFL` first so the process still dies with the original signal if
 //! the dump itself faults.
 
-use crate::export::escape_json;
+use crate::json::{self, JsonValue};
 use crate::ring::Ring;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -248,7 +248,9 @@ impl BbEvent {
                 bound,
                 explore,
             } => format!(
-                "{head},\"agent\":{agent},\"step\":{step},\"arm\":{arm},\"q\":{q:.6},\"bound\":{bound:.6},\"explore\":{explore}}}"
+                "{head},\"agent\":{agent},\"step\":{step},\"arm\":{arm},\"q\":{},\"bound\":{},\"explore\":{explore}}}",
+                six(*q),
+                six(*bound)
             ),
             BbEvent::Epoch {
                 sim,
@@ -256,7 +258,8 @@ impl BbEvent {
                 cycle,
                 value,
             } => format!(
-                "{head},\"sim\":\"{sim}\",\"id\":{id},\"cycle\":{cycle},\"value\":{value:.6}}}"
+                "{head},\"sim\":\"{sim}\",\"id\":{id},\"cycle\":{cycle},\"value\":{}}}",
+                six(*value)
             ),
             BbEvent::ArmStart { index, seed } => {
                 format!("{head},\"index\":{index},\"seed\":{seed}}}")
@@ -266,10 +269,21 @@ impl BbEvent {
             BbEvent::SweepEnd { done } => format!("{head},\"done\":{done}}}"),
             BbEvent::Job { job, what, detail } => format!(
                 "{head},\"job\":{job},\"what\":\"{what}\",\"detail\":\"{}\"}}",
-                escape_json(detail)
+                json::escape(detail)
             ),
-            BbEvent::Note { text } => format!("{head},\"text\":\"{}\"}}", escape_json(text)),
+            BbEvent::Note { text } => format!("{head},\"text\":\"{}\"}}", json::escape(text)),
         }
+    }
+}
+
+/// A report float at six decimals. Non-finite values (an unpulled arm's
+/// infinite UCB bound) have no JSON number, so the codec writes them as
+/// `null`.
+fn six(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.6}")
+    } else {
+        json::fmt_f64(v)
     }
 }
 
@@ -521,23 +535,23 @@ fn render_body(
     };
     body.push_str(&format!(
         "{{\"kind\":\"crash\",\"cause\":\"{}\",\"message\":\"{}\"{sig},\"thread\":\"{}\",\"time_unix\":{time_unix},\"experiment\":\"{}\",\"digest\":\"{}\"}}\n",
-        escape_json(cause),
-        escape_json(message),
-        escape_json(thread),
-        escape_json(&ctx.experiment),
-        escape_json(&ctx.digest),
+        json::escape(cause),
+        json::escape(message),
+        json::escape(thread),
+        json::escape(&ctx.experiment),
+        json::escape(&ctx.digest),
     ));
     for (key, value) in &ctx.config {
         body.push_str(&format!(
             "{{\"kind\":\"config\",\"key\":\"{}\",\"value\":\"{}\"}}\n",
-            escape_json(key),
-            escape_json(value)
+            json::escape(key),
+            json::escape(value)
         ));
     }
     body.push_str(&format!(
         "{{\"kind\":\"host\",\"cpus\":{},\"hostname\":\"{}\"}}\n",
         cpus(),
-        escape_json(&hostname())
+        json::escape(&hostname())
     ));
     if let Some(sweep) = crate::live::sweep_snapshot() {
         body.push_str(&format!(
@@ -560,7 +574,7 @@ fn render_body(
     for (depth, frame) in crate::span::current_stack().iter().enumerate() {
         body.push_str(&format!(
             "{{\"kind\":\"span\",\"depth\":{depth},\"frame\":\"{}\"}}\n",
-            escape_json(frame)
+            json::escape(frame)
         ));
     }
     let rings: Vec<Arc<ThreadRing>> = if best_effort {
@@ -589,7 +603,7 @@ fn render_body(
         };
         body.push_str(&format!(
             "{{\"kind\":\"thread\",\"id\":{idx},\"name\":\"{}\",\"current\":{},\"dropped\":{},\"events\":{}}}\n",
-            escape_json(&ring.name),
+            json::escape(&ring.name),
             own.as_ref().is_some_and(|own| Arc::ptr_eq(own, ring)),
             inner.events.dropped(),
             inner.events.len()
@@ -615,7 +629,7 @@ fn write_report(dir: &Path, body: &str) -> std::io::Result<PathBuf> {
     let name = format!("crash-{time_unix}-{}-{n}.mabcrash", std::process::id());
     let header = format!(
         "{MAGIC} {:08x} {}\n",
-        crc32(body.as_bytes()),
+        crate::crc32(body.as_bytes()),
         body.lines().count()
     );
     let tmp = dir.join(format!(".tmp-{name}"));
@@ -636,13 +650,14 @@ fn write_report(dir: &Path, body: &str) -> std::io::Result<PathBuf> {
 // ---------------------------------------------------------------------------
 
 /// One event line from a parsed report: its global sequence number, type
-/// and raw JSON line (field access via [`json_u64`] & friends).
+/// and the parsed event object (type-specific fields via
+/// [`JsonValue::get`]; a non-finite float reads back as `null`).
 #[derive(Debug, Clone)]
 pub struct CrashEvent {
     pub thread: usize,
     pub seq: u64,
     pub etype: String,
-    pub line: String,
+    pub fields: JsonValue,
 }
 
 /// One thread ring from a parsed report.
@@ -690,7 +705,10 @@ impl CrashReport {
 }
 
 /// Reads and validates a `.mabcrash` report: checks the magic, the CRC32
-/// over the body, and the line count, then parses every line.
+/// over the body, and the line count, then parses every line with the
+/// [`json`] codec. A line that is not JSON is an error naming its line
+/// number — reports from builds that wrote an infinite bound as a bare
+/// `inf` are rejected this way.
 pub fn read_report(path: &Path) -> Result<CrashReport, String> {
     let raw = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let (header, body) = raw
@@ -708,7 +726,7 @@ pub fn read_report(path: &Path) -> Result<CrashReport, String> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("{}: malformed header", path.display()))?;
-    let crc_actual = crc32(body.as_bytes());
+    let crc_actual = crate::crc32(body.as_bytes());
     if crc_actual != crc_expected {
         return Err(format!(
             "{}: CRC mismatch (header {crc_expected:08x}, body {crc_actual:08x})",
@@ -723,61 +741,62 @@ pub fn read_report(path: &Path) -> Result<CrashReport, String> {
         ));
     }
     let mut report = CrashReport::default();
-    for line in body.lines() {
-        match json_str(line, "kind").as_deref() {
+    for (n, line) in body.lines().enumerate() {
+        // Line 1 is the header, so body line `n` is file line `n + 2`.
+        let fields =
+            json::parse(line).map_err(|e| format!("{}: line {}: {e}", path.display(), n + 2))?;
+        let str_of = |key: &str| {
+            fields
+                .get(key)
+                .and_then(JsonValue::as_str)
+                .unwrap_or_default()
+                .to_string()
+        };
+        let u64_of = |key: &str| fields.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
+        let bool_of = |key: &str| {
+            fields
+                .get(key)
+                .and_then(JsonValue::as_bool)
+                .unwrap_or(false)
+        };
+        match fields.get("kind").and_then(JsonValue::as_str) {
             Some("crash") => {
-                report.cause = json_str(line, "cause").unwrap_or_default();
-                report.message = json_str(line, "message").unwrap_or_default();
-                report.signal = json_i64(line, "signal");
-                report.thread = json_str(line, "thread").unwrap_or_default();
-                report.time_unix = json_u64(line, "time_unix").unwrap_or(0);
-                report.experiment = json_str(line, "experiment").unwrap_or_default();
-                report.digest = json_str(line, "digest").unwrap_or_default();
+                report.cause = str_of("cause");
+                report.message = str_of("message");
+                report.signal = fields
+                    .get("signal")
+                    .and_then(JsonValue::as_f64)
+                    .map(|s| s as i64);
+                report.thread = str_of("thread");
+                report.time_unix = u64_of("time_unix");
+                report.experiment = str_of("experiment");
+                report.digest = str_of("digest");
             }
-            Some("config") => {
-                report.config.push((
-                    json_str(line, "key").unwrap_or_default(),
-                    json_str(line, "value").unwrap_or_default(),
-                ));
-            }
+            Some("config") => report.config.push((str_of("key"), str_of("value"))),
             Some("host") => {
-                report.cpus = json_u64(line, "cpus").unwrap_or(0);
-                report.hostname = json_str(line, "hostname").unwrap_or_default();
+                report.cpus = u64_of("cpus");
+                report.hostname = str_of("hostname");
             }
             Some("sweep") => {
-                report.sweep = Some((
-                    json_u64(line, "done").unwrap_or(0),
-                    json_u64(line, "total").unwrap_or(0),
-                    json_bool(line, "active").unwrap_or(false),
-                ));
+                report.sweep = Some((u64_of("done"), u64_of("total"), bool_of("active")));
             }
-            Some("arm") => {
-                report.arm = Some((
-                    json_u64(line, "index").unwrap_or(0),
-                    json_u64(line, "seed").unwrap_or(0),
-                ));
-            }
-            Some("span") => {
-                report
-                    .span_stack
-                    .push(json_str(line, "frame").unwrap_or_default());
-            }
-            Some("thread") => {
-                report.threads.push(CrashThread {
-                    name: json_str(line, "name").unwrap_or_default(),
-                    current: json_bool(line, "current").unwrap_or(false),
-                    dropped: json_u64(line, "dropped").unwrap_or(0),
-                    events: Vec::new(),
-                });
-            }
+            Some("arm") => report.arm = Some((u64_of("index"), u64_of("seed"))),
+            Some("span") => report.span_stack.push(str_of("frame")),
+            Some("thread") => report.threads.push(CrashThread {
+                name: str_of("name"),
+                current: bool_of("current"),
+                dropped: u64_of("dropped"),
+                events: Vec::new(),
+            }),
             Some("event") => {
-                let thread = json_u64(line, "thread").unwrap_or(0) as usize;
+                let thread = u64_of("thread") as usize;
+                let (seq, etype) = (u64_of("seq"), str_of("type"));
                 if let Some(t) = report.threads.get_mut(thread) {
                     t.events.push(CrashEvent {
                         thread,
-                        seq: json_u64(line, "seq").unwrap_or(0),
-                        etype: json_str(line, "type").unwrap_or_default(),
-                        line: line.to_string(),
+                        seq,
+                        etype,
+                        fields,
                     });
                 }
             }
@@ -788,124 +807,6 @@ pub fn read_report(path: &Path) -> Result<CrashReport, String> {
         return Err(format!("{}: missing crash line", path.display()));
     }
     Ok(report)
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON helpers (flat objects, the only shape the report uses)
-// ---------------------------------------------------------------------------
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(c) => out.push(c),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Raw text of `"key":<value>` in a flat JSON object line, if present.
-fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    if let Some(inner) = rest.strip_prefix('"') {
-        // String value: scan to the closing unescaped quote.
-        let mut escaped = false;
-        for (i, c) in inner.char_indices() {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                return Some(&inner[..i]);
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-/// String field of a flat JSON object line.
-pub fn json_str(line: &str, key: &str) -> Option<String> {
-    Some(unescape(json_raw(line, key)?))
-}
-
-/// Unsigned integer field of a flat JSON object line.
-pub fn json_u64(line: &str, key: &str) -> Option<u64> {
-    json_raw(line, key)?.parse().ok()
-}
-
-/// Signed integer field of a flat JSON object line.
-pub fn json_i64(line: &str, key: &str) -> Option<i64> {
-    json_raw(line, key)?.parse().ok()
-}
-
-/// Float field of a flat JSON object line.
-pub fn json_f64(line: &str, key: &str) -> Option<f64> {
-    json_raw(line, key)?.parse().ok()
-}
-
-/// Boolean field of a flat JSON object line.
-pub fn json_bool(line: &str, key: &str) -> Option<bool> {
-    match json_raw(line, key)? {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE). Local implementation: `mab-traces` has the same polynomial
-// but depending on it here would invert the crate layering.
-// ---------------------------------------------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC32 (IEEE 802.3) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
 }
 
 #[cfg(test)]
@@ -925,25 +826,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn json_helpers_round_trip_escapes() {
-        let line = format!(
-            "{{\"kind\":\"note\",\"text\":\"{}\",\"n\":42,\"x\":-1.5,\"ok\":true}}",
-            escape_json("a \"quoted\"\nline\\end")
-        );
-        assert_eq!(json_str(&line, "text").unwrap(), "a \"quoted\"\nline\\end");
-        assert_eq!(json_u64(&line, "n"), Some(42));
-        assert_eq!(json_f64(&line, "x"), Some(-1.5));
-        assert_eq!(json_bool(&line, "ok"), Some(true));
-        assert_eq!(json_str(&line, "missing"), None);
     }
 
     #[test]
@@ -990,9 +872,9 @@ mod tests {
         assert!(!report.hostname.is_empty());
         let decisions = report.last_decisions();
         assert!(decisions.len() >= 8, "{} decisions", decisions.len());
-        let last = decisions.last().unwrap();
-        assert_eq!(json_u64(&last.line, "step"), Some(11));
-        assert!(json_f64(&last.line, "q").unwrap() > 0.0);
+        let last = &decisions.last().unwrap().fields;
+        assert_eq!(last.get("step").and_then(JsonValue::as_u64), Some(11));
+        assert!(last.get("q").and_then(JsonValue::as_f64).unwrap() > 0.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1014,7 +896,7 @@ mod tests {
         assert!(t.dropped >= extra as u64, "dropped = {}", t.dropped);
         // The oldest retained note is the one right after the dropped span.
         let first_note = t.events.iter().find(|e| e.etype == "note").unwrap();
-        let text = json_str(&first_note.line, "text").unwrap();
+        let text = first_note.fields.get("text").unwrap().as_str().unwrap();
         let idx: usize = text[1..].parse().unwrap();
         assert!(idx >= extra, "oldest retained = {text}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1043,6 +925,45 @@ mod tests {
         assert_eq!(report.thread, ring.name);
         assert_eq!(report.threads.iter().filter(|t| t.current).count(), 1);
         assert_eq!(report.last_decisions().len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_infinite_bound_is_written_as_null_and_read_back() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        let dir = temp_dir("inf-bound");
+        assert!(install("inf_test", "d1gest", &[], &dir));
+        decision(3, 0, 2, 0.0, f64::INFINITY, true);
+        epoch("smt", 1, 500, f64::NAN);
+        let path = dump("test", "unpulled arm", None, false).expect("dump");
+        set_enabled(false);
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"q\":0.000000,\"bound\":null"), "{text}");
+        assert!(text.contains("\"value\":null"), "{text}");
+        assert!(!text.contains(":inf") && !text.contains(":NaN"), "{text}");
+        let report = read_report(&path).expect("parse");
+        let decision = &report.last_decisions()[0].fields;
+        assert_eq!(decision.get("bound"), Some(&JsonValue::Null));
+        assert_eq!(decision.get("arm").and_then(JsonValue::as_u64), Some(2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_report_with_a_bare_inf_is_rejected_naming_the_line() {
+        // Reports from older builds carry an infinite bound as a bare
+        // `inf`, which is not JSON.
+        let dir = temp_dir("bare-inf");
+        let body = concat!(
+            "{\"kind\":\"crash\",\"cause\":\"panic\",\"message\":\"old\",\"thread\":\"main\",",
+            "\"time_unix\":1,\"experiment\":\"fig08_singlecore\",\"digest\":\"ab12\"}\n",
+            "{\"kind\":\"thread\",\"id\":0,\"name\":\"main\",\"current\":true,\"dropped\":0,\"events\":1}\n",
+            "{\"kind\":\"event\",\"thread\":0,\"seq\":0,\"type\":\"decision\",\"agent\":1,",
+            "\"step\":0,\"arm\":0,\"q\":0.000000,\"bound\":inf,\"explore\":true}\n",
+        );
+        let path = write_report(&dir, body).unwrap();
+        let err = read_report(&path).unwrap_err();
+        assert!(err.contains("line 4"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

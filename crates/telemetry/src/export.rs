@@ -2,11 +2,13 @@
 //!
 //! serde is stubbed in this offline workspace, so serialization is
 //! hand-rolled: each event is flattened into `(key, value)` fields shared by
-//! both formats, and string values pass through explicit escaping.
+//! both formats, and JSON values go through the [`json`] codec's escaper
+//! and float writer.
 
 use crate::counters::Stat;
 use crate::event::Event;
 use crate::hist::Hist;
+use crate::json;
 use crate::Recorder;
 use std::io::{self, Write};
 
@@ -78,25 +80,6 @@ pub fn event_fields(event: &Event) -> Vec<(&'static str, Field)> {
     }
 }
 
-/// Escapes a string for inclusion inside a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Escapes a field for CSV: quotes it when it contains a comma, quote or
 /// newline, doubling embedded quotes.
 pub fn escape_csv(s: &str) -> String {
@@ -107,26 +90,17 @@ pub fn escape_csv(s: &str) -> String {
     }
 }
 
-/// A float as a JSON number, or `null` when it is not finite.
-pub fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Floats as a JSON array of [`json_number`]s.
+/// Floats as a JSON array of [`json::fmt_f64`] numbers.
 pub fn json_number_array(values: impl Iterator<Item = f64>) -> String {
-    let items: Vec<String> = values.map(json_number).collect();
+    let items: Vec<String> = values.map(json::fmt_f64).collect();
     format!("[{}]", items.join(","))
 }
 
 fn json_value(f: Field) -> String {
     match f {
         Field::U64(v) => v.to_string(),
-        Field::F64(v) => json_number(v),
-        Field::Str(s) => format!("\"{}\"", escape_json(s)),
+        Field::F64(v) => json::fmt_f64(v),
+        Field::Str(s) => format!("\"{}\"", json::escape(s)),
     }
 }
 
@@ -141,9 +115,12 @@ fn csv_value(f: Field) -> String {
 
 /// Event number `seq` as a JSON object on a single line.
 pub fn event_to_json(seq: u64, event: &Event) -> String {
-    let mut line = format!("{{\"seq\":{seq},\"kind\":\"{}\"", escape_json(event.kind()));
+    let mut line = format!(
+        "{{\"seq\":{seq},\"kind\":\"{}\"",
+        json::escape(event.kind())
+    );
     for (key, value) in event_fields(event) {
-        line.push_str(&format!(",\"{}\":{}", escape_json(key), json_value(value)));
+        line.push_str(&format!(",\"{}\":{}", json::escape(key), json_value(value)));
     }
     line.push('}');
     line
@@ -215,7 +192,7 @@ pub fn write_jsonl<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
             writeln!(
                 w,
                 "{{\"kind\":\"counter\",\"stat\":\"{}\",\"value\":{}}}",
-                escape_json(stat.name()),
+                json::escape(stat.name()),
                 value
             )?;
         }
@@ -232,7 +209,7 @@ pub fn write_jsonl<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
             writeln!(
                 w,
                 "{{\"kind\":\"histogram\",\"hist\":\"{}\",\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}",
-                escape_json(h.name()),
+                json::escape(h.name()),
                 hist.count(),
                 json_value(Field::F64(rec.hist_display(h, hist.mean()))),
                 json_value(Field::F64(rec.hist_display(h, hist.percentile(0.5) as f64))),
@@ -248,7 +225,7 @@ pub fn write_jsonl<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
         writeln!(
             w,
             "{{\"kind\":\"span\",\"path\":\"{}\",\"count\":{},\"timed\":{},\"total_ns\":{},\"est_ns\":{},\"self_ns\":{}}}",
-            escape_json(path),
+            json::escape(path),
             totals.count,
             totals.timed,
             totals.total_ns,
@@ -275,15 +252,6 @@ pub fn write_csv<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escaping_covers_specials() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b"), "a\\\"b");
-        assert_eq!(escape_json("a\\b"), "a\\\\b");
-        assert_eq!(escape_json("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn csv_escaping_quotes_when_needed() {

@@ -13,6 +13,10 @@
 //!   decision [`TraceRing`] and each black-box thread ring are built on it
 //!   (as are `mab-monitor`'s SSE ring and arm table); each owner keeps it
 //!   under its own lock.
+//! - [`json`] — the workspace's one JSON codec (parser, string escaper,
+//!   float writer), and [`crc32`] — its one CRC32. They live in this, the
+//!   lowest crate, so every writer and reader of an artifact (exporters,
+//!   black box, ledger, trace container, daemons, inspector) shares them.
 //! - [`export`] — hand-rolled JSON-lines and CSV exporters.
 //! - [`summary`] — the periodic-summary sink used by experiment binaries.
 //! - [`live`] — the seqlock'd sweep-progress cell and the shared ETA/rate
@@ -46,9 +50,11 @@
 
 pub mod blackbox;
 pub mod counters;
+mod crc;
 pub mod event;
 pub mod export;
 pub mod hist;
+pub mod json;
 pub mod live;
 pub mod perfetto;
 pub mod profile;
@@ -59,6 +65,7 @@ pub mod summary;
 pub mod trace;
 
 pub use counters::{Counters, Stat};
+pub use crc::crc32;
 pub use event::Event;
 pub use hist::{Hist, Histogram};
 pub use profile::ProfileReport;

@@ -18,7 +18,8 @@
 //! absolute durations read as "cycles", which is the unit that matters here.
 
 use crate::event::Event;
-use crate::export::{escape_json, json_number, json_number_array};
+use crate::export::json_number_array;
+use crate::json;
 use crate::trace::SeqDecision;
 use crate::Recorder;
 use std::io::{self, Write};
@@ -52,7 +53,7 @@ fn meta_process(items: &mut Items<impl Write>, pid: u64, name: &str) -> io::Resu
     items.item(&format!(
         "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
          \"args\":{{\"name\":\"{}\"}}}}",
-        escape_json(name)
+        json::escape(name)
     ))
 }
 
@@ -60,7 +61,7 @@ fn meta_thread(items: &mut Items<impl Write>, pid: u64, tid: u64, name: &str) ->
     items.item(&format!(
         "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
          \"args\":{{\"name\":\"{}\"}}}}",
-        escape_json(name)
+        json::escape(name)
     ))
 }
 
@@ -80,10 +81,10 @@ fn decision_args(d: &SeqDecision) -> String {
         "{{\"epoch\":{},\"phase\":\"{}\",\"explore\":{},\"reward\":{},\
          \"normalized\":{},\"q\":{},\"bound\":{},\"pulls\":{}}}",
         r.epoch,
-        escape_json(r.phase),
+        json::escape(r.phase),
         r.explore,
-        json_number(r.reward),
-        json_number(r.normalized),
+        json::fmt_f64(r.reward),
+        json::fmt_f64(r.normalized),
         json_number_array(r.arms.iter().map(|a| a.q)),
         json_number_array(r.arms.iter().map(|a| a.bound)),
         json_number_array(r.arms.iter().map(|a| a.pulls)),
@@ -143,7 +144,7 @@ pub fn write_trace_json<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
                  \"name\":\"reward (agent {:#x})\",\"args\":{{\"normalized\":{}}}}}",
                 r.cycle,
                 r.agent,
-                json_number(r.normalized)
+                json::fmt_f64(r.normalized)
             ))?;
         }
         let switched = decisions[..i]
@@ -174,8 +175,8 @@ pub fn write_trace_json<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
                     "{{\"ph\":\"C\",\"pid\":{},\"ts\":{cycle},\"name\":\"{}[{id}]\",\
                      \"args\":{{\"value\":{}}}}}",
                     occupancy_pid(track),
-                    escape_json(track),
-                    json_number(value)
+                    json::escape(track),
+                    json::fmt_f64(value)
                 ))?;
             }
             Event::EpochReset { agent, step } if agents.contains(&agent) => {

@@ -13,7 +13,8 @@
 //! attribution, under one short mutex critical section (decisions are per
 //! bandit step, orders of magnitude rarer than counter bumps).
 
-use crate::export::{escape_json, json_number, json_number_array};
+use crate::export::json_number_array;
+use crate::json;
 use crate::ring::Ring;
 use std::sync::{Mutex, MutexGuard};
 
@@ -174,9 +175,9 @@ pub fn decision_to_json(d: &SeqDecision) -> String {
         r.cycle,
         r.chosen,
         r.explore,
-        escape_json(r.phase),
-        json_number(r.reward),
-        json_number(r.normalized),
+        json::escape(r.phase),
+        json::fmt_f64(r.reward),
+        json::fmt_f64(r.normalized),
         json_number_array(r.arms.iter().map(|a| a.q)),
         json_number_array(r.arms.iter().map(|a| a.bound)),
         json_number_array(r.arms.iter().map(|a| a.pulls)),

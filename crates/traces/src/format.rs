@@ -1,4 +1,5 @@
-//! The `MABT` container format: header layout, varints and CRC32.
+//! The `MABT` container format: header layout and varints. Blocks are
+//! checked with the workspace's one CRC32, [`mab_telemetry::crc32`].
 //!
 //! # File layout (all integers little-endian)
 //!
@@ -255,86 +256,9 @@ pub fn get_ivarint(buf: &[u8], pos: &mut usize) -> Result<i64> {
     Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
 }
 
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, the polynomial gzip and ChampSim's zlib use)
-// ---------------------------------------------------------------------------
-
-/// Tables for slice-by-16 CRC: `CRC_TABLES[k][b]` advances byte `b` through
-/// `k + 1` zero bytes, so 16 bytes fold in one round of table lookups
-/// instead of 16 dependent byte steps. Replay decodes every block through
-/// this, and the byte-at-a-time variant was ~40% of decode time.
-const fn crc_tables() -> [[u32; 256]; 16] {
-    let mut tables = [[0u32; 256]; 16];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 16 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-}
-
-static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
-
-/// CRC32 of `data` (IEEE polynomial, init/final xor `0xFFFF_FFFF`).
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(16);
-    for c in &mut chunks {
-        let head = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        crc = t[15][(head & 0xFF) as usize]
-            ^ t[14][((head >> 8) & 0xFF) as usize]
-            ^ t[13][((head >> 16) & 0xFF) as usize]
-            ^ t[12][(head >> 24) as usize]
-            ^ t[11][c[4] as usize]
-            ^ t[10][c[5] as usize]
-            ^ t[9][c[6] as usize]
-            ^ t[8][c[7] as usize]
-            ^ t[7][c[8] as usize]
-            ^ t[6][c[9] as usize]
-            ^ t[5][c[10] as usize]
-            ^ t[4][c[11] as usize]
-            ^ t[3][c[12] as usize]
-            ^ t[2][c[13] as usize]
-            ^ t[1][c[14] as usize]
-            ^ t[0][c[15] as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn uvarint_round_trips() {

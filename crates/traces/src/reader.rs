@@ -18,8 +18,9 @@
 
 use crate::codec::Codec;
 use crate::error::{Result, TraceError};
-use crate::format::{crc32, decode_header, TraceMeta, FOOTER_MAGIC, HEADER_FIXED_LEN};
+use crate::format::{decode_header, TraceMeta, FOOTER_MAGIC, HEADER_FIXED_LEN};
 use crate::writer::IndexEntry;
+use mab_telemetry::crc32;
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::marker::PhantomData;

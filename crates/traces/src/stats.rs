@@ -6,6 +6,7 @@
 //! whether its hot PCs stride regularly (IP-stride fodder) or wander
 //! (pointer-chase).
 
+use mab_telemetry::json;
 use mab_workloads::trace::LINE_BYTES;
 use mab_workloads::{MemKind, TraceRecord};
 use std::collections::{HashMap, HashSet};
@@ -69,7 +70,7 @@ impl TraceStats {
 
     /// The summary as one JSON object (the `mab-trace stats --json`
     /// payload). All fields are numbers, so no string escaping is needed;
-    /// ratios use `Display` round-tripping like the telemetry exporters.
+    /// ratios go through the workspace's float writer, [`json::fmt_f64`].
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = format!(
@@ -80,8 +81,8 @@ impl TraceStats {
             self.loads,
             self.stores,
             self.branches,
-            self.mem_ratio(),
-            self.branch_ratio(),
+            json::fmt_f64(self.mem_ratio()),
+            json::fmt_f64(self.branch_ratio()),
             self.footprint_lines,
             self.footprint_bytes(),
             self.mem_pcs,
@@ -92,7 +93,10 @@ impl TraceStats {
             }
             out.push_str(&format!(
                 "{{\"pc\":{},\"accesses\":{},\"top_stride\":{},\"top_stride_frac\":{}}}",
-                p.pc, p.accesses, p.top_stride, p.top_stride_frac
+                p.pc,
+                p.accesses,
+                p.top_stride,
+                json::fmt_f64(p.top_stride_frac)
             ));
         }
         out.push_str("]}");

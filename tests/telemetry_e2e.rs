@@ -16,24 +16,32 @@
 use mab_core::{AlgorithmKind, BanditAgent, BanditConfig};
 use mab_memsim::{config::SystemConfig, System};
 use mab_prefetch::{shared::SharedPrefetcher, BanditL2};
-use mab_telemetry::blackbox::{self, json_bool, json_f64, json_u64};
+use mab_telemetry::blackbox;
+use mab_telemetry::json::{self, JsonValue};
 use mab_workloads::suites;
 
 const SEED: u64 = 11;
 const INSTRUCTIONS: u64 = 150_000;
 
-/// Extracts the unsigned integer following `"key":` on a JSONL line.
-fn field_u64(line: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = line
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} field in: {line}"));
-    line[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("bad {key} value in: {line}"))
+/// Parses every line of a JSONL export with the workspace's codec.
+fn parse_lines(text: &str) -> Vec<JsonValue> {
+    text.lines()
+        .map(|line| json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}")))
+        .collect()
+}
+
+/// The string field `key` of a parsed line (`""` when absent).
+fn str_field<'a>(line: &'a JsonValue, key: &str) -> &'a str {
+    line.get(key)
+        .and_then(JsonValue::as_str)
+        .unwrap_or_default()
+}
+
+/// The unsigned integer field `key` of a parsed line.
+fn u64_field(line: &JsonValue, key: &str) -> u64 {
+    line.get(key)
+        .and_then(JsonValue::as_u64)
+        .unwrap_or_else(|| panic!("no integer {key} in {line:?}"))
 }
 
 #[test]
@@ -60,22 +68,22 @@ fn exported_event_log_replays_the_prefetch_run() {
     rec.export_jsonl(&mut out).expect("export");
     let text = String::from_utf8(out).expect("utf8");
 
+    let lines = parse_lines(&text);
+    let of_kind = |kind: &'static str| lines.iter().filter(move |l| str_field(l, "kind") == kind);
+
     // Nothing may have been evicted, or the replay below would be partial.
-    let meta = text.lines().next().expect("meta line");
-    assert!(meta.contains("\"kind\":\"meta\""), "{meta}");
-    assert_eq!(field_u64(meta, "events_dropped"), 0, "{meta}");
+    let meta = lines.first().expect("meta line");
+    assert_eq!(str_field(meta, "kind"), "meta", "{meta:?}");
+    assert_eq!(u64_field(meta, "events_dropped"), 0, "{meta:?}");
 
     // Replay: per-arm pull counts reconstructed from the exported events
     // must equal the per-arm counts in the bandit's selection history.
     let n_arms = history.iter().map(|&(_, arm)| arm).max().unwrap() + 1;
     let mut from_events = vec![0u64; n_arms];
     let mut pulls_in_log = 0u64;
-    for line in text
-        .lines()
-        .filter(|l| l.contains("\"kind\":\"arm_pulled\""))
-    {
-        assert_eq!(field_u64(line, "agent"), SEED, "{line}");
-        from_events[field_u64(line, "arm") as usize] += 1;
+    for line in of_kind("arm_pulled") {
+        assert_eq!(u64_field(line, "agent"), SEED, "{line:?}");
+        from_events[u64_field(line, "arm") as usize] += 1;
         pulls_in_log += 1;
     }
     let mut from_history = vec![0u64; n_arms];
@@ -89,11 +97,10 @@ fn exported_event_log_replays_the_prefetch_run() {
     // selection completed a reward step.
     assert_eq!(pulls_in_log, history.len() as u64);
     let counter = |stat: &str| {
-        let line = text
-            .lines()
-            .find(|l| l.contains(&format!("\"stat\":\"{stat}\"")))
+        let line = of_kind("counter")
+            .find(|l| str_field(l, "stat") == stat)
             .unwrap_or_else(|| panic!("no {stat} counter in export"));
-        field_u64(line, "value")
+        u64_field(line, "value")
     };
     assert_eq!(counter("arm_pulls"), history.len() as u64);
     assert_eq!(counter("rewards_observed"), steps);
@@ -105,11 +112,10 @@ fn exported_event_log_replays_the_prefetch_run() {
     assert_eq!(counter("l2_demand_miss"), stats.l2.demand_misses);
 
     // The reward histogram saw exactly one observation per completed step.
-    let hist = text
-        .lines()
-        .find(|l| l.contains("\"hist\":\"reward\""))
+    let hist = of_kind("histogram")
+        .find(|l| str_field(l, "hist") == "reward")
         .expect("reward histogram in export");
-    assert_eq!(field_u64(hist, "count"), steps);
+    assert_eq!(u64_field(hist, "count"), steps);
 
     // --- Decision trace replay -------------------------------------------
     // One DecisionRecord per selection, in history order, with every step's
@@ -143,16 +149,17 @@ fn exported_event_log_replays_the_prefetch_run() {
     // JSONL trace export round-trips the same decision count.
     let mut trace_out = Vec::new();
     mab_telemetry::trace::write_trace_jsonl(rec.trace(), &mut trace_out).expect("trace export");
-    let trace_text = String::from_utf8(trace_out).expect("utf8");
-    let meta_line = trace_text.lines().next().expect("trace_meta line");
+    let trace_lines = parse_lines(&String::from_utf8(trace_out).expect("utf8"));
+    let meta_line = trace_lines.first().expect("trace_meta line");
+    assert_eq!(str_field(meta_line, "kind"), "trace_meta");
     assert_eq!(
-        field_u64(meta_line, "decisions_retained"),
+        u64_field(meta_line, "decisions_retained"),
         history.len() as u64
     );
     assert_eq!(
-        trace_text
-            .lines()
-            .filter(|l| l.contains("\"kind\":\"decision\""))
+        trace_lines
+            .iter()
+            .filter(|l| str_field(l, "kind") == "decision")
             .count(),
         history.len()
     );
@@ -161,20 +168,32 @@ fn exported_event_log_replays_the_prefetch_run() {
     // memsim occupancy counters.
     let mut perfetto = Vec::new();
     mab_telemetry::perfetto::write_trace_json(rec, &mut perfetto).expect("perfetto export");
-    let perfetto = String::from_utf8(perfetto).expect("utf8");
-    assert!(perfetto.contains("\"traceEvents\""));
+    let perfetto = json::parse(&String::from_utf8(perfetto).expect("utf8")).expect("trace JSON");
+    let trace_events = perfetto
+        .get("traceEvents")
+        .and_then(JsonValue::as_arr)
+        .expect("traceEvents");
     assert_eq!(
-        perfetto.matches("\"ph\":\"X\"").count(),
+        trace_events
+            .iter()
+            .filter(|e| str_field(e, "ph") == "X")
+            .count(),
         history.len(),
         "one duration slice per decision"
     );
-    assert!(perfetto.contains("dram_backlog"), "occupancy track missing");
+    assert!(
+        trace_events
+            .iter()
+            .any(|e| str_field(e, "name").starts_with("dram_backlog")),
+        "occupancy track missing"
+    );
 
     // --- One probe, two sinks ---------------------------------------------
     // A directly driven DUCB agent with the black box armed: each decision
     // the black box kept must have a trace record for the same agent and
     // epoch carrying the same arm, explore flag, q and bound (at the
-    // report's six decimals).
+    // report's six decimals; the report writes an unpulled arm's infinite
+    // bound as `null`).
     const AGENT: u64 = 0xD0CB;
     const STEPS: u64 = 60;
     let crash_dir = std::env::temp_dir().join(format!("mab-e2e-blackbox-{}", std::process::id()));
@@ -212,32 +231,40 @@ fn exported_event_log_replays_the_prefetch_run() {
     let boxed = report.last_decisions();
     assert_eq!(boxed.len() as u64, STEPS, "black box lost decisions");
     let mut explored = 0;
+    let mut unpulled = 0;
     for event in boxed {
-        let line = &event.line;
-        assert_eq!(json_u64(line, "agent"), Some(AGENT), "{line}");
-        let step = json_u64(line, "step").expect("step");
+        let line = &event.fields;
+        assert_eq!(u64_field(line, "agent"), AGENT, "{line:?}");
+        let step = u64_field(line, "step");
         let record = traced
             .iter()
             .find(|r| r.epoch == step)
             .unwrap_or_else(|| panic!("no trace record for step {step}"));
         let arm = record.chosen;
-        assert_eq!(json_u64(line, "arm"), Some(arm as u64), "{line}");
-        assert_eq!(json_bool(line, "explore"), Some(record.explore), "{line}");
+        assert_eq!(u64_field(line, "arm"), arm as u64, "{line:?}");
+        assert_eq!(
+            line.get("explore").and_then(JsonValue::as_bool),
+            Some(record.explore),
+            "{line:?}"
+        );
         let six = |v: f64| format!("{v:.6}");
-        assert_eq!(
-            six(json_f64(line, "q").unwrap()),
-            six(record.arms[arm].q),
-            "{line}"
-        );
-        assert_eq!(
-            six(json_f64(line, "bound").unwrap()),
-            six(record.arms[arm].bound),
-            "{line}"
-        );
+        let float = |key: &str| line.get(key).and_then(JsonValue::as_f64).unwrap();
+        assert_eq!(six(float("q")), six(record.arms[arm].q), "{line:?}");
+        let bound = if line.get("bound") == Some(&JsonValue::Null) {
+            unpulled += 1;
+            f64::INFINITY
+        } else {
+            float("bound")
+        };
+        assert_eq!(six(bound), six(record.arms[arm].bound), "{line:?}");
         explored += usize::from(record.explore);
     }
     assert!(
         explored > 0 && explored < STEPS as usize,
         "the check should see both explore and exploit decisions ({explored} explored)"
+    );
+    assert!(
+        unpulled > 0,
+        "the round-robin warm-up should record unpulled arms' infinite bounds"
     );
 }
