@@ -11,8 +11,10 @@
 //! it depends only on program order and spec position, never on worker
 //! scheduling — so a collector that sorts by it reconstructs the identical
 //! arm log at any `--jobs` setting; only `wall_ns`, `worker` and event
-//! *arrival order* are scheduling noise. With no observer installed the
-//! hooks cost one `RwLock` read per sweep, nothing per arm.
+//! *arrival order* are scheduling noise. A sweep delivers to the observers
+//! registered when it began, minus any removed since: no event reaches an
+//! observer after [`remove_observer`] returns. With no observer installed
+//! the hooks cost one `RwLock` read per sweep, nothing per arm.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -80,25 +82,48 @@ static NEXT_OBSERVER: AtomicU64 = AtomicU64::new(1);
 static SWEEP_SEQ: AtomicU32 = AtomicU32::new(0);
 
 /// Registers an event observer; it stays active until [`remove_observer`].
+/// Sweeps already running when it is added do not report to it.
 pub fn add_observer(observer: EventObserver) -> ObserverId {
+    let mut observers = OBSERVERS.write().unwrap();
+    // Ids are taken under the write lock, so a sweep's `Listeners::below`
+    // bound separates the observers it began with from later ones.
     let id = NEXT_OBSERVER.fetch_add(1, Ordering::Relaxed);
-    OBSERVERS.write().unwrap().push((id, observer));
+    observers.push((id, observer));
     ObserverId(id)
 }
 
-/// Removes a previously registered event observer (idempotent).
+/// Removes a previously registered event observer (idempotent). Waits for
+/// any delivery to it in progress; no event reaches it afterwards.
 pub fn remove_observer(id: ObserverId) {
     OBSERVERS.write().unwrap().retain(|(held, _)| *held != id.0);
 }
 
-/// The currently registered event observers, cloned once per sweep.
-pub(crate) fn observers() -> Vec<EventObserver> {
-    OBSERVERS
-        .read()
-        .unwrap()
-        .iter()
-        .map(|(_, f)| Arc::clone(f))
-        .collect()
+/// The observers one sweep reports to.
+pub(crate) struct Listeners {
+    /// Ids at or above this were registered after the sweep began.
+    below: u64,
+}
+
+impl Listeners {
+    /// The sweep's listeners, or `None` when no observer is registered —
+    /// then the sweep neither times its arms nor takes a lock per arm.
+    pub(crate) fn begin() -> Option<Listeners> {
+        let observers = OBSERVERS.read().unwrap();
+        (!observers.is_empty()).then(|| Listeners {
+            below: NEXT_OBSERVER.load(Ordering::Relaxed),
+        })
+    }
+
+    /// Delivers `event` to every observer still registered that the sweep
+    /// began with. The registry's read lock is held across the calls, so
+    /// [`remove_observer`] cannot return while one is in progress.
+    pub(crate) fn emit(&self, event: &ArmEvent) {
+        for (id, observe) in OBSERVERS.read().unwrap().iter() {
+            if *id < self.below {
+                observe(event);
+            }
+        }
+    }
 }
 
 /// Claims the next sweep sequence number.
@@ -111,7 +136,7 @@ mod tests {
     use super::*;
     use crate::sweep::{sweep, SweepOptions};
     use std::collections::BTreeMap;
-    use std::sync::Mutex;
+    use std::sync::{Barrier, Mutex};
 
     #[test]
     fn observations_are_scheduling_invariant() {
@@ -153,6 +178,53 @@ mod tests {
         }
         assert_eq!(sweeps[0].len(), specs.len());
         assert_eq!(sweeps[0], sweeps[1], "jobs=1 vs jobs=8 arm sets differ");
+    }
+
+    #[test]
+    fn removal_reaches_a_sweep_already_running() {
+        let specs: Vec<u64> = (0..2).collect();
+        let master_seed = 0xB10C_u64;
+        let log: Arc<Mutex<Vec<ArmEvent>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&log);
+        let id = add_observer(Arc::new(move |event: &ArmEvent| {
+            sink.lock().unwrap().push(*event);
+        }));
+        // The sweep's first arm meets this thread at `entered`, then waits
+        // at `release` while this thread removes the observer.
+        let entered = Arc::new(Barrier::new(2));
+        let release = Arc::new(Barrier::new(2));
+        let sweeper = {
+            let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+            std::thread::spawn(move || {
+                sweep(&specs, SweepOptions::new(1, master_seed), |ctx, spec| {
+                    if ctx.index == 0 {
+                        entered.wait();
+                        release.wait();
+                    }
+                    *spec
+                })
+                .unwrap();
+            })
+        };
+        entered.wait();
+        remove_observer(id);
+        let seen = log.lock().unwrap().clone();
+        release.wait();
+        sweeper.join().unwrap();
+
+        let first_seed = crate::child_seed(master_seed, 0);
+        assert!(
+            seen.iter()
+                .any(|e| matches!(e, ArmEvent::ArmStart { seed, .. } if *seed == first_seed)),
+            "the observer saw the running sweep before its removal: {seen:?}"
+        );
+        let after = log.lock().unwrap().len();
+        assert_eq!(
+            after,
+            seen.len(),
+            "events after removal: {:?}",
+            &log.lock().unwrap()[seen.len()..]
+        );
     }
 
     #[test]

@@ -82,17 +82,16 @@ where
     F: Fn(RunCtx, &S) -> R + Sync,
 {
     let progress = mab_telemetry::summary::SweepProgress::new(specs.len());
-    // Resolve the registered event observers once per sweep; arms are only
-    // timed when somebody is listening.
-    let observers = crate::observe::observers();
+    // Arms are only timed when somebody is listening as the sweep begins.
+    let listeners = crate::observe::Listeners::begin();
     let emit = |event: &crate::observe::ArmEvent| {
-        for observe in &observers {
-            observe(event);
+        if let Some(listeners) = &listeners {
+            listeners.emit(event);
         }
     };
     let serial = opts.jobs <= 1 || specs.len() <= 1;
     mab_telemetry::blackbox::sweep_begin(specs.len());
-    let sweep_id = if observers.is_empty() {
+    let sweep_id = if listeners.is_none() {
         0
     } else {
         let id = crate::observe::next_sweep_id();
@@ -115,7 +114,7 @@ where
         // The black box remembers this as the worker's current arm, so a
         // panic or fatal signal mid-run names the failing (index, seed).
         mab_telemetry::blackbox::arm_start(index, ctx.seed);
-        let arm_start = if observers.is_empty() {
+        let arm_start = if listeners.is_none() {
             None
         } else {
             emit(&crate::observe::ArmEvent::ArmStart {
@@ -162,7 +161,7 @@ where
     };
     let end_sweep = || {
         mab_telemetry::blackbox::sweep_end(specs.len());
-        if !observers.is_empty() {
+        if listeners.is_some() {
             emit(&crate::observe::ArmEvent::SweepEnd { sweep: sweep_id });
         }
     };

@@ -16,17 +16,33 @@ use crate::controllers::{EpochIpc, PgController};
 use crate::policies::{FetchPriority, PgPolicy};
 use mab_workloads::smt::{MemClass, SmtInstr, SmtOpKind, ThreadGen, ThreadSpec};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-/// Ring size for dependency completion lookup. A slot may only be reused
-/// once no in-flight instruction can reference it, so the ring must exceed
-/// the ROB depth (224) plus the maximum dependency distance (24).
+/// Size of the per-thread rings indexed by `seq % DEP_RING`, which hold
+/// every in-ROB instruction's state. A slot may only be reused once no
+/// in-flight instruction can reference it, so the ring must exceed the ROB
+/// depth (224) plus the maximum dependency distance (24).
 const DEP_RING: usize = 512;
 /// Words in the seq-indexed unissued bitset covering the ring.
 const RING_WORDS: usize = DEP_RING / 64;
-/// Sentinel: instruction dispatched but not yet completed.
+/// Sentinel: instruction dispatched but not yet issued.
 const PENDING: u64 = u64::MAX;
+
+/// Flag bits of an in-ROB instruction, in [`ThreadState::flags`].
+const LOAD: u8 = 1;
+const STORE: u8 = 1 << 1;
+const BRANCH: u8 = 1 << 2;
+const MISPREDICTED: u8 = 1 << 3;
+const INT_DEST: u8 = 1 << 4;
+/// A store that misses to memory: its SQ entry drains
+/// `store_drain_latency` cycles after commit.
+const DRAINS: u8 = 1 << 5;
+
+/// The ring position of `seq`.
+#[inline]
+fn ring(seq: u64) -> usize {
+    (seq % DEP_RING as u64) as usize
+}
 
 /// One thread's issue scan: `(thread, cycle, budget, window, penalty)` in,
 /// the unspent issue budget out. Runs use [`SmtPipeline::issue_thread`];
@@ -103,20 +119,6 @@ impl SmtStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    seq: u64,
-    latency: u32,
-    complete_at: u64,
-    issued: bool,
-    is_load: bool,
-    is_store: bool,
-    is_branch: bool,
-    mispredicted: bool,
-    int_dest: bool,
-    store_drain: u32,
-}
-
 /// Seed decorrelation salt for thread 1 of a 2-thread mix.
 ///
 /// [`SmtPipeline::new`] streams thread 0 at `seed` and thread 1 at
@@ -159,25 +161,46 @@ impl std::fmt::Debug for SmtStream {
     }
 }
 
+/// One hardware thread. Its ROB is the seq range `rob_head..seq_next`; each
+/// in-ROB instruction's state lives in the rings indexed by
+/// `seq % DEP_RING` ([`ring`]).
 struct ThreadState {
     gen: SmtStream,
     fetch_queue: VecDeque<SmtInstr>,
     fetch_blocked_until: u64,
-    rob: VecDeque<Slot>,
-    complete_time: Box<[u64; DEP_RING]>,
-    /// Eligibility mask for the issue scan, indexed by
-    /// `seq % DEP_RING`: a bit is set exactly while its slot is in the ROB
-    /// and unissued (set at rename, cleared at issue; committed heads are
-    /// always issued, so commit never touches it). The in-ROB seq range is
-    /// at most `rob_size` (224) wide — well under [`DEP_RING`] — so ring
-    /// order starting at the head's position is ROB order and every set
-    /// bit belongs to a live slot.
-    unissued: [u64; RING_WORDS],
-    /// The producer's seq by `seq % DEP_RING`, written at rename: the issue
-    /// scan gathers dependency readiness from two flat arrays (this one and
-    /// `complete_time`) instead of walking ROB slots.
-    dep_seqs: Box<[u64; DEP_RING]>,
+    /// Seq of the oldest in-ROB instruction.
+    rob_head: u64,
+    /// Seq the next renamed instruction gets.
     seq_next: u64,
+    /// The completion cycle of an issued instruction, [`PENDING`] from
+    /// rename until issue — so a slot has issued exactly when its entry
+    /// is not `PENDING`. Kept after commit for younger consumers.
+    complete_time: Box<[u64; DEP_RING]>,
+    /// Eligibility mask for the issue scan: a bit is set exactly while its
+    /// slot is in the ROB and unissued (set at rename, cleared at issue;
+    /// committed heads are always issued, so commit never touches it). The
+    /// in-ROB seq range is at most `rob_size` (224) wide — well under
+    /// [`DEP_RING`] — so ring order starting at the head's position is ROB
+    /// order and every set bit belongs to a live slot.
+    unissued: [u64; RING_WORDS],
+    /// The producer's seq, written at rename: the issue scan gathers
+    /// dependency readiness from two flat arrays (this one and
+    /// `complete_time`).
+    dep_seqs: Box<[u64; DEP_RING]>,
+    /// Execution latency, written at rename.
+    latency: Box<[u32; DEP_RING]>,
+    /// [`LOAD`], [`STORE`], [`BRANCH`], [`MISPREDICTED`], [`INT_DEST`] and
+    /// [`DRAINS`] bits, written at rename.
+    flags: Box<[u8; DEP_RING]>,
+    /// Issue wakeup: after a scan that issued nothing, the earliest cycle
+    /// at which one of its candidates' producers completes. Scans before
+    /// it are skipped while `seq_next <= wake_seq_limit`; see
+    /// [`SmtPipeline::issue_thread`].
+    wake_at: u64,
+    /// The last `seq_next` the wake covers: `u64::MAX` when the scan
+    /// stopped at the scheduler window (younger arrivals lie beyond it),
+    /// else the `seq_next` it saw.
+    wake_seq_limit: u64,
     committed: u64,
     // Occupancy counters for this thread's entries in the shared structures.
     iq: u32,
@@ -186,7 +209,10 @@ struct ThreadState {
     irf: u32,
     frf: u32,
     branches_in_rob: u32,
-    sq_drain: BinaryHeap<Reverse<u64>>,
+    /// Drain cycles of committed memory stores still holding an SQ entry.
+    /// Commit pushes `cycle + store_drain_latency` with a run-constant
+    /// latency and non-decreasing cycles, so the queue is sorted.
+    sq_drain: VecDeque<u64>,
 }
 
 impl ThreadState {
@@ -195,11 +221,17 @@ impl ThreadState {
             gen: stream,
             fetch_queue: VecDeque::new(),
             fetch_blocked_until: 0,
-            rob: VecDeque::new(),
+            // Dependencies on "pre-history" (seqs below the first) read a
+            // zero completion time: ready.
+            rob_head: DEP_RING as u64,
+            seq_next: DEP_RING as u64,
             complete_time: Box::new([0; DEP_RING]),
             unissued: [0; RING_WORDS],
             dep_seqs: Box::new([0; DEP_RING]),
-            seq_next: DEP_RING as u64, // dependencies on "pre-history" are ready
+            latency: Box::new([0; DEP_RING]),
+            flags: Box::new([0; DEP_RING]),
+            wake_at: 0,
+            wake_seq_limit: 0,
             committed: 0,
             iq: 0,
             lq: 0,
@@ -207,12 +239,30 @@ impl ThreadState {
             irf: 0,
             frf: 0,
             branches_in_rob: 0,
-            sq_drain: BinaryHeap::new(),
+            sq_drain: VecDeque::new(),
         }
     }
 
     fn lsq(&self) -> u32 {
         self.lq + self.sq
+    }
+
+    /// In-ROB instructions.
+    fn rob_len(&self) -> u64 {
+        self.seq_next - self.rob_head
+    }
+
+    /// Enters the next instruction into the ROB and the IQ, unissued.
+    fn dispatch(&mut self, dep_distance: u8, latency: u32, flags: u8) {
+        self.iq += 1;
+        let seq = self.seq_next;
+        self.seq_next += 1;
+        let pos = ring(seq);
+        self.complete_time[pos] = PENDING;
+        self.unissued[pos / 64] |= 1u64 << (pos % 64);
+        self.dep_seqs[pos] = seq.saturating_sub(dep_distance as u64);
+        self.latency[pos] = latency;
+        self.flags[pos] = flags;
     }
 }
 
@@ -248,20 +298,20 @@ pub struct SmtPipeline {
     /// Profiler enablement, latched at run start and epoch boundaries so
     /// the per-cycle stage loop never reads the global flag.
     profile_on: bool,
+    /// While profiling: when the cycles since the last flush began.
+    stage_clock: Option<std::time::Instant>,
     /// Profiled cycles since the last flush — the per-stage call count
     /// (all four stages run every cycle, so one counter serves all).
     stage_cycles: u64,
-    /// How many of those cycles were wall-clock timed (every
-    /// [`STAGE_SAMPLE_PERIOD`]th).
-    stage_timed: u64,
-    /// Accumulated nanoseconds per stage, `[commit, issue, rename, fetch]`
-    /// order, over the timed cycles only; flushed as `span::leaf` batches
-    /// at epoch boundaries. Per-cycle span guards would cost more than the
-    /// stages themselves.
+    /// Sampled nanoseconds per stage, `[commit, issue, rename, fetch]`
+    /// order, over the stage-timed cycles only: the first since the flush,
+    /// then every [`STAGE_SAMPLE_PERIOD`]th. They only split the flushed
+    /// wall time among the stages: each sampled interval also holds a
+    /// clock read as long as a stage, so scaling them up would overcount.
     stage_ns: [u64; 4],
 }
 
-/// Cycles between wall-clock-timed stage samples while profiling.
+/// Cycles between stage-timed samples while profiling.
 const STAGE_SAMPLE_PERIOD: u64 = 256;
 
 /// Stage categories in [`SmtPipeline::stage_ns`] order.
@@ -314,8 +364,8 @@ impl SmtPipeline {
             probe_fetch: [0; 2],
             epoch_grants: [0; 2],
             profile_on: false,
+            stage_clock: None,
             stage_cycles: 0,
-            stage_timed: 0,
             stage_ns: [0; 4],
         }
     }
@@ -329,15 +379,31 @@ impl SmtPipeline {
         }
     }
 
-    /// Flushes the batched per-stage profiling totals as leaf spans.
+    /// Latches profiler enablement and, while profiling, starts the clock
+    /// of the cycles the next [`SmtPipeline::flush_stage_profile`] covers.
+    fn latch_profiler(&mut self) {
+        self.profile_on = mab_telemetry::profile::enabled();
+        self.stage_clock = self.profile_on.then(std::time::Instant::now);
+    }
+
+    /// Flushes the cycles since [`SmtPipeline::latch_profiler`] as one leaf
+    /// span per stage. Their wall time, one clock read at each end, is the
+    /// stages' total; the sampled intervals only split it among them, so
+    /// the four spans add up to the time the cycles took.
     fn flush_stage_profile(&mut self) {
-        if mab_telemetry::STATIC_ENABLED {
-            let cycles = std::mem::take(&mut self.stage_cycles);
-            let timed = std::mem::take(&mut self.stage_timed);
-            for (i, cat) in STAGE_CATEGORIES.iter().enumerate() {
-                let total_ns = std::mem::take(&mut self.stage_ns[i]);
-                mab_telemetry::span::leaf(*cat, 0, cycles, timed, total_ns);
-            }
+        if !mab_telemetry::STATIC_ENABLED {
+            return;
+        }
+        let Some(start) = self.stage_clock.take() else {
+            return;
+        };
+        let wall_ns = start.elapsed().as_nanos();
+        let cycles = std::mem::take(&mut self.stage_cycles);
+        let sampled = std::mem::take(&mut self.stage_ns);
+        let sampled_total = sampled.iter().sum::<u64>().max(1) as u128;
+        for (cat, ns) in STAGE_CATEGORIES.iter().zip(sampled) {
+            let share = (wall_ns * ns as u128 / sampled_total) as u64;
+            mab_telemetry::span::leaf(*cat, 0, cycles, cycles, share);
         }
     }
 
@@ -380,13 +446,16 @@ impl SmtPipeline {
         let mut shares = [controller.share(0), controller.share(1)];
         let mut cycles_left = epoch_len;
         let start_cycle = self.cycle;
-        self.profile_on = mab_telemetry::profile::enabled();
+        self.latch_profiler();
         while self.threads[0].committed < commits_per_thread
             || self.threads[1].committed < commits_per_thread
         {
             self.step(policy, shares, scan);
             cycles_left -= 1;
             if cycles_left == 0 {
+                // The epoch's stage time ends here: the boundary's own work
+                // and the controller (its `policy_eval` span) stay outside.
+                self.flush_stage_profile();
                 cycles_left = epoch_len;
                 let mut per_thread = [0.0; 2];
                 for (i, t) in self.threads.iter().enumerate() {
@@ -405,8 +474,6 @@ impl SmtPipeline {
                     per_thread[0] + per_thread[1],
                 );
                 self.flush_probes();
-                self.flush_stage_profile();
-                self.profile_on = mab_telemetry::profile::enabled();
                 // Publish the epoch-boundary cycle before the controller
                 // runs, so any bandit decision it records lands at the right
                 // timeline position; sample the per-thread fetch shares and
@@ -438,6 +505,7 @@ impl SmtPipeline {
                 }
                 policy = controller.policy();
                 shares = [controller.share(0), controller.share(1)];
+                self.latch_profiler();
             }
         }
         self.flush_probes();
@@ -462,8 +530,8 @@ impl SmtPipeline {
 
         // Stage 0: drain store-queue entries whose post-commit write finished.
         for t in &mut self.threads {
-            while t.sq_drain.peek().is_some_and(|&Reverse(at)| at <= cycle) {
-                t.sq_drain.pop();
+            while t.sq_drain.front().is_some_and(|&at| at <= cycle) {
+                t.sq_drain.pop_front();
                 t.sq -= 1;
             }
         }
@@ -479,9 +547,9 @@ impl SmtPipeline {
     }
 
     /// The four stages with batched profiling: exact counts every cycle,
-    /// wall-clock timing only on every [`STAGE_SAMPLE_PERIOD`]th cycle —
-    /// per-cycle span guards (two `Instant::now` calls each) would dwarf
-    /// the stages themselves at ~360 ns/cycle.
+    /// per-stage timing only on a flush window's first cycle and every
+    /// [`STAGE_SAMPLE_PERIOD`]th — per-cycle span guards (two
+    /// `Instant::now` calls each) would dwarf the stages themselves.
     fn step_stages_profiled(
         &mut self,
         cycle: u64,
@@ -490,7 +558,7 @@ impl SmtPipeline {
         scan: impl IssueScan,
     ) {
         self.stage_cycles += 1;
-        if !cycle.is_multiple_of(STAGE_SAMPLE_PERIOD) {
+        if self.stage_cycles > 1 && !cycle.is_multiple_of(STAGE_SAMPLE_PERIOD) {
             self.commit_stage(cycle);
             self.issue_stage(cycle, scan);
             self.rename_stage(cycle, policy);
@@ -506,7 +574,6 @@ impl SmtPipeline {
         let t3 = std::time::Instant::now();
         self.fetch_stage(cycle, policy, shares);
         let t4 = std::time::Instant::now();
-        self.stage_timed += 1;
         for (ns, span) in self
             .stage_ns
             .iter_mut()
@@ -523,28 +590,27 @@ impl SmtPipeline {
         let first = (cycle % 2) as usize;
         for off in 0..2 {
             let t = &mut self.threads[(first + off) % 2];
-            while budget > 0 {
-                let Some(head) = t.rob.front() else { break };
-                if !head.issued || head.complete_at > cycle {
-                    break;
-                }
-                let slot = t.rob.pop_front().expect("checked non-empty");
+            // An unissued head reads `PENDING`, later than any cycle.
+            while budget > 0
+                && t.rob_head < t.seq_next
+                && t.complete_time[ring(t.rob_head)] <= cycle
+            {
+                let flags = t.flags[ring(t.rob_head)];
+                t.rob_head += 1;
                 budget -= 1;
                 t.committed += 1;
-                if slot.is_load {
+                if flags & LOAD != 0 {
                     t.lq -= 1;
                 }
-                if slot.is_store {
-                    if slot.store_drain > 0 {
-                        t.sq_drain.push(Reverse(cycle + drain as u64));
-                    } else {
-                        t.sq -= 1;
-                    }
+                if flags & DRAINS != 0 {
+                    t.sq_drain.push_back(cycle + drain as u64);
+                } else if flags & STORE != 0 {
+                    t.sq -= 1;
                 }
-                if slot.is_branch {
+                if flags & BRANCH != 0 {
                     t.branches_in_rob -= 1;
                 }
-                if slot.int_dest {
+                if flags & INT_DEST != 0 {
                     t.irf -= 1;
                 } else {
                     t.frf -= 1;
@@ -569,14 +635,26 @@ impl SmtPipeline {
 
     /// Issue scan for one thread: candidates come straight off the
     /// seq-indexed `unissued` bitset — one `trailing_zeros` per candidate
-    /// over at most [`RING_WORDS`] words — instead of walking ROB slots,
-    /// and dependency readiness gathers from the flat `dep_seqs` /
-    /// `complete_time` rings. Visits the unissued slots in ROB order: set
-    /// bits exist only for in-ROB unissued slots, ring order from the
-    /// head's position is seq order (the live range is narrower than the
-    /// ring), and issuing cannot flip a later candidate's readiness within
-    /// the cycle because every latency is ≥ 1 (`PENDING` before issue,
-    /// `cycle + latency > cycle` after).
+    /// over at most [`RING_WORDS`] words — and dependency readiness
+    /// gathers from the flat `dep_seqs` / `complete_time` rings. Visits the
+    /// unissued slots in ROB order: set bits exist only for in-ROB
+    /// unissued slots, ring order from the head's position is seq order
+    /// (the live range is narrower than the ring), and issuing cannot flip
+    /// a later candidate's readiness within the cycle because every
+    /// latency is ≥ 1 (`PENDING` before issue, `cycle + latency > cycle`
+    /// after).
+    ///
+    /// **Wakeup.** A scan that issues nothing records the earliest
+    /// completion among its candidates' producers (`wake_at`), and scans
+    /// before that cycle are skipped — exactly, because a scan that issues
+    /// nothing changes nothing, and until the wake it would issue nothing:
+    /// while a thread issues nothing its unissued set only grows at the
+    /// tail (commit removes issued heads only), so the scan meets the same
+    /// candidates first; each one's producer either has issued, with a
+    /// fixed completion no earlier than the wake, or is an older unissued
+    /// candidate that cannot issue before the wake either. New arrivals
+    /// only matter when the scan did not stop at the window, hence
+    /// `wake_seq_limit`. A scan that issues anything clears the wake.
     fn issue_thread(
         t: &mut ThreadState,
         cycle: u64,
@@ -584,11 +662,11 @@ impl SmtPipeline {
         window: usize,
         penalty: u64,
     ) -> u32 {
-        let Some(front) = t.rob.front() else {
+        if cycle < t.wake_at && t.seq_next <= t.wake_seq_limit {
             return budget;
-        };
-        let front_seq = front.seq;
-        let head_pos = front_seq as usize % DEP_RING;
+        }
+        let budget_in = budget;
+        let head_pos = ring(t.rob_head);
         let mut word_idx = head_pos / 64;
         // Bits below the head's lane are ring positions the live seq range
         // has not wrapped around to (it is at most `rob_size` < DEP_RING/2
@@ -596,6 +674,7 @@ impl SmtPipeline {
         // aligned with ROB order even if that ever changed.
         let mut word = t.unissued[word_idx] & !((1u64 << (head_pos % 64)) - 1);
         let mut scanned = 0usize;
+        let mut wake = PENDING;
         'scan: for words_left in (0..RING_WORDS).rev() {
             while word != 0 {
                 if budget == 0 || scanned >= window {
@@ -603,25 +682,19 @@ impl SmtPipeline {
                 }
                 let lane = word.trailing_zeros() as usize;
                 word &= word - 1;
-                let ring_pos = word_idx * 64 + lane;
-                // Ring position → ROB index (offset past the head).
-                let offset = (ring_pos + DEP_RING - head_pos) % DEP_RING;
+                let pos = word_idx * 64 + lane;
                 scanned += 1;
-                let dep_seq = t.dep_seqs[ring_pos];
-                if t.complete_time[(dep_seq % DEP_RING as u64) as usize] > cycle {
+                let ready_at = t.complete_time[ring(t.dep_seqs[pos])];
+                if ready_at > cycle {
+                    wake = wake.min(ready_at);
                     continue;
                 }
-                let slot = &mut t.rob[offset];
-                debug_assert_eq!(slot.seq as usize % DEP_RING, ring_pos);
-                slot.issued = true;
-                slot.complete_at = cycle + slot.latency as u64;
-                let complete_at = slot.complete_at;
-                let mispredicted = slot.mispredicted;
-                t.complete_time[ring_pos] = complete_at;
+                let complete_at = cycle + t.latency[pos] as u64;
+                t.complete_time[pos] = complete_at;
                 t.unissued[word_idx] &= !(1u64 << lane);
                 t.iq -= 1;
                 budget -= 1;
-                if mispredicted {
+                if t.flags[pos] & MISPREDICTED != 0 {
                     // Redirect at execute: the front end refills afterwards.
                     t.fetch_blocked_until = t.fetch_blocked_until.max(complete_at + penalty);
                 }
@@ -632,6 +705,12 @@ impl SmtPipeline {
             word_idx = (word_idx + 1) % RING_WORDS;
             word = t.unissued[word_idx];
         }
+        t.wake_at = if budget == budget_in { wake } else { 0 };
+        t.wake_seq_limit = if scanned >= window {
+            u64::MAX
+        } else {
+            t.seq_next
+        };
         budget
     }
 
@@ -660,7 +739,7 @@ impl SmtPipeline {
         // Shared-structure occupancy across both threads, maintained
         // incrementally as instructions rename instead of re-summed per
         // instruction.
-        let mut rob_total = self.threads[0].rob.len() + self.threads[1].rob.len();
+        let mut rob_total = self.threads[0].rob_len() + self.threads[1].rob_len();
         let mut iq_total = self.threads[0].iq + self.threads[1].iq;
         let mut lq_total = self.threads[0].lq + self.threads[1].lq;
         let mut sq_total = self.threads[0].sq + self.threads[1].sq;
@@ -677,7 +756,7 @@ impl SmtPipeline {
                     break;
                 };
 
-                let needed_block = if rob_total >= p.rob_size as usize {
+                let needed_block = if rob_total >= p.rob_size as u64 {
                     Some(RenameBlock::Rob)
                 } else if iq_total >= p.iq_size {
                     Some(RenameBlock::Iq)
@@ -700,57 +779,47 @@ impl SmtPipeline {
                 t.fetch_queue.pop_front();
                 budget -= 1;
                 renamed += 1;
-                let seq = t.seq_next;
-                t.seq_next += 1;
-                let ring_pos = (seq % DEP_RING as u64) as usize;
-                t.complete_time[ring_pos] = PENDING;
-                let dep_seq = seq.saturating_sub(instr.dep_distance as u64);
-                // Keep the issue-scan gather arrays in lockstep: the slot
-                // enters the ROB unissued.
-                t.unissued[ring_pos / 64] |= 1u64 << (ring_pos % 64);
-                t.dep_seqs[ring_pos] = dep_seq;
-                let (latency, is_load, is_store, is_branch, mispredicted, drain) = match instr.kind
-                {
-                    SmtOpKind::Alu => (1, false, false, false, false, 0),
-                    SmtOpKind::LongAlu => (p.long_alu_latency, false, false, false, false, 0),
+                let (latency, kind_flags) = match instr.kind {
+                    SmtOpKind::Alu => (1, 0),
+                    SmtOpKind::LongAlu => (p.long_alu_latency, 0),
                     SmtOpKind::Load(class) => (
                         p.load_latency[match class {
                             MemClass::L1 => 0,
                             MemClass::L2 => 1,
                             MemClass::Mem => 2,
                         }],
-                        true,
-                        false,
-                        false,
-                        false,
-                        0,
+                        LOAD,
                     ),
                     SmtOpKind::Store(class) => (
                         1,
-                        false,
-                        true,
-                        false,
-                        false,
-                        if class == MemClass::Mem {
-                            p.store_drain_latency
+                        if class == MemClass::Mem && p.store_drain_latency > 0 {
+                            STORE | DRAINS
                         } else {
-                            0
+                            STORE
                         },
                     ),
-                    SmtOpKind::Branch { mispredicted } => (1, false, false, true, mispredicted, 0),
+                    SmtOpKind::Branch { mispredicted } => (
+                        1,
+                        if mispredicted {
+                            BRANCH | MISPREDICTED
+                        } else {
+                            BRANCH
+                        },
+                    ),
                 };
-                t.iq += 1;
+                let dest = if instr.int_dest { INT_DEST } else { 0 };
+                t.dispatch(instr.dep_distance, latency, kind_flags | dest);
                 iq_total += 1;
                 rob_total += 1;
-                if is_load {
+                if kind_flags & LOAD != 0 {
                     t.lq += 1;
                     lq_total += 1;
                 }
-                if is_store {
+                if kind_flags & STORE != 0 {
                     t.sq += 1;
                     sq_total += 1;
                 }
-                if is_branch {
+                if kind_flags & BRANCH != 0 {
                     t.branches_in_rob += 1;
                 }
                 if instr.int_dest {
@@ -760,18 +829,6 @@ impl SmtPipeline {
                     t.frf += 1;
                     frf_total += 1;
                 }
-                t.rob.push_back(Slot {
-                    seq,
-                    latency,
-                    complete_at: 0,
-                    issued: false,
-                    is_load,
-                    is_store,
-                    is_branch,
-                    mispredicted,
-                    int_dest: instr.int_dest,
-                    store_drain: drain,
-                });
             }
         }
 
@@ -804,7 +861,7 @@ impl SmtPipeline {
         let g = policy.gating;
         let over = (u8::from(t.iq as f64 > share * p.iq_size as f64) & u8::from(g.iq))
             | (u8::from(t.lsq() as f64 > share * (p.lq_size + p.sq_size) as f64) & u8::from(g.lsq))
-            | (u8::from(t.rob.len() as f64 > share * p.rob_size as f64) & u8::from(g.rob))
+            | (u8::from(t.rob_len() as f64 > share * p.rob_size as f64) & u8::from(g.rob))
             | (u8::from(t.irf as f64 > share * p.irf_size as f64) & u8::from(g.irf));
         over != 0
     }
@@ -978,16 +1035,20 @@ mod tests {
 
     mod differential {
         //! Chunked vs scalar issue scan differential: the eligible-mask
-        //! issue scan must produce bit-identical pipeline behaviour — the
-        //! full stats struct, not just IPC — to a scalar ROB walk, for
-        //! arbitrary thread mixes, seeds and controllers.
+        //! issue scan with its wakeup must produce bit-identical pipeline
+        //! behaviour — the full stats struct, not just IPC — to a scalar
+        //! ROB walk that scans every cycle, for arbitrary thread mixes,
+        //! seeds, epoch lengths and controllers.
 
         use super::*;
+        use crate::controllers::BanditController;
+        use crate::policies::GateMask;
+        use mab_core::{AlgorithmKind, BanditConfig};
         use proptest::prelude::*;
 
         /// Scalar reference issue scan for one thread: walk the ROB in
-        /// order, skip issued slots, and issue every ready candidate inside
-        /// the scheduler window.
+        /// seq order, skip issued slots, and issue every ready candidate
+        /// inside the scheduler window. No bitset, no wakeup.
         fn issue_thread_scalar(
             t: &mut ThreadState,
             cycle: u64,
@@ -996,56 +1057,177 @@ mod tests {
             penalty: u64,
         ) -> u32 {
             let mut scanned = 0usize;
-            for slot in t.rob.iter_mut() {
+            for seq in t.rob_head..t.seq_next {
                 if budget == 0 || scanned >= window {
                     break;
                 }
-                if slot.issued {
+                let pos = ring(seq);
+                if t.complete_time[pos] != PENDING {
                     continue;
                 }
                 scanned += 1;
-                let ring_pos = (slot.seq % DEP_RING as u64) as usize;
-                let dep_seq = t.dep_seqs[ring_pos];
-                if t.complete_time[(dep_seq % DEP_RING as u64) as usize] > cycle {
+                if t.complete_time[ring(t.dep_seqs[pos])] > cycle {
                     continue;
                 }
-                slot.issued = true;
-                slot.complete_at = cycle + slot.latency as u64;
-                t.complete_time[ring_pos] = slot.complete_at;
+                let complete_at = cycle + t.latency[pos] as u64;
+                t.complete_time[pos] = complete_at;
                 t.iq -= 1;
                 budget -= 1;
-                if slot.mispredicted {
-                    t.fetch_blocked_until = t.fetch_blocked_until.max(slot.complete_at + penalty);
+                if t.flags[pos] & MISPREDICTED != 0 {
+                    t.fetch_blocked_until = t.fetch_blocked_until.max(complete_at + penalty);
                 }
             }
             budget
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(12))]
+            #![proptest_config(ProptestConfig::with_cases(32))]
 
             #[test]
             fn chunked_issue_scan_matches_scalar_reference(
-                a in 0usize..8,
-                b in 0usize..8,
+                a in 0usize..22,
+                b in 0usize..22,
                 seed in 0u64..1 << 32,
-                choi in prop::bool::ANY,
+                controller_kind in 0u8..3,
+                priority in 0usize..4,
+                gating in 0u8..16,
+                scaled_epochs in prop::bool::ANY,
             ) {
                 let apps = smt::smt_apps();
-                let specs = [apps[a % apps.len()].clone(), apps[b % apps.len()].clone()];
-                let mut scalar = SmtPipeline::new(SmtParams::test_scale(), specs.clone(), seed);
-                let mut chunked = SmtPipeline::new(SmtParams::test_scale(), specs, seed);
+                let specs = [apps[a].clone(), apps[b].clone()];
+                // `scaled_params()`'s 1,024-cycle epochs, or the unit-test
+                // scale's 2,048.
+                let params = SmtParams {
+                    epoch_cycles: if scaled_epochs { 1024 } else { 2048 },
+                    ..SmtParams::test_scale()
+                };
+                let policy = PgPolicy {
+                    priority: FetchPriority::ALL[priority],
+                    gating: GateMask::from_bits(gating),
+                };
                 let controller = || -> Box<dyn PgController> {
-                    if choi {
-                        Box::new(ChoiController::new())
-                    } else {
-                        Box::new(StaticPgController::new(PgPolicy::ICOUNT))
+                    match controller_kind {
+                        0 => Box::new(ChoiController::new()),
+                        1 => Box::new(StaticPgController::new(policy)),
+                        _ => {
+                            // DUCB with short steps, so arms change within
+                            // the run.
+                            let config = BanditConfig::builder(PgPolicy::bandit_arms().len())
+                                .algorithm(AlgorithmKind::Ducb { gamma: 0.975, c: 0.01 })
+                                .seed(seed)
+                                .build()
+                                .unwrap();
+                            Box::new(
+                                BanditController::new(config, PgPolicy::bandit_arms().to_vec(), 2, 1)
+                                    .unwrap(),
+                            )
+                        }
                     }
                 };
-                let s = scalar.run_with_scan(controller().as_mut(), 3_000, issue_thread_scalar);
-                let c = chunked.run(controller(), 3_000);
+                let mut scalar = SmtPipeline::new(params, specs.clone(), seed);
+                let mut chunked = SmtPipeline::new(params, specs, seed);
+                let s = scalar.run_with_scan(controller().as_mut(), 20_000, issue_thread_scalar);
+                // Bounded by the reference's cycle count, so a scan that
+                // stalls a thread for good fails here instead of hanging.
+                let last = s.cycles;
+                let bounded = move |t: &mut ThreadState, cycle, budget, window, penalty| {
+                    assert!(cycle <= last, "still running past the reference's {last} cycles");
+                    SmtPipeline::issue_thread(t, cycle, budget, window, penalty)
+                };
+                let c = chunked.run_with_scan(controller().as_mut(), 20_000, bounded);
                 prop_assert_eq!(s, c);
             }
+        }
+    }
+
+    mod wakeup {
+        //! The issue wakeup on hand-built ROBs: a skipped scan must be one
+        //! that would have issued nothing.
+
+        use super::*;
+
+        const WINDOW: usize = 24;
+        const PENALTY: u64 = 12;
+        /// Far enough back to reach "pre-history": ready at once.
+        const READY: u8 = 24;
+
+        fn thread() -> ThreadState {
+            ThreadState::new(SmtStream::Boxed(Box::new(std::iter::empty())))
+        }
+
+        fn issue(t: &mut ThreadState, cycle: u64, budget: u32) -> u32 {
+            budget - SmtPipeline::issue_thread(t, cycle, budget, WINDOW, PENALTY)
+        }
+
+        /// Two producers completing at cycles 4 and 11, then a consumer of
+        /// each (the later one first), dispatched after the producers
+        /// issued at cycle 1.
+        fn two_waiting_consumers() -> ThreadState {
+            let mut t = thread();
+            t.dispatch(READY, 3, INT_DEST);
+            t.dispatch(READY, 10, INT_DEST);
+            assert_eq!(issue(&mut t, 1, 8), 2);
+            t.dispatch(1, 1, INT_DEST);
+            t.dispatch(3, 1, INT_DEST);
+            t
+        }
+
+        #[test]
+        fn wake_is_the_earliest_producer_completion() {
+            let mut t = two_waiting_consumers();
+            assert_eq!(issue(&mut t, 2, 8), 0);
+            assert_eq!(t.wake_at, 4);
+            assert_eq!(issue(&mut t, 3, 8), 0);
+            assert_eq!(
+                issue(&mut t, 4, 8),
+                1,
+                "the consumer of the 4-cycle producer"
+            );
+            assert_eq!(t.wake_at, 0);
+            assert_eq!(issue(&mut t, 11, 8), 1);
+        }
+
+        #[test]
+        fn an_arrival_ends_a_wake_the_window_did_not_cap() {
+            let mut t = two_waiting_consumers();
+            assert_eq!(issue(&mut t, 2, 8), 0);
+            t.dispatch(READY, 1, INT_DEST);
+            assert_eq!(issue(&mut t, 3, 8), 1, "the arrival is ready");
+        }
+
+        #[test]
+        fn a_window_capped_wake_ignores_arrivals() {
+            let mut t = thread();
+            t.dispatch(READY, 50, INT_DEST);
+            assert_eq!(issue(&mut t, 1, 8), 1);
+            for _ in 0..WINDOW {
+                t.dispatch(1, 1, INT_DEST);
+            }
+            assert_eq!(issue(&mut t, 2, 8), 0);
+            assert_eq!((t.wake_at, t.wake_seq_limit), (51, u64::MAX));
+            // Ready, but behind a full window of waiting candidates.
+            t.dispatch(READY, 1, INT_DEST);
+            assert_eq!(issue(&mut t, 3, 8), 0);
+            assert_eq!(issue(&mut t, 51, 8), 1);
+        }
+
+        #[test]
+        fn an_issuing_scan_clears_the_wake() {
+            let mut t = thread();
+            t.dispatch(READY, 1, INT_DEST);
+            t.dispatch(READY, 1, INT_DEST);
+            // The budget runs out after the first: the second is unseen.
+            assert_eq!(issue(&mut t, 1, 1), 1);
+            assert_eq!(issue(&mut t, 2, 8), 1);
+        }
+
+        #[test]
+        fn an_empty_thread_waits_for_rename() {
+            let mut t = thread();
+            assert_eq!(issue(&mut t, 1, 8), 0);
+            assert_eq!(t.wake_at, PENDING);
+            t.dispatch(READY, 1, INT_DEST);
+            assert_eq!(issue(&mut t, 2, 8), 1);
         }
     }
 }

@@ -9,7 +9,7 @@
 //! `mab-smtsim` pipeline executes.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Latency class of a memory operation (Table 5 hierarchy: L1, a 4 MB L2,
@@ -88,11 +88,54 @@ pub struct ThreadSpec {
 impl ThreadSpec {
     /// Instantiates the lazy instruction generator for this thread.
     pub fn stream(&self, seed: u64) -> ThreadGen {
-        ThreadGen::new(self.clone(), seed)
+        ThreadGen::new(self, seed)
+    }
+}
+
+/// The comparison a [`draw_threshold`] stands in for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cmp {
+    /// `gen::<f64>() < p`, decided as `bits < threshold`.
+    Below,
+    /// `gen::<f64>() > p`, decided as `bits >= threshold`.
+    Above,
+}
+
+/// `2^53`, the scale of the rand shim's unit draws: `gen::<f64>()` is
+/// `(next_u64() >> 11) · 2^-53`.
+const UNIT_SCALE: f64 = (1u64 << 53) as f64;
+
+/// The 53 random bits behind one `gen::<f64>()` draw, without the float.
+#[inline]
+fn unit_bits(rng: &mut StdRng) -> u64 {
+    rng.next_u64() >> 11
+}
+
+/// The integer threshold that decides a comparison of one `gen::<f64>()`
+/// draw `x` with a fixed `p` from the draw's [`unit_bits`] `k`.
+///
+/// `x = k · 2^-53`, and scaling by 2^53 is exact, so with `q = p · 2^53`:
+/// `x < p` ⇔ `k < ceil(q)`, and `x > p` ⇔ `k > floor(q)` ⇔
+/// `k >= floor(q) + 1`. The `as u64` cast saturates, which keeps the float
+/// compare's answer at the extremes: a negative bound (negative `p`, −∞)
+/// becomes 0, and one at or past 2^53 (`p >= 1`, +∞) lies past every draw.
+/// NaN compares false both ways: the cast sends it to 0, which no draw is
+/// below, and [`Cmp::Above`] sends it past every draw.
+pub(crate) fn draw_threshold(p: f64, cmp: Cmp) -> u64 {
+    let q = p * UNIT_SCALE;
+    match cmp {
+        Cmp::Below => q.ceil() as u64,
+        Cmp::Above if p.is_nan() => u64::MAX,
+        Cmp::Above => (q.floor() + 1.0) as u64,
     }
 }
 
 /// Lazy infinite generator of [`SmtInstr`]s for one thread.
+///
+/// Every fixed-probability test compares a draw's [`unit_bits`] with a
+/// threshold precomputed from the spec by [`draw_threshold`], in the order
+/// the float compares drew them, so the stream is the one
+/// `gen::<f64>() < p` would give.
 ///
 /// # Example
 ///
@@ -109,38 +152,73 @@ impl ThreadSpec {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ThreadGen {
-    spec: ThreadSpec,
     rng: StdRng,
+    /// Below `load_ratio`: a load.
+    load: u64,
+    /// Below `load_ratio + store_ratio`: a store.
+    store: u64,
+    /// Below `load_ratio + store_ratio + branch_ratio`: a branch.
+    branch: u64,
+    /// Below `fp_frac`: an FP destination.
+    fp: u64,
+    /// Below `store_mem_frac`: a store that misses to memory.
+    store_mem: u64,
+    /// Below `mispredict_rate`: a mispredicted branch.
+    mispredict: u64,
+    /// Below `long_alu_frac`: long-latency arithmetic.
+    long_alu: u64,
+    /// Below `load_l1`: an L1 hit.
+    load_l1: u64,
+    /// Below `load_l1 + load_l2`: an L2 hit.
+    load_l2: u64,
+    /// At or above the stop probability `(1 / dep_mean).clamp(0.02, 1)`:
+    /// the dependency distance grows by one.
+    dep_longer: u64,
 }
 
 impl ThreadGen {
-    fn new(spec: ThreadSpec, seed: u64) -> Self {
+    fn new(spec: &ThreadSpec, seed: u64) -> Self {
         let salt = spec
             .name
             .bytes()
             .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
+        let below = |p| draw_threshold(p, Cmp::Below);
         ThreadGen {
-            spec,
             rng: StdRng::seed_from_u64(seed ^ salt.wrapping_mul(0x2545_F491_4F6C_DD1D)),
+            load: below(spec.load_ratio),
+            store: below(spec.load_ratio + spec.store_ratio),
+            branch: below(spec.load_ratio + spec.store_ratio + spec.branch_ratio),
+            fp: below(spec.fp_frac),
+            store_mem: below(spec.store_mem_frac),
+            mispredict: below(spec.mispredict_rate),
+            long_alu: below(spec.long_alu_frac),
+            load_l1: below(spec.load_l1),
+            load_l2: below(spec.load_l1 + spec.load_l2),
+            dep_longer: draw_threshold((1.0 / spec.dep_mean).clamp(0.02, 1.0), Cmp::Above),
         }
+    }
+
+    /// Whether a fresh draw falls below `threshold`.
+    #[inline]
+    fn below(&mut self, threshold: u64) -> bool {
+        unit_bits(&mut self.rng) < threshold
     }
 
     fn sample_dep(&mut self) -> u8 {
         // Geometric-ish dependency distance with the configured mean,
         // clipped to [1, 24].
-        let p = (1.0 / self.spec.dep_mean).clamp(0.02, 1.0);
         let mut d = 1u8;
-        while d < 24 && self.rng.gen::<f64>() > p {
+        while d < 24 && unit_bits(&mut self.rng) >= self.dep_longer {
             d += 1;
         }
         d
     }
 
     fn sample_load_class(&mut self) -> MemClass {
-        let x: f64 = self.rng.gen();
-        if x < self.spec.load_l1 {
+        let x = unit_bits(&mut self.rng);
+        if x < self.load_l1 {
             MemClass::L1
-        } else if x < self.spec.load_l1 + self.spec.load_l2 {
+        } else if x < self.load_l2 {
             MemClass::L2
         } else {
             MemClass::Mem
@@ -152,23 +230,22 @@ impl Iterator for ThreadGen {
     type Item = SmtInstr;
 
     fn next(&mut self) -> Option<SmtInstr> {
-        let s = &self.spec;
-        let x: f64 = self.rng.gen();
-        let fp = self.rng.gen::<f64>() < s.fp_frac;
-        let kind = if x < s.load_ratio {
+        let x = unit_bits(&mut self.rng);
+        let fp = self.below(self.fp);
+        let kind = if x < self.load {
             SmtOpKind::Load(self.sample_load_class())
-        } else if x < s.load_ratio + s.store_ratio {
-            let class = if self.rng.gen::<f64>() < s.store_mem_frac {
+        } else if x < self.store {
+            let class = if self.below(self.store_mem) {
                 MemClass::Mem
             } else {
                 MemClass::L1
             };
             SmtOpKind::Store(class)
-        } else if x < s.load_ratio + s.store_ratio + s.branch_ratio {
+        } else if x < self.branch {
             SmtOpKind::Branch {
-                mispredicted: self.rng.gen::<f64>() < s.mispredict_rate,
+                mispredicted: self.below(self.mispredict),
             }
-        } else if self.rng.gen::<f64>() < s.long_alu_frac {
+        } else if self.below(self.long_alu) {
             SmtOpKind::LongAlu
         } else {
             SmtOpKind::Alu
@@ -362,6 +439,8 @@ pub fn two_thread_mixes(apps: &[ThreadSpec]) -> Vec<(ThreadSpec, ThreadSpec)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     #[test]
     fn catalog_has_22_apps_with_unique_names() {
@@ -437,6 +516,158 @@ mod tests {
         let a: Vec<_> = t.stream(9).take(1000).collect();
         let b: Vec<_> = t.stream(9).take(1000).collect();
         assert_eq!(a, b);
+    }
+
+    /// FNV-1a over the first `n` instructions of a thread's stream: one
+    /// byte each for the operation (kind and class), the dependency
+    /// distance and the destination register file.
+    fn stream_digest(spec: &ThreadSpec, seed: u64, n: usize) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for instr in spec.stream(seed).take(n) {
+            let class = |c: MemClass| c as u8;
+            let op = match instr.kind {
+                SmtOpKind::Alu => 0,
+                SmtOpKind::LongAlu => 1,
+                SmtOpKind::Load(c) => 2 + class(c),
+                SmtOpKind::Store(c) => 5 + class(c),
+                SmtOpKind::Branch { mispredicted } => 8 + mispredicted as u8,
+            };
+            for byte in [op, instr.dep_distance, instr.int_dest as u8] {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn streams_are_pinned() {
+        // Digests of each catalog thread's first 200,000 instructions,
+        // recorded from the float-draw generator the integer thresholds
+        // replaced: the generator's output must not move.
+        const PINNED: [(&str, u64, u64); 44] = [
+            ("gcc", 1, 0x7ea2cee6f978cfc0),
+            ("lbm", 1, 0xdd40dfc074c6c4a2),
+            ("mcf", 1, 0x96bd82f24d7a7dcc),
+            ("cactus", 1, 0x6106eaad17497f19),
+            ("xalancbmk", 1, 0x4a0df25bfbde2629),
+            ("deepsjeng", 1, 0xdce5fd18cb6cbf53),
+            ("exchange2", 1, 0xf16570b6f534148c),
+            ("fotonik3d", 1, 0x92e385bda307639b),
+            ("roms", 1, 0x9fa6a8d2ee7fe4da),
+            ("xz", 1, 0x45bef9c943fe091d),
+            ("wrf", 1, 0xd8d316cf5aaef695),
+            ("x264", 1, 0x92d21849a66761fc),
+            ("perlbench", 1, 0xc56533acae2048e4),
+            ("omnetpp", 1, 0xb5e0e487cc5a6206),
+            ("leela", 1, 0x7f02e70a0c882783),
+            ("nab", 1, 0xf85a2788e7ae8ba9),
+            ("bwaves", 1, 0x0e65e3530d4bc844),
+            ("pop2", 1, 0x7ae383cd2b4ad266),
+            ("imagick", 1, 0x90a7e195b2562631),
+            ("povray", 1, 0x7a8d47d37e38fad8),
+            ("cam4", 1, 0xafd29a7878089cd1),
+            ("blender", 1, 0x73361e048dd60eaa),
+            ("gcc", 42, 0x87ca52e747f19321),
+            ("lbm", 42, 0xf4a703c477aa4fca),
+            ("mcf", 42, 0x92f9cd905fa2b1da),
+            ("cactus", 42, 0xe0cb775d7ca2572d),
+            ("xalancbmk", 42, 0x2816ed46fae63b52),
+            ("deepsjeng", 42, 0xa4e91eca65b451c6),
+            ("exchange2", 42, 0x11c3bbfb143eb53f),
+            ("fotonik3d", 42, 0x56889607e6aff634),
+            ("roms", 42, 0x5b817252799d9f8b),
+            ("xz", 42, 0x0c275623b57eaf16),
+            ("wrf", 42, 0xacbb29fd8caba1a7),
+            ("x264", 42, 0x1285fd1b31d1b4aa),
+            ("perlbench", 42, 0xa6af6e674e8f9e45),
+            ("omnetpp", 42, 0x84434f843312bf98),
+            ("leela", 42, 0x770077c75c915e14),
+            ("nab", 42, 0x926694aa417cef7e),
+            ("bwaves", 42, 0x349d950b603571cb),
+            ("pop2", 42, 0x4a2bd9f7b4f95ec1),
+            ("imagick", 42, 0xedc5340a73288721),
+            ("povray", 42, 0x372b6fe612d71dd8),
+            ("cam4", 42, 0x1ec224f0d6c613ad),
+            ("blender", 42, 0xf228eeb8a230b54e),
+        ];
+        let apps = smt_apps();
+        for (name, seed, digest) in PINNED {
+            let spec = apps.iter().find(|a| a.name == name).unwrap();
+            assert_eq!(
+                stream_digest(spec, seed, 200_000),
+                digest,
+                "{name} at seed {seed}"
+            );
+        }
+        assert_eq!(PINNED.len(), 2 * apps.len());
+    }
+
+    /// Probabilities where a threshold is easy to get wrong, beside the
+    /// draw `x` a case is about to make: `x` itself and its neighbours,
+    /// the half-way points on either side (where `floor` and `ceil` part),
+    /// the specials, and every sum and clamp the catalog's specs feed in.
+    fn edge_probabilities(x: f64) -> Vec<f64> {
+        let half_step = 1.0 / (1u64 << 54) as f64;
+        let mut ps = vec![
+            x,
+            x + half_step,
+            x - half_step,
+            f64::from_bits(x.to_bits() + 1),
+            f64::from_bits(x.to_bits().saturating_sub(1)),
+            0.0,
+            -0.0,
+            1.0,
+            1.0 - 2.0 * half_step,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.25,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.5,
+            1e300,
+        ];
+        for s in smt_apps() {
+            ps.extend([
+                s.load_ratio + s.store_ratio,
+                s.load_ratio + s.store_ratio + s.branch_ratio,
+                s.load_l1 + s.load_l2,
+                (1.0 / s.dep_mean).clamp(0.02, 1.0),
+            ]);
+        }
+        ps
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn draw_thresholds_decide_like_the_float_compare(
+            seed in 0u64..u64::MAX,
+            p in -0.5f64..1.5,
+        ) {
+            let rng = StdRng::seed_from_u64(seed);
+            let x: f64 = rng.clone().gen();
+            let mut ps = edge_probabilities(x);
+            ps.push(p);
+            for p in ps {
+                for cmp in [Cmp::Below, Cmp::Above] {
+                    let (mut int_rng, mut float_rng) = (rng.clone(), rng.clone());
+                    let bits = unit_bits(&mut int_rng);
+                    let threshold = draw_threshold(p, cmp);
+                    let x: f64 = float_rng.gen();
+                    let (int, float) = match cmp {
+                        Cmp::Below => (bits < threshold, x < p),
+                        Cmp::Above => (bits >= threshold, x > p),
+                    };
+                    prop_assert_eq!(int, float, "{:?} p={:e} x={:e}", cmp, p, x);
+                    // Each decision consumed exactly one draw.
+                    prop_assert_eq!(int_rng.next_u64(), float_rng.next_u64());
+                }
+            }
+        }
     }
 
     #[test]
