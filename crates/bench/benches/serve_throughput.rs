@@ -13,19 +13,22 @@
 //!   identical sweep; the median submit→done latency must drop by at
 //!   least [`MIN_SPEEDUP`]x, proving cached hits skip execution entirely.
 //! - **Fairness**: within the cold pass all clients submit equal-sized
-//!   sweeps at the same instant; the round-robin scheduler must keep the
-//!   per-client completion-time spread (slowest/fastest) within
-//!   [`MAX_SPREAD`]x. A FIFO scheduler would serialize whole sweeps and
-//!   push the spread toward the client count.
+//!   sweeps while a ninth client's blocker arms hold every worker. The
+//!   blockers are released only once all submissions have returned, so
+//!   every measured arm is queued before the scheduler picks the first one
+//!   (otherwise the first client to submit would take all idle workers).
+//!   The round-robin scheduler must then keep the per-client
+//!   completion-time spread (slowest/fastest) within [`MAX_SPREAD`]x. A
+//!   FIFO scheduler would serialize whole sweeps and push the spread
+//!   toward the client count.
 //!
 //! Run with: `cargo bench -p mab-bench --bench serve_throughput`
 
 use mab_monitor::client;
 use mab_monitor::http;
-use mab_runner::CancelToken;
 use mab_serve::{api, Executor, ServeConfig, ServeState};
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// Concurrent clients, per the serve acceptance gate.
@@ -48,11 +51,20 @@ const MIN_SPEEDUP: f64 = 10.0;
 /// Gate: slowest/fastest per-client cold completion time.
 const MAX_SPREAD: f64 = 2.0;
 
+/// Connect and read timeout of every HTTP request.
+const TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Seeds at or above this are the blocker client's arms.
+const BLOCKER_SEED: u64 = 1_000_000;
+
 /// Deterministic spin executor: FNV-1a mixing for a calibrated iteration
 /// count; the report depends only on the spec, so reruns are
-/// byte-identical.
+/// byte-identical. A blocker arm spins nothing: it waits at `held` until
+/// every blocker runs, then at `open` until every client has submitted.
 struct SpinExecutor {
     iters: u64,
+    held: Arc<Barrier>,
+    open: Arc<Barrier>,
 }
 
 fn fnv_mix(iters: u64, seed: u64) -> u64 {
@@ -68,9 +80,13 @@ impl Executor for SpinExecutor {
     fn run(
         &self,
         spec: &mab_experiments::spec::RunSpec,
-        _cancel: &CancelToken,
         _crash_dir: Option<&std::path::Path>,
     ) -> Result<String, String> {
+        if spec.seed >= BLOCKER_SEED {
+            self.held.wait();
+            self.open.wait();
+            return Ok(format!("blocker seed={}\n", spec.seed));
+        }
         let value = fnv_mix(self.iters, spec.seed);
         Ok(format!(
             "spin {} seed={} value={value:016x}\n",
@@ -88,28 +104,37 @@ fn calibrate() -> u64 {
     ((TARGET_ARM_MS * 1e6) / ns_per_iter) as u64
 }
 
-/// Submits one sweep for `client` and polls it to completion; returns the
-/// submit→done wall time in milliseconds.
-fn run_client(url: &str, client_id: usize, pass: &str) -> f64 {
-    let seeds: Vec<String> = (0..ARMS_PER_CLIENT)
-        .map(|a| (client_id * 100 + a + 1).to_string())
-        .collect();
+/// Submits a sweep of `seeds` for `client`; returns the job id.
+fn submit(url: &str, client: &str, seeds: &[u64], pass: &str) -> u64 {
+    let seeds: Vec<String> = seeds.iter().map(u64::to_string).collect();
     let body = format!(
-        "{{\"experiment\":\"fig08_singlecore\",\"client\":\"client-{client_id}\",\
+        "{{\"experiment\":\"fig08_singlecore\",\"client\":\"{client}\",\
          \"seeds\":[{}],\"quick\":true}}",
         seeds.join(",")
     );
-    let timeout = Duration::from_secs(10);
-    let start = Instant::now();
-    let resp = client::post(&format!("{url}/jobs"), &body, timeout).expect("POST /jobs");
+    let resp = client::post(&format!("{url}/jobs"), &body, TIMEOUT).expect("POST /jobs");
     assert_eq!(resp.status, 200, "{pass} submit failed: {}", resp.body);
-    let id = mab_telemetry::json::parse(resp.body.trim())
+    mab_telemetry::json::parse(resp.body.trim())
         .expect("job json")
         .get("id")
         .and_then(|v| v.as_u64())
-        .expect("job id");
+        .expect("job id")
+}
+
+/// Submits one sweep for `client_id`, waits at `open` (when given) and
+/// polls the sweep to completion; returns the submit→done wall time in
+/// milliseconds.
+fn run_client(url: &str, client_id: usize, pass: &str, open: Option<&Barrier>) -> f64 {
+    let seeds: Vec<u64> = (0..ARMS_PER_CLIENT)
+        .map(|a| (client_id * 100 + a + 1) as u64)
+        .collect();
+    let start = Instant::now();
+    let id = submit(url, &format!("client-{client_id}"), &seeds, pass);
+    if let Some(open) = open {
+        open.wait();
+    }
     loop {
-        let resp = client::get(&format!("{url}/jobs/{id}"), timeout).expect("GET /jobs/:id");
+        let resp = client::get(&format!("{url}/jobs/{id}"), TIMEOUT).expect("GET /jobs/:id");
         let doc = mab_telemetry::json::parse(resp.body.trim()).expect("status json");
         match doc.get("status").and_then(|v| v.as_str()) {
             Some("done") => break,
@@ -121,11 +146,12 @@ fn run_client(url: &str, client_id: usize, pass: &str) -> f64 {
 }
 
 /// One pass: all clients submit concurrently; returns per-client wall
-/// times in client order.
-fn run_pass(url: &str, pass: &str) -> Vec<f64> {
+/// times in client order. With `open`, the blocker arms holding every
+/// worker pass it together with the clients, once all have submitted.
+fn run_pass(url: &str, pass: &str, open: Option<&Barrier>) -> Vec<f64> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
-            .map(|c| scope.spawn(move || run_client(url, c, pass)))
+            .map(|c| scope.spawn(move || run_client(url, c, pass, open)))
             .collect();
         handles
             .into_iter()
@@ -151,7 +177,14 @@ fn main() {
         ledger_dir: None,
         quiet: true,
     };
-    let state = ServeState::start(config, Arc::new(SpinExecutor { iters })).expect("serve start");
+    let held = Arc::new(Barrier::new(WORKERS + 1));
+    let open = Arc::new(Barrier::new(WORKERS + CLIENTS));
+    let executor = SpinExecutor {
+        iters,
+        held: Arc::clone(&held),
+        open: Arc::clone(&open),
+    };
+    let state = ServeState::start(config, Arc::new(executor)).expect("serve start");
     let handler_state = Arc::clone(&state);
     let mut server = http::serve_with(
         "127.0.0.1:0",
@@ -167,8 +200,11 @@ fn main() {
          ~{TARGET_ARM_MS:.0}ms/arm cold ({iters} spin iters)"
     );
 
-    let cold = run_pass(&url, "cold");
-    let cached = run_pass(&url, "cached");
+    let blockers: Vec<u64> = (0..WORKERS as u64).map(|w| BLOCKER_SEED + w).collect();
+    submit(&url, "blocker", &blockers, "cold");
+    held.wait();
+    let cold = run_pass(&url, "cold", Some(&open));
+    let cached = run_pass(&url, "cached", None);
 
     let cold_med = median(&cold);
     let cached_med = median(&cached);

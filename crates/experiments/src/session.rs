@@ -152,7 +152,7 @@ impl TelemetrySession {
     /// remain valid.
     pub fn finish(&self) {
         if let Some(rec) = mab_telemetry::recorder() {
-            mab_telemetry::SummarySink::new(0).finish(rec);
+            mab_telemetry::summary::write_summary(rec, &mut std::io::stderr().lock()).ok();
             if let Some(path) = &self.export {
                 match rec.export_to_path(path) {
                     Ok(()) => progress!("telemetry written to {}", path.display()),

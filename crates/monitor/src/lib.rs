@@ -20,11 +20,12 @@
 //! # Invariants
 //!
 //! The monitor is **read-only over snapshots**: scrapes read the sharded
-//! counters with relaxed loads, the sweep-progress cell through its seqlock,
-//! and the arm table under a short mutex that only the arm-granularity
-//! observer ever writes — no lock is taken on any per-cycle simulation
-//! path, and nothing is written to stdout, so experiment output stays
-//! byte-identical with monitoring on or off at any `--jobs` setting.
+//! counters with relaxed loads, and the arm table — which also holds the
+//! sweep progress counted from the runner's arm events — under a short
+//! mutex that only the arm-granularity observer ever writes. No lock is
+//! taken on any per-cycle simulation path, and nothing is written to
+//! stdout, so experiment output stays byte-identical with monitoring on or
+//! off at any `--jobs` setting.
 //!
 //! By default the server binds `127.0.0.1` (loopback only); binding a
 //! routable address is an explicit opt-in and exposes run metadata to the
@@ -45,7 +46,7 @@ pub mod state;
 pub mod status;
 
 pub use http::{HttpStats, IO_TIMEOUT, MAX_CONNECTIONS};
-pub use state::{ArmPhase, ArmState, EventRing, MonitorState, RunInfo};
+pub use state::{ArmPhase, ArmState, EventRing, MonitorState, RunInfo, SweepState};
 
 use mab_runner::ObserverId;
 use std::net::SocketAddr;

@@ -2,31 +2,28 @@
 //!
 //! The page is assembled from read-only snapshots: the sharded-counter sums
 //! and histogram bucket loads from the installed `mab-telemetry` recorder
-//! (relaxed loads, no locks), the seqlock'd live sweep cell, and one short
-//! lock of the monitor's arm table. Counter metrics follow the `_total`
-//! naming convention; histograms are emitted with cumulative `le` buckets
-//! exactly as the exposition format requires. ETA and rate figures come
-//! from [`mab_telemetry::live`] — the same arithmetic that renders the
-//! stderr progress line, so the two planes can never disagree.
+//! (relaxed loads, no locks), and one short lock of the monitor's arm
+//! table, which also holds the sweep progress counted from the runner's
+//! arm events. Counter metrics follow the `_total` naming convention;
+//! histograms are emitted with cumulative `le` buckets exactly as the
+//! exposition format requires. ETA and rate figures come from
+//! [`mab_telemetry::live`] — the same arithmetic that renders the stderr
+//! progress line, so the two planes can never disagree.
 
 use crate::state::MonitorState;
 use mab_telemetry::hist::BUCKETS;
-use mab_telemetry::live::{self, LiveSweep};
+use mab_telemetry::live;
 use mab_telemetry::{Hist, Recorder, Stat};
 use std::sync::atomic::Ordering;
 
-/// Renders the full exposition page from the live globals.
+/// Renders the full exposition page with the installed recorder.
 pub fn render(state: &MonitorState) -> String {
-    render_parts(state, mab_telemetry::recorder(), live::sweep_snapshot())
+    render_parts(state, mab_telemetry::recorder())
 }
 
-/// Renders the exposition page from explicit parts (testable seam: golden
-/// tests construct their own recorder and sweep snapshot).
-pub fn render_parts(
-    state: &MonitorState,
-    recorder: Option<&Recorder>,
-    sweep: Option<LiveSweep>,
-) -> String {
+/// Renders the exposition page with an explicit recorder (testable seam:
+/// golden tests construct their own recorder and feed the state events).
+pub fn render_parts(state: &MonitorState, recorder: Option<&Recorder>) -> String {
     let mut out = String::with_capacity(4096);
 
     out.push_str("# HELP mab_run_info Static description of the monitored run.\n");
@@ -44,47 +41,46 @@ pub fn render_parts(
         state.run.jobs as f64,
     );
 
-    // Sweep-level gauges from the seqlock cell.
-    if let Some(snap) = sweep {
-        let elapsed = snap.elapsed_secs();
-        gauge(
-            &mut out,
-            "mab_sweep_arms_total",
-            "Arms in the current sweep.",
-            snap.total as f64,
-        );
-        gauge(
-            &mut out,
-            "mab_sweep_arms_completed",
-            "Arms completed in the current sweep.",
-            snap.done as f64,
-        );
-        gauge(
-            &mut out,
-            "mab_sweep_active",
-            "1 while a sweep is in flight.",
-            if snap.active { 1.0 } else { 0.0 },
-        );
-        let rate = live::rate_per_sec(snap.done, elapsed);
-        gauge(
-            &mut out,
-            "mab_sweep_rate_runs_per_second",
-            "Completed runs per second.",
-            rate,
-        );
-        if let Some(eta) = live::eta_seconds(snap.done, snap.total, elapsed) {
-            gauge(
-                &mut out,
-                "mab_sweep_eta_seconds",
-                "Estimated seconds until the sweep completes.",
-                eta,
-            );
-        }
-    }
-
-    // Per-worker utilization and monitor self-accounting from the arm table.
+    // Sweep-level gauges, per-worker utilization and monitor
+    // self-accounting from the arm table.
     {
         let table = state.table.lock().unwrap();
+        if let Some(snap) = table.current {
+            let elapsed = snap.elapsed_secs();
+            let (done, total) = (snap.done as u64, snap.total as u64);
+            gauge(
+                &mut out,
+                "mab_sweep_arms_total",
+                "Arms in the current sweep.",
+                total as f64,
+            );
+            gauge(
+                &mut out,
+                "mab_sweep_arms_completed",
+                "Arms completed in the current sweep.",
+                done as f64,
+            );
+            gauge(
+                &mut out,
+                "mab_sweep_active",
+                "1 while a sweep is in flight.",
+                if snap.active { 1.0 } else { 0.0 },
+            );
+            gauge(
+                &mut out,
+                "mab_sweep_rate_runs_per_second",
+                "Completed runs per second.",
+                live::rate_per_sec(done, elapsed),
+            );
+            if let Some(eta) = live::eta_seconds(done, total, elapsed) {
+                gauge(
+                    &mut out,
+                    "mab_sweep_eta_seconds",
+                    "Estimated seconds until the sweep completes.",
+                    eta,
+                );
+            }
+        }
         out.push_str("# HELP mab_worker_busy_seconds_total Seconds spent inside completed arms.\n");
         out.push_str("# TYPE mab_worker_busy_seconds_total counter\n");
         for (worker, w) in table.workers.iter().enumerate() {
@@ -268,6 +264,26 @@ pub fn escape_label(raw: &str) -> String {
 mod tests {
     use super::*;
     use crate::state::RunInfo;
+    use mab_runner::{ArmEvent, ArmObservation};
+
+    /// Feeds `state` a sweep of `total` arms on one worker, `done` of them
+    /// finished.
+    fn sweep_progress(state: &MonitorState, total: usize, done: usize) {
+        state.observe(&ArmEvent::SweepBegin {
+            sweep: 0,
+            total,
+            jobs: 1,
+        });
+        for index in 0..done {
+            state.observe(&ArmEvent::ArmFinish(ArmObservation {
+                sweep: 0,
+                index,
+                seed: index as u64,
+                wall_ns: 1,
+                worker: 0,
+            }));
+        }
+    }
 
     /// Minimal exposition-format validator: every non-comment line is
     /// `name[{labels}] value`, names are in the legal alphabet, label
@@ -334,13 +350,8 @@ mod tests {
         rec.counters().add(Stat::ArmPulls, 42);
         rec.hist(Hist::MissLatency).record(3);
         rec.hist(Hist::MissLatency).record(200);
-        let sweep = LiveSweep {
-            done: 16,
-            total: 64,
-            started_ns: 0,
-            active: true,
-        };
-        let page = render_parts(&state, Some(&rec), Some(sweep));
+        sweep_progress(&state, 64, 16);
+        let page = render_parts(&state, Some(&rec));
         assert_parses(&page);
 
         // Info gauge carries escaped labels.
@@ -367,7 +378,7 @@ mod tests {
         // Raw-unit histogram: values 3 and 200 land in le=3 and le=255.
         rec.hist(Hist::MissLatency).record(3);
         rec.hist(Hist::MissLatency).record(200);
-        let page = render_parts(&state, Some(&rec), None);
+        let page = render_parts(&state, Some(&rec));
         assert_parses(&page);
         assert!(
             page.contains("mab_miss_latency_bucket{le=\"3\"} 1"),
@@ -400,13 +411,8 @@ mod tests {
     fn eta_gauge_appears_only_once_estimable() {
         let state = MonitorState::new(RunInfo::default());
         // No completions yet: rate renders 0, ETA is omitted entirely.
-        let fresh = LiveSweep {
-            done: 0,
-            total: 64,
-            started_ns: 0,
-            active: true,
-        };
-        let page = render_parts(&state, None, Some(fresh));
+        sweep_progress(&state, 64, 0);
+        let page = render_parts(&state, None);
         assert_parses(&page);
         assert!(page.contains("mab_sweep_rate_runs_per_second 0"), "{page}");
         assert!(!page.contains("mab_sweep_eta_seconds"), "{page}");
@@ -415,7 +421,7 @@ mod tests {
     #[test]
     fn page_without_recorder_or_sweep_still_parses() {
         let state = MonitorState::new(RunInfo::default());
-        let page = render_parts(&state, None, None);
+        let page = render_parts(&state, None);
         assert_parses(&page);
         assert!(page.contains("mab_monitor_scrapes_total 0"), "{page}");
         assert!(!page.contains("mab_arm_pulls_total"), "{page}");

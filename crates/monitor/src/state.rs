@@ -1,18 +1,20 @@
-//! Shared monitor state: the live arm table, per-worker accounting, the SSE
-//! broadcast ring, and scrape counters.
+//! Shared monitor state: the live arm table, sweep progress, per-worker
+//! accounting, the SSE broadcast ring, and scrape counters.
 //!
 //! Everything here is fed by `mab-runner`'s event-observer hook and read by
 //! the HTTP handlers. Updates take short `Mutex` sections on the *observer*
 //! side only at arm granularity (one lock per arm start/finish — never per
-//! simulated cycle), and readers copy the state out under the same lock, so
-//! a stalled HTTP client can delay another scrape but never a simulation
-//! step: the hot path inside an arm touches no monitor state at all.
+//! simulated cycle), and readers render under the same lock, so a stalled
+//! HTTP client can delay another scrape but never a simulation step: the
+//! hot path inside an arm touches no monitor state at all. Sweep progress
+//! is counted from the same events, so `/status` and `/metrics` always
+//! agree with the arm table they are rendered beside.
 
 use mab_runner::ArmEvent;
 use mab_telemetry::Ring;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Maximum arms retained in the live table; older entries are evicted (and
 /// counted) so a 100k-arm sweep cannot grow the monitor without bound.
@@ -75,6 +77,29 @@ pub struct WorkerState {
     pub running: Option<(u32, usize)>,
 }
 
+/// Progress of the most recent sweep, counted from its arm events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepState {
+    /// The sweep's sequence number.
+    pub sweep: u32,
+    /// Arms in the sweep.
+    pub total: usize,
+    /// Arms of the sweep finished so far.
+    pub done: usize,
+    /// When the monitor saw the sweep begin.
+    pub started: Instant,
+    /// True until the sweep's end event arrives.
+    pub active: bool,
+}
+
+impl SweepState {
+    /// Seconds since the sweep began.
+    #[must_use]
+    pub fn elapsed_secs(&self) -> f64 {
+        self.started.elapsed().as_secs_f64()
+    }
+}
+
 /// The live arm table plus sweep/worker aggregates, updated per arm event.
 #[derive(Debug)]
 pub struct ArmTable {
@@ -87,8 +112,8 @@ pub struct ArmTable {
     pub started: u64,
     /// Arms finished, cumulatively across sweeps.
     pub finished: u64,
-    /// The most recent sweep's id, spec count and finished count.
-    pub current: Option<(u32, usize, usize)>,
+    /// The most recent sweep, once one has begun.
+    pub current: Option<SweepState>,
 }
 
 impl Default for ArmTable {
@@ -228,10 +253,13 @@ impl MonitorState {
     pub fn observe(&self, event: &ArmEvent) {
         match *event {
             ArmEvent::SweepBegin { sweep, total, jobs } => {
-                {
-                    let mut table = self.table.lock().unwrap();
-                    table.current = Some((sweep, total, 0));
-                }
+                self.table.lock().unwrap().current = Some(SweepState {
+                    sweep,
+                    total,
+                    done: 0,
+                    started: Instant::now(),
+                    active: true,
+                });
                 self.events.publish(
                     "sweep_begin",
                     format!("{{\"sweep\":{sweep},\"total\":{total},\"jobs\":{jobs}}}"),
@@ -295,9 +323,9 @@ impl MonitorState {
                         }),
                     }
                     match &mut table.current {
-                        Some((sweep, total, done)) if *sweep == obs.sweep => {
-                            *done += 1;
-                            (*done, *total)
+                        Some(current) if current.sweep == obs.sweep => {
+                            current.done += 1;
+                            (current.done, current.total)
                         }
                         _ => (0, 0),
                     }
@@ -312,6 +340,11 @@ impl MonitorState {
                 );
             }
             ArmEvent::SweepEnd { sweep } => {
+                if let Some(current) = &mut self.table.lock().unwrap().current {
+                    if current.sweep == sweep {
+                        current.active = false;
+                    }
+                }
                 self.events
                     .publish("sweep_end", format!("{{\"sweep\":{sweep}}}"));
             }
@@ -358,7 +391,9 @@ mod tests {
             let table = state.table.lock().unwrap();
             assert_eq!(table.started, 2);
             assert_eq!(table.finished, 1);
-            assert_eq!(table.current, Some((3, 2, 1)));
+            let current = table.current.unwrap();
+            assert_eq!((current.sweep, current.total, current.done), (3, 2, 1));
+            assert!(current.active);
             assert_eq!(table.workers[0].busy_ns, 500);
             assert_eq!(table.workers[0].running, None);
             assert_eq!(table.workers[1].running, Some((3, 1)));
@@ -369,7 +404,9 @@ mod tests {
         finish(&state, 3, 1, 1, 700);
         state.observe(&ArmEvent::SweepEnd { sweep: 3 });
         let table = state.table.lock().unwrap();
-        assert_eq!(table.current, Some((3, 2, 2)));
+        let current = table.current.unwrap();
+        assert_eq!((current.sweep, current.total, current.done), (3, 2, 2));
+        assert!(!current.active);
         assert_eq!(table.workers[1].arms_finished, 1);
     }
 

@@ -1,13 +1,15 @@
 //! JSON rendering for `GET /status`.
 //!
 //! One flat document: run identity (experiment, ledger digest, code
-//! version), the live sweep figures (from the same
-//! [`mab_telemetry::live`] helpers as `/metrics` and the progress line),
-//! per-worker accounting, scrape counters, and the per-arm state table
-//! (most recent [`crate::state::ARM_TABLE_CAP`] arms). Strings and floats
-//! are written with the [`mab_telemetry::json`] codec, so the output parses
-//! with the workspace's one JSON parser — which is exactly what
-//! `mab-inspect watch` and the smoke tests do.
+//! version), the live sweep figures (counted from the runner's arm events,
+//! with rate and ETA from the same [`mab_telemetry::live`] helpers as
+//! `/metrics` and the progress line), per-worker accounting, scrape
+//! counters, and the per-arm state table (most recent
+//! [`crate::state::ARM_TABLE_CAP`] arms), all rendered under one lock of
+//! the arm table. Strings and floats are written with the
+//! [`mab_telemetry::json`] codec, so the output parses with the
+//! workspace's one JSON parser — which is exactly what `mab-inspect watch`
+//! and the smoke tests do.
 
 use crate::state::{ArmPhase, MonitorState};
 use mab_telemetry::{json, live};
@@ -26,17 +28,19 @@ pub fn render(state: &MonitorState) -> String {
         state.run.started_unix,
     ));
 
+    let table = state.table.lock().unwrap();
     out.push_str(",\"sweep\":");
-    match live::sweep_snapshot() {
+    match table.current {
         Some(snap) => {
             let elapsed = snap.elapsed_secs();
-            let rate = live::rate_per_sec(snap.done, elapsed);
-            let eta = live::eta_seconds(snap.done, snap.total, elapsed);
+            let (done, total) = (snap.done as u64, snap.total as u64);
+            let rate = live::rate_per_sec(done, elapsed);
+            let eta = live::eta_seconds(done, total, elapsed);
             out.push_str(&format!(
                 "{{\"active\":{},\"done\":{},\"total\":{},\"elapsed_secs\":{},\"rate_per_sec\":{},\"eta_secs\":{},\"eta\":\"{}\"}}",
                 snap.active,
-                snap.done,
-                snap.total,
+                done,
+                total,
                 json::fmt_f64(elapsed),
                 json::fmt_f64(rate),
                 eta.map_or("null".to_string(), json::fmt_f64),
@@ -54,8 +58,6 @@ pub fn render(state: &MonitorState) -> String {
         state.sse_dropped.load(Ordering::Relaxed),
         state.http.rejected_conns.load(Ordering::Relaxed),
     ));
-
-    let table = state.table.lock().unwrap();
     out.push_str(&format!(
         ",\"arms_started\":{},\"arms_finished\":{},\"arm_rows_evicted\":{}",
         table.started,

@@ -31,17 +31,21 @@
 //! Panics inside a run are caught per-spec; the sweep drains, then fails
 //! with the lowest offending spec index so the error is deterministic too.
 //!
-//! The workspace is offline (no rayon — shims only), so the pool is a
-//! hand-rolled `std::thread::scope` fan-out; see [`sweep`].
+//! The workspace is offline (no rayon — shims only), so the fan-out is a
+//! hand-rolled `std::thread::scope` over an atomic cursor; see [`sweep`].
+//! Its workers live only as long as one sweep. `mab-serve`, which runs a
+//! stream of arms for many clients, keeps its own worker threads that pull
+//! from its fair scheduler.
+//!
+//! Observers ([`add_observer`]) receive every sweep's [`ArmEvent`]s: the
+//! run ledger and the live monitor both learn sweep progress from them.
 
 pub mod observe;
-pub mod pool;
 mod seed;
 mod sweep;
 
 pub use observe::{
     add_observer, remove_observer, ArmEvent, ArmObservation, EventObserver, ObserverId,
 };
-pub use pool::{CancelToken, TaskHandle, WorkerPool};
 pub use seed::child_seed;
 pub use sweep::{available_jobs, sweep, RunCtx, SweepError, SweepOptions};

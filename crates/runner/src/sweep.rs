@@ -159,9 +159,12 @@ where
             }
         }
     };
-    let end_sweep = || {
-        mab_telemetry::blackbox::sweep_end(specs.len());
-        if listeners.is_some() {
+    // Only a sweep whose every arm completed reports its end to observers
+    // and the black box's ring; a failed one just stops.
+    let end_sweep = |completed: bool| {
+        progress.finish();
+        mab_telemetry::blackbox::sweep_end(completed.then_some(specs.len()));
+        if completed && listeners.is_some() {
             emit(&crate::observe::ArmEvent::SweepEnd { sweep: sweep_id });
         }
     };
@@ -172,10 +175,7 @@ where
             .enumerate()
             .map(|(index, spec)| run_one(index, 0, spec))
             .collect();
-        progress.finish();
-        if results.is_ok() {
-            end_sweep();
-        }
+        end_sweep(results.is_ok());
         return results;
     }
 
@@ -215,11 +215,11 @@ where
         }
     });
 
-    progress.finish();
     if let Some(error) = failure.into_inner().unwrap() {
+        end_sweep(false);
         return Err(error);
     }
-    end_sweep();
+    end_sweep(true);
     let results = slots.into_inner().unwrap();
     // Every slot was filled: no failure occurred, so every claimed index
     // stored a result, and the cursor only stops advancing past the end.

@@ -1,5 +1,5 @@
-//! Sweep-as-a-service daemon: HTTP front end over the shared worker pool
-//! and the content-addressed result cache.
+//! Sweep-as-a-service daemon: HTTP front end over the fair scheduler, its
+//! worker threads and the content-addressed result cache.
 //!
 //! ```text
 //! mab-serve [--addr HOST:PORT] [--cache-dir DIR] [--ledger DIR]

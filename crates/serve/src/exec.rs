@@ -5,24 +5,21 @@
 //! does exactly that — it spawns the experiment binary as a subprocess
 //! with the spec's argv and captures stdout — which makes the
 //! byte-identity guarantee *structural*: the served artifact IS the
-//! binary's output, not a reimplementation of it. Subprocesses also give
-//! clean cancellation (kill) and isolate the process-global telemetry
-//! state that concurrent in-process runs would trample.
+//! binary's output, not a reimplementation of it. Subprocesses also
+//! isolate the process-global telemetry state that concurrent in-process
+//! runs would trample.
 //!
 //! Tests and benchmarks inject their own [`Executor`] implementations
 //! (counting stubs, synthetic workloads) to exercise the queue, cache and
 //! scheduler without paying for real simulations.
 
 use mab_experiments::spec::RunSpec;
-use mab_runner::CancelToken;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::time::Duration;
 
 /// Produces the report (stdout) for one resolved arm.
 pub trait Executor: Send + Sync {
-    /// Runs `spec` to completion, polling `cancel` at checkpoints.
+    /// Runs `spec` to completion on the calling worker thread.
     ///
     /// `crash_dir` is where the execution should leave a `.mabcrash`
     /// flight-recorder report if it dies (the daemon passes a per-job
@@ -32,13 +29,8 @@ pub trait Executor: Send + Sync {
     /// # Errors
     ///
     /// A human-readable failure message (spawn failure, non-zero exit,
-    /// cancellation).
-    fn run(
-        &self,
-        spec: &RunSpec,
-        cancel: &CancelToken,
-        crash_dir: Option<&Path>,
-    ) -> Result<String, String>;
+    /// unreadable output).
+    fn run(&self, spec: &RunSpec, crash_dir: Option<&Path>) -> Result<String, String>;
 }
 
 /// Runs arms by spawning the experiment binaries found in `bin_dir`.
@@ -63,18 +55,12 @@ impl BinaryExecutor {
 }
 
 impl Executor for BinaryExecutor {
-    fn run(
-        &self,
-        spec: &RunSpec,
-        cancel: &CancelToken,
-        crash_dir: Option<&Path>,
-    ) -> Result<String, String> {
+    fn run(&self, spec: &RunSpec, crash_dir: Option<&Path>) -> Result<String, String> {
         let program = self.bin_dir.join(&spec.experiment);
         let mut command = Command::new(&program);
         command
             .args(spec.cli_args())
             .stdin(Stdio::null())
-            .stdout(Stdio::piped())
             .stderr(Stdio::null())
             // Quiet progress lines; never inherit ledger/monitor settings —
             // the daemon does its own recording.
@@ -91,42 +77,13 @@ impl Executor for BinaryExecutor {
                 command.env_remove("MAB_CRASH_DIR");
             }
         }
-        let mut child = command
-            .spawn()
+        let output = command
+            .output()
             .map_err(|e| format!("spawn {} failed: {e}", program.display()))?;
-
-        // Drain stdout on a helper thread so a report larger than the pipe
-        // buffer cannot deadlock against our wait loop.
-        let mut stdout = child.stdout.take().expect("stdout was piped");
-        let reader = std::thread::spawn(move || {
-            let mut out = String::new();
-            stdout.read_to_string(&mut out).map(|_| out)
-        });
-
-        let status = loop {
-            if cancel.is_cancelled() {
-                let _ = child.kill();
-                let _ = child.wait();
-                let _ = reader.join();
-                return Err("cancelled".to_string());
-            }
-            match child.try_wait() {
-                Ok(Some(status)) => break status,
-                Ok(None) => std::thread::sleep(Duration::from_millis(20)),
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = reader.join();
-                    return Err(format!("wait on {} failed: {e}", spec.experiment));
-                }
-            }
-        };
-        let report = reader
-            .join()
-            .map_err(|_| "stdout reader panicked".to_string())?
-            .map_err(|e| format!("reading {} stdout failed: {e}", spec.experiment))?;
-        if !status.success() {
-            return Err(format!("{} exited with {status}", spec.experiment));
+        if !output.status.success() {
+            return Err(format!("{} exited with {}", spec.experiment, output.status));
         }
-        Ok(report)
+        String::from_utf8(output.stdout)
+            .map_err(|e| format!("reading {} stdout failed: {e}", spec.experiment))
     }
 }

@@ -1,15 +1,15 @@
-//! The daemon's core: job table, fair scheduler, dispatcher and the
+//! The daemon's core: job table, fair scheduler, worker threads and the
 //! cache/ledger tie-ins.
 //!
 //! # Scheduling
 //!
 //! Every submitted job expands to arms queued under the submitting
-//! client's id. A single dispatcher thread picks arms **round-robin
-//! across clients** and hands each one to the shared
-//! [`mab_runner::WorkerPool`]; because the pool's `submit` blocks until a
-//! worker is idle (the lease discipline), the round-robin choice is made
-//! exactly when capacity frees up — one client's thousand-arm sweep
-//! cannot starve another client's two-arm probe. Admission is bounded:
+//! client's id. `workers` threads each wait on the scheduler's condition
+//! variable and, whenever they are free, pull the next arm **round-robin
+//! across clients** and run it themselves. The round-robin choice is
+//! therefore made exactly when capacity frees up — one client's
+//! thousand-arm sweep cannot starve another client's two-arm probe — and
+//! at most `workers` arms are ever running. Admission is bounded:
 //! when the number of admitted-but-unfinished arms would exceed
 //! `queue_cap`, submission fails with [`SubmitError::QueueFull`] (HTTP
 //! `429`). A job whose grid alone exceeds `queue_cap` never gets here:
@@ -17,7 +17,7 @@
 //!
 //! # Memoization
 //!
-//! Before executing, the dispatcher consults the content-addressed
+//! Before executing, a worker consults the content-addressed
 //! [`Cache`] (same digest ⇒ byte-identical output, by the runner's
 //! determinism discipline) and the **in-flight table**: an arm whose
 //! digest is already executing subscribes to that execution instead of
@@ -27,9 +27,9 @@
 //!
 //! # Shutdown
 //!
-//! [`ServeState::shutdown`] stops the dispatcher, drains in-flight arms
-//! (their results land in the cache), and persists the job table to
-//! `jobs.json` under the cache root; the next start resumes it, and
+//! [`ServeState::shutdown`] stops the workers once each finishes its
+//! current arm (its result lands in the cache), and persists the job table
+//! to `jobs.json` under the cache root; the next start resumes it, and
 //! already-completed arms come back as instant cache hits.
 
 use crate::cache::Cache;
@@ -116,12 +116,11 @@ struct Sched {
     /// Digest → arms subscribed to an execution already in flight. The
     /// executing arm itself is not listed.
     inflight: HashMap<String, Vec<(u64, usize)>>,
-    /// Dispatcher stop flag.
+    /// Worker stop flag.
     stop: bool,
 }
 
-/// Shared daemon state: everything the API surface and the dispatcher
-/// touch.
+/// Shared daemon state: everything the API surface and the workers touch.
 pub struct ServeState {
     /// Static configuration.
     pub config: ServeConfig,
@@ -133,8 +132,7 @@ pub struct ServeState {
     jobs: Mutex<JobTable>,
     sched: Mutex<Sched>,
     sched_cv: Condvar,
-    pool: mab_runner::WorkerPool,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     draining: AtomicBool,
     /// Global progress stream (`GET /events`).
     pub events: EventRing,
@@ -164,8 +162,8 @@ impl std::fmt::Debug for ServeState {
 }
 
 impl ServeState {
-    /// Opens the cache, restores any persisted job table, and starts the
-    /// dispatcher over a fresh worker pool.
+    /// Opens the cache, restores any persisted job table, and starts
+    /// `config.workers` (at least one) worker threads.
     ///
     /// # Errors
     ///
@@ -175,7 +173,6 @@ impl ServeState {
         executor: Arc<dyn Executor>,
     ) -> std::io::Result<Arc<ServeState>> {
         let cache = Cache::open(&config.cache_dir)?;
-        let workers = config.workers.max(1);
         let state = Arc::new(ServeState {
             code: mab_ledger::code_version(),
             cache,
@@ -183,8 +180,7 @@ impl ServeState {
             jobs: Mutex::new(JobTable::default()),
             sched: Mutex::new(Sched::default()),
             sched_cv: Condvar::new(),
-            pool: mab_runner::WorkerPool::new(workers),
-            dispatcher: Mutex::new(None),
+            workers: Mutex::new(Vec::new()),
             draining: AtomicBool::new(false),
             events: EventRing::default(),
             sse_clients: AtomicU64::new(0),
@@ -200,13 +196,25 @@ impl ServeState {
         if resumed > 0 {
             state.progress(&format!("resumed {resumed} unfinished arms from jobs.json"));
         }
-        let dispatcher_state = Arc::clone(&state);
-        *state.dispatcher.lock().unwrap() = Some(
-            std::thread::Builder::new()
-                .name("mab-serve-dispatch".to_string())
-                .spawn(move || dispatcher_loop(&dispatcher_state))?,
-        );
+        for n in 0..state.worker_count() {
+            let worker_state = Arc::clone(&state);
+            let handle = std::thread::Builder::new()
+                .name(format!("mab-serve-worker-{n}"))
+                .spawn(move || worker_loop(&worker_state));
+            match handle {
+                Ok(handle) => state.workers.lock().unwrap().push(handle),
+                Err(e) => {
+                    state.shutdown();
+                    return Err(e);
+                }
+            }
+        }
         Ok(state)
+    }
+
+    /// Worker threads executing arms: `config.workers`, at least one.
+    fn worker_count(&self) -> usize {
+        self.config.workers.max(1)
     }
 
     fn progress(&self, message: &str) {
@@ -392,7 +400,7 @@ impl ServeState {
              \"arms_executed\":{},\"arms_cached\":{},\"crashes\":{},\
              \"rejected_submissions\":{},\"cache_entries\":{},\"queued\":{{",
             json::escape(&self.code),
-            self.pool.workers(),
+            self.worker_count(),
             self.config.queue_cap,
             self.draining(),
             self.arms_executed.load(Ordering::Relaxed),
@@ -486,7 +494,7 @@ impl ServeState {
             &mut out,
             "mab_serve_workers",
             "Executor worker threads.",
-            self.pool.workers() as f64,
+            self.worker_count() as f64,
         );
         gauge(
             &mut out,
@@ -569,19 +577,19 @@ impl ServeState {
         out
     }
 
-    /// Graceful shutdown: stop dispatching, drain in-flight arms into the
-    /// cache, persist the job table for resume. Idempotent.
+    /// Graceful shutdown: stop the workers once each finishes its current
+    /// arm (its result lands in the cache), then persist the job table for
+    /// resume. Idempotent.
     pub fn shutdown(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        {
-            let mut sched = self.sched.lock().unwrap();
-            sched.stop = true;
-        }
+        self.sched.lock().unwrap().stop = true;
         self.sched_cv.notify_all();
-        if let Some(handle) = self.dispatcher.lock().unwrap().take() {
-            let _ = handle.join();
+        let workers = std::mem::take(&mut *self.workers.lock().unwrap());
+        for handle in workers {
+            if handle.join().is_err() {
+                self.progress("a worker thread panicked");
+            }
         }
-        self.pool.drain();
         match self.persist() {
             Ok(unfinished) => {
                 if unfinished > 0 {
@@ -889,9 +897,9 @@ impl ServeState {
         sched.open_arms = sched.open_arms.saturating_sub(1);
     }
 
-    /// Handles one scheduled arm: cache hit, in-flight subscription, or a
-    /// leased execution on the pool.
-    fn process(self: &Arc<Self>, job_id: u64, arm_idx: usize) {
+    /// Handles one scheduled arm on the calling worker: cache hit,
+    /// in-flight subscription, or execution.
+    fn process(&self, job_id: u64, arm_idx: usize) {
         let started = Instant::now();
         let (spec, digest) = {
             let jobs = self.jobs.lock().unwrap();
@@ -918,50 +926,48 @@ impl ServeState {
             }
             sched.inflight.insert(digest.clone(), Vec::new());
         }
-        // 3. Execute. `pool.submit` blocks until a worker leases the arm,
-        // which is what keeps the round-robin fair under load.
+        // 3. Execute here, on this worker.
         self.mark_running(job_id, arm_idx);
-        let state = Arc::clone(self);
-        self.pool.submit(move |cancel| {
-            let crash_dir = state.job_crash_dir(job_id);
-            let result = state.executor.run(&spec, cancel, Some(&crash_dir));
-            let wall_ms = elapsed_ms(started);
-            let subscribers = {
-                let mut sched = state.sched.lock().unwrap();
-                sched.inflight.remove(&digest).unwrap_or_default()
-            };
-            match result {
-                Ok(report) => {
-                    if let Err(e) = state.cache.store(&digest, &spec.experiment, &report) {
-                        state.progress(&format!("cache store for {digest} failed: {e}"));
-                    }
-                    state.arms_executed.fetch_add(1, Ordering::Relaxed);
-                    state.complete_arm(job_id, arm_idx, false, wall_ms, None);
-                    for (sub_job, sub_arm) in subscribers {
-                        state.arms_cached.fetch_add(1, Ordering::Relaxed);
-                        state.complete_arm(sub_job, sub_arm, true, wall_ms, None);
-                    }
+        let crash_dir = self.job_crash_dir(job_id);
+        let result = self.executor.run(&spec, Some(&crash_dir));
+        let wall_ms = elapsed_ms(started);
+        let subscribers = {
+            let mut sched = self.sched.lock().unwrap();
+            sched.inflight.remove(&digest).unwrap_or_default()
+        };
+        match result {
+            Ok(report) => {
+                if let Err(e) = self.cache.store(&digest, &spec.experiment, &report) {
+                    self.progress(&format!("cache store for {digest} failed: {e}"));
                 }
-                Err(message) => {
-                    state.complete_arm(job_id, arm_idx, false, wall_ms, Some(message.clone()));
-                    for (sub_job, sub_arm) in subscribers {
-                        state.complete_arm(
-                            sub_job,
-                            sub_arm,
-                            false,
-                            wall_ms,
-                            Some(format!("shared execution failed: {message}")),
-                        );
-                    }
+                self.arms_executed.fetch_add(1, Ordering::Relaxed);
+                self.complete_arm(job_id, arm_idx, false, wall_ms, None);
+                for (sub_job, sub_arm) in subscribers {
+                    self.arms_cached.fetch_add(1, Ordering::Relaxed);
+                    self.complete_arm(sub_job, sub_arm, true, wall_ms, None);
                 }
             }
-        });
+            Err(message) => {
+                self.complete_arm(job_id, arm_idx, false, wall_ms, Some(message.clone()));
+                for (sub_job, sub_arm) in subscribers {
+                    self.complete_arm(
+                        sub_job,
+                        sub_arm,
+                        false,
+                        wall_ms,
+                        Some(format!("shared execution failed: {message}")),
+                    );
+                }
+            }
+        }
     }
 }
 
-fn dispatcher_loop(state: &Arc<ServeState>) {
+/// One worker: waits until the scheduler yields an arm (round-robin across
+/// clients) or shutdown begins, runs it, and repeats.
+fn worker_loop(state: &ServeState) {
     loop {
-        let item = {
+        let (job_id, arm_idx) = {
             let mut sched = state.sched.lock().unwrap();
             loop {
                 if sched.stop {
@@ -973,7 +979,7 @@ fn dispatcher_loop(state: &Arc<ServeState>) {
                 sched = state.sched_cv.wait(sched).unwrap();
             }
         };
-        state.process(item.0, item.1);
+        state.process(job_id, arm_idx);
     }
 }
 

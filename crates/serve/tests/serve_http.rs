@@ -3,11 +3,10 @@
 
 use mab_monitor::client::{self, SseClient};
 use mab_monitor::http;
-use mab_runner::CancelToken;
 use mab_serve::{api, Executor, ServeConfig, ServeState};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Deterministic stub: report derived from the spec, optional artificial
@@ -34,21 +33,39 @@ impl Executor for StubExecutor {
     fn run(
         &self,
         spec: &mab_experiments::spec::RunSpec,
-        cancel: &CancelToken,
         _crash_dir: Option<&std::path::Path>,
     ) -> Result<String, String> {
-        let deadline = Instant::now() + self.delay;
-        while Instant::now() < deadline {
-            if cancel.is_cancelled() {
-                return Err("cancelled".to_string());
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        std::thread::sleep(self.delay);
         self.runs.fetch_add(1, Ordering::SeqCst);
         Ok(format!(
             "report {} i={} s={} m={} q={}\n",
             spec.experiment, spec.instructions, spec.seed, spec.mixes, spec.quick
         ))
+    }
+}
+
+/// Seed of the one arm [`GateExecutor`] holds.
+const GATE_SEED: u64 = 1_000;
+
+/// Finishes every arm at once except the one with seed [`GATE_SEED`],
+/// which it announces on `started` and holds until the test drops the
+/// sender of `release`.
+struct GateExecutor {
+    started: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Executor for GateExecutor {
+    fn run(
+        &self,
+        spec: &mab_experiments::spec::RunSpec,
+        _crash_dir: Option<&std::path::Path>,
+    ) -> Result<String, String> {
+        if spec.seed == GATE_SEED {
+            self.started.lock().unwrap().send(()).ok();
+            self.release.lock().unwrap().recv().ok();
+        }
+        Ok(format!("seed={}\n", spec.seed))
     }
 }
 
@@ -395,7 +412,6 @@ impl Executor for CrashingExecutor {
     fn run(
         &self,
         spec: &mab_experiments::spec::RunSpec,
-        _cancel: &CancelToken,
         crash_dir: Option<&std::path::Path>,
     ) -> Result<String, String> {
         let dir = crash_dir.expect("daemon passes a per-job crash dir");
@@ -563,5 +579,66 @@ fn shutdown_persists_unfinished_jobs_and_resume_completes_them() {
     let artifact = state.artifact(id, Some(2)).unwrap();
     assert!(artifact.contains("s=3"));
     state.shutdown();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn one_worker_runs_one_arm_at_a_time_and_serves_clients_round_robin() {
+    let (started_tx, started) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let executor = GateExecutor {
+        started: Mutex::new(started_tx),
+        release: Mutex::new(release_rx),
+    };
+    let srv = TestServer::start_with("one-worker", Arc::new(executor), 1, 64);
+    let mut sse =
+        SseClient::connect(&format!("{}/events", srv.url), Duration::from_secs(5)).unwrap();
+    let post = |client: &str, seeds: &str| {
+        job_id(&srv.post_job(&format!(
+            "{{\"experiment\":\"fig09_accuracy\",\"client\":\"{client}\",\"seeds\":{seeds},\"quick\":true}}"
+        )))
+    };
+
+    // The gate arm holds the only worker while A, then B, queue theirs.
+    let gate = post("gate", &GATE_SEED.to_string());
+    started
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the gate arm never started");
+    let a = post("a", "[1,2,3]");
+    let b = post("b", "[4,5]");
+    let (events, _) = srv.state.events.wait_after(0, Duration::ZERO);
+    let running = events
+        .iter()
+        .filter(|(_, event, _)| *event == "arm_start")
+        .count();
+    assert_eq!(running, 1, "one worker, yet arm_start events: {events:?}");
+    drop(release);
+
+    // Once free, the worker alternates between the clients.
+    let mut order = String::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while order.len() < 5 {
+        assert!(Instant::now() < deadline, "arm_start order so far: {order}");
+        let frame = match sse.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => panic!("event stream closed; order so far: {order}"),
+            Err(_) => continue,
+        };
+        if frame.event != "arm_start" {
+            continue;
+        }
+        let doc = mab_telemetry::json::parse(&frame.data).unwrap();
+        match doc.get("job").and_then(|v| v.as_u64()) {
+            Some(job) if job == a => order.push('A'),
+            Some(job) if job == b => order.push('B'),
+            _ => {}
+        }
+    }
+    assert_eq!(order, "ABABA");
+
+    for id in [gate, a, b] {
+        srv.wait_done(id);
+    }
+    let dir = srv.stop();
     std::fs::remove_dir_all(dir).ok();
 }

@@ -2,8 +2,8 @@
 //!
 //! One test in its own binary: the profiler is process-global, and the
 //! wall-time bound below only holds with no sibling test threads sharing
-//! the process.
-#![cfg(feature = "telemetry")]
+//! the process. It needs the probes compiled in (`--features telemetry`)
+//! and passes vacuously without them.
 
 use mab_smtsim::{BanditController, SmtParams, SmtPipeline};
 use mab_telemetry::profile;
@@ -12,6 +12,9 @@ use std::time::Instant;
 
 #[test]
 fn stage_spans_sum_to_at_most_the_run_wall_time() {
+    if !mab_telemetry::STATIC_ENABLED {
+        return;
+    }
     profile::reset();
     profile::set_enabled(true);
     let specs = [

@@ -36,7 +36,7 @@ use crate::json::{self, JsonValue};
 use crate::ring::Ring;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock};
 
 /// Events retained per thread; the oldest beyond this are dropped (and
@@ -57,6 +57,12 @@ static STATE: AtomicU8 = AtomicU8::new(0);
 static SEQ: AtomicU64 = AtomicU64::new(0);
 /// Uniquifies report names when several dumps happen in one second.
 static DUMPS: AtomicU32 = AtomicU32::new(0);
+/// The newest sweep's progress for the report's sweep line: arms in it,
+/// arms finished, and whether it is still running. Only the sweep hooks
+/// write them; a dump reads each once, so it never waits on a writer.
+static SWEEP_TOTAL: AtomicU64 = AtomicU64::new(0);
+static SWEEP_DONE: AtomicU64 = AtomicU64::new(0);
+static SWEEP_ACTIVE: AtomicBool = AtomicBool::new(false);
 
 /// True while the black box is recording. One relaxed load; inline so the
 /// idle cost at every probe site is a branch.
@@ -399,28 +405,38 @@ pub fn arm_finish(index: usize) {
     if !is_on() {
         return;
     }
+    SWEEP_DONE.fetch_add(1, Ordering::Relaxed);
     with_ring(|r| {
         r.push(BbEvent::ArmFinish { index });
         r.inner.lock().unwrap().arm = None;
     });
 }
 
-/// Records a sweep starting (`total` arms).
+/// Records a sweep starting (`total` arms); the report's sweep line follows
+/// the newest sweep.
 #[inline]
 pub fn sweep_begin(total: usize) {
     if !is_on() {
         return;
     }
+    SWEEP_DONE.store(0, Ordering::Relaxed);
+    SWEEP_TOTAL.store(total as u64, Ordering::Relaxed);
+    SWEEP_ACTIVE.store(true, Ordering::Relaxed);
     with_ring(|r| r.push(BbEvent::SweepBegin { total }));
 }
 
-/// Records a sweep ending (`done` arms completed).
+/// Records a sweep ending. A sweep that completed (`Some(done)` arms) also
+/// leaves a ring event; one stopped by a panicking arm (`None`) only marks
+/// the report's sweep line inactive.
 #[inline]
-pub fn sweep_end(done: usize) {
+pub fn sweep_end(done: Option<usize>) {
     if !is_on() {
         return;
     }
-    with_ring(|r| r.push(BbEvent::SweepEnd { done }));
+    SWEEP_ACTIVE.store(false, Ordering::Relaxed);
+    if let Some(done) = done {
+        with_ring(|r| r.push(BbEvent::SweepEnd { done }));
+    }
 }
 
 /// Records a `mab-serve` job/queue transition.
@@ -553,10 +569,12 @@ fn render_body(
         cpus(),
         json::escape(&hostname())
     ));
-    if let Some(sweep) = crate::live::sweep_snapshot() {
+    let total = SWEEP_TOTAL.load(Ordering::Relaxed);
+    if total != 0 {
         body.push_str(&format!(
-            "{{\"kind\":\"sweep\",\"done\":{},\"total\":{},\"active\":{}}}\n",
-            sweep.done, sweep.total, sweep.active
+            "{{\"kind\":\"sweep\",\"done\":{},\"total\":{total},\"active\":{}}}\n",
+            SWEEP_DONE.load(Ordering::Relaxed),
+            SWEEP_ACTIVE.load(Ordering::Relaxed)
         ));
     }
     // The crashing thread's current sweep arm, if it was running one.

@@ -18,10 +18,11 @@
 //!   lowest crate, so every writer and reader of an artifact (exporters,
 //!   black box, ledger, trace container, daemons, inspector) shares them.
 //! - [`export`] — hand-rolled JSON-lines and CSV exporters.
-//! - [`summary`] — the periodic-summary sink used by experiment binaries.
-//! - [`live`] — the seqlock'd sweep-progress cell and the shared ETA/rate
-//!   formatting consumed by both the stderr progress line and the
-//!   `mab-monitor` live endpoints.
+//! - [`summary`] — stderr progress lines, the sweep progress display and
+//!   the end-of-run counter summary used by experiment binaries.
+//! - [`live`] — the shared ETA/rate arithmetic and formatting behind the
+//!   stderr progress line, the `mab-monitor` live endpoints and
+//!   `mab-inspect watch`.
 //! - [`span`] / [`profile`] — hierarchical span profiler: thread-local span
 //!   stacks with sampled timing, run-scoped deterministic merging, and
 //!   flamegraph-compatible collapsed-stack export.
@@ -71,7 +72,6 @@ pub use hist::{Hist, Histogram};
 pub use profile::ProfileReport;
 pub use ring::Ring;
 pub use span::{Category, SpanGuard, SpanTotals};
-pub use summary::SummarySink;
 pub use trace::{ArmProbe, DecisionRecord, TraceRing};
 
 use std::io;

@@ -1,131 +1,12 @@
-//! Live sweep-progress cell and shared progress formatting.
+//! Shared sweep-progress arithmetic and formatting.
 //!
-//! The experiment binaries have two consumers of "how far along is this
-//! sweep": the stderr progress/ETA line ([`crate::summary::SweepProgress`])
-//! and the live monitoring plane (`mab-monitor`'s `/metrics` and `/status`
-//! endpoints). Both read the same process-wide cell, written by the sweep
-//! engine once per arm completion, and both derive their ETA/rate figures
-//! from the helpers here — there is exactly one implementation of that
+//! Three places show "how far along is this sweep": the stderr
+//! progress/ETA line ([`crate::summary::SweepProgress`]), `mab-monitor`'s
+//! `/metrics` and `/status` endpoints, and `mab-inspect watch`. Each keeps
+//! its own `(done, total, elapsed)` figures (the monitor counts the
+//! runner's arm events under its table lock) and derives rate and ETA from
+//! the helpers here, so there is exactly one implementation of that
 //! arithmetic and formatting.
-//!
-//! # The seqlock cell
-//!
-//! Writers are rare (one update per completed arm, never per simulated
-//! cycle) but readers are asynchronous: an HTTP scrape may land mid-update.
-//! The cell therefore follows the seqlock protocol over plain atomics: the
-//! writer bumps a sequence counter to an odd value, stores the fields, then
-//! bumps it even; a reader re-reads the sequence after loading the fields
-//! and retries when it observed a torn (odd or changed) sequence. No locks
-//! are taken on either side, so a stalled scraper can never block a sweep
-//! worker.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
-
-/// Process monotonic anchor: all cell timestamps are nanoseconds since the
-/// first call, so they fit in an `AtomicU64`.
-static ANCHOR: OnceLock<Instant> = OnceLock::new();
-
-/// Nanoseconds since the process anchor (first use).
-#[must_use]
-pub fn now_ns() -> u64 {
-    ANCHOR.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// Seqlock-protocol sweep-progress cell. All fields are independent atomics
-/// kept consistent by the sequence counter, so the implementation needs no
-/// `unsafe`.
-struct Cell {
-    seq: AtomicU64,
-    done: AtomicU64,
-    total: AtomicU64,
-    started_ns: AtomicU64,
-    /// 1 while a sweep is in flight, 0 after [`sweep_finished`].
-    active: AtomicU64,
-}
-
-static CELL: Cell = Cell {
-    seq: AtomicU64::new(0),
-    done: AtomicU64::new(0),
-    total: AtomicU64::new(0),
-    started_ns: AtomicU64::new(0),
-    active: AtomicU64::new(0),
-};
-
-/// Point-in-time view of the current (or most recent) sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LiveSweep {
-    /// Arms completed so far.
-    pub done: u64,
-    /// Arms in the sweep.
-    pub total: u64,
-    /// Sweep start, in [`now_ns`] time.
-    pub started_ns: u64,
-    /// Whether the sweep is still in flight.
-    pub active: bool,
-}
-
-impl LiveSweep {
-    /// Seconds elapsed since the sweep started.
-    #[must_use]
-    pub fn elapsed_secs(&self) -> f64 {
-        now_ns().saturating_sub(self.started_ns) as f64 / 1e9
-    }
-}
-
-fn write_cell(f: impl FnOnce()) {
-    // Odd sequence marks the cell torn; Release publishes the field stores
-    // before the closing (even) bump becomes visible.
-    let seq = CELL.seq.load(Ordering::Relaxed);
-    CELL.seq.store(seq.wrapping_add(1), Ordering::Release);
-    f();
-    CELL.seq.store(seq.wrapping_add(2), Ordering::Release);
-}
-
-/// Marks the start of a sweep of `total` arms. Called by the sweep engine;
-/// overwrites any previous sweep (the cell tracks the newest one).
-pub fn sweep_started(total: u64) {
-    let start = now_ns();
-    write_cell(|| {
-        CELL.done.store(0, Ordering::Relaxed);
-        CELL.total.store(total, Ordering::Relaxed);
-        CELL.started_ns.store(start, Ordering::Relaxed);
-        CELL.active.store(1, Ordering::Relaxed);
-    });
-}
-
-/// Publishes `done` completed arms.
-pub fn sweep_progressed(done: u64) {
-    write_cell(|| CELL.done.store(done, Ordering::Relaxed));
-}
-
-/// Marks the sweep finished; the final counts stay readable.
-pub fn sweep_finished() {
-    write_cell(|| CELL.active.store(0, Ordering::Relaxed));
-}
-
-/// Reads a consistent snapshot of the cell, or `None` when no sweep has
-/// ever been published. Retries while a writer holds the cell torn.
-#[must_use]
-pub fn sweep_snapshot() -> Option<LiveSweep> {
-    loop {
-        let before = CELL.seq.load(Ordering::Acquire);
-        if before % 2 == 1 {
-            std::hint::spin_loop();
-            continue;
-        }
-        let snap = LiveSweep {
-            done: CELL.done.load(Ordering::Relaxed),
-            total: CELL.total.load(Ordering::Relaxed),
-            started_ns: CELL.started_ns.load(Ordering::Relaxed),
-            active: CELL.active.load(Ordering::Relaxed) == 1,
-        };
-        if CELL.seq.load(Ordering::Acquire) == before {
-            return (snap.total != 0).then_some(snap);
-        }
-    }
-}
 
 /// Completed runs per second; 0 when nothing has finished or no time has
 /// passed (never negative, never non-finite).
@@ -190,63 +71,6 @@ pub fn format_eta(eta_secs: Option<f64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_round_trips_the_cell() {
-        // The cell is process-global and other tests may write it between
-        // this test's stores; retry until an undisturbed round trip lands.
-        for attempt in 0.. {
-            sweep_started(2_064);
-            sweep_progressed(12);
-            let snap = sweep_snapshot().expect("cell was published");
-            if attempt < 100 && (snap.total != 2_064 || snap.done != 12 || !snap.active) {
-                continue;
-            }
-            assert_eq!(snap.done, 12);
-            assert_eq!(snap.total, 2_064);
-            assert!(snap.active);
-            sweep_finished();
-            let done = sweep_snapshot().expect("final counts stay readable");
-            if attempt < 100 && (done.total != 2_064 || done.active) {
-                continue;
-            }
-            assert!(!done.active);
-            assert_eq!(done.total, 2_064);
-            break;
-        }
-    }
-
-    #[test]
-    fn concurrent_reads_never_tear() {
-        // Hammer the cell from a writer while readers assert they only ever
-        // see (done <= total) pairs from the same generation. The cell is
-        // process-global and other tests in this binary also write it, so
-        // the writer marks its generations with totals no other test uses
-        // and the reader only judges those.
-        const MARK: u64 = 1_000_000;
-        let writer = std::thread::spawn(|| {
-            for round in 1..200u64 {
-                sweep_started(MARK + round);
-                for d in 0..=round.min(16) {
-                    sweep_progressed(d);
-                }
-                sweep_finished();
-            }
-        });
-        for _ in 0..2000 {
-            if let Some(snap) = sweep_snapshot() {
-                if snap.total >= MARK {
-                    assert!(
-                        snap.done <= snap.total,
-                        "torn read: {} > {}",
-                        snap.done,
-                        snap.total
-                    );
-                }
-            }
-        }
-        writer.join().unwrap();
-    }
 
     #[test]
     fn rate_handles_degenerate_inputs() {

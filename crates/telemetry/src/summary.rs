@@ -1,5 +1,5 @@
-//! Periodic-summary sink: structured progress lines and end-of-run counter
-//! summaries on stderr.
+//! Structured progress lines, the sweep progress display and the
+//! end-of-run counter summary on stderr.
 //!
 //! This module is deliberately *not* gated by the `on` feature: experiment
 //! binaries route their human-facing progress through it unconditionally
@@ -41,10 +41,9 @@ pub fn progress_line(msg: &str) {
 /// Live progress/ETA display for sweeps: `[mab] sweep 12/64 runs, 3.2
 /// runs/s, ETA 16s`, redrawn in place on stderr. The line renders only when
 /// stderr is a TTY and quiet mode is off — on CI logs and redirected
-/// streams it is fully inert — but every tick also publishes the
-/// [`crate::live`] sweep-progress cell, so the monitoring plane sees
-/// progress regardless of the terminal. The line and the cell's `/metrics`
-/// consumers derive rate and ETA from the same [`crate::live`] helpers.
+/// streams it is fully inert. It derives rate and ETA from the same
+/// [`crate::live`] helpers as the monitoring plane, which counts progress
+/// from the runner's arm events instead.
 pub struct SweepProgress {
     total: usize,
     done: AtomicUsize,
@@ -56,7 +55,6 @@ pub struct SweepProgress {
 impl SweepProgress {
     /// A progress display for `total` runs.
     pub fn new(total: usize) -> Self {
-        crate::live::sweep_started(total as u64);
         SweepProgress {
             total,
             done: AtomicUsize::new(0),
@@ -71,14 +69,12 @@ impl SweepProgress {
         self.active
     }
 
-    /// Records one completed run, publishes the live cell, and redraws
-    /// (throttled to ~10 Hz).
+    /// Records one completed run and redraws (throttled to ~10 Hz).
     pub fn tick(&self) {
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        crate::live::sweep_progressed(done as u64);
         if !self.active {
             return;
         }
+        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         let elapsed_ms = self.start.elapsed().as_millis() as u64;
         let last = self.last_render_ms.load(Ordering::Relaxed);
         if last != u64::MAX && done != self.total && elapsed_ms.saturating_sub(last) < 100 {
@@ -99,10 +95,8 @@ impl SweepProgress {
         let _ = err.flush();
     }
 
-    /// Clears the progress line and marks the live cell finished (call once
-    /// after the sweep completes).
+    /// Clears the progress line (call once after the sweep completes).
     pub fn finish(&self) {
-        crate::live::sweep_finished();
         if !self.active {
             return;
         }
@@ -181,86 +175,52 @@ pub fn key_stats_since(rec: &Recorder, base: &StatsSnapshot) -> Vec<(String, f64
     out
 }
 
-/// Emits periodic and final counter/histogram summaries.
-pub struct SummarySink {
-    /// Emit a periodic summary every `every` ticks (0 disables periodic
-    /// output; the final summary is always available).
-    every: u64,
-    ticks: AtomicU64,
-}
-
-impl SummarySink {
-    /// A sink summarizing every `every` calls to [`SummarySink::tick`].
-    pub fn new(every: u64) -> Self {
-        SummarySink {
-            every,
-            ticks: AtomicU64::new(0),
-        }
+/// Writes the end-of-run summary to `w`: non-zero counters, non-empty
+/// histograms, and the event and decision rings' drop accounting.
+pub fn write_summary<W: Write>(rec: &Recorder, w: &mut W) -> std::io::Result<()> {
+    let nonzero = rec.counters().nonzero();
+    if nonzero.is_empty() && Hist::ALL.iter().all(|&h| rec.hist(h).count() == 0) {
+        writeln!(w, "{PREFIX} telemetry: no samples recorded")?;
+        return Ok(());
     }
-
-    /// Signals one unit of progress; emits a summary at the configured
-    /// cadence. Returns true when a summary was written.
-    pub fn tick(&self, rec: &Recorder) -> bool {
-        let n = self.ticks.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.every != 0 && n.is_multiple_of(self.every) {
-            self.write_summary(rec, &mut std::io::stderr().lock()).ok();
-            true
-        } else {
-            false
-        }
+    writeln!(w, "{PREFIX} telemetry summary:")?;
+    for (stat, value) in nonzero {
+        writeln!(w, "{PREFIX}   {:<22} {value}", stat.name())?;
     }
-
-    /// Writes the end-of-run summary to stderr.
-    pub fn finish(&self, rec: &Recorder) {
-        self.write_summary(rec, &mut std::io::stderr().lock()).ok();
-    }
-
-    /// Writes non-zero counters and non-empty histograms to `w`.
-    pub fn write_summary<W: Write>(&self, rec: &Recorder, w: &mut W) -> std::io::Result<()> {
-        let nonzero = rec.counters().nonzero();
-        if nonzero.is_empty() && Hist::ALL.iter().all(|&h| rec.hist(h).count() == 0) {
-            writeln!(w, "{PREFIX} telemetry: no samples recorded")?;
-            return Ok(());
-        }
-        writeln!(w, "{PREFIX} telemetry summary:")?;
-        for (stat, value) in nonzero {
-            writeln!(w, "{PREFIX}   {:<22} {value}", stat.name())?;
-        }
-        for h in Hist::ALL {
-            let hist = rec.hist(h);
-            if hist.count() != 0 {
-                writeln!(
-                    w,
-                    "{PREFIX}   {:<22} n={} mean={:.4} p50={:.4} p99={:.4}",
-                    h.name(),
-                    hist.count(),
-                    rec.hist_display(h, hist.mean()),
-                    rec.hist_display(h, hist.percentile(0.5) as f64),
-                    rec.hist_display(h, hist.percentile(0.99) as f64),
-                )?;
-            }
-        }
-        let (retained, dropped, total) = {
-            let ring = rec.ring();
-            (ring.len(), ring.dropped(), ring.total())
-        };
-        writeln!(
-            w,
-            "{PREFIX}   events: {retained} retained, {dropped} dropped, {total} total"
-        )?;
-        let trace = rec.trace();
-        if trace.total_pushed() != 0 {
+    for h in Hist::ALL {
+        let hist = rec.hist(h);
+        if hist.count() != 0 {
             writeln!(
                 w,
-                "{PREFIX}   decisions: {} retained, {} dropped, {} total, {} unattributed",
-                trace.len(),
-                trace.dropped(),
-                trace.total_pushed(),
-                trace.unattributed()
+                "{PREFIX}   {:<22} n={} mean={:.4} p50={:.4} p99={:.4}",
+                h.name(),
+                hist.count(),
+                rec.hist_display(h, hist.mean()),
+                rec.hist_display(h, hist.percentile(0.5) as f64),
+                rec.hist_display(h, hist.percentile(0.99) as f64),
             )?;
         }
-        Ok(())
     }
+    let (retained, dropped, total) = {
+        let ring = rec.ring();
+        (ring.len(), ring.dropped(), ring.total())
+    };
+    writeln!(
+        w,
+        "{PREFIX}   events: {retained} retained, {dropped} dropped, {total} total"
+    )?;
+    let trace = rec.trace();
+    if trace.total_pushed() != 0 {
+        writeln!(
+            w,
+            "{PREFIX}   decisions: {} retained, {} dropped, {} total, {} unattributed",
+            trace.len(),
+            trace.dropped(),
+            trace.total_pushed(),
+            trace.unattributed()
+        )?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -274,22 +234,12 @@ mod tests {
         let rec = Recorder::new();
         rec.counters().add(Stat::ArmPulls, 5);
         rec.hist(Hist::Reward).record_f64(1.0);
-        let sink = SummarySink::new(0);
         let mut out = Vec::new();
-        sink.write_summary(&rec, &mut out).unwrap();
+        write_summary(&rec, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("arm_pulls"), "{text}");
         assert!(text.contains("reward"), "{text}");
         assert!(!text.contains("dram_access"), "{text}");
-    }
-
-    #[test]
-    fn tick_summarizes_at_cadence() {
-        let rec = Recorder::new();
-        let sink = SummarySink::new(3);
-        assert!(!sink.tick(&rec));
-        assert!(!sink.tick(&rec));
-        assert!(sink.tick(&rec));
     }
 
     #[test]
@@ -352,9 +302,8 @@ mod tests {
     #[test]
     fn empty_recorder_reports_no_samples() {
         let rec = Recorder::new();
-        let sink = SummarySink::new(0);
         let mut out = Vec::new();
-        sink.write_summary(&rec, &mut out).unwrap();
+        write_summary(&rec, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("no samples"), "{text}");
     }
