@@ -61,8 +61,9 @@ pub struct HistogramLine {
 /// collapsed-stack profile file (which carries only `self_ns`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanLine {
-    /// Span entries (exact).
-    pub count: u64,
+    /// Span entries, or the steps a stage-clock stage covered; `None` when
+    /// only collapsed-stack input, which carries no counts, named the path.
+    pub count: Option<u64>,
     /// Entries that were wall-clock timed (sampling).
     pub timed: u64,
     /// Summed nanoseconds across the timed entries.
@@ -76,7 +77,10 @@ pub struct SpanLine {
 impl SpanLine {
     /// Accumulates another observation of the same path (multiple files).
     fn add(&mut self, other: SpanLine) {
-        self.count += other.count;
+        self.count = match (self.count, other.count) {
+            (Some(a), Some(b)) => Some(a + b),
+            (a, b) => a.or(b),
+        };
         self.timed += other.timed;
         self.total_ns += other.total_ns;
         self.est_ns += other.est_ns;
@@ -265,7 +269,7 @@ fn parse_span(value: &JsonValue) -> Option<(String, SpanLine)> {
     Some((
         value.get("path")?.as_str()?.to_string(),
         SpanLine {
-            count: value.get("count")?.as_u64()?,
+            count: Some(value.get("count")?.as_u64()?),
             timed: value.get("timed")?.as_u64()?,
             total_ns: value.get("total_ns")?.as_u64()?,
             est_ns: value.get("est_ns")?.as_u64()?,
@@ -375,7 +379,7 @@ mod tests {
              \"total_ns\":25,\"est_ns\":1250,\"self_ns\":1000}",
         );
         let span = a.spans["run;cache_access"];
-        assert_eq!(span.count, 150);
+        assert_eq!(span.count, Some(150));
         assert_eq!(span.timed, 3);
         assert_eq!(span.est_ns, 3750);
         assert_eq!(span.self_ns, 3000);
@@ -390,6 +394,7 @@ mod tests {
         a.absorb_line("run;cache_access;mshr 766");
         assert_eq!(a.spans["run"].self_ns, 5000);
         assert_eq!(a.spans["run;cache_access;mshr"].self_ns, 2000);
+        assert_eq!(a.spans["run"].count, None);
         assert_eq!(a.skipped_lines, 0);
     }
 

@@ -199,10 +199,11 @@ fn render_decisions(out: &mut String, run: &RunArtifact, windows: usize) {
 /// Renders the profile self-time table for `mab-inspect profile`.
 ///
 /// Rows come from the artifact's span paths sorted by self time; percent is
-/// relative to the summed self time of every path (which equals the
-/// extrapolated total of the root spans). When `sim_cycles` is known — from
+/// relative to the summed self time of every path (which equals the total
+/// of the root spans). When `sim_cycles` is known — from
 /// a loaded telemetry export's `sim_cycles` counter or a `--cycles`
-/// override — each row also shows the per-simulated-cycle cost.
+/// override — each row also shows the per-simulated-cycle cost. A count
+/// the input did not carry (a collapsed-stack file has none) prints as `-`.
 pub fn render_profile(run: &RunArtifact, top: usize, cycles: Option<u64>) -> String {
     let mut out = String::new();
     if run.spans.is_empty() {
@@ -244,11 +245,11 @@ pub fn render_profile(run: &RunArtifact, top: usize, cycles: Option<u64>) -> Str
             .filter(|&c| c > 0)
             .map(|c| format!("{:>12.4}", span.self_ns as f64 / c as f64))
             .unwrap_or_else(|| format!("{:>12}", "-"));
+        let count = span.count.map_or("-".to_string(), |c| c.to_string());
         let _ = writeln!(
             out,
-            "  {:<44} {:>12} {:>12.3} {:>6.1}% {per_cycle}",
+            "  {:<44} {count:>12} {:>12.3} {:>6.1}% {per_cycle}",
             ellipsize(path, 44),
-            span.count,
             span.self_ns as f64 / 1e6,
             pct
         );
@@ -261,7 +262,8 @@ pub fn render_profile(run: &RunArtifact, top: usize, cycles: Option<u64>) -> Str
 
 /// Renders the profile as a JSON document for `mab-inspect profile --json`:
 /// the same rows as [`render_profile`] (top-N by self time) plus the run
-/// totals, machine-readable for dashboards and CI gates.
+/// totals, machine-readable for dashboards and CI gates. A count the input
+/// did not carry is `null`.
 pub fn profile_json(run: &RunArtifact, top: usize, cycles: Option<u64>) -> String {
     use mab_telemetry::json::{escape, fmt_f64};
     let total_self: u64 = run.spans.values().map(|s| s.self_ns).sum();
@@ -286,7 +288,7 @@ pub fn profile_json(run: &RunArtifact, top: usize, cycles: Option<u64>) -> Strin
         out.push_str(&format!(
             "{{\"path\":\"{}\",\"count\":{},\"self_ns\":{},\"self_pct\":{}",
             escape(path),
-            span.count,
+            span.count.map_or("null".to_string(), |c| c.to_string()),
             span.self_ns,
             fmt_f64(pct),
         ));
@@ -471,6 +473,50 @@ mod tests {
         };
         assert!(!no_cycles.contains("ns_per_cycle"), "{no_cycles}");
         assert!(no_cycles.contains("\"sim_cycles\":null"), "{no_cycles}");
+    }
+
+    /// The count cell of `path`'s row in the text table.
+    fn count_cell(text: &str, path: &str) -> String {
+        let row = text
+            .lines()
+            .find(|l| l.trim_start().starts_with(&format!("{path} ")))
+            .unwrap();
+        row.split_whitespace().nth(1).unwrap().to_string()
+    }
+
+    #[test]
+    fn profile_counts_are_absent_for_collapsed_input() {
+        let mut a = RunArtifact::new();
+        a.absorb_line("run 1000");
+        a.absorb_line("run;record 3000");
+        assert_eq!(count_cell(&render_profile(&a, 20, None), "run;record"), "-");
+        let doc = mab_telemetry::json::parse(profile_json(&a, 20, None).trim()).unwrap();
+        for row in doc.get("paths").unwrap().as_arr().unwrap() {
+            assert_eq!(
+                row.get("count"),
+                Some(&mab_telemetry::json::JsonValue::Null)
+            );
+        }
+    }
+
+    #[test]
+    fn profile_counts_come_from_jsonl_input() {
+        let mut a = RunArtifact::new();
+        a.absorb_line(
+            "{\"kind\":\"span\",\"path\":\"run\",\"count\":2,\"timed\":2,\
+             \"total_ns\":5000,\"est_ns\":5000,\"self_ns\":1000}",
+        );
+        a.absorb_line(
+            "{\"kind\":\"span\",\"path\":\"run;record\",\"count\":400000,\
+             \"timed\":400000,\"total_ns\":4000,\"est_ns\":4000,\"self_ns\":4000}",
+        );
+        let text = render_profile(&a, 20, None);
+        assert_eq!(count_cell(&text, "run;record"), "400000");
+        assert_eq!(count_cell(&text, "run"), "2");
+        let doc = mab_telemetry::json::parse(profile_json(&a, 20, None).trim()).unwrap();
+        let paths = doc.get("paths").unwrap().as_arr().unwrap();
+        assert_eq!(paths[0].get("path").unwrap().as_str(), Some("run;record"));
+        assert_eq!(paths[0].get("count").unwrap().as_u64(), Some(400_000));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::config::SystemConfig;
 use crate::core::CoreModel;
 use crate::dram::{Dram, DramStats};
 use crate::prefetcher::{L2Access, NoPrefetcher, PrefetchQueue, Prefetcher};
+use mab_telemetry::span::{Category, StageClock};
 use mab_telemetry::Stat;
 use mab_workloads::{MemKind, TraceRecord};
 use serde::{Deserialize, Serialize};
@@ -103,29 +104,40 @@ impl RunStats {
 /// step (1,000 accesses), cheap enough to leave always on with telemetry.
 const OCCUPANCY_SAMPLE_PERIOD: u64 = 512;
 
-/// Every Nth demand access is *armed*: its profiling sites run real timed
-/// span guards. The other N−1 accesses only bump plain per-site tallies
-/// (see [`SitePending`]) that the next armed entry of each site deposits.
-/// This keeps the profiler's cost on the ~60 ns/instruction hot path to a
-/// counter increment per site while still timing an unbiased 1-in-N sample
-/// of every site.
-const ACCESS_SAMPLE_PERIOD: u64 = 256;
+/// The stage-clock stages every run has, one step per instruction; the
+/// prefetchers' train and issue stages follow them, added per run.
+const STAGES: [(Category, u32); 7] = [
+    (Category::Record, 0),
+    (Category::Core, 0),
+    (Category::CacheFill, 0),
+    (Category::L1, 0),
+    (Category::CacheAccess, 0),
+    (Category::Mshr, 0),
+    (Category::DramQueue, 0),
+];
 
-/// Unarmed-call tallies, one per call-site-sampled span site (see
-/// [`ACCESS_SAMPLE_PERIOD`] and `mab_telemetry::span::enter_sampled`).
-/// Counts accumulated here are deposited onto the profile the next time
-/// the same site runs armed; a tail of fewer than one sampling period per
-/// site can be left undeposited at the end of a run.
-#[derive(Default)]
-struct SitePending {
-    fill: u64,
-    l1_train: u64,
-    access: u64,
-    mshr: u64,
-    dram: u64,
-    train: u64,
-    issue: u64,
-    l1_issue: u64,
+/// Indices into [`STAGES`].
+mod stage {
+    pub const RECORD: usize = 0;
+    pub const CORE: usize = 1;
+    pub const CACHE_FILL: usize = 2;
+    pub const L1: usize = 3;
+    pub const CACHE_ACCESS: usize = 4;
+    pub const MSHR: usize = 5;
+    pub const DRAM_QUEUE: usize = 6;
+}
+
+/// The `(train, issue)` stages of a prefetcher labelled `label` on the
+/// run's stage clock. With no prefetcher installed (label 0), the no-op
+/// calls are charged to `lookup`, the stage of the cache it would serve.
+fn prefetcher_stages(clock: &mut StageClock, label: u32, lookup: usize) -> (usize, usize) {
+    if label == 0 {
+        return (lookup, lookup);
+    }
+    (
+        clock.stage(Category::PrefetchTrain, label),
+        clock.stage(Category::PrefetchIssue, label),
+    )
 }
 
 struct CoreCtx {
@@ -135,13 +147,16 @@ struct CoreCtx {
     mshr: Mshr,
     prefetcher: Box<dyn Prefetcher + Send>,
     l1_prefetcher: Box<dyn Prefetcher + Send>,
-    /// Interned profiler labels for the installed prefetchers, so span
-    /// paths read `prefetch_train:bandit` rather than just the category.
+    /// Interned profiler labels of the installed prefetchers (0 while none
+    /// is installed), so stages read `prefetch_train:bandit`. The L1
+    /// prefetcher's label is its name prefixed `l1-`, which keeps it apart
+    /// from the same prefetcher at L2.
     pf_label: u32,
     l1_pf_label: u32,
-    /// A real L1 prefetcher was installed (the default [`NoPrefetcher`]
-    /// keeps the per-access L1 train call span-free).
-    has_l1_pf: bool,
+    /// The prefetchers' `(train, issue)` stages on the current run's stage
+    /// clock.
+    l2_stages: (usize, usize),
+    l1_stages: (usize, usize),
     queue: PrefetchQueue,
     l1_queue: PrefetchQueue,
     pf: PrefetchStats,
@@ -153,10 +168,6 @@ struct CoreCtx {
     fill_scratch: Vec<(u64, bool)>,
     /// Recycled buffer for prefetch requests being issued.
     req_scratch: Vec<u64>,
-    /// Demand accesses so far, driving the armed/unarmed profiling cadence.
-    prof_ctr: u64,
-    /// Unarmed call tallies per profiling site.
-    pending: SitePending,
 }
 
 /// A simulated system: `n` cores with private L1/L2, a shared LLC and a
@@ -220,7 +231,8 @@ impl System {
                 l1_prefetcher: Box::new(NoPrefetcher),
                 pf_label: 0,
                 l1_pf_label: 0,
-                has_l1_pf: false,
+                l2_stages: (stage::CACHE_ACCESS, stage::CACHE_ACCESS),
+                l1_stages: (stage::L1, stage::L1),
                 queue: PrefetchQueue::new(),
                 l1_queue: PrefetchQueue::new(),
                 pf: PrefetchStats::default(),
@@ -228,8 +240,6 @@ impl System {
                 done: false,
                 fill_scratch: Vec::new(),
                 req_scratch: Vec::new(),
-                prof_ctr: 0,
-                pending: SitePending::default(),
             })
             .collect();
         System {
@@ -281,8 +291,8 @@ impl System {
     ///
     /// Panics if `core` is out of range.
     pub fn set_l1_prefetcher(&mut self, core: usize, prefetcher: Box<dyn Prefetcher + Send>) {
-        self.cores[core].l1_pf_label = mab_telemetry::span::intern(prefetcher.name());
-        self.cores[core].has_l1_pf = true;
+        self.cores[core].l1_pf_label =
+            mab_telemetry::span::intern(&format!("l1-{}", prefetcher.name()));
         self.cores[core].l1_prefetcher = prefetcher;
     }
 
@@ -348,7 +358,7 @@ impl System {
         &mut self,
         traces: &mut [&mut dyn Iterator<Item = TraceRecord>],
         instructions_per_core: u64,
-        drive: fn(&mut Self, &mut [&mut dyn Iterator<Item = TraceRecord>], u64),
+        drive: fn(&mut Self, &mut [&mut dyn Iterator<Item = TraceRecord>], u64, &mut StageClock),
     ) -> Vec<RunStats> {
         assert_eq!(
             traces.len(),
@@ -359,7 +369,13 @@ impl System {
             ctx.done = false;
         }
         let start_cycles: u64 = self.cores.iter().map(|c| c.core.cycles()).sum();
-        drive(self, traces, instructions_per_core);
+        let mut clock = StageClock::start(&STAGES);
+        for ctx in &mut self.cores {
+            ctx.l2_stages = prefetcher_stages(&mut clock, ctx.pf_label, stage::CACHE_ACCESS);
+            ctx.l1_stages = prefetcher_stages(&mut clock, ctx.l1_pf_label, stage::L1);
+        }
+        drive(self, traces, instructions_per_core, &mut clock);
+        clock.finish();
         let end_cycles: u64 = self.cores.iter().map(|c| c.core.cycles()).sum();
         self.probe.add(Stat::SimCycles, end_cycles - start_cycles);
         self.probe.flush();
@@ -373,6 +389,7 @@ impl System {
         &mut self,
         traces: &mut [&mut dyn Iterator<Item = TraceRecord>],
         instructions_per_core: u64,
+        clock: &mut StageClock,
     ) {
         loop {
             // Advance the core that is earliest in simulated time.
@@ -387,11 +404,13 @@ impl System {
                 }
             }
             let Some((i, t)) = next else { break };
-            let record = traces[i].next().expect("trace ended early");
-            self.step_core(i, record, t);
+            // The scan is the scheduler's work for the previous step.
+            clock.lap(stage::CORE);
+            self.step_core(i, &mut *traces[i], t, clock);
             if self.cores[i].core.instructions() >= instructions_per_core {
                 self.cores[i].done = true;
             }
+            clock.lap(stage::CORE);
         }
     }
 
@@ -413,6 +432,7 @@ impl System {
         &mut self,
         traces: &mut [&mut dyn Iterator<Item = TraceRecord>],
         instructions_per_core: u64,
+        clock: &mut StageClock,
     ) {
         let mut times: Vec<u64> = self.cores.iter().map(|c| c.core.issue_cycle()).collect();
         loop {
@@ -441,14 +461,18 @@ impl System {
                     rival_hi = rival_hi.min(tj);
                 }
             }
+            // The pick is the scheduler's work for the step that ended the
+            // previous batch.
+            clock.lap(stage::CORE);
             loop {
-                let record = traces[i].next().expect("trace ended early");
-                self.step_core(i, record, t);
-                if self.cores[i].core.instructions() >= instructions_per_core {
+                self.step_core(i, &mut *traces[i], t, clock);
+                let done = self.cores[i].core.instructions() >= instructions_per_core;
+                t = self.cores[i].core.issue_cycle();
+                clock.lap(stage::CORE);
+                if done {
                     self.cores[i].done = true;
                     break;
                 }
-                t = self.cores[i].core.issue_cycle();
                 if t >= rival_lo || t > rival_hi {
                     break;
                 }
@@ -471,16 +495,26 @@ impl System {
         }
     }
 
-    /// Steps core `i` over one record. `t` is the core's current issue
-    /// cycle, already computed by the scheduler's scan.
-    fn step_core(&mut self, i: usize, record: TraceRecord, t: u64) {
+    /// Steps core `i` over the next record of `trace`: one stage-clock
+    /// step, which the caller ends with the `core` lap. `t` is the core's
+    /// current issue cycle, already computed by the scheduler's scan.
+    fn step_core(
+        &mut self,
+        i: usize,
+        trace: &mut dyn Iterator<Item = TraceRecord>,
+        t: u64,
+        clock: &mut StageClock,
+    ) {
         debug_assert_eq!(t, self.cores[i].core.issue_cycle());
+        clock.step();
+        let record = trace.next().expect("trace ended early");
+        clock.lap(stage::RECORD);
         let latency = match record.mem {
             Some((kind, addr)) => {
                 // Cores run independent processes: disjoint physical
                 // address spaces (bit 40 per core).
                 let line = addr / 64 + ((i as u64) << 40);
-                let mem_latency = self.access(i, record.pc, line, kind, t);
+                let mem_latency = self.access(i, record.pc, line, kind, t, clock);
                 match kind {
                     // Stores retire without waiting for the memory system.
                     MemKind::Store => 1,
@@ -492,55 +526,43 @@ impl System {
         self.cores[i].core.advance(latency);
     }
 
-    /// Performs a demand access for core `i`; returns the load-to-use
-    /// latency in cycles.
-    fn access(&mut self, i: usize, pc: u64, line: u64, kind: MemKind, t: u64) -> u32 {
-        use mab_telemetry::span::{enter_sampled, Category};
-
+    /// Performs a demand access for core `i`, lapping `clock` after each
+    /// stage; returns the load-to-use latency in cycles.
+    fn access(
+        &mut self,
+        i: usize,
+        pc: u64,
+        line: u64,
+        kind: MemKind,
+        t: u64,
+        clock: &mut StageClock,
+    ) -> u32 {
         let cfg = &self.config;
         let l1_lat = cfg.l1.latency;
         let l2_lat = l1_lat + cfg.l2.latency;
         let llc_lat = l2_lat + cfg.llc_per_core.latency;
 
-        // Armed accesses run real timed span guards; all other accesses
-        // leave only plain per-site counter increments on the hot path.
-        // The profiling switch is read once here and handed to every site.
-        let profiling = mab_telemetry::profile::enabled();
-        let armed = profiling && {
-            let ctx = &mut self.cores[i];
-            ctx.prof_ctr += 1;
-            ctx.prof_ctr.is_multiple_of(ACCESS_SAMPLE_PERIOD)
-        };
-
         // Complete any prefetch fills that have landed by now.
         let ctx = &mut self.cores[i];
         let mut fills = std::mem::take(&mut ctx.fill_scratch);
         ctx.mshr.drain_ready_into(t, &mut fills);
-        if !fills.is_empty() {
-            let _fill_span = enter_sampled(
-                Category::CacheFill,
-                0,
-                &mut ctx.pending.fill,
-                profiling,
-                armed,
-            );
-            for &(filled, fill_l1) in &fills {
-                self.probe.bump(Stat::L2Fill);
-                if let Some(ev) = ctx.l2.fill(filled, true) {
-                    if ev.unused_prefetch {
-                        ctx.pf.wrong += 1;
-                        self.probe.bump(Stat::PrefetchWrong);
-                        ctx.prefetcher.on_prefetch_evicted_unused(ev.line);
-                    }
+        for &(filled, fill_l1) in &fills {
+            self.probe.bump(Stat::L2Fill);
+            if let Some(ev) = ctx.l2.fill(filled, true) {
+                if ev.unused_prefetch {
+                    ctx.pf.wrong += 1;
+                    self.probe.bump(Stat::PrefetchWrong);
+                    ctx.prefetcher.on_prefetch_evicted_unused(ev.line);
                 }
-                if fill_l1 {
-                    self.probe.bump(Stat::L1Fill);
-                    ctx.l1.fill(filled, true);
-                }
-                ctx.prefetcher.on_prefetch_fill(filled, t);
             }
+            if fill_l1 {
+                self.probe.bump(Stat::L1Fill);
+                ctx.l1.fill(filled, true);
+            }
+            ctx.prefetcher.on_prefetch_fill(filled, t);
         }
         ctx.fill_scratch = fills;
+        clock.lap(stage::CACHE_FILL);
 
         let l1_hit = matches!(ctx.l1.demand_lookup(line), LookupResult::Hit { .. });
         if l1_hit {
@@ -548,6 +570,7 @@ impl System {
         } else {
             self.probe.bump(Stat::L1DemandMiss);
         }
+        clock.lap(stage::L1);
         // The L1 prefetcher trains on every demand access.
         let l1_access = L2Access {
             pc,
@@ -557,38 +580,17 @@ impl System {
             instructions: ctx.core.instructions(),
             kind,
         };
-        if mab_telemetry::STATIC_ENABLED && ctx.has_l1_pf {
-            // Only span the L1 train when a real L1 prefetcher is installed:
-            // this call sits on the every-access fast path, and the default
-            // NoPrefetcher would pay span cost for a no-op.
-            let _train_span = enter_sampled(
-                Category::PrefetchTrain,
-                ctx.l1_pf_label,
-                &mut ctx.pending.l1_train,
-                profiling,
-                armed,
-            );
-            ctx.l1_prefetcher.train(&l1_access, &mut ctx.l1_queue);
-        } else {
-            ctx.l1_prefetcher.train(&l1_access, &mut ctx.l1_queue);
-        }
-        self.issue_l1_prefetches(i, t, profiling, armed);
+        let (l1_train, l1_issue) = ctx.l1_stages;
+        ctx.l1_prefetcher.train(&l1_access, &mut ctx.l1_queue);
+        clock.lap(l1_train);
+        self.issue_prefetches(i, t, true);
+        clock.lap(l1_issue);
         if l1_hit {
             return l1_lat;
         }
 
-        // The rest of the access — L2 lookup and everything below it — runs
-        // under one profiling span. The L1-hit fast path above stays
-        // span-free on purpose: at ~0.3 accesses/instruction even an
-        // unarmed-site check would be measurable, and its time shows up
-        // as the run span's self-time instead.
-        let _access_span = enter_sampled(
-            Category::CacheAccess,
-            0,
-            &mut self.cores[i].pending.access,
-            profiling,
-            armed,
-        );
+        // The rest of the access — L2 lookup and everything below it — is
+        // the `cache_access` stage, less its `mshr` and `dram_queue` laps.
 
         // Sampled occupancy tracks (DRAM channel backlog, per-core MSHR
         // fill) for the Perfetto timeline, on the L2-demand-access clock.
@@ -672,14 +674,8 @@ impl System {
                 } else {
                     // A true demand miss needs a demand MSHR; when the file
                     // is full the miss waits for the oldest one to retire.
+                    clock.lap(stage::CACHE_ACCESS);
                     let mshr_wait = {
-                        let _mshr_span = enter_sampled(
-                            Category::Mshr,
-                            0,
-                            &mut self.cores[i].pending.mshr,
-                            profiling,
-                            armed,
-                        );
                         let ctx = &mut self.cores[i];
                         while ctx
                             .demand_inflight
@@ -698,6 +694,7 @@ impl System {
                             0
                         }
                     };
+                    clock.lap(stage::MSHR);
                     let start = t + mshr_wait as u64;
                     let path = match self.llc.demand_lookup(line) {
                         LookupResult::Hit { .. } => {
@@ -707,16 +704,9 @@ impl System {
                         LookupResult::Miss => {
                             self.probe.bump(Stat::LlcDemandMiss);
                             self.probe.bump(Stat::DramAccess);
-                            let dram_lat = {
-                                let _dram_span = enter_sampled(
-                                    Category::DramQueue,
-                                    0,
-                                    &mut self.cores[i].pending.dram,
-                                    profiling,
-                                    armed,
-                                );
-                                self.dram.access(start + llc_lat as u64)
-                            };
+                            clock.lap(stage::CACHE_ACCESS);
+                            let dram_lat = self.dram.access(start + llc_lat as u64);
+                            clock.lap(stage::DRAM_QUEUE);
                             self.probe.bump(Stat::LlcFill);
                             self.llc.fill(line, false);
                             llc_lat + dram_lat as u32
@@ -741,9 +731,7 @@ impl System {
                 }
             }
         };
-        if !hit {
-            self.cores[i].l1.fill(line, false);
-        }
+        clock.lap(stage::CACHE_ACCESS);
 
         // Train the prefetcher and issue its requests.
         let ctx = &mut self.cores[i];
@@ -755,98 +743,47 @@ impl System {
             instructions: ctx.core.instructions(),
             kind,
         };
-        {
-            let _train_span = enter_sampled(
-                Category::PrefetchTrain,
-                ctx.pf_label,
-                &mut ctx.pending.train,
-                profiling,
-                armed,
-            );
-            ctx.prefetcher.train(&access, &mut ctx.queue);
-        }
-        self.issue_prefetches(i, t, profiling, armed);
+        let (train, issue) = ctx.l2_stages;
+        ctx.prefetcher.train(&access, &mut ctx.queue);
+        clock.lap(train);
+        self.issue_prefetches(i, t, false);
+        clock.lap(issue);
         latency
     }
 
-    /// Issues L1-prefetcher requests: lines already in L2 fill the L1
-    /// directly; the rest go to memory and fill L1+L2 on completion.
-    fn issue_l1_prefetches(&mut self, i: usize, t: u64, profiling: bool, armed: bool) {
-        if self.cores[i].l1_queue.is_empty() {
+    /// Issues the requests queued by core `i`'s L2 prefetcher or, with
+    /// `l1`, by its L1 prefetcher, whose lines already in L2 fill the L1
+    /// directly and whose memory fills go to L1 and L2.
+    fn issue_prefetches(&mut self, i: usize, t: u64, l1: bool) {
+        let ctx = &mut self.cores[i];
+        let queue = if l1 {
+            &mut ctx.l1_queue
+        } else {
+            &mut ctx.queue
+        };
+        if queue.is_empty() {
             return;
         }
-        let ctx = &mut self.cores[i];
-        let _issue_span = mab_telemetry::span::enter_sampled(
-            mab_telemetry::span::Category::PrefetchIssue,
-            ctx.l1_pf_label,
-            &mut ctx.pending.l1_issue,
-            profiling,
-            armed,
-        );
+        let mut requests = std::mem::take(&mut ctx.req_scratch);
+        queue.drain_into(&mut requests);
         let llc_lat =
             self.config.l1.latency + self.config.l2.latency + self.config.llc_per_core.latency;
         let cap = self.config.prefetch_queue;
-        let ctx = &mut self.cores[i];
-        let mut requests = std::mem::take(&mut ctx.req_scratch);
-        ctx.l1_queue.drain_into(&mut requests);
         self.probe
             .add(Stat::PrefetchRequested, requests.len() as u64);
         for &line in &requests {
-            if ctx.l1.contains(line) {
+            if l1 && ctx.l1.contains(line) {
                 continue;
             }
             if ctx.l2.contains(line) {
-                self.probe.bump(Stat::L1Fill);
-                ctx.l1.fill(line, true);
+                if l1 {
+                    self.probe.bump(Stat::L1Fill);
+                    ctx.l1.fill(line, true);
+                }
                 continue;
             }
             if ctx.mshr.get(line).is_some() {
-                continue;
-            }
-            if ctx.mshr.len() >= cap {
-                ctx.pf.dropped += 1;
-                self.probe.bump(Stat::PrefetchDropped);
-                continue;
-            }
-            let fill_latency = if self.llc.contains(line) {
-                llc_lat as u64
-            } else {
-                self.probe.bump(Stat::DramAccess);
-                let dram_lat = self.dram.access(t + llc_lat as u64);
-                self.probe.bump(Stat::LlcFill);
-                self.llc.fill(line, false);
-                llc_lat as u64 + dram_lat
-            };
-            ctx.mshr.insert(line, t + fill_latency, true);
-            ctx.pf.issued += 1;
-            self.probe.bump(Stat::PrefetchIssued);
-        }
-        ctx.req_scratch = requests;
-    }
-
-    fn issue_prefetches(&mut self, i: usize, t: u64, profiling: bool, armed: bool) {
-        if self.cores[i].queue.is_empty() {
-            return;
-        }
-        let ctx = &mut self.cores[i];
-        let _issue_span = mab_telemetry::span::enter_sampled(
-            mab_telemetry::span::Category::PrefetchIssue,
-            ctx.pf_label,
-            &mut ctx.pending.issue,
-            profiling,
-            armed,
-        );
-        let llc_lat =
-            self.config.l1.latency + self.config.l2.latency + self.config.llc_per_core.latency;
-        let cap = self.config.prefetch_queue;
-        let ctx = &mut self.cores[i];
-        let mut requests = std::mem::take(&mut ctx.req_scratch);
-        ctx.queue.drain_into(&mut requests);
-        self.probe
-            .add(Stat::PrefetchRequested, requests.len() as u64);
-        for &line in &requests {
-            if ctx.l2.contains(line) || ctx.mshr.get(line).is_some() {
-                continue; // redundant
+                continue; // already in flight
             }
             if ctx.mshr.len() >= cap {
                 ctx.pf.dropped += 1;
@@ -863,7 +800,7 @@ impl System {
                 self.llc.fill(line, false);
                 llc_lat as u64 + dram_lat
             };
-            ctx.mshr.insert(line, t + fill_latency, false);
+            ctx.mshr.insert(line, t + fill_latency, l1);
             ctx.pf.issued += 1;
             self.probe.bump(Stat::PrefetchIssued);
         }

@@ -12,8 +12,12 @@
 //! connect so the blocking `accept` wakes immediately.
 //!
 //! Every connection's reads time out after [`IO_TIMEOUT`]; these limits are
-//! constants, with no environment overrides. `POST` bodies are read up to
-//! `Content-Length`, bounded by [`MAX_BODY_BYTES`] (`413` beyond it).
+//! constants, with no environment overrides. A timeout bounds each read,
+//! not the request, so the request head is capped too: the request line at
+//! [`MAX_REQUEST_LINE_BYTES`] (`414` beyond it) and the header lines at
+//! [`MAX_HEADER_BYTES`] (`431`). `POST` bodies are read up to
+//! `Content-Length`, bounded by [`MAX_BODY_BYTES`] (`413` beyond it; `400`
+//! when it does not parse).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -29,6 +33,13 @@ pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Largest accepted request body (1 MiB); longer bodies are answered `413`.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Longest accepted request line (8 KiB); longer lines are answered `414`.
+pub const MAX_REQUEST_LINE_BYTES: usize = 8 << 10;
+
+/// Largest accepted header block, up to and including the blank line
+/// (64 KiB); larger blocks are answered `431`.
+pub const MAX_HEADER_BYTES: usize = 64 << 10;
 
 /// Counters the server core maintains across all connections.
 #[derive(Debug, Default)]
@@ -205,8 +216,11 @@ pub fn serve_with(
 fn handle_connection(stream: TcpStream, stop: Arc<AtomicBool>, handler: Handler) {
     // Bound header/body reads so a half-open client cannot pin the thread.
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let Ok(clone) = stream.try_clone() else {
+        return;
+    };
     let mut conn = Conn { stream, stop };
-    match read_request(&conn.stream) {
+    match read_request(&mut BufReader::new(clone)) {
         Ok(Some(request)) => handler(&request, &mut conn),
         Ok(None) => {}
         Err(status_line) => {
@@ -215,18 +229,23 @@ fn handle_connection(stream: TcpStream, stop: Arc<AtomicBool>, handler: Handler)
     }
 }
 
-/// Reads one request (line, headers, body). `Ok(None)` means the client
-/// hung up before sending anything useful; `Err` carries the status line to
-/// answer with.
-fn read_request(stream: &TcpStream) -> Result<Option<Request>, &'static str> {
-    let Ok(clone) = stream.try_clone() else {
-        return Ok(None);
+/// Reads one line of at most `cap` bytes, line ending included, buffering
+/// at most `cap + 1`; `Ok(None)` when the line is longer.
+fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> std::io::Result<Option<Vec<u8>>> {
+    let mut line = Vec::new();
+    reader.take(cap as u64 + 1).read_until(b'\n', &mut line)?;
+    Ok((line.len() <= cap).then_some(line))
+}
+
+/// Reads one request (line, headers, body), buffering no more than the
+/// caps allow. `Ok(None)` means the client hung up or stalled before
+/// sending anything useful; `Err` carries the status line to answer with.
+fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, &'static str> {
+    let line = match read_line_capped(reader, MAX_REQUEST_LINE_BYTES) {
+        Ok(Some(line)) => String::from_utf8_lossy(&line).into_owned(),
+        Ok(None) => return Err("414 URI Too Long"),
+        Err(_) => return Ok(None),
     };
-    let mut reader = BufReader::new(clone);
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
-        return Ok(None);
-    }
     let mut parts = line.split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
         return Ok(None);
@@ -238,19 +257,21 @@ fn read_request(stream: &TcpStream) -> Result<Option<Request>, &'static str> {
     };
     // Drain headers until the blank line, capturing Content-Length.
     let mut content_length: usize = 0;
+    let mut header_budget = MAX_HEADER_BYTES;
     loop {
-        let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
-            Ok(_) => {
-                if let Some((name, value)) = header.split_once(':') {
-                    if name.eq_ignore_ascii_case("content-length") {
-                        content_length = value.trim().parse().unwrap_or(0);
-                    }
-                }
-            }
+        let header = match read_line_capped(reader, header_budget) {
+            Ok(Some(header)) => header,
+            Ok(None) => return Err("431 Request Header Fields Too Large"),
             Err(_) => return Ok(None),
+        };
+        header_budget -= header.len();
+        if matches!(header.as_slice(), b"" | b"\r\n" | b"\n") {
+            break;
+        }
+        if let Some((name, value)) = String::from_utf8_lossy(&header).split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                content_length = value.trim().parse().map_err(|_| "400 Bad Request")?;
+            }
         }
     }
     if content_length > MAX_BODY_BYTES {
@@ -275,6 +296,102 @@ fn read_request(stream: &TcpStream) -> Result<Option<Request>, &'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reads `bytes` as one request: the outcome and the bytes consumed.
+    fn read_bytes(bytes: &[u8]) -> (Result<Option<Request>, &'static str>, usize) {
+        let mut reader = bytes;
+        let outcome = read_request(&mut reader);
+        (outcome, bytes.len() - reader.len())
+    }
+
+    /// One piece of a generated request: raw bytes, a line break, a request
+    /// line, a header, or a run long enough to cross a cap.
+    fn piece() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            prop::collection::vec(0u8..=255, 0..64),
+            Just(b"\r\n".to_vec()),
+            Just(b"POST /jobs HTTP/1.1\r\n".to_vec()),
+            (0u64..3_000_000).prop_map(|n| format!("Content-Length: {n}\r\n").into_bytes()),
+            Just(b"Content-Length: twelve\r\n".to_vec()),
+            (1usize..80_000).prop_map(|n| vec![b'a'; n]),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// No input panics the reader or makes it read past the caps, and
+        /// an over-long first line is always refused.
+        #[test]
+        fn arbitrary_bytes_stay_within_the_caps(
+            pieces in prop::collection::vec(piece(), 0..12),
+        ) {
+            let bytes = pieces.concat();
+            let (outcome, consumed) = read_bytes(&bytes);
+            prop_assert!(
+                consumed <= MAX_REQUEST_LINE_BYTES + MAX_HEADER_BYTES + MAX_BODY_BYTES + 1,
+                "read {} bytes",
+                consumed
+            );
+            let first_line = bytes
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |i| i + 1);
+            if first_line > MAX_REQUEST_LINE_BYTES {
+                prop_assert_eq!(outcome, Err("414 URI Too Long"));
+            } else if let Ok(Some(request)) = outcome {
+                prop_assert!(request.body.len() <= MAX_BODY_BYTES);
+            }
+        }
+    }
+
+    #[test]
+    fn request_head_caps_and_bad_lengths_are_refused() {
+        let line = |target_len: usize| {
+            let prefix = "GET /";
+            let suffix = " HTTP/1.1\r\n";
+            let pad = "a".repeat(target_len - prefix.len() - suffix.len());
+            format!("{prefix}{pad}{suffix}")
+        };
+        let at_cap = line(MAX_REQUEST_LINE_BYTES) + "\r\n";
+        assert!(matches!(read_bytes(at_cap.as_bytes()).0, Ok(Some(_))));
+        let over = line(MAX_REQUEST_LINE_BYTES + 1) + "\r\n";
+        assert_eq!(read_bytes(over.as_bytes()).0, Err("414 URI Too Long"));
+        let endless = vec![b'G'; 4 * MAX_REQUEST_LINE_BYTES];
+        let (outcome, consumed) = read_bytes(&endless);
+        assert_eq!(outcome, Err("414 URI Too Long"));
+        assert_eq!(consumed, MAX_REQUEST_LINE_BYTES + 1);
+
+        let header = "X-Pad: ".to_string() + &"b".repeat(1000) + "\r\n";
+        let many = "GET / HTTP/1.1\r\n".to_string()
+            + &header.repeat(MAX_HEADER_BYTES / header.len() + 1)
+            + "\r\n";
+        assert_eq!(
+            read_bytes(many.as_bytes()).0,
+            Err("431 Request Header Fields Too Large")
+        );
+        let few = "GET / HTTP/1.1\r\n".to_string() + &header.repeat(8) + "\r\n";
+        assert!(matches!(read_bytes(few.as_bytes()).0, Ok(Some(_))));
+
+        let bad = "POST /jobs HTTP/1.1\r\nContent-Length: 12x\r\n\r\n";
+        assert_eq!(read_bytes(bad.as_bytes()).0, Err("400 Bad Request"));
+        let big = format!(
+            "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        assert_eq!(read_bytes(big.as_bytes()).0, Err("413 Payload Too Large"));
+        let ok = "POST /jobs?x=1 HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}";
+        let request = read_bytes(ok.as_bytes()).0.unwrap().unwrap();
+        assert_eq!(
+            (
+                request.path.as_str(),
+                request.query.as_str(),
+                request.body.as_str()
+            ),
+            ("/jobs", "x=1", "{}")
+        );
+    }
 
     #[test]
     fn query_params_split() {

@@ -106,17 +106,7 @@ pub struct Composite {
     stride: IpStride,
     stream: StreamPrefetcher,
     arm: Arm,
-    /// Profiler span labels for the three members, interned once at
-    /// construction.
-    member_labels: [u32; 3],
-    /// Train calls since the last per-member timing sample.
-    sample_ctr: u32,
 }
-
-/// Train calls between per-member wall-clock timing samples while
-/// profiling: timing all three members on every call would dominate the
-/// members themselves.
-const MEMBER_SAMPLE_PERIOD: u32 = 64;
 
 impl Default for Composite {
     fn default() -> Self {
@@ -132,12 +122,6 @@ impl Composite {
             stride: IpStride::new(STRIDE_ENTRIES, 0),
             stream: StreamPrefetcher::new(STREAM_TRACKERS, 0),
             arm: PAPER_ARMS[1],
-            member_labels: [
-                mab_telemetry::span::intern("nl"),
-                mab_telemetry::span::intern("stride"),
-                mab_telemetry::span::intern("stream"),
-            ],
-            sample_ctr: 0,
         }
     }
 
@@ -169,33 +153,6 @@ impl Prefetcher for Composite {
     }
 
     fn train(&mut self, access: &L2Access, queue: &mut PrefetchQueue) {
-        if mab_telemetry::STATIC_ENABLED && mab_telemetry::profile::enabled() {
-            self.sample_ctr += 1;
-            if self.sample_ctr.is_multiple_of(MEMBER_SAMPLE_PERIOD) {
-                // Sampled member breakdown: each leaf claims the whole
-                // period's count with one timed observation, so the
-                // extrapolated totals stay comparable to the enclosing
-                // `prefetch_train` span.
-                use mab_telemetry::span::{leaf, Category};
-                let t0 = std::time::Instant::now();
-                self.nl.train(access, queue);
-                let t1 = std::time::Instant::now();
-                self.stride.train(access, queue);
-                let t2 = std::time::Instant::now();
-                self.stream.train(access, queue);
-                let t3 = std::time::Instant::now();
-                for (label, span) in self.member_labels.iter().zip([t1 - t0, t2 - t1, t3 - t2]) {
-                    leaf(
-                        Category::PrefetchTrain,
-                        *label,
-                        MEMBER_SAMPLE_PERIOD as u64,
-                        1,
-                        span.as_nanos() as u64,
-                    );
-                }
-                return;
-            }
-        }
         self.nl.train(access, queue);
         self.stride.train(access, queue);
         self.stream.train(access, queue);

@@ -14,6 +14,7 @@
 use crate::config::SmtParams;
 use crate::controllers::{EpochIpc, PgController};
 use crate::policies::{FetchPriority, PgPolicy};
+use mab_telemetry::span::{Category, StageClock};
 use mab_workloads::smt::{MemClass, SmtInstr, SmtOpKind, ThreadGen, ThreadSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -295,32 +296,7 @@ pub struct SmtPipeline {
     /// Fetch-slot grants per thread within the current epoch, sampled into
     /// `fetch_share` occupancy tracks at each epoch boundary.
     epoch_grants: [u64; 2],
-    /// Profiler enablement, latched at run start and epoch boundaries so
-    /// the per-cycle stage loop never reads the global flag.
-    profile_on: bool,
-    /// While profiling: when the cycles since the last flush began.
-    stage_clock: Option<std::time::Instant>,
-    /// Profiled cycles since the last flush — the per-stage call count
-    /// (all four stages run every cycle, so one counter serves all).
-    stage_cycles: u64,
-    /// Sampled nanoseconds per stage, `[commit, issue, rename, fetch]`
-    /// order, over the stage-timed cycles only: the first since the flush,
-    /// then every [`STAGE_SAMPLE_PERIOD`]th. They only split the flushed
-    /// wall time among the stages: each sampled interval also holds a
-    /// clock read as long as a stage, so scaling them up would overcount.
-    stage_ns: [u64; 4],
 }
-
-/// Cycles between stage-timed samples while profiling.
-const STAGE_SAMPLE_PERIOD: u64 = 256;
-
-/// Stage categories in [`SmtPipeline::stage_ns`] order.
-const STAGE_CATEGORIES: [mab_telemetry::span::Category; 4] = [
-    mab_telemetry::span::Category::Commit,
-    mab_telemetry::span::Category::Issue,
-    mab_telemetry::span::Category::Rename,
-    mab_telemetry::span::Category::Fetch,
-];
 
 impl std::fmt::Debug for SmtPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -363,10 +339,6 @@ impl SmtPipeline {
             epoch_commits_latch: [0; 2],
             probe_fetch: [0; 2],
             epoch_grants: [0; 2],
-            profile_on: false,
-            stage_clock: None,
-            stage_cycles: 0,
-            stage_ns: [0; 4],
         }
     }
 
@@ -376,34 +348,6 @@ impl SmtPipeline {
             let [grants, gated] = std::mem::take(&mut self.probe_fetch);
             mab_telemetry::count!(SmtFetchGrant, grants);
             mab_telemetry::count!(SmtFetchGated, gated);
-        }
-    }
-
-    /// Latches profiler enablement and, while profiling, starts the clock
-    /// of the cycles the next [`SmtPipeline::flush_stage_profile`] covers.
-    fn latch_profiler(&mut self) {
-        self.profile_on = mab_telemetry::profile::enabled();
-        self.stage_clock = self.profile_on.then(std::time::Instant::now);
-    }
-
-    /// Flushes the cycles since [`SmtPipeline::latch_profiler`] as one leaf
-    /// span per stage. Their wall time, one clock read at each end, is the
-    /// stages' total; the sampled intervals only split it among them, so
-    /// the four spans add up to the time the cycles took.
-    fn flush_stage_profile(&mut self) {
-        if !mab_telemetry::STATIC_ENABLED {
-            return;
-        }
-        let Some(start) = self.stage_clock.take() else {
-            return;
-        };
-        let wall_ns = start.elapsed().as_nanos();
-        let cycles = std::mem::take(&mut self.stage_cycles);
-        let sampled = std::mem::take(&mut self.stage_ns);
-        let sampled_total = sampled.iter().sum::<u64>().max(1) as u128;
-        for (cat, ns) in STAGE_CATEGORIES.iter().zip(sampled) {
-            let share = (wall_ns * ns as u128 / sampled_total) as u64;
-            mab_telemetry::span::leaf(*cat, 0, cycles, cycles, share);
         }
     }
 
@@ -446,16 +390,22 @@ impl SmtPipeline {
         let mut shares = [controller.share(0), controller.share(1)];
         let mut cycles_left = epoch_len;
         let start_cycle = self.cycle;
-        self.latch_profiler();
+        // The stages in `step`'s lap order.
+        let mut clock = StageClock::start(&[
+            (Category::Commit, 0),
+            (Category::Issue, 0),
+            (Category::Rename, 0),
+            (Category::Fetch, 0),
+        ]);
         while self.threads[0].committed < commits_per_thread
             || self.threads[1].committed < commits_per_thread
         {
-            self.step(policy, shares, scan);
+            self.step(policy, shares, scan, &mut clock);
             cycles_left -= 1;
             if cycles_left == 0 {
                 // The epoch's stage time ends here: the boundary's own work
                 // and the controller (its `policy_eval` span) stay outside.
-                self.flush_stage_profile();
+                clock.pause();
                 cycles_left = epoch_len;
                 let mut per_thread = [0.0; 2];
                 for (i, t) in self.threads.iter().enumerate() {
@@ -505,11 +455,11 @@ impl SmtPipeline {
                 }
                 policy = controller.policy();
                 shares = [controller.share(0), controller.share(1)];
-                self.latch_profiler();
+                clock.resume();
             }
         }
+        clock.finish();
         self.flush_probes();
-        self.flush_stage_profile();
         mab_telemetry::count!(SimCycles, self.cycle - start_cycle);
         self.stats()
     }
@@ -523,8 +473,16 @@ impl SmtPipeline {
         }
     }
 
-    /// Advances one cycle under the given policy and gating shares.
-    fn step(&mut self, policy: PgPolicy, shares: [f64; 2], scan: impl IssueScan) {
+    /// Advances one cycle under the given policy and gating shares: one
+    /// stage-clock step.
+    fn step(
+        &mut self,
+        policy: PgPolicy,
+        shares: [f64; 2],
+        scan: impl IssueScan,
+        clock: &mut StageClock,
+    ) {
+        clock.step();
         self.cycle += 1;
         let cycle = self.cycle;
 
@@ -536,51 +494,14 @@ impl SmtPipeline {
             }
         }
 
-        if mab_telemetry::STATIC_ENABLED && self.profile_on {
-            self.step_stages_profiled(cycle, policy, shares, scan);
-        } else {
-            self.commit_stage(cycle);
-            self.issue_stage(cycle, scan);
-            self.rename_stage(cycle, policy);
-            self.fetch_stage(cycle, policy, shares);
-        }
-    }
-
-    /// The four stages with batched profiling: exact counts every cycle,
-    /// per-stage timing only on a flush window's first cycle and every
-    /// [`STAGE_SAMPLE_PERIOD`]th — per-cycle span guards (two
-    /// `Instant::now` calls each) would dwarf the stages themselves.
-    fn step_stages_profiled(
-        &mut self,
-        cycle: u64,
-        policy: PgPolicy,
-        shares: [f64; 2],
-        scan: impl IssueScan,
-    ) {
-        self.stage_cycles += 1;
-        if self.stage_cycles > 1 && !cycle.is_multiple_of(STAGE_SAMPLE_PERIOD) {
-            self.commit_stage(cycle);
-            self.issue_stage(cycle, scan);
-            self.rename_stage(cycle, policy);
-            self.fetch_stage(cycle, policy, shares);
-            return;
-        }
-        let t0 = std::time::Instant::now();
         self.commit_stage(cycle);
-        let t1 = std::time::Instant::now();
+        clock.lap(0);
         self.issue_stage(cycle, scan);
-        let t2 = std::time::Instant::now();
+        clock.lap(1);
         self.rename_stage(cycle, policy);
-        let t3 = std::time::Instant::now();
+        clock.lap(2);
         self.fetch_stage(cycle, policy, shares);
-        let t4 = std::time::Instant::now();
-        for (ns, span) in self
-            .stage_ns
-            .iter_mut()
-            .zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3])
-        {
-            *ns += span.as_nanos() as u64;
-        }
+        clock.lap(3);
     }
 
     fn commit_stage(&mut self, cycle: u64) {

@@ -24,8 +24,9 @@
 //!   stderr progress line, the `mab-monitor` live endpoints and
 //!   `mab-inspect watch`.
 //! - [`span`] / [`profile`] — hierarchical span profiler: thread-local span
-//!   stacks with sampled timing, run-scoped deterministic merging, and
-//!   flamegraph-compatible collapsed-stack export.
+//!   stacks, the one stage clock that profiles the simulators' hot loops,
+//!   run-scoped deterministic merging, and flamegraph-compatible
+//!   collapsed-stack export.
 //! - [`blackbox`] — the always-on (feature-independent) flight recorder:
 //!   per-thread rings of recent decisions/epochs/arm events plus a
 //!   panic-hook/fatal-signal crash dump to `.mabcrash` reports.

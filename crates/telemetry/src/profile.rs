@@ -3,10 +3,11 @@
 //! Each simulator run executes inside [`collect_run`], which resets the
 //! calling thread's span tree, opens a [`Category::Run`] span around the
 //! job, and drains the finished tree into a process-wide merge registry.
-//! Because every run starts from an identical empty tree (same node ids,
-//! same sampling phases) and merging is a commutative sum keyed by span
-//! path, the merged profile of a sweep is independent of worker count and
-//! scheduling order: `--jobs 1` and `--jobs 8` produce identical counts.
+//! Because every run starts from an identical empty tree (same node ids;
+//! each stage clock starts its own sampling phase) and merging is a
+//! commutative sum keyed by span path, the merged profile of a sweep is
+//! independent of worker count and scheduling order: `--jobs 1` and
+//! `--jobs 8` produce identical counts.
 //!
 //! [`snapshot`] combines the registry with whatever accumulated on the
 //! current thread outside `collect_run` (e.g. serial trace recording) into
@@ -109,9 +110,10 @@ impl ProfileReport {
         }
     }
 
-    /// Estimated *self* nanoseconds per path: the path's extrapolated total
-    /// minus its direct children's, clamped at zero (sampling noise can
-    /// make children sum past their parent).
+    /// Estimated *self* nanoseconds per path: the path's total minus its
+    /// direct children's, clamped at zero (overlapping children, such as
+    /// the bandit's spans inside memsim's train stage, can sum past their
+    /// parent).
     pub fn self_ns(&self) -> BTreeMap<String, u64> {
         let mut out: BTreeMap<String, u64> = self
             .spans
@@ -141,16 +143,6 @@ impl ProfileReport {
                 Some((p.as_str(), t))
             }
         })
-    }
-
-    /// Estimated nanoseconds across all top-level spans — the denominator
-    /// for percent-of-run figures.
-    pub fn total_estimated_ns(&self) -> u64 {
-        self.spans
-            .iter()
-            .filter(|(path, _)| !path.contains(';'))
-            .map(|(_, t)| t.estimated_ns())
-            .sum()
     }
 
     /// Writes the profile as collapsed stacks: one `path;path;frame N` line
@@ -219,7 +211,7 @@ mod tests {
         assert_eq!(self_ns["run"], 400);
         assert_eq!(self_ns["run;cache_access"], 400);
         assert_eq!(self_ns["run;cache_access;dram_queue"], 200);
-        assert_eq!(r.total_estimated_ns(), 1_000);
+        assert_eq!(self_ns.values().sum::<u64>(), 1_000);
     }
 
     #[test]
@@ -301,10 +293,8 @@ mod tests {
         assert_eq!(serial.spans["run"].count, 2);
         assert_eq!(serial.spans["run;cache_access"].count, 137);
         assert_eq!(serial.spans["run;cache_access;dram_queue"].count, 137);
-        // Per-run tree resets make sampled-timing counts deterministic too.
-        let period = Category::CacheAccess.sample_period() as u64;
-        let expect_timed = 100u64.div_ceil(period) + 37u64.div_ceil(period);
-        assert_eq!(serial.spans["run;cache_access"].timed, expect_timed);
+        // Every entry is timed.
+        assert_eq!(serial.spans["run;cache_access"].timed, 137);
 
         set_enabled(false);
         reset();
@@ -312,21 +302,28 @@ mod tests {
 
     #[cfg(feature = "on")]
     #[test]
-    fn leaf_batches_attach_under_the_current_span() {
+    fn stage_clock_leaves_attach_under_the_current_span() {
         let _guard = TEST_LOCK.lock().unwrap();
         set_enabled(true);
         reset();
+        let stages = [(Category::Fetch, 0), (Category::Commit, 0)];
         collect_run(|| {
-            span::leaf(Category::Fetch, 0, 1_000, 16, 800);
-            span::leaf(Category::Fetch, 0, 24, 0, 0);
+            let mut clock = span::StageClock::start(&stages);
+            for _ in 0..3_000 {
+                clock.step();
+                clock.lap(0);
+                clock.lap(1);
+            }
+            clock.finish();
         });
         let snap = snapshot();
-        let fetch = snap.spans["run;fetch"];
-        assert_eq!(fetch.count, 1_024);
-        assert_eq!(fetch.timed, 16);
-        assert_eq!(fetch.total_ns, 800);
-        assert_eq!(fetch.estimated_ns(), 800 * 1_024 / 16);
         set_enabled(false);
         reset();
+        let fetch = snap.spans["run;fetch"];
+        let commit = snap.spans["run;commit"];
+        assert_eq!((fetch.count, fetch.timed), (3_000, 3_000));
+        assert_eq!((commit.count, commit.timed), (3_000, 3_000));
+        assert_eq!(fetch.estimated_ns(), fetch.total_ns);
+        assert!(fetch.total_ns + commit.total_ns <= snap.spans["run"].total_ns);
     }
 }

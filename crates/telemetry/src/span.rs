@@ -1,62 +1,59 @@
-//! Thread-local hierarchical span stack: the low-level half of the profiler.
+//! Thread-local hierarchical span stack and the stage clock: the low-level
+//! half of the profiler.
 //!
 //! [`enter`] pushes a `(category, label)` frame onto a per-thread span stack
 //! and returns an RAII [`SpanGuard`] that pops it on drop. Frames with the
 //! same parent, category and label share one node in a per-thread arena
 //! tree, so the profile is an aggregate over calls, not a log of them.
 //!
-//! Costs are kept proportional to how hot a path is:
+//! There are two ways in, by how hot a path is:
 //!
-//! - [`enter`] is the plain guard for paths that run at most a few times
-//!   per thousand simulated cycles (runs, epochs, bandit steps). Each node
-//!   times every Nth entry (N from [`Category::sample_period`]); counting
-//!   is exact.
-//! - [`enter_sampled`] is for per-access paths: the *call site* arms only
-//!   every Nth call, unarmed calls bump a caller-owned pending counter
-//!   (one plain increment — no thread-local, no clock), and the next armed
-//!   call deposits the pending count before entering a real timed span.
-//!   Total time is later estimated as `total_ns × count / timed`.
-//! - [`leaf`] deposits pre-aggregated batches for paths too hot even for a
-//!   per-call branch (per-cycle SMT pipeline stages batch locally and
-//!   flush each epoch).
+//! - [`enter`] (the [`span!`](crate::span!) macro) times every entry. It is
+//!   for paths that run at most a few times per thousand simulated
+//!   instructions: runs, epochs, bandit steps, trace block decodes.
+//! - A [`StageClock`] profiles a simulator's hot loop, one step (an
+//!   instruction, a cycle) at a time, as a fixed set of stages, and deposits
+//!   each stage as one leaf when the run ends.
 //!
 //! Everything here is behind the same gate as the rest of the crate: with
-//! the `on` feature off, [`enter`] folds to a no-op guard; with it on, a
-//! disarmed profiler costs one relaxed atomic load and a branch per span.
+//! the `on` feature off, [`enter`] folds to a no-op guard and the clock's
+//! per-step calls fold away; with it on, a disarmed profiler costs one
+//! relaxed atomic load and a branch per span, and a branch per clock call.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// What a span measures. Categories double as frame names in collapsed
-/// stacks; per-category sampling periods keep hot paths cheap.
+/// stacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Category {
     /// One full simulator run (opened by the sweep engine around each job).
     Run,
-    /// Memory-system demand access below the L1 (L2 lookup and everything
-    /// it triggers).
+    /// Memory-system stage: the L2 and LLC lookups and fills of an L1 miss.
     CacheAccess,
-    /// Waiting on / merging into an in-flight MSHR entry.
+    /// Memory-system stage: waiting for a free demand MSHR.
     Mshr,
-    /// DRAM controller queueing and service.
+    /// Memory-system stage: DRAM controller queueing and service.
     DramQueue,
-    /// Draining completed fills into the caches.
+    /// Memory-system stage: draining completed prefetch fills into the
+    /// caches.
     CacheFill,
-    /// Prefetcher training on a demand access.
+    /// Memory-system stage: prefetcher training on a demand access.
     PrefetchTrain,
-    /// Issuing queued prefetch candidates into the hierarchy.
+    /// Memory-system stage: issuing queued prefetch candidates into the
+    /// hierarchy.
     PrefetchIssue,
-    /// SMT fetch stage (batched per epoch via [`leaf`]).
+    /// SMT fetch stage.
     Fetch,
-    /// SMT rename stage (batched per epoch via [`leaf`]).
+    /// SMT rename stage.
     Rename,
-    /// SMT issue stage (batched per epoch via [`leaf`]).
+    /// SMT issue stage.
     Issue,
-    /// SMT commit stage (batched per epoch via [`leaf`]).
+    /// SMT commit stage.
     Commit,
     /// SMT resource-partitioning policy evaluation at an epoch boundary.
     PolicyEval,
@@ -68,11 +65,17 @@ pub enum Category {
     TraceDecode,
     /// Replaying a recorded trace through a simulator run.
     TraceReplay,
+    /// Memory-system stage: producing the next trace record.
+    Record,
+    /// Memory-system stage: the core model and the multi-core scheduler.
+    Core,
+    /// Memory-system stage: the L1 lookup.
+    L1,
 }
 
 impl Category {
     /// Number of distinct categories.
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 19;
 
     /// All categories, in declaration order.
     pub const ALL: [Category; Category::COUNT] = [
@@ -92,6 +95,9 @@ impl Category {
         Category::BanditUpdate,
         Category::TraceDecode,
         Category::TraceReplay,
+        Category::Record,
+        Category::Core,
+        Category::L1,
     ];
 
     /// Stable snake_case frame name used in paths and collapsed stacks.
@@ -113,20 +119,9 @@ impl Category {
             Category::BanditUpdate => "bandit_update",
             Category::TraceDecode => "trace_decode",
             Category::TraceReplay => "trace_replay",
-        }
-    }
-
-    /// Every Nth entry of a node in this category is wall-clock timed.
-    /// Most categories time every entry: the rare ones (per run / per
-    /// bandit step / per epoch) can afford it, and the per-access memory
-    /// system categories already arrive through [`enter_sampled`], whose
-    /// call sites only arm a small deterministic subset of calls — timing
-    /// those armed entries is the whole point of arming them. TraceDecode
-    /// uses a direct guard on a moderately hot path, so it samples here.
-    pub const fn sample_period(self) -> u32 {
-        match self {
-            Category::TraceDecode => 4,
-            _ => 1,
+            Category::Record => "record",
+            Category::Core => "core",
+            Category::L1 => "l1",
         }
     }
 
@@ -138,17 +133,19 @@ impl Category {
 /// Aggregate totals for one span path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanTotals {
-    /// Exact number of times the span was entered.
+    /// Exact number of times the span was entered, or, for a stage-clock
+    /// stage, the number of steps the stage covered.
     pub count: u64,
-    /// Number of entries that were wall-clock timed.
+    /// Number of entries that were wall-clock timed; always `count` now
+    /// that every entry is timed.
     pub timed: u64,
-    /// Total nanoseconds across the timed entries only.
+    /// Total nanoseconds across the timed entries.
     pub total_ns: u64,
 }
 
 impl SpanTotals {
-    /// Estimated total nanoseconds across *all* entries, extrapolated from
-    /// the timed sample: `total_ns × count / timed` (0 when never timed).
+    /// Estimated total nanoseconds across *all* entries, `total_ns × count
+    /// / timed` (0 when never timed): `total_ns`, now every entry is timed.
     pub fn estimated_ns(&self) -> u64 {
         if self.timed == 0 {
             0
@@ -208,22 +205,19 @@ fn label_name(id: u32) -> Option<String> {
 // ---------------------------------------------------------------------------
 
 const NONE: u32 = u32::MAX;
-const UNTIMED: u64 = u64::MAX;
 
 struct Node {
     cat: u8,
     label: u32,
     first_child: u32,
     next_sibling: u32,
-    /// Remaining entries before the next timed one (0 ⇒ time this entry).
-    countdown: u32,
     totals: SpanTotals,
 }
 
 struct Frame {
     /// Node that was `current` before this span was entered.
     prev: u32,
-    /// Entry timestamp, or [`UNTIMED`] when this entry is not sampled.
+    /// Entry timestamp.
     start_ns: u64,
 }
 
@@ -242,7 +236,6 @@ impl ThreadTree {
                 label: 0,
                 first_child: NONE,
                 next_sibling: NONE,
-                countdown: 0,
                 totals: SpanTotals::default(),
             }],
             current: 0,
@@ -251,13 +244,12 @@ impl ThreadTree {
         }
     }
 
-    /// Clears the tree back to a lone root. Called between runs so sampling
-    /// phases and node ids never depend on what ran earlier on this worker.
+    /// Clears the tree back to a lone root. Called between runs so node ids
+    /// never depend on what ran earlier on this worker.
     fn reset(&mut self) {
         self.nodes.truncate(1);
         let root = &mut self.nodes[0];
         root.first_child = NONE;
-        root.countdown = 0;
         root.totals = SpanTotals::default();
         self.current = 0;
         self.stack.clear();
@@ -280,7 +272,6 @@ impl ThreadTree {
             label,
             first_child: NONE,
             next_sibling: head,
-            countdown: 0,
             totals: SpanTotals::default(),
         });
         self.nodes[parent as usize].first_child = id;
@@ -424,66 +415,19 @@ pub fn enter(cat: Category, label: u32) -> SpanGuard {
     if !crate::STATIC_ENABLED || !PROFILING.load(Ordering::Relaxed) {
         return SpanGuard { armed: false };
     }
-    enter_impl(cat, label, 0);
-    SpanGuard { armed: true }
-}
-
-/// Call-site-sampled span for per-access paths too hot for [`enter`]. The
-/// caller owns the arming cadence (e.g. every 256th demand access) and a
-/// `pending` tally kept next to its other per-instance state: unarmed calls
-/// cost one branch and one plain increment, while an armed call deposits
-/// the pending unarmed count onto the node and enters a real, always-timed
-/// span. Counts stay exact up to the last armed entry, and the timed
-/// subset is an unbiased 1-in-N sample of the site.
-///
-/// `profiling` is the hoisted result of
-/// [`profile::enabled`](crate::profile::enabled), read once per access so
-/// the per-site cost is a test of a local bool rather than an atomic load.
-#[inline]
-pub fn enter_sampled(
-    cat: Category,
-    label: u32,
-    pending: &mut u64,
-    profiling: bool,
-    armed: bool,
-) -> SpanGuard {
-    if !crate::STATIC_ENABLED || !profiling {
-        return SpanGuard { armed: false };
-    }
-    if !armed {
-        *pending += 1;
-        return SpanGuard { armed: false };
-    }
-    enter_impl(cat, label, std::mem::take(pending));
-    SpanGuard { armed: true }
-}
-
-fn enter_impl(cat: Category, label: u32, deposit: u64) {
     TREE.with(|tree| {
         let mut t = tree.borrow_mut();
         let parent = t.current;
         let node = t.find_or_add(parent, cat as u8, label);
-        let start_ns = {
-            let now = if t.nodes[node as usize].countdown == 0 {
-                t.now_ns()
-            } else {
-                UNTIMED
-            };
-            let n = &mut t.nodes[node as usize];
-            n.totals.count += 1 + deposit;
-            if n.countdown == 0 {
-                n.countdown = cat.sample_period() - 1;
-            } else {
-                n.countdown -= 1;
-            }
-            now
-        };
+        t.nodes[node as usize].totals.count += 1;
         t.current = node;
+        let start_ns = t.now_ns();
         t.stack.push(Frame {
             prev: parent,
             start_ns,
         });
     });
+    SpanGuard { armed: true }
 }
 
 /// Pops the innermost span. Robust to an empty stack (e.g. profiling was
@@ -494,23 +438,18 @@ fn exit() {
         let Some(frame) = t.stack.pop() else {
             return;
         };
-        if frame.start_ns != UNTIMED {
-            let end = t.now_ns();
-            let cur = t.current as usize;
-            let n = &mut t.nodes[cur];
-            n.totals.timed += 1;
-            n.totals.total_ns += end.saturating_sub(frame.start_ns);
-        }
+        let end = t.now_ns();
+        let cur = t.current as usize;
+        let n = &mut t.nodes[cur];
+        n.totals.timed += 1;
+        n.totals.total_ns += end.saturating_sub(frame.start_ns);
         t.current = frame.prev;
     });
 }
 
-/// Deposits a pre-aggregated batch as a child of the current span: `count`
-/// calls of which `timed` were wall-clock timed for `total_ns` total. This
-/// is the escape hatch for paths too hot even for a sampled guard — the SMT
-/// pipeline batches per-stage counts locally each epoch and flushes them
-/// here.
-pub fn leaf(cat: Category, label: u32, count: u64, timed: u64, total_ns: u64) {
+/// Deposits `count` timed entries totalling `total_ns` as a child of the
+/// current span: how a [`StageClock`] reports each stage.
+pub(crate) fn leaf(cat: Category, label: u32, count: u64, total_ns: u64) {
     if !crate::STATIC_ENABLED || !PROFILING.load(Ordering::Relaxed) || count == 0 {
         return;
     }
@@ -520,9 +459,195 @@ pub fn leaf(cat: Category, label: u32, count: u64, timed: u64, total_ns: u64) {
         let node = t.find_or_add(parent, cat as u8, label);
         let n = &mut t.nodes[node as usize];
         n.totals.count += count;
-        n.totals.timed += timed;
+        n.totals.timed += count;
         n.totals.total_ns += total_ns;
     });
+}
+
+// ---------------------------------------------------------------------------
+// Stage clock
+// ---------------------------------------------------------------------------
+
+/// One step in `SAMPLE_PERIOD` is stage-timed: a prime, so the sampled
+/// steps cannot lock onto a loop whose period is a power of two.
+const SAMPLE_PERIOD: u32 = 1021;
+
+/// The cost of one clock read, measured once per process as the fastest of
+/// a few batches of back-to-back reads (a preempted batch reads slower).
+fn clock_read_ns() -> u64 {
+    static COST: OnceLock<u64> = OnceLock::new();
+    *COST.get_or_init(|| {
+        let batch = || {
+            let start = Instant::now();
+            for _ in 1..64 {
+                std::hint::black_box(Instant::now());
+            }
+            start.elapsed().as_nanos() as u64 / 64
+        };
+        (0..16).map(|_| batch()).min().unwrap_or(0)
+    })
+}
+
+/// The one way a hot loop is profiled: as a fixed set of stages, one step
+/// (an instruction in memsim, a cycle in smtsim) at a time.
+///
+/// The loop calls [`StageClock::step`] as each step begins and
+/// [`StageClock::lap`] after each stage, which charges the time since the
+/// previous clock read to that stage. The run's stage total is its wall
+/// time, one clock read at each end of every window ([`StageClock::pause`]
+/// and [`StageClock::resume`] leave out work profiled elsewhere). On one
+/// step in `SAMPLE_PERIOD` every lap reads the clock, less the cost of one
+/// read (floored at 0), and [`StageClock::finish`] splits the total among
+/// the stages in proportion to those samples. Each stage becomes one leaf
+/// under the current span whose `count` is the steps covered. DESIGN.md
+/// §12 ("One stage clock") has the reasoning.
+///
+/// Latches the profiling switch at [`StageClock::start`], never allocates
+/// per step, and folds away with the `on` feature off.
+#[derive(Debug)]
+pub struct StageClock {
+    on: bool,
+    /// `(category, label)` and sampled ns per stage, by `lap` index.
+    stages: Vec<(Category, u32)>,
+    sampled_ns: Vec<u64>,
+    /// The step in progress is sampled; `countdown` steps to the next.
+    sampling: bool,
+    countdown: u32,
+    steps: u64,
+    /// Wall time of the closed windows, and the open one's start.
+    wall_ns: u64,
+    window: Option<Instant>,
+    /// The sampled step's last clock read.
+    last: Option<Instant>,
+    read_ns: u64,
+}
+
+impl StageClock {
+    /// Starts a clock over `stages` and opens its first window. Inert when
+    /// profiling is off.
+    pub fn start(stages: &[(Category, u32)]) -> StageClock {
+        let on = crate::STATIC_ENABLED && PROFILING.load(Ordering::Relaxed);
+        StageClock::with(stages, on, if on { clock_read_ns() } else { 0 })
+    }
+
+    fn with(stages: &[(Category, u32)], on: bool, read_ns: u64) -> StageClock {
+        let mut clock = StageClock {
+            on,
+            stages: Vec::new(),
+            sampled_ns: Vec::new(),
+            sampling: false,
+            countdown: SAMPLE_PERIOD - 1,
+            steps: 0,
+            wall_ns: 0,
+            window: None,
+            last: None,
+            read_ns,
+        };
+        for &(cat, label) in stages {
+            clock.stage(cat, label);
+        }
+        clock.resume();
+        clock
+    }
+
+    /// The index of stage `(cat, label)`, added if new. 0 when the clock is
+    /// inert.
+    pub fn stage(&mut self, cat: Category, label: u32) -> usize {
+        if !self.on {
+            return 0;
+        }
+        match self.stages.iter().position(|&s| s == (cat, label)) {
+            Some(i) => i,
+            None => {
+                self.stages.push((cat, label));
+                self.sampled_ns.push(0);
+                self.stages.len() - 1
+            }
+        }
+    }
+
+    /// Begins a step.
+    #[inline]
+    pub fn step(&mut self) {
+        if !crate::STATIC_ENABLED || !self.on {
+            return;
+        }
+        self.steps += 1;
+        self.sampling = self.countdown == 0;
+        if self.sampling {
+            self.countdown = SAMPLE_PERIOD - 1;
+            self.last = Some(Instant::now());
+        } else {
+            self.countdown -= 1;
+        }
+    }
+
+    /// Charges the time since the previous clock read to `stage`.
+    #[inline]
+    pub fn lap(&mut self, stage: usize) {
+        if crate::STATIC_ENABLED && self.sampling {
+            self.lap_sampled(stage);
+        }
+    }
+
+    #[inline(never)]
+    fn lap_sampled(&mut self, stage: usize) {
+        let now = Instant::now();
+        if let Some(last) = self.last.replace(now) {
+            let ns = now.duration_since(last).as_nanos() as u64;
+            self.sampled_ns[stage] += ns.saturating_sub(self.read_ns);
+        }
+    }
+
+    /// Closes the open window.
+    pub fn pause(&mut self) {
+        if let Some(start) = self.window.take() {
+            self.wall_ns += start.elapsed().as_nanos() as u64;
+        }
+    }
+
+    /// Opens a window.
+    pub fn resume(&mut self) {
+        if crate::STATIC_ENABLED && self.on {
+            self.window = Some(Instant::now());
+        }
+    }
+
+    /// Closes the clock and deposits every stage as a leaf under the
+    /// current span.
+    pub fn finish(mut self) {
+        self.pause();
+        for (cat, label, count, ns) in self.deposits() {
+            leaf(cat, label, count, ns);
+        }
+    }
+
+    /// Each stage's `(category, label, steps, ns)`: the wall total split in
+    /// proportion to the sampled intervals. Empty when the clock is inert.
+    fn deposits(&self) -> impl Iterator<Item = (Category, u32, u64, u64)> + '_ {
+        let steps = self.steps;
+        self.stages
+            .iter()
+            .zip(split(self.wall_ns, &self.sampled_ns))
+            .map(move |(&(cat, label), ns)| (cat, label, steps, ns))
+    }
+}
+
+/// Splits `total` in proportion to `weights`, evenly when they are all 0.
+/// The parts are rounded so that they add up to `total` exactly.
+fn split(total: u64, weights: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    let sum: u128 = weights.iter().map(|&w| w as u128).sum();
+    let even = sum == 0;
+    let sum = if even { weights.len() as u128 } else { sum };
+    let mut cum = 0u128;
+    let mut given = 0u64;
+    weights.iter().map(move |&w| {
+        cum += if even { 1 } else { w as u128 };
+        let upto = (total as u128 * cum / sum) as u64;
+        let part = upto - given;
+        given = upto;
+        part
+    })
 }
 
 #[cfg(test)]
@@ -535,7 +660,6 @@ mod tests {
         for (i, c) in Category::ALL.iter().enumerate() {
             assert_eq!(*c as usize, i);
             assert_eq!(Category::from_u8(i as u8), *c);
-            assert!(c.sample_period() >= 1);
             assert!(!c.name().contains(';'));
             assert!(!c.name().contains(' '));
         }
@@ -575,31 +699,116 @@ mod tests {
         assert_eq!(out["cache_access;dram_queue"].count, 10);
     }
 
+    const STAGES: [(Category, u32); 3] = [
+        (Category::Commit, 0),
+        (Category::Issue, 0),
+        (Category::Fetch, 0),
+    ];
+
+    /// Runs `steps` steps of three laps each, the middle stage busy.
+    fn drive(clock: &mut StageClock, steps: u32) {
+        for _ in 0..steps {
+            clock.step();
+            clock.lap(0);
+            std::hint::black_box((0..200u64).sum::<u64>());
+            clock.lap(1);
+            clock.lap(2);
+        }
+    }
+
     #[cfg(feature = "on")]
     #[test]
-    fn sampling_times_first_and_every_nth_entry() {
-        let mut t = ThreadTree::new();
-        let period = Category::TraceDecode.sample_period() as u64;
-        assert!(period > 1, "test needs a sampled category");
-        let total = period * 3;
-        for _ in 0..total {
-            let n = t.find_or_add(0, Category::TraceDecode as u8, 0);
-            let node = &mut t.nodes[n as usize];
-            node.totals.count += 1;
-            if node.countdown == 0 {
-                node.countdown = Category::TraceDecode.sample_period() - 1;
-                node.totals.timed += 1;
-                node.totals.total_ns += 5;
-            } else {
-                node.countdown -= 1;
+    fn stage_clock_samples_one_step_per_period_across_windows() {
+        let mut clock = StageClock::with(&STAGES, true, 0);
+        let mut sampled = 0;
+        for step in 0..SAMPLE_PERIOD * 3 {
+            if step == SAMPLE_PERIOD + 7 {
+                // A window boundary keeps the phase.
+                clock.pause();
+                clock.resume();
             }
+            clock.step();
+            sampled += clock.sampling as u32;
         }
+        assert_eq!(sampled, 3);
+        assert_eq!(clock.steps, SAMPLE_PERIOD as u64 * 3);
+    }
+
+    #[test]
+    fn split_follows_the_weights_and_adds_up_exactly() {
+        let parts: Vec<u64> = split(1_000, &[1, 3, 0, 6]).collect();
+        assert_eq!(parts, vec![100, 300, 0, 600]);
+        let parts: Vec<u64> = split(10, &[1, 1, 1]).collect();
+        assert_eq!(parts.iter().sum::<u64>(), 10);
+        let even: Vec<u64> = split(9, &[0, 0, 0]).collect();
+        assert_eq!(even, vec![3, 3, 3]);
+        assert_eq!(split(5, &[]).count(), 0);
+    }
+
+    #[cfg(feature = "on")]
+    #[test]
+    fn stage_leaves_follow_the_sampled_intervals_and_sum_to_the_wall() {
+        let mut clock = StageClock::with(&STAGES, true, 0);
+        drive(&mut clock, SAMPLE_PERIOD * 4);
+        clock.pause();
+        let sampled = clock.sampled_ns.clone();
+        assert!(sampled[1] > 0, "{sampled:?}");
+        let deposits: Vec<_> = clock.deposits().collect();
+        assert_eq!(deposits.len(), 3);
+        let total: u64 = deposits.iter().map(|d| d.3).sum();
+        assert_eq!(total, clock.wall_ns);
+        for (i, &(cat, _, count, ns)) in deposits.iter().enumerate() {
+            assert_eq!(cat, STAGES[i].0);
+            assert_eq!(count, SAMPLE_PERIOD as u64 * 4);
+            let expect =
+                clock.wall_ns as u128 * sampled[i] as u128 / sampled.iter().sum::<u64>() as u128;
+            assert!(
+                ns.abs_diff(expect as u64) <= 1,
+                "stage {i}: {ns} vs {expect}"
+            );
+        }
+    }
+
+    #[cfg(feature = "on")]
+    #[test]
+    fn clock_cost_subtraction_floors_at_zero() {
+        let mut clock = StageClock::with(&STAGES, true, u64::MAX);
+        drive(&mut clock, SAMPLE_PERIOD * 2);
+        assert_eq!(clock.sampled_ns, vec![0, 0, 0]);
+        let mut exact = StageClock::with(&STAGES, true, 0);
+        drive(&mut exact, SAMPLE_PERIOD * 2);
+        assert!(exact.sampled_ns[1] > 0, "{:?}", exact.sampled_ns);
+    }
+
+    #[cfg(feature = "on")]
+    #[test]
+    fn run_without_a_sampled_step_still_deposits_its_time() {
+        let mut clock = StageClock::with(&STAGES, true, 0);
+        drive(&mut clock, SAMPLE_PERIOD - 1);
+        clock.pause();
+        assert_eq!(clock.sampled_ns, vec![0, 0, 0]);
+        assert!(clock.wall_ns > 0);
+        let deposits: Vec<_> = clock.deposits().collect();
+        assert_eq!(deposits.iter().map(|d| d.3).sum::<u64>(), clock.wall_ns);
+        assert!(deposits.iter().all(|d| d.2 == SAMPLE_PERIOD as u64 - 1));
+        assert!(deposits
+            .iter()
+            .all(|d| d.3.abs_diff(clock.wall_ns / 3) <= 1));
+    }
+
+    #[test]
+    fn nothing_is_deposited_while_profiling_is_off() {
+        let mut clock = StageClock::with(&STAGES, false, 0);
+        assert_eq!(clock.stage(Category::Rename, 0), 0);
+        drive(&mut clock, SAMPLE_PERIOD * 2);
+        clock.pause();
+        clock.resume();
+        assert_eq!((clock.steps, clock.wall_ns), (0, 0));
+        assert_eq!(clock.deposits().count(), 0);
+        clock.finish();
         let mut out = BTreeMap::new();
-        t.flatten_into(&mut out);
-        let totals = out["trace_decode"];
-        assert_eq!(totals.count, total);
-        assert_eq!(totals.timed, 3);
-        assert_eq!(totals.estimated_ns(), 5 * total);
+        flatten_thread_into(&mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
