@@ -128,8 +128,9 @@ mod stage {
 }
 
 /// The `(train, issue)` stages of a prefetcher labelled `label` on the
-/// run's stage clock. With no prefetcher installed (label 0), the no-op
-/// calls are charged to `lookup`, the stage of the cache it would serve.
+/// run's stage clock. Without a label (0: the L2's no-op prefetcher, or
+/// any prefetcher in a build without telemetry), the calls are charged to
+/// `lookup`, the stage of the cache it serves.
 fn prefetcher_stages(clock: &mut StageClock, label: u32, lookup: usize) -> (usize, usize) {
     if label == 0 {
         return (lookup, lookup);
@@ -146,7 +147,10 @@ struct CoreCtx {
     l2: Cache,
     mshr: Mshr,
     prefetcher: Box<dyn Prefetcher + Send>,
-    l1_prefetcher: Box<dyn Prefetcher + Send>,
+    /// `None` until [`System::set_l1_prefetcher`]: an L1 access without
+    /// one skips the train and issue calls. The skip is keyed on this and
+    /// not on `l1_pf_label`, which is 0 in builds without telemetry.
+    l1_prefetcher: Option<Box<dyn Prefetcher + Send>>,
     /// Interned profiler labels of the installed prefetchers (0 while none
     /// is installed), so stages read `prefetch_train:bandit`. The L1
     /// prefetcher's label is its name prefixed `l1-`, which keeps it apart
@@ -228,7 +232,7 @@ impl System {
                 l2: Cache::new(config.l2),
                 mshr: Mshr::new(),
                 prefetcher: Box::new(NoPrefetcher),
-                l1_prefetcher: Box::new(NoPrefetcher),
+                l1_prefetcher: None,
                 pf_label: 0,
                 l1_pf_label: 0,
                 l2_stages: (stage::CACHE_ACCESS, stage::CACHE_ACCESS),
@@ -293,7 +297,7 @@ impl System {
     pub fn set_l1_prefetcher(&mut self, core: usize, prefetcher: Box<dyn Prefetcher + Send>) {
         self.cores[core].l1_pf_label =
             mab_telemetry::span::intern(&format!("l1-{}", prefetcher.name()));
-        self.cores[core].l1_prefetcher = prefetcher;
+        self.cores[core].l1_prefetcher = Some(prefetcher);
     }
 
     /// The configuration the system was built with.
@@ -571,20 +575,22 @@ impl System {
             self.probe.bump(Stat::L1DemandMiss);
         }
         clock.lap(stage::L1);
-        // The L1 prefetcher trains on every demand access.
-        let l1_access = L2Access {
-            pc,
-            line,
-            hit: l1_hit,
-            cycle: t,
-            instructions: ctx.core.instructions(),
-            kind,
-        };
-        let (l1_train, l1_issue) = ctx.l1_stages;
-        ctx.l1_prefetcher.train(&l1_access, &mut ctx.l1_queue);
-        clock.lap(l1_train);
-        self.issue_prefetches(i, t, true);
-        clock.lap(l1_issue);
+        // An L1 prefetcher trains on every demand access.
+        if let Some(l1_prefetcher) = &mut ctx.l1_prefetcher {
+            let l1_access = L2Access {
+                pc,
+                line,
+                hit: l1_hit,
+                cycle: t,
+                instructions: ctx.core.instructions(),
+                kind,
+            };
+            let (l1_train, l1_issue) = ctx.l1_stages;
+            l1_prefetcher.train(&l1_access, &mut ctx.l1_queue);
+            clock.lap(l1_train);
+            self.issue_prefetches(i, t, true);
+            clock.lap(l1_issue);
+        }
         if l1_hit {
             return l1_lat;
         }

@@ -11,9 +11,12 @@
 //! stops. Shutdown sets a stop flag and pokes the listener with a loopback
 //! connect so the blocking `accept` wakes immediately.
 //!
-//! Every connection's reads time out after [`IO_TIMEOUT`]; these limits are
-//! constants, with no environment overrides. A timeout bounds each read,
-//! not the request, so the request head is capped too: the request line at
+//! A client has [`REQUEST_DEADLINE`] from its connection's accept to send
+//! the whole request (line, headers and body), and each read waits at most
+//! [`IO_TIMEOUT`] of that; a client that misses either is dropped
+//! unanswered, so a slow trickle cannot hold a connection slot for longer
+//! than the deadline. These limits are constants, with no environment
+//! overrides. The request head is capped too: the request line at
 //! [`MAX_REQUEST_LINE_BYTES`] (`414` beyond it) and the header lines at
 //! [`MAX_HEADER_BYTES`] (`431`). `POST` bodies are read up to
 //! `Content-Length`, bounded by [`MAX_BODY_BYTES`] (`413` beyond it; `400`
@@ -23,13 +26,16 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Maximum concurrently handled connections; the rest get `503`.
 pub const MAX_CONNECTIONS: usize = 32;
 
-/// Per-connection IO (read) timeout.
+/// Longest wait for any one read of a request.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Time a client has to send its whole request, from the accept on.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Largest accepted request body (1 MiB); longer bodies are answered `413`.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
@@ -214,18 +220,39 @@ pub fn serve_with(
 }
 
 fn handle_connection(stream: TcpStream, stop: Arc<AtomicBool>, handler: Handler) {
-    // Bound header/body reads so a half-open client cannot pin the thread.
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let Ok(clone) = stream.try_clone() else {
         return;
     };
     let mut conn = Conn { stream, stop };
-    match read_request(&mut BufReader::new(clone)) {
+    let reader = DeadlineReader {
+        stream: clone,
+        deadline: Instant::now() + REQUEST_DEADLINE,
+    };
+    match read_request(&mut BufReader::new(reader)) {
         Ok(Some(request)) => handler(&request, &mut conn),
         Ok(None) => {}
         Err(status_line) => {
             let _ = conn.respond(status_line, "text/plain; charset=utf-8", "bad request\n");
         }
+    }
+}
+
+/// A connection's read side under the request's deadline: each read waits
+/// at most the smaller of [`IO_TIMEOUT`] and the time left, and once the
+/// deadline has passed every read fails with `TimedOut`.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left.min(IO_TIMEOUT)))?;
+        self.stream.read(buf)
     }
 }
 
@@ -238,8 +265,9 @@ fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> std::io::Result<Op
 }
 
 /// Reads one request (line, headers, body), buffering no more than the
-/// caps allow. `Ok(None)` means the client hung up or stalled before
-/// sending anything useful; `Err` carries the status line to answer with.
+/// caps allow. `Ok(None)` means the client hung up, stalled or ran out of
+/// time before sending a whole request; `Err` carries the status line to
+/// answer with.
 fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, &'static str> {
     let line = match read_line_capped(reader, MAX_REQUEST_LINE_BYTES) {
         Ok(Some(line)) => String::from_utf8_lossy(&line).into_owned(),

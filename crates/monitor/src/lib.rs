@@ -45,7 +45,7 @@ pub mod sse;
 pub mod state;
 pub mod status;
 
-pub use http::{HttpStats, IO_TIMEOUT, MAX_CONNECTIONS};
+pub use http::{HttpStats, IO_TIMEOUT, MAX_CONNECTIONS, REQUEST_DEADLINE};
 pub use state::{ArmPhase, ArmState, EventRing, MonitorState, RunInfo, SweepState};
 
 use mab_runner::ObserverId;

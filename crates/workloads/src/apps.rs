@@ -1,12 +1,13 @@
 //! Synthetic applications: named pattern mixes with phase schedules.
 
+use crate::draw::{draw_threshold, unit_bits, Cmp, WeightedPick};
 use crate::patterns::{
-    HotCold, Pattern, PointerChase, RegionFootprint, Stream, Strided, UniformRandom,
+    HotCold, Kernel, Pattern, PointerChase, RegionFootprint, Stream, Strided, UniformRandom,
 };
 use crate::suites::Suite;
 use crate::trace::{MemKind, TraceRecord, LINE_BYTES};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Description of one address-stream kernel inside a phase.
@@ -113,21 +114,21 @@ impl PatternSpec {
         }
     }
 
-    fn instantiate(&self, base: u64, salt: u64) -> Box<dyn Pattern + Send> {
+    fn instantiate(&self, base: u64, salt: u64) -> Kernel {
         match *self {
             PatternSpec::Stream {
                 footprint_lines, ..
-            } => Box::new(Stream::new(base, footprint_lines)),
+            } => Kernel::Stream(Stream::new(base, footprint_lines)),
             PatternSpec::Stride {
                 stride,
                 footprint_lines,
                 ..
-            } => Box::new(Strided::new(base, stride, footprint_lines)),
+            } => Kernel::Strided(Strided::new(base, stride, footprint_lines)),
             PatternSpec::Region {
                 region_lines,
                 regions,
                 density,
-            } => Box::new(RegionFootprint::new(
+            } => Kernel::Region(RegionFootprint::new(
                 base,
                 region_lines,
                 regions,
@@ -136,16 +137,16 @@ impl PatternSpec {
                 salt,
             )),
             PatternSpec::PointerChase { footprint_lines } => {
-                Box::new(PointerChase::new(base, footprint_lines, salt))
+                Kernel::PointerChase(PointerChase::new(base, footprint_lines, salt))
             }
             PatternSpec::Random { footprint_lines } => {
-                Box::new(UniformRandom::new(base, footprint_lines))
+                Kernel::Random(UniformRandom::new(base, footprint_lines))
             }
             PatternSpec::HotCold {
                 hot_lines,
                 cold_lines,
                 hot_frac,
-            } => Box::new(HotCold::new(base, hot_lines, cold_lines, hot_frac)),
+            } => Kernel::HotCold(HotCold::new(base, hot_lines, cold_lines, hot_frac)),
         }
     }
 }
@@ -218,9 +219,21 @@ impl AppSpec {
     }
 }
 
+/// The selection weight of each kernel an [`AppTrace`] runs for `phase`:
+/// each pattern's weight, split evenly among its streams.
+pub(crate) fn kernel_weights(phase: &PhaseSpec) -> Vec<f64> {
+    phase
+        .patterns
+        .iter()
+        .flat_map(|(pattern, weight)| {
+            let streams = pattern.streams();
+            std::iter::repeat_n(weight / streams as f64, streams as usize)
+        })
+        .collect()
+}
+
 struct RuntimeKernel {
-    pattern: Box<dyn Pattern + Send>,
-    weight: f64,
+    kernel: Kernel,
     pc: u64,
     /// Word-granular accesses per produced line.
     repeats: u32,
@@ -235,7 +248,7 @@ impl RuntimeKernel {
     /// fetching a new line from the kernel when the line is exhausted.
     fn next_addr(&mut self, rng: &mut StdRng) -> u64 {
         if self.repeats_left == 0 {
-            self.current_line = self.pattern.next_line(rng);
+            self.current_line = self.kernel.next_line(rng);
             self.repeats_left = self.repeats;
         }
         let word = self.repeats - self.repeats_left;
@@ -246,14 +259,23 @@ impl RuntimeKernel {
 
 struct RuntimePhase {
     kernels: Vec<RuntimeKernel>,
-    total_weight: f64,
-    mem_ratio: f64,
-    store_frac: f64,
-    branch_ratio: f64,
+    /// Picks a kernel by weight.
+    pick: WeightedPick,
+    /// Below `mem_ratio`: a memory access.
+    mem: u64,
+    /// Below `mem_ratio + branch_ratio`: a branch.
+    branch: u64,
+    /// Below `store_frac`: a store.
+    store: u64,
     len: u64,
 }
 
 /// Lazy infinite instruction generator for an [`AppSpec`].
+///
+/// Every random decision is an integer compare on a draw's raw bits,
+/// against thresholds and kernel-pick bounds precomputed from the spec's
+/// float expressions, in the order the float code drew them, so the stream
+/// is the one `gen::<f64>()` compares would give.
 ///
 /// # Example
 ///
@@ -297,7 +319,7 @@ impl AppTrace {
         let mut phases = Vec::with_capacity(spec.phases.len());
         for (pi, phase) in spec.phases.iter().enumerate() {
             let mut kernels = Vec::new();
-            for (ki, (pattern_spec, weight)) in phase.patterns.iter().enumerate() {
+            for (ki, (pattern_spec, _)) in phase.patterns.iter().enumerate() {
                 let streams = pattern_spec.streams();
                 for s in 0..streams {
                     let salt = spec
@@ -305,8 +327,7 @@ impl AppTrace {
                         .wrapping_mul(1000)
                         .wrapping_add((pi * 100 + ki * 10 + s as usize) as u64);
                     kernels.push(RuntimeKernel {
-                        pattern: pattern_spec.instantiate(next_base, salt),
-                        weight: weight / streams as f64,
+                        kernel: pattern_spec.instantiate(next_base, salt),
                         pc: next_pc,
                         repeats: pattern_spec.line_repeats(),
                         current_line: 0,
@@ -317,13 +338,13 @@ impl AppTrace {
                     next_pc += 0x40;
                 }
             }
-            let total_weight = kernels.iter().map(|k| k.weight).sum();
+            let below = |p| draw_threshold(p, Cmp::Below);
             phases.push(RuntimePhase {
                 kernels,
-                total_weight,
-                mem_ratio: phase.mem_ratio,
-                store_frac: phase.store_frac,
-                branch_ratio: phase.branch_ratio,
+                pick: WeightedPick::new(&kernel_weights(phase)),
+                mem: below(phase.mem_ratio),
+                branch: below(phase.mem_ratio + phase.branch_ratio),
+                store: below(phase.store_frac),
                 len: phase.len.max(1),
             });
         }
@@ -360,21 +381,11 @@ impl Iterator for AppTrace {
         self.instr += 1;
 
         let phase = &mut self.phases[self.phase_idx];
-        let draw: f64 = self.rng.gen();
-        let record = if draw < phase.mem_ratio {
-            // Choose a kernel by weight.
-            let mut pick = self.rng.gen::<f64>() * phase.total_weight;
-            let mut chosen = phase.kernels.len() - 1;
-            for (i, k) in phase.kernels.iter().enumerate() {
-                if pick < k.weight {
-                    chosen = i;
-                    break;
-                }
-                pick -= k.weight;
-            }
-            let kernel = &mut phase.kernels[chosen];
+        let draw = unit_bits(&mut self.rng);
+        let record = if draw < phase.mem {
+            let kernel = &mut phase.kernels[phase.pick.pick(&mut self.rng)];
             let addr = kernel.next_addr(&mut self.rng);
-            let kind = if self.rng.gen::<f64>() < phase.store_frac {
+            let kind = if unit_bits(&mut self.rng) < phase.store {
                 MemKind::Store
             } else {
                 MemKind::Load
@@ -384,7 +395,7 @@ impl Iterator for AppTrace {
                 mem: Some((kind, addr)),
                 is_branch: false,
             }
-        } else if draw < phase.mem_ratio + phase.branch_ratio {
+        } else if draw < phase.branch {
             TraceRecord::branch(ALU_PC_BASE + 0x1000 + (self.instr % 64) * 4)
         } else {
             self.alu_pc = ALU_PC_BASE + (self.alu_pc + 4 - ALU_PC_BASE) % 0x400;
@@ -541,5 +552,131 @@ mod tests {
     #[should_panic(expected = "at least one phase")]
     fn empty_phases_panics() {
         let _ = AppSpec::new("bad", Suite::Spec06Like, 0, vec![]);
+    }
+
+    /// FNV-1a over records `skip..skip + n` of an app's trace: for each,
+    /// the pc, the access (none, load or store), its address (0 for none)
+    /// and the branch flag.
+    fn stream_digest(app: &AppSpec, seed: u64, skip: usize, n: usize) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for r in app.trace(seed).skip(skip).take(n) {
+            let (kind, addr) = match r.mem {
+                None => (0u8, 0),
+                Some((MemKind::Load, addr)) => (1, addr),
+                Some((MemKind::Store, addr)) => (2, addr),
+            };
+            let bytes = r.pc.to_le_bytes().into_iter().chain([kind]);
+            let bytes = bytes.chain(addr.to_le_bytes()).chain([r.is_branch as u8]);
+            for byte in bytes {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn streams_are_pinned() {
+        // Digests of each catalog app's first 200,000 records, recorded from
+        // the float-draw generator the integer thresholds replaced: the
+        // generator's output must not move.
+        const PINNED: [(&str, u64, u64); 68] = [
+            ("mcf", 1, 0xabe5a139b0beecd3),
+            ("libquantum", 1, 0xa0323fd04979591e),
+            ("lbm", 1, 0xe62d2ab5ad9a822c),
+            ("milc", 1, 0x1c1cc21272ecad9e),
+            ("cactus", 1, 0xb9ff98e54d25c947),
+            ("soplex", 1, 0xd61cc0b2b3c71da9),
+            ("gcc", 1, 0xb883e12e6744b47d),
+            ("omnetpp", 1, 0x355f6664d9deeb8a),
+            ("bzip2", 1, 0x8bdf81153b79754d),
+            ("hmmer", 1, 0xb705b451314856e8),
+            ("gcc17", 1, 0x5956fad8892cdacf),
+            ("lbm17", 1, 0xd67271b2c1fa63d3),
+            ("mcf17", 1, 0x3b0d191669664924),
+            ("cactuBSSN", 1, 0x03c191e6e1fae19c),
+            ("xalancbmk", 1, 0xe2e19470f1af7496),
+            ("deepsjeng", 1, 0xb03073e9c31e4268),
+            ("exchange2", 1, 0xda470bc8a47736f2),
+            ("fotonik3d", 1, 0x33591c6bc7983bd5),
+            ("roms", 1, 0xafb105b0606f4ded),
+            ("xz", 1, 0xf2a92d0d06f2c34f),
+            ("wrf", 1, 0x74369c3d2685d433),
+            ("x264", 1, 0x63629fcbc3f135a7),
+            ("canneal", 1, 0xaf4ffdbfb7b0d19e),
+            ("streamcluster", 1, 0x0328789ad9be5909),
+            ("blackscholes", 1, 0x0d99fcf2baf5bcaa),
+            ("fluidanimate", 1, 0x3a16126e94e9764a),
+            ("bfs", 1, 0x45da003b53f80ad4),
+            ("pagerank", 1, 0x9266acbe82d67c70),
+            ("components", 1, 0x8f3643996b769207),
+            ("bc", 1, 0xd0c7cf0ff8d8ff9b),
+            ("cassandra", 1, 0x79c277bcee91e907),
+            ("cloud9", 1, 0x7dfd092d607658d9),
+            ("nutch", 1, 0x810748ad38ef2075),
+            ("media-streaming", 1, 0x2f28e6d73236e459),
+            ("mcf", 42, 0x75593dfc2726caa5),
+            ("libquantum", 42, 0xc9075e2b2bc1c338),
+            ("lbm", 42, 0x67a74359150b2577),
+            ("milc", 42, 0x61b3a343ad72b489),
+            ("cactus", 42, 0xd481b95695333b8f),
+            ("soplex", 42, 0xd11bae54407ab72c),
+            ("gcc", 42, 0x1b5b99349b5b4cdb),
+            ("omnetpp", 42, 0x0a41a03a81373e70),
+            ("bzip2", 42, 0x88da7ec7ffe3f34b),
+            ("hmmer", 42, 0xed40c1cf4bfac7d2),
+            ("gcc17", 42, 0x6b7dd08e60322c76),
+            ("lbm17", 42, 0xc702ab83e1dc8316),
+            ("mcf17", 42, 0xac7ecc12579dab5b),
+            ("cactuBSSN", 42, 0xb5498789bd21ffa9),
+            ("xalancbmk", 42, 0x1ac42d849e9823c6),
+            ("deepsjeng", 42, 0x072c6dc4d7ea00f3),
+            ("exchange2", 42, 0xe2e1bbde5ea20a4e),
+            ("fotonik3d", 42, 0x869aae0a8a907abb),
+            ("roms", 42, 0x48aef6116101a33f),
+            ("xz", 42, 0xde7c095abe0e3300),
+            ("wrf", 42, 0x8321ab693a9d6d3a),
+            ("x264", 42, 0xfa318bc270a22ad5),
+            ("canneal", 42, 0x537ac088f31391e1),
+            ("streamcluster", 42, 0x4d448696ba5c94f6),
+            ("blackscholes", 42, 0x24dc2d3e6d0bafe8),
+            ("fluidanimate", 42, 0xa85d74a69b16e859),
+            ("bfs", 42, 0xe8930b60cb570aea),
+            ("pagerank", 42, 0x504b25eb08102f28),
+            ("components", 42, 0x0df11b66a9bc78a5),
+            ("bc", 42, 0x949532a682124189),
+            ("cassandra", 42, 0xcfa37a6c54275aa7),
+            ("cloud9", 42, 0x4216c1e22ec7e739),
+            ("nutch", 42, 0x00b1b21555d3f56d),
+            ("media-streaming", 42, 0xbc04a34a2252c7b9),
+        ];
+        // Every catalog phase after the first starts at 1M or 2M records,
+        // past the window above: these pin 200,000 records across each
+        // multi-phase app's first phase change.
+        const PHASE_CHANGE: [(&str, u64, usize, u64); 4] = [
+            ("mcf", 1, 1_900_000, 0x8d658f74767cc42a),
+            ("mcf17", 1, 1_900_000, 0x47515d7cbeb8d65c),
+            ("mcf", 42, 1_900_000, 0x93db670a9e447049),
+            ("mcf17", 42, 1_900_000, 0x0dfc32998c4a713a),
+        ];
+        let apps = crate::suites::all_apps();
+        let app = |name: &str| apps.iter().find(|a| a.name == name).unwrap();
+        for (name, seed, digest) in PINNED {
+            assert_eq!(
+                stream_digest(app(name), seed, 0, 200_000),
+                digest,
+                "{name} at seed {seed}"
+            );
+        }
+        assert_eq!(PINNED.len(), 2 * apps.len());
+        for (name, seed, skip, digest) in PHASE_CHANGE {
+            assert_eq!(
+                stream_digest(app(name), seed, skip, 200_000),
+                digest,
+                "{name} at seed {seed} from record {skip}"
+            );
+        }
+        let multi_phase = apps.iter().filter(|a| a.phases.len() > 1).count();
+        assert_eq!(PHASE_CHANGE.len(), 2 * multi_phase);
     }
 }

@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod apps;
+mod draw;
 pub mod patterns;
 pub mod smt;
 pub mod suites;

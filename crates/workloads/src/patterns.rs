@@ -4,15 +4,46 @@
 //! byte addresses) with a specific spatial structure. The application layer
 //! ([`crate::apps`]) mixes kernels, assigns program counters, and converts
 //! lines to byte addresses.
+//!
+//! The kernels step without dividing: walks wrap by compare and subtract,
+//! and the random kernels take each draw from the same `next_u64()` with
+//! the value `gen_range` and a `gen::<f64>()` compare would give, so the
+//! lines stay those of the modulo forms (the app stream pins hold them).
 
+use crate::draw::{draw_threshold, unit_bits, Cmp, SpanDraw};
 use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A kernel generating cache-line indices.
 pub trait Pattern {
     /// Produces the next line index accessed by this kernel.
     fn next_line(&mut self, rng: &mut StdRng) -> u64;
+}
+
+/// The six kernels as one type, stepped through a `match` rather than a
+/// `dyn Pattern` call: the form an app trace holds its kernels in.
+#[derive(Debug, Clone)]
+pub(crate) enum Kernel {
+    Stream(Stream),
+    Strided(Strided),
+    Region(RegionFootprint),
+    PointerChase(PointerChase),
+    Random(UniformRandom),
+    HotCold(HotCold),
+}
+
+impl Pattern for Kernel {
+    #[inline]
+    fn next_line(&mut self, rng: &mut StdRng) -> u64 {
+        match self {
+            Kernel::Stream(k) => k.next_line(rng),
+            Kernel::Strided(k) => k.next_line(rng),
+            Kernel::Region(k) => k.next_line(rng),
+            Kernel::PointerChase(k) => k.next_line(rng),
+            Kernel::Random(k) => k.next_line(rng),
+            Kernel::HotCold(k) => k.next_line(rng),
+        }
+    }
 }
 
 /// Pure sequential streaming (what a stream prefetcher loves): lines
@@ -36,9 +67,13 @@ impl Stream {
 }
 
 impl Pattern for Stream {
+    #[inline]
     fn next_line(&mut self, _rng: &mut StdRng) -> u64 {
         let line = self.base + self.pos;
-        self.pos = (self.pos + 1) % self.footprint;
+        self.pos += 1;
+        if self.pos == self.footprint {
+            self.pos = 0;
+        }
         line
     }
 }
@@ -48,28 +83,37 @@ impl Pattern for Stream {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Strided {
     base: u64,
-    stride: i64,
+    /// The stride reduced into `0..footprint`: a step forward by it lands
+    /// where a step by the stride lands, modulo the footprint.
+    step: u64,
     footprint: u64,
-    pos: i64,
+    /// Offset of the next line, in `0..footprint`.
+    pos: u64,
 }
 
 impl Strided {
     /// Creates a strided walk with `stride` lines per step over `footprint`
     /// lines starting at line `base`. Negative strides walk backwards.
     pub fn new(base: u64, stride: i64, footprint: u64) -> Self {
+        let footprint = footprint.max(1);
         Strided {
             base,
-            stride,
-            footprint: footprint.max(1),
+            step: stride.rem_euclid(footprint as i64) as u64,
+            footprint,
             pos: 0,
         }
     }
 }
 
 impl Pattern for Strided {
+    #[inline]
     fn next_line(&mut self, _rng: &mut StdRng) -> u64 {
-        let line = self.base + self.pos.rem_euclid(self.footprint as i64) as u64;
-        self.pos += self.stride;
+        let line = self.base + self.pos;
+        // `pos` and `step` are both below the footprint.
+        self.pos += self.step;
+        if self.pos >= self.footprint {
+            self.pos -= self.footprint;
+        }
         line
     }
 }
@@ -224,8 +268,12 @@ impl PointerChase {
 }
 
 impl Pattern for PointerChase {
+    #[inline]
     fn next_line(&mut self, _rng: &mut StdRng) -> u64 {
-        self.state = (self.state + 1) % self.footprint;
+        self.state += 1;
+        if self.state == self.footprint {
+            self.state = 0;
+        }
         self.base + self.permute(self.state)
     }
 }
@@ -235,7 +283,7 @@ impl Pattern for PointerChase {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UniformRandom {
     base: u64,
-    footprint: u64,
+    footprint: SpanDraw,
 }
 
 impl UniformRandom {
@@ -243,25 +291,29 @@ impl UniformRandom {
     pub fn new(base: u64, footprint: u64) -> Self {
         UniformRandom {
             base,
-            footprint: footprint.max(1),
+            footprint: SpanDraw::new(footprint),
         }
     }
 }
 
 impl Pattern for UniformRandom {
+    #[inline]
     fn next_line(&mut self, rng: &mut StdRng) -> u64 {
-        self.base + rng.gen_range(0..self.footprint)
+        self.base + self.footprint.draw(rng)
     }
 }
 
 /// Hot/cold working sets: a small hot set absorbs `hot_frac` of accesses,
 /// the remainder spill into a large cold set (models skewed reuse).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HotCold {
     base: u64,
-    hot_lines: u64,
-    cold_lines: u64,
-    hot_frac: f64,
+    hot_lines: SpanDraw,
+    /// First line of the cold set, past the hot set.
+    cold_base: u64,
+    cold_lines: SpanDraw,
+    /// Below the clamped `hot_frac`: an access to the hot set.
+    hot: u64,
 }
 
 impl HotCold {
@@ -269,19 +321,21 @@ impl HotCold {
     pub fn new(base: u64, hot_lines: u64, cold_lines: u64, hot_frac: f64) -> Self {
         HotCold {
             base,
-            hot_lines: hot_lines.max(1),
-            cold_lines: cold_lines.max(1),
-            hot_frac: hot_frac.clamp(0.0, 1.0),
+            hot_lines: SpanDraw::new(hot_lines),
+            cold_base: base + hot_lines.max(1),
+            cold_lines: SpanDraw::new(cold_lines),
+            hot: draw_threshold(hot_frac.clamp(0.0, 1.0), Cmp::Below),
         }
     }
 }
 
 impl Pattern for HotCold {
+    #[inline]
     fn next_line(&mut self, rng: &mut StdRng) -> u64 {
-        if rng.gen::<f64>() < self.hot_frac {
-            self.base + rng.gen_range(0..self.hot_lines)
+        if unit_bits(rng) < self.hot {
+            self.base + self.hot_lines.draw(rng)
         } else {
-            self.base + self.hot_lines + rng.gen_range(0..self.cold_lines)
+            self.cold_base + self.cold_lines.draw(rng)
         }
     }
 }

@@ -8,8 +8,9 @@
 //! behaviours directly and [`ThreadGen`] produces the instruction stream the
 //! `mab-smtsim` pipeline executes.
 
+use crate::draw::{draw_threshold, unit_bits, Cmp};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Latency class of a memory operation (Table 5 hierarchy: L1, a 4 MB L2,
@@ -89,44 +90,6 @@ impl ThreadSpec {
     /// Instantiates the lazy instruction generator for this thread.
     pub fn stream(&self, seed: u64) -> ThreadGen {
         ThreadGen::new(self, seed)
-    }
-}
-
-/// The comparison a [`draw_threshold`] stands in for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Cmp {
-    /// `gen::<f64>() < p`, decided as `bits < threshold`.
-    Below,
-    /// `gen::<f64>() > p`, decided as `bits >= threshold`.
-    Above,
-}
-
-/// `2^53`, the scale of the rand shim's unit draws: `gen::<f64>()` is
-/// `(next_u64() >> 11) · 2^-53`.
-const UNIT_SCALE: f64 = (1u64 << 53) as f64;
-
-/// The 53 random bits behind one `gen::<f64>()` draw, without the float.
-#[inline]
-fn unit_bits(rng: &mut StdRng) -> u64 {
-    rng.next_u64() >> 11
-}
-
-/// The integer threshold that decides a comparison of one `gen::<f64>()`
-/// draw `x` with a fixed `p` from the draw's [`unit_bits`] `k`.
-///
-/// `x = k · 2^-53`, and scaling by 2^53 is exact, so with `q = p · 2^53`:
-/// `x < p` ⇔ `k < ceil(q)`, and `x > p` ⇔ `k > floor(q)` ⇔
-/// `k >= floor(q) + 1`. The `as u64` cast saturates, which keeps the float
-/// compare's answer at the extremes: a negative bound (negative `p`, −∞)
-/// becomes 0, and one at or past 2^53 (`p >= 1`, +∞) lies past every draw.
-/// NaN compares false both ways: the cast sends it to 0, which no draw is
-/// below, and [`Cmp::Above`] sends it past every draw.
-pub(crate) fn draw_threshold(p: f64, cmp: Cmp) -> u64 {
-    let q = p * UNIT_SCALE;
-    match cmp {
-        Cmp::Below => q.ceil() as u64,
-        Cmp::Above if p.is_nan() => u64::MAX,
-        Cmp::Above => (q.floor() + 1.0) as u64,
     }
 }
 
@@ -439,8 +402,6 @@ pub fn two_thread_mixes(apps: &[ThreadSpec]) -> Vec<(ThreadSpec, ThreadSpec)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use rand::Rng;
 
     #[test]
     fn catalog_has_22_apps_with_unique_names() {
@@ -601,73 +562,6 @@ mod tests {
             );
         }
         assert_eq!(PINNED.len(), 2 * apps.len());
-    }
-
-    /// Probabilities where a threshold is easy to get wrong, beside the
-    /// draw `x` a case is about to make: `x` itself and its neighbours,
-    /// the half-way points on either side (where `floor` and `ceil` part),
-    /// the specials, and every sum and clamp the catalog's specs feed in.
-    fn edge_probabilities(x: f64) -> Vec<f64> {
-        let half_step = 1.0 / (1u64 << 54) as f64;
-        let mut ps = vec![
-            x,
-            x + half_step,
-            x - half_step,
-            f64::from_bits(x.to_bits() + 1),
-            f64::from_bits(x.to_bits().saturating_sub(1)),
-            0.0,
-            -0.0,
-            1.0,
-            1.0 - 2.0 * half_step,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            -0.25,
-            -f64::MIN_POSITIVE,
-            f64::from_bits(1),
-            f64::MIN_POSITIVE,
-            0.5,
-            1e300,
-        ];
-        for s in smt_apps() {
-            ps.extend([
-                s.load_ratio + s.store_ratio,
-                s.load_ratio + s.store_ratio + s.branch_ratio,
-                s.load_l1 + s.load_l2,
-                (1.0 / s.dep_mean).clamp(0.02, 1.0),
-            ]);
-        }
-        ps
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn draw_thresholds_decide_like_the_float_compare(
-            seed in 0u64..u64::MAX,
-            p in -0.5f64..1.5,
-        ) {
-            let rng = StdRng::seed_from_u64(seed);
-            let x: f64 = rng.clone().gen();
-            let mut ps = edge_probabilities(x);
-            ps.push(p);
-            for p in ps {
-                for cmp in [Cmp::Below, Cmp::Above] {
-                    let (mut int_rng, mut float_rng) = (rng.clone(), rng.clone());
-                    let bits = unit_bits(&mut int_rng);
-                    let threshold = draw_threshold(p, cmp);
-                    let x: f64 = float_rng.gen();
-                    let (int, float) = match cmp {
-                        Cmp::Below => (bits < threshold, x < p),
-                        Cmp::Above => (bits >= threshold, x > p),
-                    };
-                    prop_assert_eq!(int, float, "{:?} p={:e} x={:e}", cmp, p, x);
-                    // Each decision consumed exactly one draw.
-                    prop_assert_eq!(int_rng.next_u64(), float_rng.next_u64());
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: workloads → memsim → prefetch → core.
 
 use micro_armed_bandit::core::AlgorithmKind;
+use micro_armed_bandit::experiments::{prefetch_runs, traces::TraceStore};
 use micro_armed_bandit::memsim::{config::SystemConfig, System};
 use micro_armed_bandit::prefetch::{catalog, shared::SharedPrefetcher, BanditL2};
 use micro_armed_bandit::workloads::suites;
@@ -89,6 +90,19 @@ fn bandit_settles_near_the_best_static_arm() {
         bandit > best * 0.85,
         "bandit {bandit:.3} vs best static {best:.3}"
     );
+}
+
+#[test]
+fn l1_prefetchers_fill_the_l1() {
+    // Fig. 12's multi-level combos are the only runs that install an L1
+    // prefetcher: its fills must reach the L1 and change the run.
+    let app = suites::app_by_name("cactus").unwrap();
+    let (cfg, store) = (SystemConfig::default(), TraceStore::disabled());
+    let both = prefetch_runs::run_multilevel("stride", "stride", &app, cfg, 100_000, 1, &store);
+    let l2_only = prefetch_runs::run_single("stride", &app, cfg, 100_000, 1, &store);
+    assert!(both.l1.prefetch_fills > 0, "{:?}", both.l1);
+    assert_eq!(l2_only.l1.prefetch_fills, 0, "{:?}", l2_only.l1);
+    assert_ne!(both, l2_only);
 }
 
 #[test]
