@@ -29,9 +29,10 @@ use mab_traces::reader::Records;
 use mab_traces::{SmtCodec, SmtTraceReader, TraceReader};
 use mab_workloads::apps::{AppSpec, AppTrace};
 use mab_workloads::smt::{SmtInstr, ThreadGen, ThreadSpec};
-use mab_workloads::TraceRecord;
+use mab_workloads::{MemKind, TraceRecord};
+use std::hint::select_unpredictable;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Records kept per committed instruction when recording SMT streams.
 ///
@@ -50,11 +51,13 @@ pub struct TraceStore {
     /// Single-slot memo of the last memory trace decoded by this store:
     /// sweeps replay the same `(app, seed)` file once per configuration, so
     /// repeat runs iterate the already-decoded records from memory instead
-    /// of re-reading and re-decoding the file. Clones share the slot, and
-    /// it holds at most one decoded trace at a time, bounding memory to the
-    /// largest single run. A cached prefix longer than requested is safe
-    /// for the same reason a longer file is: every trace is a prefix of the
-    /// deterministic generator stream.
+    /// of re-reading and re-decoding the file. Clones share the slot. It
+    /// holds one decode, column-wise ([`MemColumns`]), and a miss decodes
+    /// into that decode's buffers unless a running arm still replays them,
+    /// so the store holds at most one decode that no running arm replays.
+    /// A cached prefix longer than requested is safe for the same reason a
+    /// longer file is: every trace is a prefix of the deterministic
+    /// generator stream.
     mem_memo: Arc<Mutex<Option<MemMemo>>>,
 }
 
@@ -62,7 +65,7 @@ pub struct TraceStore {
 #[derive(Debug)]
 struct MemMemo {
     path: PathBuf,
-    records: Arc<Vec<TraceRecord>>,
+    columns: Arc<MemColumns>,
 }
 
 impl TraceStore {
@@ -153,27 +156,32 @@ impl TraceStore {
             return MemSource::Generated(app.trace(seed));
         };
         self.ensure_mem(app, seed, n);
-        if let Some(records) = self.memoized_mem(&path, n) {
-            return MemSource::Replay { records, cursor: 0 };
-        }
-        // The bulk replay decode; per-block `trace_decode` spans from the
-        // reader nest under it.
-        mab_telemetry::span!(TraceReplay);
-        let reader = TraceReader::open(&path)
-            .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display()));
-        let records = Arc::new(reader.records().take(n as usize).collect::<Vec<_>>());
-        *self.mem_memo.lock().expect("trace memo lock") = Some(MemMemo {
+        // The slot stays locked through a decode, so arms that want the
+        // trace being decoded wait for it instead of decoding it again. A
+        // decode that panics leaves the slot empty, so a poisoned lock
+        // still guards a valid slot.
+        let mut slot = self.mem_memo.lock().unwrap_or_else(PoisonError::into_inner);
+        let columns = match slot.take() {
+            Some(memo) if memo.path == path && memo.columns.len() as u64 >= n => memo.columns,
+            stale => {
+                // Reuse the stale decode's buffers unless an arm still
+                // replays them; that arm then keeps them to itself.
+                let mut columns = stale
+                    .and_then(|memo| Arc::try_unwrap(memo.columns).ok())
+                    .unwrap_or_default();
+                columns.decode(&path, n);
+                Arc::new(columns)
+            }
+        };
+        *slot = Some(MemMemo {
             path,
-            records: Arc::clone(&records),
+            columns: Arc::clone(&columns),
         });
-        MemSource::Replay { records, cursor: 0 }
-    }
-
-    /// The memoized decode of `path`, when it covers at least `n` records.
-    fn memoized_mem(&self, path: &Path, n: u64) -> Option<Arc<Vec<TraceRecord>>> {
-        let memo = self.mem_memo.lock().expect("trace memo lock");
-        let memo = memo.as_ref()?;
-        (memo.path == *path && memo.records.len() as u64 >= n).then(|| Arc::clone(&memo.records))
+        MemSource::Replay {
+            columns,
+            cursor: 0,
+            addr_cursor: 0,
+        }
     }
 
     /// Instruction stream for one SMT hardware thread: the recorded file
@@ -227,11 +235,96 @@ pub enum MemSource {
     /// Recorded trace, decoded once and shared across the runs that replay
     /// it (see [`TraceStore::mem_source`]).
     Replay {
-        /// The decoded records, shared with the store's memo slot.
-        records: Arc<Vec<TraceRecord>>,
+        /// The decoded trace, shared with the store's memo slot.
+        columns: Arc<MemColumns>,
         /// Next record to yield.
         cursor: usize,
+        /// Memory records yielded so far: the index of the next address.
+        addr_cursor: usize,
     },
+}
+
+/// A decoded memory trace, stored column-wise: a pc and a kind byte for
+/// every record, and an address for memory records only. That is 9 bytes
+/// per record plus 8 per memory record, against 32 for a [`TraceRecord`].
+#[derive(Debug, Default)]
+pub struct MemColumns {
+    pcs: Vec<u64>,
+    /// [`LOAD`], [`STORE`] or neither, plus [`BRANCH`] for a branch.
+    kinds: Vec<u8>,
+    /// The memory records' addresses in order, then one sentinel, so that
+    /// the replay cursor has an address to read at every record.
+    addrs: Vec<u64>,
+}
+
+/// Kind bits of a record. ChampSim imports can set the branch bit on a
+/// load or store.
+const LOAD: u8 = 1;
+const STORE: u8 = 2;
+const BRANCH: u8 = 4;
+
+impl MemColumns {
+    /// Records held.
+    fn len(&self) -> usize {
+        self.pcs.len()
+    }
+
+    /// Replaces the columns with the first `n` records of the trace at
+    /// `path`.
+    fn decode(&mut self, path: &Path, n: u64) {
+        // The bulk replay decode; per-block `trace_decode` spans from the
+        // reader nest under it.
+        mab_telemetry::span!(TraceReplay);
+        let reader = TraceReader::open(path)
+            .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display()));
+        let len = usize::try_from(n.min(reader.meta().record_count))
+            .expect("a replayed trace fits in the address space");
+        self.refill(len, reader.records().take(len));
+    }
+
+    /// Replaces the columns with `records`, of which there are `len`. The
+    /// pc and kind columns are sized once, exactly; the address column,
+    /// whose length no header gives, keeps the capacity an earlier fill
+    /// left it.
+    fn refill(&mut self, len: usize, records: impl Iterator<Item = TraceRecord>) {
+        self.pcs.clear();
+        self.kinds.clear();
+        self.addrs.clear();
+        self.pcs.reserve_exact(len);
+        self.kinds.reserve_exact(len);
+        for record in records {
+            let operand = match record.mem {
+                None => 0,
+                Some((kind, addr)) => {
+                    self.addrs.push(addr);
+                    match kind {
+                        MemKind::Load => LOAD,
+                        MemKind::Store => STORE,
+                    }
+                }
+            };
+            let branch = if record.is_branch { BRANCH } else { 0 };
+            self.pcs.push(record.pc);
+            self.kinds.push(operand | branch);
+        }
+        self.addrs.push(0);
+    }
+
+    /// Record `i`, of which `addr_index` memory records precede. It is built
+    /// without branching on the kind, which follows no pattern a branch
+    /// predictor could learn: every record reads an address (the sentinel
+    /// past the last memory record) and its kind selects the operand.
+    #[inline]
+    fn record(&self, i: usize, addr_index: usize) -> Option<TraceRecord> {
+        let (&pc, &kind) = (self.pcs.get(i)?, self.kinds.get(i)?);
+        let addr = self.addrs[addr_index];
+        let op = select_unpredictable(kind & STORE != 0, MemKind::Store, MemKind::Load);
+        Some(TraceRecord {
+            pc,
+            mem: select_unpredictable(kind & (LOAD | STORE) != 0, Some((op, addr)), None),
+            is_branch: kind & BRANCH != 0,
+        })
+    }
 }
 
 impl std::fmt::Debug for MemSource {
@@ -250,10 +343,15 @@ impl Iterator for MemSource {
     fn next(&mut self) -> Option<TraceRecord> {
         match self {
             MemSource::Generated(g) => g.next(),
-            MemSource::Replay { records, cursor } => {
-                let record = records.get(*cursor).copied();
+            MemSource::Replay {
+                columns,
+                cursor,
+                addr_cursor,
+            } => {
+                let record = columns.record(*cursor, *addr_cursor)?;
                 *cursor += 1;
-                record
+                *addr_cursor += usize::from(record.mem.is_some());
+                Some(record)
             }
         }
     }
@@ -325,6 +423,91 @@ mod tests {
         let replayed: Vec<_> = store.mem_source(&app, 5, 3000).take(3000).collect();
         let generated: Vec<_> = app.trace(5).take(3000).collect();
         assert_eq!(replayed, generated);
+    }
+
+    /// The replayed columns' pc buffer, to tell a reused decode from a
+    /// fresh one.
+    fn pcs_buffer(source: &MemSource) -> *const u64 {
+        match source {
+            MemSource::Replay { columns, .. } => columns.pcs.as_ptr(),
+            MemSource::Generated(_) => panic!("enabled store must replay"),
+        }
+    }
+
+    #[test]
+    fn reused_memo_replays_each_app_exactly() {
+        let store = store("mem-reuse");
+        let (a, b) = (
+            suites::app_by_name("mcf").unwrap(),
+            suites::app_by_name("lbm").unwrap(),
+        );
+        let mut buffers = Vec::new();
+        for (app, n) in [(&a, 3000), (&b, 2000), (&a, 3000)] {
+            let source = store.mem_source(app, 4, n);
+            buffers.push(pcs_buffer(&source));
+            let replayed: Vec<_> = source.take(n as usize).collect();
+            assert_eq!(replayed, app.trace(4).take(n as usize).collect::<Vec<_>>());
+        }
+        // Nothing held the earlier decodes, so each miss refilled them.
+        assert!(buffers.iter().all(|&p| p == buffers[0]), "{buffers:?}");
+    }
+
+    #[test]
+    fn held_source_keeps_its_records_while_another_path_decodes() {
+        let store = store("mem-held");
+        let (a, b) = (
+            suites::app_by_name("mcf").unwrap(),
+            suites::app_by_name("lbm").unwrap(),
+        );
+        let mut held = store.mem_source(&a, 6, 3000);
+        let mut replayed: Vec<_> = held.by_ref().take(1000).collect();
+        let other = store.mem_source(&b, 6, 2000);
+        assert_ne!(pcs_buffer(&held), pcs_buffer(&other));
+        let other: Vec<_> = other.take(2000).collect();
+        assert_eq!(other, b.trace(6).take(2000).collect::<Vec<_>>());
+        replayed.extend(held.take(2000));
+        assert_eq!(replayed, a.trace(6).take(3000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn every_record_shape_round_trips_through_the_columns() {
+        let mut shapes = Vec::new();
+        for (pc, addr) in [
+            (0, 0),
+            (u64::MAX, u64::MAX),
+            (0x400, u64::MAX),
+            (u64::MAX, 0),
+        ] {
+            let branch = |r: TraceRecord| TraceRecord {
+                is_branch: true,
+                ..r
+            };
+            shapes.extend([
+                TraceRecord::alu(pc),
+                TraceRecord::branch(pc),
+                TraceRecord::load(pc, addr),
+                TraceRecord::store(pc, addr),
+                branch(TraceRecord::load(pc, addr)),
+                branch(TraceRecord::store(pc, addr)),
+            ]);
+        }
+        let mut columns = MemColumns::default();
+        columns.refill(shapes.len(), shapes.iter().copied());
+        let source = MemSource::Replay {
+            columns: Arc::new(columns),
+            cursor: 0,
+            addr_cursor: 0,
+        };
+        assert_eq!(source.collect::<Vec<_>>(), shapes);
+    }
+
+    #[test]
+    fn clones_of_a_store_share_one_memo_slot() {
+        let store = store("mem-clone");
+        let app = suites::app_by_name("mcf").unwrap();
+        let first = store.clone().mem_source(&app, 8, 1000);
+        let second = store.mem_source(&app, 8, 1000);
+        assert_eq!(pcs_buffer(&first), pcs_buffer(&second));
     }
 
     #[test]

@@ -295,13 +295,10 @@ fn run_stats(args: &[String]) -> ExitCode {
     if !json {
         print_meta(&meta);
     }
-    // Collect through the non-panicking API so corruption stays a clean
-    // CLI error rather than a panic.
-    let records = match reader.read_all() {
-        Ok(records) => records,
+    let stats = match mab_traces::stats::analyze_file(&mut reader, top) {
+        Ok(stats) => stats,
         Err(e) => return usage_error(&format!("cannot read {path}: {e}")),
     };
-    let stats = mab_traces::stats::analyze(records.into_iter(), top);
     if json {
         println!(
             "{{\"meta\":{{{}}},\"stats\":{}}}",

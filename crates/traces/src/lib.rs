@@ -9,10 +9,11 @@
 //!    produces reports byte-identical to generator mode, and a trace file
 //!    plus its header (seed + provenance) is a complete, self-describing
 //!    experiment input.
-//! 2. **Speed** — decoding delta/varint blocks is cheaper than regenerating
-//!    records from the RNG-driven workload models, so replaying a cached
-//!    trace across a multi-config sweep beats regeneration (measured by
-//!    `benches/trace_io.rs` → `BENCH_trace_io.json`).
+//! 2. **Speed** — reading and decoding a record costs about as much as
+//!    generating it, so replay pays off by sharing: a sweep decodes each
+//!    trace once, and every configuration that replays it reads the
+//!    decoded records from memory. `mab-perf`'s `trace_replay` workload
+//!    and its `traces.*` metrics measure it.
 //!
 //! ## Container layout
 //!

@@ -4,8 +4,14 @@
 //! kind, finalization) and loads the index footer when present. Payloads
 //! are read and CRC-verified a block at a time, and records decode on
 //! demand straight out of the verified block through [`Codec::decode`].
-//! Replay stays cheaper than regenerating the records from the seeded RNG
-//! generators (see `BENCH_trace_io.json`).
+//! A read costs about as much as regenerating the records from the seeded
+//! generators; replay pays off because one decode is shared by every arm
+//! that replays it (`mab-perf`'s `trace_replay` workload measures both).
+//!
+//! Every allocation is bounded by the file's length, not by a count the
+//! file claims: a block that would run past the end of the file is refused
+//! before its payload buffer is sized, and [`Reader::read_all`] reserves no
+//! more records than the bytes left can hold.
 //!
 //! Two record access styles:
 //!
@@ -30,6 +36,8 @@ use std::path::Path;
 #[derive(Debug)]
 pub struct Reader<C: Codec> {
     input: BufReader<File>,
+    /// Length of the file, which bounds every allocation the reader makes.
+    file_len: u64,
     meta: TraceMeta,
     /// Block index from the footer, when the file carries one.
     index: Option<Vec<IndexEntry>>,
@@ -52,6 +60,7 @@ impl<C: Codec> Reader<C> {
     /// Opens `path`, validates the header and probes for the index footer.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
         let mut input = BufReader::new(file);
         let mut fixed = [0u8; HEADER_FIXED_LEN];
         input.read_exact(&mut fixed).map_err(short_header)?;
@@ -68,6 +77,7 @@ impl<C: Codec> Reader<C> {
         }
         let mut reader = Reader {
             input,
+            file_len,
             meta,
             index: None,
             state: C::State::default(),
@@ -101,7 +111,7 @@ impl<C: Codec> Reader<C> {
     /// (truncated or foreign-tool files fall back to sequential reads and
     /// surface [`TraceError::Truncated`] when the stream runs short).
     fn load_index(&mut self) -> Result<Option<Vec<IndexEntry>>> {
-        let end = self.input.seek(SeekFrom::End(0))?;
+        let end = self.file_len;
         let data_start = self.data_start();
         if end < data_start + 12 {
             self.input.seek(SeekFrom::Start(data_start))?;
@@ -147,6 +157,11 @@ impl<C: Codec> Reader<C> {
     /// File offset of the first block.
     fn data_start(&self) -> u64 {
         (HEADER_FIXED_LEN + self.meta.provenance.len()) as u64
+    }
+
+    /// Bytes between the read position and the end of the file.
+    fn bytes_left(&mut self) -> Result<u64> {
+        Ok(self.file_len.saturating_sub(self.input.stream_position()?))
     }
 
     /// Returns the next record, `Ok(None)` at a clean end of trace, or a
@@ -200,6 +215,11 @@ impl<C: Codec> Reader<C> {
                 context: "block record count (exceeds header total)",
                 offset: self.records_read,
             });
+        }
+        // The payload and its CRC must fit in what is left of the file;
+        // refuse a longer block before allocating for it.
+        if payload_len as u64 + 4 > self.bytes_left()? {
+            return Err(TraceError::Truncated { decoded, expected });
         }
         self.raw.resize(payload_len, 0);
         self.input.read_exact(&mut self.raw).map_err(truncated)?;
@@ -260,7 +280,11 @@ impl<C: Codec> Reader<C> {
 
     /// Decodes the whole remaining trace, verifying every block CRC.
     pub fn read_all(&mut self) -> Result<Vec<C::Record>> {
-        let mut out = Vec::with_capacity((self.meta.record_count - self.records_read) as usize);
+        // Reserve for the records the header claims, but no more than the
+        // bytes left in the file can hold.
+        let claimed = self.meta.record_count - self.records_read;
+        let fit = self.bytes_left()? / MIN_RECORD_BYTES;
+        let mut out = Vec::with_capacity(usize::try_from(claimed.min(fit)).unwrap_or(0));
         while let Some(r) = self.next_record()? {
             out.push(r);
         }
@@ -284,6 +308,10 @@ impl<C: Codec> Reader<C> {
 /// mem records; two bytes for SMT records — the larger bound is used for
 /// both kinds' sanity check).
 const MAX_RECORD_BYTES: usize = 1 + 10 + 10;
+
+/// Fewest bytes one record can occupy: a memory record's tag and a
+/// one-byte pc delta, or an SMT record's two fixed bytes.
+const MIN_RECORD_BYTES: u64 = 2;
 
 fn short_header(_: std::io::Error) -> TraceError {
     TraceError::Corrupt {

@@ -6,6 +6,8 @@
 //! whether its hot PCs stride regularly (IP-stride fodder) or wander
 //! (pointer-chase).
 
+use crate::error::Result;
+use crate::TraceReader;
 use mab_telemetry::json;
 use mab_workloads::trace::LINE_BYTES;
 use mab_workloads::{MemKind, TraceRecord};
@@ -214,6 +216,21 @@ pub fn analyze(records: impl Iterator<Item = TraceRecord>, top: usize) -> TraceS
     profiles.truncate(top);
     stats.top_pcs = profiles;
     stats
+}
+
+/// [`analyze`] over the rest of a memory trace file, streamed through
+/// [`crate::Reader::next_record`]: no record is held, and a truncated or
+/// corrupt file is an error rather than a panic.
+pub fn analyze_file(reader: &mut TraceReader, top: usize) -> Result<TraceStats> {
+    let mut error = None;
+    let records = std::iter::from_fn(|| {
+        reader.next_record().unwrap_or_else(|e| {
+            error = Some(e);
+            None
+        })
+    });
+    let stats = analyze(records, top);
+    error.map_or(Ok(stats), Err)
 }
 
 #[cfg(test)]
