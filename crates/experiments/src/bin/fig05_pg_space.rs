@@ -5,6 +5,7 @@
 use mab_experiments::{
     cli::Options, report, session::TelemetrySession, smt_runs, traces::TraceStore,
 };
+use mab_smtsim::policies::PgPolicy;
 use mab_workloads::smt;
 
 fn main() {
@@ -13,7 +14,36 @@ fn main() {
     let store = TraceStore::from_options(&opts);
     let params = smt_runs::scaled_params();
     println!("=== Fig. 5: best/worst of the 64 fetch PG policies vs Choi (IC_1011) ===\n");
-    let mixes = smt::two_thread_mixes(&smt::smt_tune_apps());
+    let mixes: Vec<_> = smt::two_thread_mixes(&smt::smt_tune_apps())
+        .into_iter()
+        .take(opts.mixes)
+        .collect();
+    // Per mix, the Choi baseline (`None`) and then the 64 policies in
+    // `PgPolicy::all()` order, so the min/max scan below breaks ties toward
+    // the earlier policy.
+    let policies = PgPolicy::all();
+    let arms: Vec<(&(_, _), Option<PgPolicy>)> = mixes
+        .iter()
+        .flat_map(|mix| {
+            std::iter::once(None)
+                .chain(policies.iter().copied().map(Some))
+                .map(move |policy| (mix, policy))
+        })
+        .collect();
+    let ipcs = mab_runner::sweep(
+        &arms,
+        mab_runner::SweepOptions::new(opts.jobs, opts.seed),
+        |_ctx, &((a, b), policy)| {
+            let specs = [a.clone(), b.clone()];
+            let (commits, seed) = (opts.instructions, opts.seed);
+            match policy {
+                None => smt_runs::run_choi(specs, params, commits, seed, &store),
+                Some(policy) => smt_runs::run_static(policy, specs, params, commits, seed, &store),
+            }
+            .sum_ipc()
+        },
+    )
+    .unwrap_or_else(|e| panic!("fig05 sweep failed: {e}"));
     let mut table = report::Table::new(vec![
         "mix".into(),
         "best policy".into(),
@@ -23,24 +53,21 @@ fn main() {
     ]);
     let mut best_ratios = Vec::new();
     let mut worst_ratios = Vec::new();
-    for (a, b) in mixes.into_iter().take(opts.mixes) {
-        let name = format!("{}-{}", a.name, b.name);
-        let (best, best_ratio, worst, worst_ratio) = smt_runs::pg_space_extremes(
-            [a, b],
-            params,
-            opts.instructions,
-            opts.seed,
-            opts.jobs,
-            &store,
-        );
+    for ((a, b), ipcs) in mixes.iter().zip(ipcs.chunks(policies.len() + 1)) {
+        let ratios: Vec<f64> = ipcs[1..]
+            .iter()
+            .map(|ipc| ipc / ipcs[0].max(1e-9))
+            .collect();
+        let (best, best_ratio) = report::best(&ratios);
+        let (worst, _) = report::best(&ratios.iter().map(|r| -r).collect::<Vec<_>>());
         best_ratios.push(best_ratio);
-        worst_ratios.push(worst_ratio);
+        worst_ratios.push(ratios[worst]);
         table.row(vec![
-            name,
-            best.to_string(),
+            format!("{}-{}", a.name, b.name),
+            policies[best].to_string(),
             report::pct_change(best_ratio),
-            worst.to_string(),
-            report::pct_change(worst_ratio),
+            policies[worst].to_string(),
+            report::pct_change(ratios[worst]),
         ]);
     }
     table.print();

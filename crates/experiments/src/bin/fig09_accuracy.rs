@@ -7,7 +7,7 @@ use mab_experiments::{
     cli::Options, prefetch_runs, report, session::TelemetrySession, traces::TraceStore,
 };
 use mab_memsim::config::SystemConfig;
-use mab_workloads::suites;
+use mab_workloads::{suites, AppSpec};
 
 fn main() {
     let opts = Options::parse_experiment("fig09_accuracy");
@@ -35,22 +35,28 @@ fn main() {
     ]);
 
     let apps = suites::all_apps();
+    let arms: Vec<(&AppSpec, &str)> = apps
+        .iter()
+        .flat_map(|app| std::iter::once("none").chain(lineup).map(move |p| (app, p)))
+        .collect();
+    let stats = mab_runner::sweep(
+        &arms,
+        mab_runner::SweepOptions::new(opts.jobs, opts.seed),
+        |_ctx, &(app, name)| {
+            prefetch_runs::run_single(name, app, cfg, opts.instructions, opts.seed, &store)
+        },
+    )
+    .unwrap_or_else(|e| panic!("fig09 sweep failed: {e}"));
     let mut base_misses_total = 0.0;
     let mut per_pf = vec![(0.0f64, 0.0f64, 0.0f64, 0.0f64); lineup.len()];
-    for app in &apps {
-        let base =
-            prefetch_runs::run_single("none", app, cfg, opts.instructions, opts.seed, &store);
-        let base_misses = base.llc.demand_misses as f64;
-        base_misses_total += base_misses;
-        for (i, name) in lineup.iter().enumerate() {
-            let stats =
-                prefetch_runs::run_single(name, app, cfg, opts.instructions, opts.seed, &store);
+    for runs in stats.chunks(lineup.len() + 1) {
+        base_misses_total += runs[0].llc.demand_misses as f64;
+        for (i, stats) in runs[1..].iter().enumerate() {
             per_pf[i].0 += stats.prefetch.timely as f64;
             per_pf[i].1 += stats.prefetch.late as f64;
             per_pf[i].2 += stats.prefetch.wrong as f64;
             per_pf[i].3 += stats.llc.demand_misses as f64;
         }
-        mab_telemetry::progress!("{:16} done", app.name);
     }
 
     for (i, name) in lineup.iter().enumerate() {

@@ -8,37 +8,45 @@ use mab_experiments::{
 use mab_memsim::config::SystemConfig;
 use mab_workloads::suites;
 
+const MTPS: [u64; 4] = [150, 600, 2400, 9600];
+const PREFETCHERS: [&str; 3] = ["none", "pythia", "bandit"];
+
 fn main() {
     let opts = Options::parse_experiment("fig10_bandwidth");
     let session = TelemetrySession::start("fig10_bandwidth", &opts);
     let store = TraceStore::from_options(&opts);
     println!("=== Fig. 10: performance under DRAM bandwidth sweep (MTPS) ===\n");
+    let apps = suites::tune_set();
+    // App-major, so the arms replaying one app's trace run together.
+    let mut arms = Vec::new();
+    for app in &apps {
+        for mtps in MTPS {
+            arms.extend(PREFETCHERS.map(|name| (app, mtps, name)));
+        }
+    }
+    let ipcs = mab_runner::sweep(
+        &arms,
+        mab_runner::SweepOptions::new(opts.jobs, opts.seed),
+        |_ctx, &(app, mtps, name)| {
+            let cfg = SystemConfig::default().with_dram_mtps(mtps);
+            prefetch_runs::run_single(name, app, cfg, opts.instructions, opts.seed, &store).ipc()
+        },
+    )
+    .unwrap_or_else(|e| panic!("fig10 sweep failed: {e}"));
     let mut table = report::Table::new(vec![
         "MTPS".into(),
         "pythia".into(),
         "bandit".into(),
         "bandit vs pythia".into(),
     ]);
-    let apps = suites::tune_set();
-    for mtps in [150u64, 600, 2400, 9600] {
-        let cfg = SystemConfig::default().with_dram_mtps(mtps);
+    for (m, mtps) in MTPS.iter().enumerate() {
         let mut pythia_vals = Vec::new();
         let mut bandit_vals = Vec::new();
-        for app in &apps {
-            let base =
-                prefetch_runs::run_single("none", app, cfg, opts.instructions, opts.seed, &store)
-                    .ipc()
-                    .max(1e-9);
-            pythia_vals.push(
-                prefetch_runs::run_single("pythia", app, cfg, opts.instructions, opts.seed, &store)
-                    .ipc()
-                    / base,
-            );
-            bandit_vals.push(
-                prefetch_runs::run_single("bandit", app, cfg, opts.instructions, opts.seed, &store)
-                    .ipc()
-                    / base,
-            );
+        for app in 0..apps.len() {
+            let at = (app * MTPS.len() + m) * PREFETCHERS.len();
+            let base = ipcs[at].max(1e-9);
+            pythia_vals.push(ipcs[at + 1] / base);
+            bandit_vals.push(ipcs[at + 2] / base);
         }
         let p = report::gmean(&pythia_vals);
         let b = report::gmean(&bandit_vals);
@@ -48,7 +56,6 @@ fn main() {
             format!("{b:.3}"),
             report::pct_change(b / p),
         ]);
-        mab_telemetry::progress!("MTPS {mtps} done");
     }
     table.print();
     println!("\n(paper: Bandit matches Pythia everywhere and beats it by ~2.5% at 150 MTPS,");

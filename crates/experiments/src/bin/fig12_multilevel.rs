@@ -21,31 +21,40 @@ fn main() {
         ("Stride_Bandit", "stride", "bandit"),
     ];
     let apps = suites::all_apps();
+    // Per app, the no-prefetching baseline (`None`) once, then each combo.
+    let arms: Vec<_> = apps
+        .iter()
+        .flat_map(|app| {
+            std::iter::once(None)
+                .chain(combos.iter().map(|&(_, l1, l2)| Some((l1, l2))))
+                .map(move |combo| (app, combo))
+        })
+        .collect();
+    let ipcs = mab_runner::sweep(
+        &arms,
+        mab_runner::SweepOptions::new(opts.jobs, opts.seed),
+        |_ctx, &(app, combo)| {
+            let (instructions, seed) = (opts.instructions, opts.seed);
+            match combo {
+                None => prefetch_runs::run_single("none", app, cfg, instructions, seed, &store),
+                Some((l1, l2)) => {
+                    prefetch_runs::run_multilevel(l1, l2, app, cfg, instructions, seed, &store)
+                }
+            }
+            .ipc()
+        },
+    )
+    .unwrap_or_else(|e| panic!("fig12 sweep failed: {e}"));
     let mut table = report::Table::new(vec!["configuration".into(), "gmean IPC vs no-pf".into()]);
-    for (label, l1, l2) in combos {
-        let mut vals = Vec::new();
-        for app in &apps {
-            let base =
-                prefetch_runs::run_single("none", app, cfg, opts.instructions, opts.seed, &store)
-                    .ipc()
-                    .max(1e-9);
-            let ipc = prefetch_runs::run_multilevel(
-                l1,
-                l2,
-                app,
-                cfg,
-                opts.instructions,
-                opts.seed,
-                &store,
-            )
-            .ipc();
-            vals.push(ipc / base);
-        }
+    for (c, (label, _, _)) in combos.iter().enumerate() {
+        let vals: Vec<f64> = ipcs
+            .chunks(combos.len() + 1)
+            .map(|app| app[1 + c] / app[0].max(1e-9))
+            .collect();
         table.row(vec![
             label.to_string(),
             format!("{:.3}", report::gmean(&vals)),
         ]);
-        mab_telemetry::progress!("{label} done");
     }
     table.print();
     println!(

@@ -1,11 +1,11 @@
 //! Fig. 13 — SMT thread fetching: IPC of Bandit relative to Choi across the
 //! 2-thread mixes, sorted ascending (the paper's s-curve over 226 mixes).
 
+use mab_core::AlgorithmKind;
 use mab_experiments::{
     cli::Options, report, session::TelemetrySession, smt_runs, traces::TraceStore,
 };
-use mab_smtsim::pipeline::THREAD1_SEED_SALT;
-use mab_workloads::smt;
+use mab_workloads::smt::{self, ThreadSpec};
 
 fn main() {
     let opts = Options::parse_experiment("fig13_smt_scurve");
@@ -17,62 +17,42 @@ fn main() {
         .into_iter()
         .take(opts.mixes)
         .collect();
-    let total = mixes.len();
-    // Record every thread's stream serially before fanning out, so the
-    // sweep's workers only ever open finished trace files.
-    for (a, b) in &mixes {
-        store.ensure_smt(a, opts.seed, opts.instructions);
-        store.ensure_smt(
-            b,
-            opts.seed.wrapping_add(THREAD1_SEED_SALT),
-            opts.instructions,
-        );
-    }
-    // One sweep run per mix (Choi + ICount + Bandit inside); results come
-    // back in mix order regardless of worker count, and the progress counter
-    // tracks completions rather than positions.
-    let done = std::sync::atomic::AtomicUsize::new(0);
-    let mut ratios: Vec<(String, f64, f64)> = mab_runner::sweep(
-        &mixes,
+    let (commits, seed) = (opts.instructions, opts.seed);
+    let icount = "IC_0000".parse().expect("valid policy");
+    let ducb = AlgorithmKind::Ducb {
+        gamma: 0.975,
+        c: 0.01,
+    };
+    // Per mix: Choi, ICount and the Bandit, each one arm.
+    let controllers: [&(dyn Fn([ThreadSpec; 2]) -> f64 + Sync); 3] = [
+        &|specs| smt_runs::run_choi(specs, params, commits, seed, &store).sum_ipc(),
+        &|specs| smt_runs::run_static(icount, specs, params, commits, seed, &store).sum_ipc(),
+        &|specs| {
+            smt_runs::run_bandit_algorithm(ducb, specs, params, commits, seed, &store).sum_ipc()
+        },
+    ];
+    let arms: Vec<_> = mixes
+        .iter()
+        .flat_map(|mix| controllers.iter().map(move |run| (mix, run)))
+        .collect();
+    let ipcs = mab_runner::sweep(
+        &arms,
         mab_runner::SweepOptions::new(opts.jobs, opts.seed),
-        |_ctx, (a, b)| {
-            let specs = [a.clone(), b.clone()];
-            let choi =
-                smt_runs::run_choi(specs.clone(), params, opts.instructions, opts.seed, &store)
-                    .sum_ipc();
-            let icount = smt_runs::run_static(
-                "IC_0000".parse().expect("valid policy"),
-                specs.clone(),
-                params,
-                opts.instructions,
-                opts.seed,
-                &store,
-            )
-            .sum_ipc();
-            let bandit = smt_runs::run_bandit_algorithm(
-                mab_core::AlgorithmKind::Ducb {
-                    gamma: 0.975,
-                    c: 0.01,
-                },
-                specs,
-                params,
-                opts.instructions,
-                opts.seed,
-                &store,
-            )
-            .sum_ipc();
-            let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            if n.is_multiple_of(10) {
-                mab_telemetry::progress!("{n} / {total} mixes done");
-            }
+        |_ctx, ((a, b), run)| run([a.clone(), b.clone()]),
+    )
+    .unwrap_or_else(|e| panic!("fig13 mix sweep failed: {e}"));
+    let mut ratios: Vec<(String, f64, f64)> = mixes
+        .iter()
+        .zip(ipcs.chunks(controllers.len()))
+        .map(|((a, b), ipc)| {
+            let (choi, icount, bandit) = (ipc[0], ipc[1], ipc[2]);
             (
                 format!("{}-{}", a.name, b.name),
                 bandit / choi.max(1e-9),
                 bandit / icount.max(1e-9),
             )
-        },
-    )
-    .unwrap_or_else(|e| panic!("fig13 mix sweep failed: {e}"));
+        })
+        .collect();
     // Stable sort over deterministically ordered input: ties keep mix order.
     ratios.sort_by(|x, y| x.1.partial_cmp(&y.1).expect("ratios are finite"));
     for (mix, vs_choi, _) in &ratios {

@@ -7,7 +7,7 @@ use mab_experiments::{
     cli::Options, prefetch_runs, report, session::TelemetrySession, traces::TraceStore,
 };
 use mab_memsim::config::SystemConfig;
-use mab_workloads::suites;
+use mab_workloads::{suites, AppSpec};
 
 fn main() {
     let opts = Options::parse_experiment("fig14_fourcore");
@@ -21,24 +21,19 @@ fn main() {
             .chain(lineup.iter().map(|s| s.to_string()))
             .collect(),
     );
-    let mut per_pf: Vec<Vec<f64>> = vec![Vec::new(); lineup.len()];
-    for app in suites::all_apps() {
-        let base: f64 = prefetch_runs::run_four_core_homogeneous(
-            "none",
-            &app,
-            cfg,
-            opts.instructions,
-            opts.seed,
-            &store,
-        )
+    let apps = suites::all_apps();
+    let arms: Vec<(&AppSpec, &str)> = apps
         .iter()
-        .map(|s| s.ipc())
-        .sum();
-        let mut row = vec![app.name.clone()];
-        for (i, name) in lineup.iter().enumerate() {
-            let sum: f64 = prefetch_runs::run_four_core_homogeneous(
+        .flat_map(|app| std::iter::once("none").chain(lineup).map(move |p| (app, p)))
+        .collect();
+    // Each arm's IPC summed over the four cores.
+    let sums = mab_runner::sweep(
+        &arms,
+        mab_runner::SweepOptions::new(opts.jobs, opts.seed),
+        |_ctx, &(app, name)| -> f64 {
+            prefetch_runs::run_four_core_homogeneous(
                 name,
-                &app,
+                app,
                 cfg,
                 opts.instructions,
                 opts.seed,
@@ -46,13 +41,19 @@ fn main() {
             )
             .iter()
             .map(|s| s.ipc())
-            .sum();
-            let norm = sum / base.max(1e-9);
+            .sum()
+        },
+    )
+    .unwrap_or_else(|e| panic!("fig14 sweep failed: {e}"));
+    let mut per_pf: Vec<Vec<f64>> = vec![Vec::new(); lineup.len()];
+    for (app, sums) in apps.iter().zip(sums.chunks(lineup.len() + 1)) {
+        let mut row = vec![app.name.clone()];
+        for (i, sum) in sums[1..].iter().enumerate() {
+            let norm = sum / sums[0].max(1e-9);
             per_pf[i].push(norm);
             row.push(format!("{norm:.3}"));
         }
         table.row(row);
-        mab_telemetry::progress!("{} done", app.name);
     }
     table.row(
         std::iter::once("ALL (gmean)".to_string())

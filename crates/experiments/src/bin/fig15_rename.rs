@@ -60,28 +60,40 @@ fn main() {
     let store = TraceStore::from_options(&opts);
     let params = smt_runs::scaled_params();
     println!("=== Fig. 15: rename-stage cycles (% of cycles), Choi vs Bandit ===\n");
-    let mixes = smt::two_thread_mixes(&smt::smt_apps());
+    let mixes: Vec<_> = smt::two_thread_mixes(&smt::smt_apps())
+        .into_iter()
+        .take(opts.mixes)
+        .collect();
+    let ducb = AlgorithmKind::Ducb {
+        gamma: 0.975,
+        c: 0.01,
+    };
+    // Per mix: Choi (`None`), then the Bandit.
+    let arms: Vec<_> = mixes
+        .iter()
+        .flat_map(|mix| [(mix, None), (mix, Some(ducb))])
+        .collect();
+    let renames = mab_runner::sweep(
+        &arms,
+        mab_runner::SweepOptions::new(opts.jobs, opts.seed),
+        |_ctx, &((a, b), bandit)| {
+            let specs = [a.clone(), b.clone()];
+            let (commits, seed) = (opts.instructions, opts.seed);
+            match bandit {
+                None => smt_runs::run_choi(specs, params, commits, seed, &store),
+                Some(kind) => {
+                    smt_runs::run_bandit_algorithm(kind, specs, params, commits, seed, &store)
+                }
+            }
+            .rename
+        },
+    )
+    .unwrap_or_else(|e| panic!("fig15 sweep failed: {e}"));
     let mut choi_acc = Acc::default();
     let mut bandit_acc = Acc::default();
-    for (idx, (a, b)) in mixes.into_iter().take(opts.mixes).enumerate() {
-        let specs = [a, b];
-        let choi = smt_runs::run_choi(specs.clone(), params, opts.instructions, opts.seed, &store);
-        choi_acc.add(&choi.rename);
-        let bandit = smt_runs::run_bandit_algorithm(
-            AlgorithmKind::Ducb {
-                gamma: 0.975,
-                c: 0.01,
-            },
-            specs,
-            params,
-            opts.instructions,
-            opts.seed,
-            &store,
-        );
-        bandit_acc.add(&bandit.rename);
-        if (idx + 1) % 10 == 0 {
-            mab_telemetry::progress!("{} mixes done", idx + 1);
-        }
+    for mix in renames.chunks(2) {
+        choi_acc.add(&mix[0]);
+        bandit_acc.add(&mix[1]);
     }
     let mut table = report::Table::new(vec![
         "policy".into(),

@@ -15,8 +15,8 @@ use mab_experiments::{
     cli::Options, report, session::TelemetrySession, smt_runs, traces::TraceStore,
 };
 use mab_smtsim::controllers::RewardMetric;
-use mab_smtsim::pipeline::{SmtPipeline, THREAD1_SEED_SALT};
 use mab_workloads::smt::{self, ThreadSpec};
+use std::collections::BTreeMap;
 
 /// Isolated (single-thread-like) IPC estimate: the thread paired with an
 /// almost-idle partner.
@@ -38,17 +38,67 @@ fn main() {
     let session = TelemetrySession::start("smt_fairness", &opts);
     let store = TraceStore::from_options(&opts);
     let params = smt_runs::scaled_params();
+    let (commits, seed) = (opts.instructions, opts.seed);
     println!("=== §6.4: throughput vs fairness rewards for the SMT Bandit ===\n");
 
     // Asymmetric mixes: a fast thread next to a slow one.
-    let pairs = [
+    let pairs: Vec<[ThreadSpec; 2]> = [
         ("exchange2", "mcf"),
         ("deepsjeng", "lbm"),
         ("gcc", "bwaves"),
         ("x264", "mcf"),
         ("imagick", "lbm"),
         ("leela", "fotonik3d"),
-    ];
+    ]
+    .into_iter()
+    .take(opts.mixes)
+    .map(|(a, b)| [a, b].map(|name| smt::thread_by_name(name).expect("catalog thread")))
+    .collect();
+    // The harmonic reward weighs each thread by its isolated IPC, so a
+    // first sweep runs those, one per distinct thread.
+    let mut threads: Vec<&ThreadSpec> = pairs.iter().flatten().collect();
+    threads.sort_by(|a, b| a.name.cmp(&b.name));
+    threads.dedup_by(|a, b| a.name == b.name);
+    let ipcs = mab_runner::sweep(
+        &threads,
+        mab_runner::SweepOptions::new(opts.jobs, seed),
+        |_ctx, spec| isolated_ipc(spec, commits, seed, &store),
+    )
+    .unwrap_or_else(|e| panic!("smt_fairness isolated-IPC sweep failed: {e}"));
+    let by_name: BTreeMap<&str, f64> = threads.iter().map(|t| t.name.as_str()).zip(ipcs).collect();
+    let isolated = |specs: &[ThreadSpec; 2]| specs.each_ref().map(|t| by_name[t.name.as_str()]);
+    // Per mix: the throughput reward (`false`), then the harmonic one.
+    let arms: Vec<_> = pairs
+        .iter()
+        .flat_map(|specs| [(specs, false), (specs, true)])
+        .collect();
+    let runs = mab_runner::sweep(
+        &arms,
+        mab_runner::SweepOptions::new(opts.jobs, seed),
+        |_ctx, &(specs, harmonic)| {
+            let ducb = mab_core::AlgorithmKind::Ducb {
+                gamma: 0.975,
+                c: 0.01,
+            };
+            let mut controller = smt_runs::scaled_bandit(ducb, seed);
+            controller.set_reward_metric(if harmonic {
+                RewardMetric::HarmonicWeighted {
+                    isolated: isolated(specs),
+                }
+            } else {
+                RewardMetric::SumIpc
+            });
+            smt_runs::run_mix(
+                &mut controller,
+                specs.clone(),
+                params,
+                commits,
+                seed,
+                &store,
+            )
+        },
+    )
+    .unwrap_or_else(|e| panic!("smt_fairness reward sweep failed: {e}"));
 
     let mut table = report::Table::new(vec![
         "mix".into(),
@@ -60,44 +110,17 @@ fn main() {
     ]);
     let mut sum_gain = Vec::new();
     let mut fairness_gain = Vec::new();
-
-    for (a, b) in pairs.into_iter().take(opts.mixes) {
-        let sa = smt::thread_by_name(a).expect("catalog thread");
-        let sb = smt::thread_by_name(b).expect("catalog thread");
-        let isolated = [
-            isolated_ipc(&sa, opts.instructions, opts.seed, &store),
-            isolated_ipc(&sb, opts.instructions, opts.seed, &store),
-        ];
+    for (specs, runs) in pairs.iter().zip(runs.chunks(2)) {
+        let isolated = isolated(specs);
         let mut results = Vec::new();
-        for (label, metric) in [
-            ("sum", RewardMetric::SumIpc),
-            ("harmonic", RewardMetric::HarmonicWeighted { isolated }),
-        ] {
-            let mut controller = smt_runs::scaled_bandit(
-                mab_core::AlgorithmKind::Ducb {
-                    gamma: 0.975,
-                    c: 0.01,
-                },
-                opts.seed,
-            );
-            controller.set_reward_metric(metric);
-            let streams = [
-                store.smt_stream(&sa, opts.seed, opts.instructions),
-                store.smt_stream(
-                    &sb,
-                    opts.seed.wrapping_add(THREAD1_SEED_SALT),
-                    opts.instructions,
-                ),
-            ];
-            let mut pipe = SmtPipeline::with_streams(params, streams);
-            let stats = pipe.run_with(&mut controller, opts.instructions);
+        for (label, stats) in ["sum", "harmonic"].into_iter().zip(runs) {
             let weighted = [
                 stats.ipc(0) / isolated[0].max(1e-9),
                 stats.ipc(1) / isolated[1].max(1e-9),
             ];
             let hm = harmonic_mean_weighted(&weighted);
             table.row(vec![
-                format!("{a}-{b}"),
+                format!("{}-{}", specs[0].name, specs[1].name),
                 label.into(),
                 format!("{:.3}", stats.sum_ipc()),
                 format!("{hm:.3}"),
@@ -108,7 +131,6 @@ fn main() {
         }
         sum_gain.push(results[0].0 / results[1].0.max(1e-9));
         fairness_gain.push(results[1].1 / results[0].1.max(1e-9));
-        mab_telemetry::progress!("{a}-{b} done");
     }
     table.print();
     println!(

@@ -7,6 +7,7 @@ use mab_experiments::{
     cli::Options, prefetch_runs, report, session::TelemetrySession, traces::TraceStore,
 };
 use mab_memsim::config::SystemConfig;
+use mab_prefetch::PAPER_ARMS;
 use mab_workloads::suites;
 
 fn main() {
@@ -40,38 +41,39 @@ fn main() {
         ),
     ];
 
+    let apps = suites::tune_set();
+    // Per app: the 11 arms pinned for the whole run (the Best Static
+    // oracle), then the columns.
+    let statics = (0..PAPER_ARMS.len()).map(|arm| Some(AlgorithmKind::Static { arm }));
+    let runs: Vec<_> = statics
+        .chain(columns.iter().map(|&(_, kind)| kind))
+        .collect();
+    let arms: Vec<_> = apps
+        .iter()
+        .flat_map(|app| runs.iter().map(move |&kind| (app, kind)))
+        .collect();
+    let ipcs = mab_runner::sweep(
+        &arms,
+        mab_runner::SweepOptions::new(opts.jobs, opts.seed),
+        |_ctx, &(app, kind)| {
+            let (instructions, seed) = (opts.instructions, opts.seed);
+            match kind {
+                None => prefetch_runs::run_single("pythia", app, cfg, instructions, seed, &store),
+                Some(kind) => {
+                    prefetch_runs::run_bandit_algorithm(kind, app, cfg, instructions, seed, &store)
+                }
+            }
+            .ipc()
+        },
+    )
+    .unwrap_or_else(|e| panic!("tab08 sweep failed: {e}"));
+
     let mut per_column: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
-    for app in suites::tune_set() {
-        let (_, best_ipc) = prefetch_runs::best_static_arm(
-            &app,
-            cfg,
-            opts.instructions,
-            opts.seed,
-            opts.jobs,
-            &store,
-        );
+    for (app, ipcs) in apps.iter().zip(ipcs.chunks(runs.len())) {
+        let (statics, columns_ipc) = ipcs.split_at(PAPER_ARMS.len());
+        let (_, best_ipc) = report::best(statics);
         let mut line = format!("{:14} best-static {:.3} |", app.name, best_ipc);
-        for (i, (name, algorithm)) in columns.iter().enumerate() {
-            let ipc = match algorithm {
-                None => prefetch_runs::run_single(
-                    "pythia",
-                    &app,
-                    cfg,
-                    opts.instructions,
-                    opts.seed,
-                    &store,
-                )
-                .ipc(),
-                Some(kind) => prefetch_runs::run_bandit_algorithm(
-                    *kind,
-                    &app,
-                    cfg,
-                    opts.instructions,
-                    opts.seed,
-                    &store,
-                )
-                .ipc(),
-            };
+        for (i, ((name, _), ipc)) in columns.iter().zip(columns_ipc).enumerate() {
             let frac = ipc / best_ipc.max(1e-9);
             per_column[i].push(frac);
             line.push_str(&format!(" {name}={:.1}", frac * 100.0));
@@ -79,24 +81,8 @@ fn main() {
         mab_telemetry::progress!("{line}");
     }
 
-    let mut table = report::Table::new(
-        std::iter::once("metric".to_string())
-            .chain(columns.iter().map(|(n, _)| n.to_string()))
-            .collect(),
-    );
-    for (metric, f) in [
-        ("min", report::min as fn(&[f64]) -> f64),
-        ("max", report::max as fn(&[f64]) -> f64),
-        ("gmean", report::gmean as fn(&[f64]) -> f64),
-    ] {
-        table.row(
-            std::iter::once(metric.to_string())
-                .chain(per_column.iter().map(|v| report::pct(f(v))))
-                .collect(),
-        );
-    }
     println!();
-    table.print();
+    report::pct_summary(columns.iter().map(|c| c.0), &per_column).print();
     println!("\n(paper Table 8: DUCB best gmean 99.1 / min 95.0; Pythia max 102.5)");
     session.finish();
 }

@@ -5,7 +5,15 @@ use mab_core::AlgorithmKind;
 use mab_experiments::{
     cli::Options, report, session::TelemetrySession, smt_runs, traces::TraceStore,
 };
+use mab_smtsim::policies::PgPolicy;
 use mab_workloads::smt;
+
+/// One simulation of a mix: a policy pinned for the whole run, or a table
+/// column (`None` is Choi).
+enum Run {
+    Static(PgPolicy),
+    Column(Option<AlgorithmKind>),
+}
 
 fn main() {
     let opts = Options::parse_experiment("tab09_tuneset_smt");
@@ -38,35 +46,48 @@ fn main() {
         ),
     ];
 
-    let mixes = smt::two_thread_mixes(&smt::smt_tune_apps());
-    let mut per_column: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
-    for (a, b) in mixes.into_iter().take(opts.mixes) {
-        let specs = [a.clone(), b.clone()];
-        let (_, best_ipc) = smt_runs::best_static_arm(
-            specs.clone(),
-            params,
-            opts.instructions,
-            opts.seed,
-            opts.jobs,
-            &store,
-        );
-        let mut line = format!("{:>10}-{:10} best-static {:.3} |", a.name, b.name, best_ipc);
-        for (i, (name, algorithm)) in columns.iter().enumerate() {
-            let ipc = match algorithm {
-                None => {
-                    smt_runs::run_choi(specs.clone(), params, opts.instructions, opts.seed, &store)
-                        .sum_ipc()
+    let mixes: Vec<_> = smt::two_thread_mixes(&smt::smt_tune_apps())
+        .into_iter()
+        .take(opts.mixes)
+        .collect();
+    // Per mix: the 6 Bandit arms' policies pinned for the whole run (the
+    // Best Static oracle), then the columns.
+    let statics = PgPolicy::bandit_arms();
+    let runs: Vec<Run> = statics
+        .map(Run::Static)
+        .into_iter()
+        .chain(columns.iter().map(|&(_, kind)| Run::Column(kind)))
+        .collect();
+    let arms: Vec<_> = mixes
+        .iter()
+        .flat_map(|mix| runs.iter().map(move |run| (mix, run)))
+        .collect();
+    let ipcs = mab_runner::sweep(
+        &arms,
+        mab_runner::SweepOptions::new(opts.jobs, opts.seed),
+        |_ctx, &((a, b), run)| {
+            let specs = [a.clone(), b.clone()];
+            let (commits, seed) = (opts.instructions, opts.seed);
+            match *run {
+                Run::Static(policy) => {
+                    smt_runs::run_static(policy, specs, params, commits, seed, &store)
                 }
-                Some(kind) => smt_runs::run_bandit_algorithm(
-                    *kind,
-                    specs.clone(),
-                    params,
-                    opts.instructions,
-                    opts.seed,
-                    &store,
-                )
-                .sum_ipc(),
-            };
+                Run::Column(None) => smt_runs::run_choi(specs, params, commits, seed, &store),
+                Run::Column(Some(kind)) => {
+                    smt_runs::run_bandit_algorithm(kind, specs, params, commits, seed, &store)
+                }
+            }
+            .sum_ipc()
+        },
+    )
+    .unwrap_or_else(|e| panic!("tab09 sweep failed: {e}"));
+
+    let mut per_column: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
+    for ((a, b), ipcs) in mixes.iter().zip(ipcs.chunks(runs.len())) {
+        let (statics, columns_ipc) = ipcs.split_at(statics.len());
+        let (_, best_ipc) = report::best(statics);
+        let mut line = format!("{:>10}-{:10} best-static {:.3} |", a.name, b.name, best_ipc);
+        for (i, ((name, _), ipc)) in columns.iter().zip(columns_ipc).enumerate() {
             let frac = ipc / best_ipc.max(1e-9);
             per_column[i].push(frac);
             line.push_str(&format!(" {name}={:.1}", frac * 100.0));
@@ -74,24 +95,8 @@ fn main() {
         mab_telemetry::progress!("{line}");
     }
 
-    let mut table = report::Table::new(
-        std::iter::once("metric".to_string())
-            .chain(columns.iter().map(|(n, _)| n.to_string()))
-            .collect(),
-    );
-    for (metric, f) in [
-        ("min", report::min as fn(&[f64]) -> f64),
-        ("max", report::max as fn(&[f64]) -> f64),
-        ("gmean", report::gmean as fn(&[f64]) -> f64),
-    ] {
-        table.row(
-            std::iter::once(metric.to_string())
-                .chain(per_column.iter().map(|v| report::pct(f(v))))
-                .collect(),
-        );
-    }
     println!();
-    table.print();
+    report::pct_summary(columns.iter().map(|c| c.0), &per_column).print();
     println!("\n(paper Table 9: DUCB best gmean 98.6 / min 92.2; Choi gmean 94.5)");
     session.finish();
 }

@@ -7,7 +7,7 @@
 //! - `--seed S` — the base RNG seed,
 //! - `--mixes N` — cap on the number of workload mixes (SMT sweeps),
 //! - `--quick` — a fast smoke-test preset,
-//! - `--jobs N` — worker threads for sweep-style experiments (default: all
+//! - `--jobs N` — worker threads for the experiment's sweep (default: all
 //!   available cores; results are identical at any setting),
 //! - `--telemetry PATH` — export the telemetry recorder at exit
 //!   (`.csv` → CSV, anything else → JSON lines),
@@ -43,7 +43,7 @@ pub struct Options {
     pub mixes: usize,
     /// Quick-preset flag.
     pub quick: bool,
-    /// Worker threads for sweep-style experiments. Sweeps are deterministic:
+    /// Worker threads for the experiment's sweep. Sweeps are deterministic:
     /// any value produces bit-identical reports (see `mab-runner`).
     pub jobs: usize,
     /// Where to export the telemetry recorder at exit, if anywhere.

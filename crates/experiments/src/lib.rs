@@ -3,9 +3,10 @@
 //! One binary per experiment (see `src/bin/`), each printing the same rows
 //! or series the paper reports. The library half provides:
 //!
-//! - [`report`] — ASCII tables/series and the geometric-mean helpers,
-//! - [`prefetch_runs`] — single/multi-core prefetching runs, the
-//!   best-static-arm oracle, and the tune-set comparison,
+//! - [`report`] — ASCII tables/series and the argmax and geometric-mean
+//!   helpers,
+//! - [`prefetch_runs`] — single/multi-core prefetching runs and the
+//!   Fig. 8/11 lineup report,
 //! - [`smt_runs`] — SMT mixes under any PG controller,
 //! - [`traces`] — the `--trace-dir` record/replay cache substituting
 //!   recorded `.mabt` files for the workload generators,

@@ -9,7 +9,7 @@
 use crate::traces::TraceStore;
 use mab_core::AlgorithmKind;
 use mab_memsim::{config::SystemConfig, system::RunStats, System};
-use mab_prefetch::{catalog, BanditL2, PAPER_ARMS};
+use mab_prefetch::{catalog, BanditL2};
 use mab_workloads::apps::AppSpec;
 use mab_workloads::TraceRecord;
 
@@ -58,48 +58,6 @@ pub fn run_bandit_algorithm(
     system.run(&mut store.mem_source(app, seed, instructions), instructions)
 }
 
-/// The *Best Static* oracle (§6.4): runs each of the 11 arms pinned for the
-/// whole episode (in parallel across `jobs` workers), returns
-/// `(best arm index, best IPC)`.
-pub fn best_static_arm(
-    app: &AppSpec,
-    config: SystemConfig,
-    instructions: u64,
-    seed: u64,
-    jobs: usize,
-    store: &TraceStore,
-) -> (usize, f64) {
-    // Record once, serially, before the workers fan out: the 11 arm runs
-    // all replay the same file.
-    store.ensure_mem(app, seed, instructions);
-    let arms: Vec<usize> = (0..PAPER_ARMS.len()).collect();
-    let ipcs = mab_runner::sweep(
-        &arms,
-        mab_runner::SweepOptions::new(jobs, seed),
-        |_ctx, &arm| {
-            run_bandit_algorithm(
-                AlgorithmKind::Static { arm },
-                app,
-                config,
-                instructions,
-                seed,
-                store,
-            )
-            .ipc()
-        },
-    )
-    .unwrap_or_else(|e| panic!("best-static sweep failed: {e}"));
-    // Ordered collection means ties resolve exactly as the old serial loop
-    // did: the lowest arm index wins.
-    let mut best = (0usize, f64::NEG_INFINITY);
-    for (arm, &ipc) in ipcs.iter().enumerate() {
-        if ipc > best.1 {
-            best = (arm, ipc);
-        }
-    }
-    best
-}
-
 /// Runs a homogeneous 4-core mix (the same application on every core) and
 /// returns the per-core stats. `prefetcher` applies to all cores with
 /// decorrelated seeds.
@@ -125,67 +83,14 @@ pub fn run_four_core_homogeneous(
     system.run_multi(&mut dyn_traces, instructions_per_core)
 }
 
-/// Per-application normalized IPC (vs the no-prefetcher baseline) for a
-/// lineup of prefetchers: the data behind Figs. 8/11.
-///
-/// One run per `(app, prefetcher)` cell plus the per-app baseline, all
-/// dispatched through [`mab_runner::sweep`]. Every run seeds from its own
-/// content (never from scheduling order), so the result is bit-identical
-/// at any `jobs` setting.
-pub fn normalized_ipcs(
-    prefetchers: &[&str],
-    apps: &[AppSpec],
-    config: SystemConfig,
-    instructions: u64,
-    seed: u64,
-    jobs: usize,
-    store: &TraceStore,
-) -> Vec<(String, Vec<f64>)> {
-    // One recording pass per app before the parallel fan-out; the sweep's
-    // workers then only open finished files.
-    for app in apps {
-        store.ensure_mem(app, seed, instructions);
-    }
-    let mut specs: Vec<(usize, &str)> = Vec::new();
-    for app_idx in 0..apps.len() {
-        specs.push((app_idx, "none"));
-        for &p in prefetchers {
-            specs.push((app_idx, p));
-        }
-    }
-    // Test-only fault injection: MAB_TEST_PANIC_ARM=<index> panics that sweep
-    // arm mid-run so the crash pipeline can be exercised end to end. Absent
-    // (the normal case), behavior is unchanged.
-    let panic_arm: Option<usize> = std::env::var("MAB_TEST_PANIC_ARM")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let ipcs = mab_runner::sweep(
-        &specs,
-        mab_runner::SweepOptions::new(jobs, seed),
-        |ctx, &(app_idx, name)| {
-            let ipc = run_single(name, &apps[app_idx], config, instructions, seed, store).ipc();
-            if panic_arm == Some(ctx.index) {
-                panic!("injected test panic (MAB_TEST_PANIC_ARM={})", ctx.index);
-            }
-            ipc
-        },
-    )
-    .unwrap_or_else(|e| panic!("prefetcher lineup sweep failed: {e}"));
-    let stride = prefetchers.len() + 1;
-    apps.iter()
-        .enumerate()
-        .map(|(app_idx, app)| {
-            let chunk = &ipcs[app_idx * stride..(app_idx + 1) * stride];
-            let base = chunk[0];
-            let normalized = chunk[1..].iter().map(|ipc| ipc / base.max(1e-9)).collect();
-            (app.name.clone(), normalized)
-        })
-        .collect()
-}
-
 /// Prints the Fig. 8/Fig. 11-style report: per-suite gmean IPC of the
 /// standard lineup (stride, bingo, mlop, pythia, bandit) normalized to no
 /// prefetching, plus the overall gmean. Per-app values go to stderr.
+///
+/// Each app's baseline and lineup runs are arms of one
+/// [`mab_runner::sweep`], app by app in suite order. Every run seeds from
+/// its own content (never from scheduling order), so the report is
+/// bit-identical at any `jobs` setting.
 pub fn lineup_report(
     config: SystemConfig,
     instructions: u64,
@@ -199,21 +104,46 @@ pub fn lineup_report(
 
     let lineup = ["stride", "bingo", "mlop", "pythia", "bandit"];
     println!("=== {title} ===\n");
+    let apps: Vec<Vec<AppSpec>> = Suite::ALL.into_iter().map(suites::suite).collect();
+    let arms: Vec<(&AppSpec, &str)> = apps
+        .iter()
+        .flatten()
+        .flat_map(|app| std::iter::once("none").chain(lineup).map(move |p| (app, p)))
+        .collect();
+    // Test-only fault injection: MAB_TEST_PANIC_ARM=<index> panics that sweep
+    // arm mid-run so the crash pipeline can be exercised end to end. Absent
+    // (the normal case), behavior is unchanged.
+    let panic_arm: Option<usize> = std::env::var("MAB_TEST_PANIC_ARM")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    let ipcs = mab_runner::sweep(
+        &arms,
+        mab_runner::SweepOptions::new(jobs, seed),
+        |ctx, &(app, name)| {
+            let ipc = run_single(name, app, config, instructions, seed, store).ipc();
+            if panic_arm == Some(ctx.index) {
+                panic!("injected test panic (MAB_TEST_PANIC_ARM={})", ctx.index);
+            }
+            ipc
+        },
+    )
+    .unwrap_or_else(|e| panic!("prefetcher lineup sweep failed: {e}"));
     let mut table = Table::new(
         std::iter::once("suite".to_string())
             .chain(lineup.iter().map(|s| s.to_string()))
             .collect(),
     );
     let mut overall: Vec<Vec<f64>> = vec![Vec::new(); lineup.len()];
-    for suite in Suite::ALL {
-        let apps = suites::suite(suite);
-        let rows = normalized_ipcs(&lineup, &apps, config, instructions, seed, jobs, store);
+    let mut per_app = ipcs.chunks(lineup.len() + 1);
+    for (suite, suite_apps) in Suite::ALL.into_iter().zip(&apps) {
         let mut per_pf: Vec<Vec<f64>> = vec![Vec::new(); lineup.len()];
-        for (app, values) in &rows {
-            let mut line = format!("{app:16}");
-            for (i, v) in values.iter().enumerate() {
-                per_pf[i].push(*v);
-                overall[i].push(*v);
+        for (app, ipcs) in suite_apps.iter().zip(per_app.by_ref()) {
+            let base = ipcs[0];
+            let mut line = format!("{:16}", app.name);
+            for (i, ipc) in ipcs[1..].iter().enumerate() {
+                let v = ipc / base.max(1e-9);
+                per_pf[i].push(v);
+                overall[i].push(v);
                 line.push_str(&format!(" {}={v:.3}", lineup[i]));
             }
             mab_telemetry::progress!("{line}");
@@ -251,41 +181,6 @@ mod tests {
         let stats = run_single("stride", &app, cfg, 30_000, 1, &TraceStore::disabled());
         assert_eq!(stats.instructions, 30_000);
         assert!(stats.prefetch.issued > 0);
-    }
-
-    #[test]
-    fn best_static_arm_beats_or_matches_the_off_arm() {
-        let (app, cfg) = small();
-        let store = TraceStore::disabled();
-        let (_, best_ipc) = best_static_arm(&app, cfg, 30_000, 1, 2, &store);
-        let off = run_bandit_algorithm(
-            AlgorithmKind::Static { arm: 1 },
-            &app,
-            cfg,
-            30_000,
-            1,
-            &store,
-        )
-        .ipc();
-        assert!(best_ipc >= off);
-    }
-
-    #[test]
-    fn normalized_ipcs_have_one_row_per_app() {
-        let cfg = SystemConfig::default();
-        let apps = vec![suites::app_by_name("hmmer").unwrap()];
-        let rows = normalized_ipcs(
-            &["stride"],
-            &apps,
-            cfg,
-            20_000,
-            1,
-            2,
-            &TraceStore::disabled(),
-        );
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].1.len(), 1);
-        assert!(rows[0].1[0] > 0.0);
     }
 
     #[test]

@@ -34,6 +34,18 @@ pub fn max(values: &[f64]) -> f64 {
     }
 }
 
+/// Index and value of the largest element, the lowest index on ties;
+/// `(0, f64::NEG_INFINITY)` for an empty slice.
+pub fn best(values: &[f64]) -> (usize, f64) {
+    let mut best = (0, f64::NEG_INFINITY);
+    for (i, &v) in values.iter().enumerate() {
+        if v > best.1 {
+            best = (i, v);
+        }
+    }
+    best
+}
+
 /// A simple right-aligned ASCII table.
 ///
 /// # Example
@@ -108,6 +120,29 @@ impl Table {
     }
 }
 
+/// Tables 8 and 9's summary: the min, max and gmean of each column's
+/// values, as percentages.
+pub fn pct_summary<'a>(columns: impl IntoIterator<Item = &'a str>, values: &[Vec<f64>]) -> Table {
+    let mut table = Table::new(
+        std::iter::once("metric")
+            .chain(columns)
+            .map(String::from)
+            .collect(),
+    );
+    for (metric, f) in [
+        ("min", min as fn(&[f64]) -> f64),
+        ("max", max),
+        ("gmean", gmean),
+    ] {
+        table.row(
+            std::iter::once(metric.to_string())
+                .chain(values.iter().map(|v| pct(f(v))))
+                .collect(),
+        );
+    }
+    table
+}
+
 /// Formats a ratio as a signed percentage change, e.g. `+2.6%`.
 pub fn pct_change(ratio: f64) -> String {
     format!("{:+.1}%", (ratio - 1.0) * 100.0)
@@ -146,6 +181,13 @@ mod tests {
         let vals = [1.0, 2.0, 10.0];
         let am: f64 = vals.iter().sum::<f64>() / 3.0;
         assert!(gmean(&vals) < am);
+    }
+
+    #[test]
+    fn best_is_the_largest_value_and_the_lowest_index_on_ties() {
+        assert_eq!(best(&[1.0, 3.0, 2.0, 3.0]), (1, 3.0));
+        assert_eq!(best(&[-2.0, -1.0]), (1, -1.0));
+        assert_eq!(best(&[]), (0, f64::NEG_INFINITY));
     }
 
     #[test]

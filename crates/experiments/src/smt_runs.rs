@@ -55,9 +55,10 @@ pub fn scaled_bandit(algorithm: AlgorithmKind, seed: u64) -> BanditController {
 }
 
 /// Runs one 2-thread mix under the given controller until each thread
-/// commits `commits` instructions.
+/// commits `commits` instructions. The controller is borrowed, so the caller
+/// can read its state (e.g. the Bandit's selection history) afterwards.
 pub fn run_mix(
-    controller: Box<dyn PgController>,
+    controller: &mut dyn PgController,
     specs: [ThreadSpec; 2],
     params: SmtParams,
     commits: u64,
@@ -69,7 +70,7 @@ pub fn run_mix(
         store.smt_stream(&specs[1], seed.wrapping_add(THREAD1_SEED_SALT), commits),
     ];
     let mut pipe = SmtPipeline::with_streams(params, streams);
-    pipe.run(controller, commits)
+    pipe.run_with(controller, commits)
 }
 
 /// Runs a mix under a static PG policy (with Hill Climbing).
@@ -82,7 +83,7 @@ pub fn run_static(
     store: &TraceStore,
 ) -> SmtStats {
     run_mix(
-        Box::new(StaticPgController::new(policy)),
+        &mut StaticPgController::new(policy),
         specs,
         params,
         commits,
@@ -100,7 +101,7 @@ pub fn run_choi(
     store: &TraceStore,
 ) -> SmtStats {
     run_mix(
-        Box::new(ChoiController::new()),
+        &mut ChoiController::new(),
         specs,
         params,
         commits,
@@ -120,92 +121,13 @@ pub fn run_bandit_algorithm(
     store: &TraceStore,
 ) -> SmtStats {
     run_mix(
-        Box::new(scaled_bandit(algorithm, seed)),
+        &mut scaled_bandit(algorithm, seed),
         specs,
         params,
         commits,
         seed,
         store,
     )
-}
-
-/// Records both threads of a mix serially, so a parallel sweep's workers
-/// only ever open finished files.
-fn ensure_mix(store: &TraceStore, specs: &[ThreadSpec; 2], commits: u64, seed: u64) {
-    store.ensure_smt(&specs[0], seed, commits);
-    store.ensure_smt(&specs[1], seed.wrapping_add(THREAD1_SEED_SALT), commits);
-}
-
-/// The SMT *Best Static* oracle over the 6 Bandit arms (run in parallel
-/// across `jobs` workers): returns `(best arm index, best summed IPC)`.
-pub fn best_static_arm(
-    specs: [ThreadSpec; 2],
-    params: SmtParams,
-    commits: u64,
-    seed: u64,
-    jobs: usize,
-    store: &TraceStore,
-) -> (usize, f64) {
-    ensure_mix(store, &specs, commits, seed);
-    let arms = PgPolicy::bandit_arms();
-    let ipcs = mab_runner::sweep(
-        &arms,
-        mab_runner::SweepOptions::new(jobs, seed),
-        |_ctx, policy| run_static(*policy, specs.clone(), params, commits, seed, store).sum_ipc(),
-    )
-    .unwrap_or_else(|e| panic!("SMT best-static sweep failed: {e}"));
-    // Ordered collection: ties resolve to the lowest arm index, exactly as
-    // the old serial loop did.
-    let mut best = (0usize, f64::NEG_INFINITY);
-    for (i, &ipc) in ipcs.iter().enumerate() {
-        if ipc > best.1 {
-            best = (i, ipc);
-        }
-    }
-    best
-}
-
-/// Best and worst of the full 64-policy design space relative to Choi
-/// (one Fig. 5 bar pair). Returns
-/// `(best policy, best ratio, worst policy, worst ratio)`.
-pub fn pg_space_extremes(
-    specs: [ThreadSpec; 2],
-    params: SmtParams,
-    commits: u64,
-    seed: u64,
-    jobs: usize,
-    store: &TraceStore,
-) -> (PgPolicy, f64, PgPolicy, f64) {
-    ensure_mix(store, &specs, commits, seed);
-    // The Choi baseline rides along as run 0 of the sweep; the 64 policies
-    // follow in `PgPolicy::all()` order so the min/max scan below keeps the
-    // serial loop's tie-breaking.
-    let mut runs: Vec<Option<PgPolicy>> = vec![None];
-    runs.extend(PgPolicy::all().into_iter().map(Some));
-    let ipcs = mab_runner::sweep(
-        &runs,
-        mab_runner::SweepOptions::new(jobs, seed),
-        |_ctx, run| match run {
-            None => run_choi(specs.clone(), params, commits, seed, store).sum_ipc(),
-            Some(policy) => {
-                run_static(*policy, specs.clone(), params, commits, seed, store).sum_ipc()
-            }
-        },
-    )
-    .unwrap_or_else(|e| panic!("PG design-space sweep failed: {e}"));
-    let choi = ipcs[0];
-    let mut best = (PgPolicy::CHOI, f64::NEG_INFINITY);
-    let mut worst = (PgPolicy::CHOI, f64::INFINITY);
-    for (policy, ipc) in PgPolicy::all().into_iter().zip(&ipcs[1..]) {
-        let ratio = ipc / choi.max(1e-9);
-        if ratio > best.1 {
-            best = (policy, ratio);
-        }
-        if ratio < worst.1 {
-            worst = (policy, ratio);
-        }
-    }
-    (best.0, best.1, worst.0, worst.1)
 }
 
 #[cfg(test)]
@@ -230,20 +152,6 @@ mod tests {
             &TraceStore::disabled(),
         );
         assert!(stats.sum_ipc() > 0.0);
-    }
-
-    #[test]
-    fn best_static_covers_all_arms() {
-        let (arm, ipc) = best_static_arm(
-            mix("exchange2", "deepsjeng"),
-            SmtParams::test_scale(),
-            3_000,
-            1,
-            2,
-            &TraceStore::disabled(),
-        );
-        assert!(arm < 6);
-        assert!(ipc > 0.0);
     }
 
     #[test]

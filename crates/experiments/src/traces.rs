@@ -19,9 +19,11 @@
 //!
 //! Recording writes a process-unique temp file and atomically renames it
 //! into place, so concurrent processes never observe a half-written trace.
-//! Within one process, sweep-style runners pre-record their inputs
-//! *serially* (see [`TraceStore::ensure_mem`]) before fanning out, so
-//! parallel workers only ever open finished files read-only.
+//! Within one process, the store records under one process-wide lock and
+//! checks the file again once it holds it, so a trace that several sweep
+//! workers first use at once is recorded once and the others wait for it.
+//! Callers never pre-record; a file that is already usable is opened
+//! without taking the lock.
 
 use mab_smtsim::pipeline::SmtStream;
 use mab_traces::format::peek_meta;
@@ -33,6 +35,11 @@ use mab_workloads::{MemKind, TraceRecord};
 use std::hint::select_unpredictable;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
+
+/// Held while this process records a trace: the temp file a recording
+/// writes is named after the process, so two recordings at once would
+/// write one file.
+static RECORDING: Mutex<()> = Mutex::new(());
 
 /// Records kept per committed instruction when recording SMT streams.
 ///
@@ -116,34 +123,14 @@ impl TraceStore {
     }
 
     /// Makes sure a memory trace for `(app, seed)` with at least `n`
-    /// records exists. Call serially before dispatching a parallel sweep
-    /// that replays it.
+    /// records exists, recording it if not. Safe to call from several
+    /// threads at once (see the module docs).
     pub fn ensure_mem(&self, app: &AppSpec, seed: u64, n: u64) {
         let Some(path) = self.mem_path(app, seed) else {
             return;
         };
-        if usable(&path, n) {
-            return;
-        }
-        record_atomically(&path, |tmp| {
+        record_once(&path, n, |tmp| {
             mab_traces::record_app_to_file(app, seed, n, tmp).map(|_| ())
-        });
-    }
-
-    /// Makes sure an SMT trace for `(spec, seed)` sized for `commits`
-    /// committed instructions exists. `seed` is the *effective* per-thread
-    /// seed (thread 1 of a mix is decorrelated with
-    /// [`mab_smtsim::pipeline::THREAD1_SEED_SALT`] before calling).
-    pub fn ensure_smt(&self, spec: &ThreadSpec, seed: u64, commits: u64) {
-        let Some(path) = self.smt_path(spec, seed) else {
-            return;
-        };
-        let n = commits.saturating_mul(SMT_RECORD_MARGIN);
-        if usable(&path, n) {
-            return;
-        }
-        record_atomically(&path, |tmp| {
-            mab_traces::record_smt_to_file(spec, seed, n, tmp).map(|_| ())
         });
     }
 
@@ -187,12 +174,17 @@ impl TraceStore {
     /// Instruction stream for one SMT hardware thread: the recorded file
     /// (chaining back into the generator if the pipeline reads past it)
     /// when the store is enabled, the generator otherwise. `seed` is the
-    /// effective per-thread seed, as in [`TraceStore::ensure_smt`].
+    /// *effective* per-thread seed: thread 1 of a mix is decorrelated with
+    /// [`mab_smtsim::pipeline::THREAD1_SEED_SALT`] before calling. The file
+    /// is recorded first, sized for `commits`, if missing or too short.
     pub fn smt_stream(&self, spec: &ThreadSpec, seed: u64, commits: u64) -> SmtStream {
         let Some(path) = self.smt_path(spec, seed) else {
             return SmtStream::Generated(spec.stream(seed));
         };
-        self.ensure_smt(spec, seed, commits);
+        let n = commits.saturating_mul(SMT_RECORD_MARGIN);
+        record_once(&path, n, |tmp| {
+            mab_traces::record_smt_to_file(spec, seed, n, tmp).map(|_| ())
+        });
         let reader = SmtTraceReader::open(&path)
             .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display()));
         SmtStream::Boxed(Box::new(SmtReplay {
@@ -208,6 +200,21 @@ impl TraceStore {
 /// True when `path` holds a finalized trace with at least `n` records.
 fn usable(path: &Path, n: u64) -> bool {
     peek_meta(path).is_ok_and(|meta| meta.record_count >= n)
+}
+
+/// Records the trace at `path` unless it already holds `n` records. The
+/// check is repeated under [`RECORDING`], so a thread that waited on
+/// another's recording of the same file finds it and records nothing.
+fn record_once(path: &Path, n: u64, record: impl FnOnce(&Path) -> mab_traces::Result<()>) {
+    if usable(path, n) {
+        return;
+    }
+    // The lock guards no data, so a recording that panicked leaves nothing
+    // to repair.
+    let _recording = RECORDING.lock().unwrap_or_else(PoisonError::into_inner);
+    if !usable(path, n) {
+        record_atomically(path, record);
+    }
 }
 
 /// Runs `record` against a process-unique temp path, then renames the
@@ -508,6 +515,28 @@ mod tests {
         let first = store.clone().mem_source(&app, 8, 1000);
         let second = store.mem_source(&app, 8, 1000);
         assert_eq!(pcs_buffer(&first), pcs_buffer(&second));
+    }
+
+    #[test]
+    fn workers_first_using_one_trace_both_replay_the_generator() {
+        let store = store("mem-race");
+        let app = suites::app_by_name("mcf").unwrap();
+        let n = 400_000;
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let replayed = store.mem_source(&app, 3, n).take(n as usize);
+                        replayed.eq(app.trace(3).take(n as usize))
+                    })
+                })
+                .collect();
+            for worker in workers {
+                assert!(worker.join().expect("worker panicked"));
+            }
+        });
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Parallel sweeps must be invisible in the results: any `--jobs` value has
 //! to produce byte-identical reports and telemetry-equivalent runs.
 //!
-//! The stdout comparisons drive real experiment binaries (fig05 exercises
-//! the 64-policy smtsim grid, fig13 the per-mix sweep) at `--jobs 1` and
-//! `--jobs 8` and require byte equality. The telemetry test additionally
+//! The stdout comparison drives every experiment binary whose arms run
+//! through one sweep reduced in loop order, at tiny sizes, at `--jobs 1`
+//! and `--jobs 8`, and requires byte equality. The telemetry test additionally
 //! exports both runs' artifacts and checks `mab-inspect` finds nothing to
 //! flag — the counters the sweep engine itself maintains are
 //! scheduling-invariant by design (see `mab-telemetry`'s `Stat` docs).
@@ -26,29 +26,89 @@ fn stdout_of(exe: &str, args: &[&str]) -> String {
 }
 
 #[test]
-fn fig13_report_is_byte_identical_at_any_job_count() {
-    let exe = env!("CARGO_BIN_EXE_fig13_smt_scurve");
-    let args = ["--instructions", "3000", "--mixes", "3"];
-    let serial = stdout_of(exe, &[&args[..], &["--jobs", "1"]].concat());
-    let parallel = stdout_of(exe, &[&args[..], &["--jobs", "8"]].concat());
-    assert_eq!(serial, parallel, "fig13 stdout diverged across --jobs");
-    assert!(
-        serial.contains("gmean speedup vs Choi"),
-        "fig13 produced no report:\n{serial}"
-    );
-}
-
-#[test]
-fn fig05_report_is_byte_identical_at_any_job_count() {
-    let exe = env!("CARGO_BIN_EXE_fig05_pg_space");
-    let args = ["--instructions", "1500", "--mixes", "2"];
-    let serial = stdout_of(exe, &[&args[..], &["--jobs", "1"]].concat());
-    let parallel = stdout_of(exe, &[&args[..], &["--jobs", "8"]].concat());
-    assert_eq!(serial, parallel, "fig05 stdout diverged across --jobs");
-    assert!(
-        serial.contains("best-policy gain over Choi"),
-        "fig05 produced no report:\n{serial}"
-    );
+fn reports_are_byte_identical_at_any_job_count() {
+    // (binary, tiny-size arguments, a line every report prints)
+    let experiments: [(&str, &[&str], &str); 14] = [
+        (
+            env!("CARGO_BIN_EXE_fig02_homogeneity"),
+            &["--instructions", "3000"],
+            "average: top-1 action",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig05_pg_space"),
+            &["--instructions", "1500", "--mixes", "2"],
+            "best-policy gain over Choi",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig07_exploration"),
+            &["--instructions", "3000"],
+            "## smt / cactus-lbm",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig08_singlecore"),
+            &["--instructions", "2000"],
+            "ALL (gmean)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig09_accuracy"),
+            &["--instructions", "3000"],
+            "bandit-ideal",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig10_bandwidth"),
+            &["--instructions", "3000"],
+            "9600",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig12_multilevel"),
+            &["--instructions", "3000"],
+            "Stride_Bandit",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig13_smt_scurve"),
+            &["--instructions", "3000", "--mixes", "3"],
+            "gmean speedup vs Choi",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig14_fourcore"),
+            &["--instructions", "2000"],
+            "ALL (gmean)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig15_rename"),
+            &["--instructions", "3000", "--mixes", "3"],
+            "Bandit",
+        ),
+        (
+            env!("CARGO_BIN_EXE_smt_fairness"),
+            &["--instructions", "3000", "--mixes", "4"],
+            "x264-mcf",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablations"),
+            &["--instructions", "3000"],
+            "on (p=0.001)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_tab08_tuneset_prefetch"),
+            &["--instructions", "3000"],
+            "gmean",
+        ),
+        (
+            env!("CARGO_BIN_EXE_tab09_tuneset_smt"),
+            &["--instructions", "3000", "--mixes", "2"],
+            "gmean",
+        ),
+    ];
+    for (exe, args, marker) in experiments {
+        let serial = stdout_of(exe, &[args, &["--jobs", "1"]].concat());
+        let parallel = stdout_of(exe, &[args, &["--jobs", "8"]].concat());
+        assert_eq!(serial, parallel, "{exe} stdout diverged across --jobs");
+        assert!(
+            serial.contains(marker),
+            "{exe} produced no report:\n{serial}"
+        );
+    }
 }
 
 /// The pipelined four-core batch driver behind fig. 14 is a scheduling
