@@ -22,7 +22,7 @@ pub enum AgentPhase {
 }
 
 impl AgentPhase {
-    /// Stable snake_case name used in telemetry events.
+    /// Stable snake_case name used in decision records.
     pub const fn telemetry_name(self) -> &'static str {
         match self {
             AgentPhase::RoundRobin => "round_robin",
@@ -211,6 +211,9 @@ pub struct BanditAgent {
     sweep_next: usize,
     /// Arm currently being tested; `None` between steps.
     pending: Option<ArmId>,
+    /// Ring number of the pending decision's trace record, while a
+    /// recorder is live; its reward is attributed by this number.
+    traced: Option<u64>,
     /// Reward normalizer (`r_avg` from §4.3); 1.0 until the initial
     /// round-robin phase completes or when normalization is disabled.
     normalizer: f64,
@@ -240,6 +243,7 @@ impl BanditAgent {
             phase: AgentPhase::RoundRobin,
             sweep_next: 0,
             pending: None,
+            traced: None,
             normalizer: 1.0,
             steps: 0,
             config,
@@ -274,10 +278,6 @@ impl BanditAgent {
                     self.phase = AgentPhase::RestartSweep;
                     self.sweep_next = 0;
                     mab_telemetry::count!(EpochResets);
-                    mab_telemetry::emit!(EpochReset {
-                        agent: self.config.seed,
-                        step: self.steps,
-                    });
                     let arm = ArmId::new(0);
                     self.algorithm.update_selections(&mut self.tables, arm);
                     arm
@@ -290,13 +290,7 @@ impl BanditAgent {
         };
         self.pending = Some(arm);
         mab_telemetry::count!(ArmPulls);
-        mab_telemetry::emit!(ArmPulled {
-            agent: self.config.seed,
-            step: self.steps,
-            arm: arm.index(),
-            phase: self.phase.telemetry_name(),
-        });
-        self.record_decision(arm);
+        self.traced = self.record_decision(arm);
         arm
     }
 
@@ -308,18 +302,18 @@ impl BanditAgent {
     ///   and bound (no `telemetry` feature needed);
     /// - a live recorder's trace ring gets the full provenance — per-arm
     ///   Q-values, bounds and pull counts — and [`BanditAgent::observe_reward`]
-    ///   later attributes the delayed reward back to it.
+    ///   later attributes the delayed reward to the ring number returned.
     ///
     /// With neither sink live this costs a relaxed load and a branch per
     /// sink (the recorder's folds away without the `telemetry` feature).
-    fn record_decision(&self, arm: ArmId) {
+    fn record_decision(&self, arm: ArmId) -> Option<u64> {
         let recorder = if mab_telemetry::enabled() {
             mab_telemetry::recorder()
         } else {
             None
         };
         if recorder.is_none() && !mab_telemetry::blackbox::is_on() {
-            return;
+            return None;
         }
         let mut bounds = Vec::with_capacity(self.config.arms);
         self.algorithm.probe_bounds(&self.tables, &mut bounds);
@@ -333,7 +327,7 @@ impl BanditAgent {
             bounds.get(arm.index()).copied().unwrap_or(q),
             explore,
         );
-        if let Some(rec) = recorder {
+        recorder.map(|rec| {
             let arms = self
                 .tables
                 .iter()
@@ -347,15 +341,15 @@ impl BanditAgent {
             rec.trace().push(mab_telemetry::DecisionRecord {
                 agent: self.config.seed,
                 epoch: self.steps,
-                cycle: rec.clock(),
+                cycle: mab_telemetry::clock(),
                 chosen: arm.index(),
                 explore,
                 phase: self.phase.telemetry_name(),
                 arms,
                 reward: f64::NAN,
                 normalized: f64::NAN,
-            });
-        }
+            })
+        })
     }
 
     /// Delivers the reward collected at the end of the current bandit step.
@@ -372,22 +366,9 @@ impl BanditAgent {
         self.steps += 1;
         mab_telemetry::count!(RewardsObserved);
         mab_telemetry::record!(Reward, r_step);
-        mab_telemetry::emit!(RewardObserved {
-            agent: self.config.seed,
-            step: self.steps,
-            arm: arm.index(),
-            reward: r_step,
-            normalized: r_step / self.normalizer,
-        });
-        if mab_telemetry::enabled() {
+        if let Some(seq) = self.traced.take() {
             if let Some(rec) = mab_telemetry::recorder() {
-                // The matching decision was recorded before `steps` advanced.
-                rec.trace().attribute(
-                    self.config.seed,
-                    self.steps - 1,
-                    r_step,
-                    r_step / self.normalizer,
-                );
+                rec.trace().attribute(seq, r_step, r_step / self.normalizer);
             }
         }
         match self.phase {
@@ -404,7 +385,7 @@ impl BanditAgent {
                 self.sweep_next += 1;
                 if self.sweep_next == self.config.arms {
                     self.phase = AgentPhase::Main;
-                    self.snapshot_q();
+                    mab_telemetry::count!(QSnapshots);
                 }
             }
             AgentPhase::Main => {
@@ -412,18 +393,6 @@ impl BanditAgent {
                     .update_reward(&mut self.tables, arm, r_step / self.normalizer);
             }
         }
-    }
-
-    /// Logs a `QSnapshot` telemetry event of the current learned state.
-    fn snapshot_q(&self) {
-        mab_telemetry::count!(QSnapshots);
-        mab_telemetry::emit!(QSnapshot {
-            agent: self.config.seed,
-            step: self.steps,
-            best_arm: self.tables.best_by_reward().index(),
-            best_q: self.tables.reward(self.tables.best_by_reward()),
-            n_total: self.tables.n_total(),
-        });
     }
 
     fn finish_initial_round_robin(&mut self) {
@@ -435,7 +404,7 @@ impl BanditAgent {
             }
         }
         self.phase = AgentPhase::Main;
-        self.snapshot_q();
+        mab_telemetry::count!(QSnapshots);
     }
 
     /// The arm with the highest average (normalized) reward so far.

@@ -105,11 +105,6 @@ impl TraceStore {
         TraceStore::new(opts.trace_dir.clone())
     }
 
-    /// Whether record/replay is active.
-    pub fn enabled(&self) -> bool {
-        self.dir.is_some()
-    }
-
     fn mem_path(&self, app: &AppSpec, seed: u64) -> Option<PathBuf> {
         self.dir
             .as_ref()

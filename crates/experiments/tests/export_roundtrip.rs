@@ -8,7 +8,16 @@
 #![cfg(feature = "telemetry")]
 
 use mab_inspect::artifact::RunArtifact;
-use mab_telemetry::{Hist, Recorder, EVENT_CAPACITY};
+use mab_telemetry::{Event, Hist, Recorder, EVENT_CAPACITY};
+
+fn occupancy(cycle: u64) -> Event {
+    Event::Occupancy {
+        track: "dram_backlog",
+        id: 0,
+        value: 2.5,
+        cycle,
+    }
+}
 
 fn absorb_jsonl(rec: &Recorder) -> RunArtifact {
     let mut out = Vec::new();
@@ -26,8 +35,8 @@ fn absorb_jsonl(rec: &Recorder) -> RunArtifact {
 fn overflowed_event_ring_drops_surface_in_export_and_report() {
     let rec = Recorder::new();
     let total = EVENT_CAPACITY as u64 + 6;
-    for step in 0..total {
-        rec.emit(mab_telemetry::Event::EpochReset { agent: 1, step });
+    for cycle in 0..total {
+        rec.emit(occupancy(cycle));
     }
     assert_eq!(rec.ring().dropped(), 6);
 
@@ -36,7 +45,7 @@ fn overflowed_event_ring_drops_surface_in_export_and_report() {
     assert_eq!(artifact.events_dropped, Some(6));
     assert_eq!(artifact.events_total, Some(total));
     // Only the retained suffix made it into the file.
-    assert_eq!(artifact.event_counts["epoch_reset"], EVENT_CAPACITY as u64);
+    assert_eq!(artifact.event_counts["occupancy"], EVENT_CAPACITY as u64);
 
     let report = mab_inspect::report::render_report(&artifact, 4);
     assert!(
@@ -75,25 +84,16 @@ fn histogram_buckets_and_span_totals_round_trip_through_jsonl() {
     for (path, totals) in &snapshot.spans {
         let parsed = artifact.spans[path];
         assert_eq!(parsed.count, Some(totals.count), "{path}");
-        assert_eq!(parsed.timed, totals.timed, "{path}");
         assert_eq!(parsed.total_ns, totals.total_ns, "{path}");
-        assert_eq!(parsed.est_ns, totals.estimated_ns(), "{path}");
         assert_eq!(parsed.self_ns, expected_self[path], "{path}");
     }
     assert_eq!(artifact.spans["run;trace_decode"].count, Some(130));
-    // Every entry is timed.
-    assert_eq!(artifact.spans["run;trace_decode"].timed, 130);
 }
 
 #[test]
 fn csv_export_round_trips_the_retained_events() {
     let rec = Recorder::new();
-    rec.emit(mab_telemetry::Event::ArmPulled {
-        agent: 7,
-        step: 3,
-        arm: 2,
-        phase: "main",
-    });
+    rec.emit(occupancy(512));
     let mut out = Vec::new();
     mab_telemetry::export::write_csv(&rec, &mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
@@ -112,10 +112,10 @@ fn csv_export_round_trips_the_retained_events() {
             .unwrap();
         row[i]
     };
-    assert_eq!(col("kind"), "arm_pulled");
-    assert_eq!(col("agent"), "7");
-    assert_eq!(col("step"), "3");
-    assert_eq!(col("arm"), "2");
-    assert_eq!(col("phase"), "main");
+    assert_eq!(col("kind"), "occupancy");
+    assert_eq!(col("track"), "dram_backlog");
+    assert_eq!(col("id"), "0");
+    assert_eq!(col("value"), "2.5");
+    assert_eq!(col("cycle"), "512");
     assert!(lines.next().is_none());
 }

@@ -64,13 +64,9 @@ pub struct SpanLine {
     /// Span entries, or the steps a stage-clock stage covered; `None` when
     /// only collapsed-stack input, which carries no counts, named the path.
     pub count: Option<u64>,
-    /// Entries that were wall-clock timed (sampling).
-    pub timed: u64,
-    /// Summed nanoseconds across the timed entries.
+    /// Summed nanoseconds across the entries.
     pub total_ns: u64,
-    /// Extrapolated total nanoseconds (`total_ns * count / timed`).
-    pub est_ns: u64,
-    /// Estimated nanoseconds minus direct children's estimates.
+    /// Total nanoseconds minus the direct children's totals.
     pub self_ns: u64,
 }
 
@@ -81,9 +77,7 @@ impl SpanLine {
             (Some(a), Some(b)) => Some(a + b),
             (a, b) => a.or(b),
         };
-        self.timed += other.timed;
         self.total_ns += other.total_ns;
-        self.est_ns += other.est_ns;
         self.self_ns += other.self_ns;
     }
 }
@@ -265,14 +259,14 @@ fn parse_histogram(value: &JsonValue) -> Option<(String, HistogramLine)> {
     ))
 }
 
+/// Parses a `span` line. Lines written before the export dropped `timed`
+/// and `est_ns` still carry them; they are ignored.
 fn parse_span(value: &JsonValue) -> Option<(String, SpanLine)> {
     Some((
         value.get("path")?.as_str()?.to_string(),
         SpanLine {
             count: Some(value.get("count")?.as_u64()?),
-            timed: value.get("timed")?.as_u64()?,
             total_ns: value.get("total_ns")?.as_u64()?,
-            est_ns: value.get("est_ns")?.as_u64()?,
             self_ns: value.get("self_ns")?.as_u64()?,
         },
     ))
@@ -336,7 +330,10 @@ mod tests {
              \"normalized\":0.8,\"q\":[0.1,0.2,0.9],\"bound\":[0.3,0.4,1.0],\
              \"pulls\":[1,1,5]}",
         );
-        a.absorb_line("{\"kind\":\"arm_pulled\",\"seq\":9,\"agent\":1}");
+        a.absorb_line(
+            "{\"kind\":\"occupancy\",\"seq\":9,\"track\":\"mshr\",\"id\":0,\
+             \"value\":3,\"cycle\":512}",
+        );
         a.absorb_line("not json at all");
         a.absorb_line("");
 
@@ -344,7 +341,7 @@ mod tests {
         assert_eq!(a.counters["arm_pulls"], 42);
         assert_eq!(a.histograms["reward"].count, 10);
         assert_eq!(a.trace_meta.unwrap().total, 1);
-        assert_eq!(a.event_counts["arm_pulled"], 1);
+        assert_eq!(a.event_counts["occupancy"], 1);
         assert_eq!(a.skipped_lines, 1);
 
         let d = &a.decisions[0];
@@ -371,17 +368,17 @@ mod tests {
     fn span_lines_are_parsed_and_merged_by_path() {
         let mut a = RunArtifact::new();
         a.absorb_line(
-            "{\"kind\":\"span\",\"path\":\"run;cache_access\",\"count\":100,\"timed\":2,\
-             \"total_ns\":50,\"est_ns\":2500,\"self_ns\":2000}",
+            "{\"kind\":\"span\",\"path\":\"run;cache_access\",\"count\":100,\
+             \"total_ns\":2500,\"self_ns\":2000}",
         );
+        // An older line, still carrying `timed` and `est_ns`.
         a.absorb_line(
-            "{\"kind\":\"span\",\"path\":\"run;cache_access\",\"count\":50,\"timed\":1,\
-             \"total_ns\":25,\"est_ns\":1250,\"self_ns\":1000}",
+            "{\"kind\":\"span\",\"path\":\"run;cache_access\",\"count\":50,\"timed\":50,\
+             \"total_ns\":1250,\"est_ns\":1250,\"self_ns\":1000}",
         );
         let span = a.spans["run;cache_access"];
         assert_eq!(span.count, Some(150));
-        assert_eq!(span.timed, 3);
-        assert_eq!(span.est_ns, 3750);
+        assert_eq!(span.total_ns, 3750);
         assert_eq!(span.self_ns, 3000);
         assert_eq!(a.skipped_lines, 0);
     }

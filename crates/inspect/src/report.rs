@@ -503,12 +503,12 @@ mod tests {
     fn profile_counts_come_from_jsonl_input() {
         let mut a = RunArtifact::new();
         a.absorb_line(
-            "{\"kind\":\"span\",\"path\":\"run\",\"count\":2,\"timed\":2,\
-             \"total_ns\":5000,\"est_ns\":5000,\"self_ns\":1000}",
+            "{\"kind\":\"span\",\"path\":\"run\",\"count\":2,\
+             \"total_ns\":5000,\"self_ns\":1000}",
         );
         a.absorb_line(
             "{\"kind\":\"span\",\"path\":\"run;record\",\"count\":400000,\
-             \"timed\":400000,\"total_ns\":4000,\"est_ns\":4000,\"self_ns\":4000}",
+             \"total_ns\":4000,\"self_ns\":4000}",
         );
         let text = render_profile(&a, 20, None);
         assert_eq!(count_cell(&text, "run;record"), "400000");

@@ -41,9 +41,9 @@ fn parse_ring(ring: &TraceRing) -> RunArtifact {
 #[test]
 fn emitted_decisions_parse_back_with_field_equality() {
     let ring = TraceRing::new(16);
-    ring.push(record(0xabc, 0, 1_000, 2, true));
+    let first = ring.push(record(0xabc, 0, 1_000, 2, true));
     ring.push(record(0xabc, 1, 2_500, 1, false));
-    ring.attribute(0xabc, 0, 1.75, 0.875);
+    ring.attribute(first, 1.75, 0.875);
     // Epoch 1's reward never arrives: stays null in the export.
 
     let run = parse_ring(&ring);
@@ -78,10 +78,11 @@ fn emitted_decisions_parse_back_with_field_equality() {
 #[test]
 fn ring_drop_accounting_round_trips() {
     let ring = TraceRing::new(4);
-    for epoch in 0..10 {
+    let first = ring.push(record(1, 0, 0, 0, false));
+    for epoch in 1..10 {
         ring.push(record(1, epoch, epoch * 100, 0, false));
     }
-    ring.attribute(1, 0, 1.0, 1.0); // decision 0 already evicted
+    ring.attribute(first, 1.0, 1.0); // decision 0 already evicted
 
     let run = parse_ring(&ring);
     let meta = run.trace_meta.unwrap();
@@ -154,7 +155,7 @@ fn fixed_seed_epsilon_greedy_regret_golden() {
 
     for step in 0..STEPS {
         let arm = agent.select_arm();
-        ring.push(DecisionRecord {
+        let seq = ring.push(DecisionRecord {
             agent: 7,
             epoch: step,
             cycle: step * 1_000,
@@ -174,7 +175,7 @@ fn fixed_seed_epsilon_greedy_regret_golden() {
         });
         let reward = REWARD[arm.index()];
         agent.observe_reward(reward);
-        ring.attribute(7, step, reward, reward);
+        ring.attribute(seq, reward, reward);
     }
 
     let run = parse_ring(&ring);

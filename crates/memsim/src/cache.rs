@@ -43,6 +43,8 @@ pub struct CacheStats {
     pub demand_hits: u64,
     /// Demand lookups that missed.
     pub demand_misses: u64,
+    /// Fills of any kind, including those of lines already present.
+    pub fills: u64,
     /// Lines filled on behalf of the prefetcher.
     pub prefetch_fills: u64,
     /// Prefetched lines touched by a demand access (timely prefetches).
@@ -223,6 +225,7 @@ impl Cache {
         );
         self.clock += 1;
         let clock = self.clock;
+        self.stats.fills += 1;
         if prefetched {
             self.stats.prefetch_fills += 1;
         }
@@ -664,6 +667,7 @@ mod tests {
     fn late_prefetch_fill_counts_fill_and_use() {
         let mut c = small_cache();
         c.fill_late_prefetch(6);
+        assert_eq!(c.stats().fills, 1);
         assert_eq!(c.stats().prefetch_fills, 1);
         assert_eq!(c.stats().prefetch_used, 1);
         // The bit was consumed: the next demand hit is an ordinary hit and
@@ -692,6 +696,8 @@ mod tests {
         c.fill(8, false);
         assert_eq!(c.fill(8, false), None);
         assert!(c.contains(8));
+        // Both calls count as fills.
+        assert_eq!(c.stats().fills, 2);
     }
 
     #[test]
@@ -897,6 +903,7 @@ mod tests {
 
             fn fill(&mut self, line: u64, prefetched: bool) -> Option<Evicted> {
                 self.clock += 1;
+                self.stats.fills += 1;
                 self.stats.prefetch_fills += u64::from(prefetched);
                 if let Some((set, idx)) = self.find_scalar(line) {
                     self.sets[set][idx].stamp = self.clock;

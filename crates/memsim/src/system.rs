@@ -16,43 +16,11 @@ use mab_telemetry::Stat;
 use mab_workloads::{MemKind, TraceRecord};
 use serde::{Deserialize, Serialize};
 
-/// Locally batched telemetry counters, flushed to the global recorder once
-/// per run: per-access atomic counter traffic would cost more than the
-/// cache model itself.
-struct ProbeCounts([u64; Stat::COUNT]);
-
-impl ProbeCounts {
-    fn new() -> Self {
-        ProbeCounts([0; Stat::COUNT])
-    }
-
-    #[inline]
-    fn bump(&mut self, stat: Stat) {
-        self.add(stat, 1);
-    }
-
-    #[inline]
-    fn add(&mut self, stat: Stat, n: u64) {
-        if mab_telemetry::STATIC_ENABLED {
-            self.0[stat as usize] += n;
-        }
-    }
-
-    fn flush(&mut self) {
-        if let Some(rec) = mab_telemetry::recorder() {
-            for (i, v) in self.0.iter().enumerate() {
-                if *v != 0 {
-                    rec.counters().add(Stat::ALL[i], *v);
-                }
-            }
-        }
-        self.0 = [0; Stat::COUNT];
-    }
-}
-
 /// Prefetch outcome counters for one core.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PrefetchStats {
+    /// Requests the L1 and L2 prefetchers queued, before any filtering.
+    pub requested: u64,
     /// Prefetches issued to the memory system.
     pub issued: u64,
     /// Prefetched lines used by a demand access after filling (timely).
@@ -100,8 +68,47 @@ impl RunStats {
     }
 }
 
-/// L2 demand accesses between occupancy samples: a few samples per bandit
-/// step (1,000 accesses), cheap enough to leave always on with telemetry.
+/// Adds what one run changed in each core's L1, L2 and prefetch statistics,
+/// and in the shared LLC and DRAM statistics, to the recorder's counters:
+/// the simulator counts each event once, and the recorder takes the counts
+/// once per run.
+fn count_run(before: &[RunStats], after: &[RunStats]) {
+    if !mab_telemetry::STATIC_ENABLED {
+        return;
+    }
+    let Some(rec) = mab_telemetry::recorder() else {
+        return;
+    };
+    let add = |stat, now: u64, then: u64| rec.counters().add(stat, now - then);
+    let add_cache = |[hit, miss, fill]: [Stat; 3], a: &CacheStats, b: &CacheStats| {
+        add(hit, a.demand_hits, b.demand_hits);
+        add(miss, a.demand_misses, b.demand_misses);
+        add(fill, a.fills, b.fills);
+    };
+    let l1 = [Stat::L1DemandHit, Stat::L1DemandMiss, Stat::L1Fill];
+    let l2 = [Stat::L2DemandHit, Stat::L2DemandMiss, Stat::L2Fill];
+    let llc = [Stat::LlcDemandHit, Stat::LlcDemandMiss, Stat::LlcFill];
+    for (a, b) in after.iter().zip(before) {
+        add(Stat::SimCycles, a.cycles, b.cycles);
+        add_cache(l1, &a.l1, &b.l1);
+        add_cache(l2, &a.l2, &b.l2);
+        let (pa, pb) = (a.prefetch, b.prefetch);
+        add(Stat::PrefetchRequested, pa.requested, pb.requested);
+        add(Stat::PrefetchIssued, pa.issued, pb.issued);
+        add(Stat::PrefetchDropped, pa.dropped, pb.dropped);
+        add(Stat::PrefetchTimely, pa.timely, pb.timely);
+        add(Stat::PrefetchLate, pa.late, pb.late);
+        add(Stat::PrefetchWrong, pa.wrong, pb.wrong);
+    }
+    // Every core's statistics carry the same shared LLC and DRAM.
+    if let (Some(a), Some(b)) = (after.first(), before.first()) {
+        add_cache(llc, &a.llc, &b.llc);
+        add(Stat::DramAccess, a.dram.transfers, b.dram.transfers);
+    }
+}
+
+/// L2 demand accesses between samples ([`System::sample`]): a few per
+/// bandit step (1,000 accesses), cheap enough to leave always on.
 const OCCUPANCY_SAMPLE_PERIOD: u64 = 512;
 
 /// The stage-clock stages every run has, one step per instruction; the
@@ -193,12 +200,9 @@ pub struct System {
     cores: Vec<CoreCtx>,
     llc: Cache,
     dram: Dram,
-    probe: ProbeCounts,
-    /// L2 demand accesses since the run started (occupancy sample clock).
-    occ_accesses: u64,
-    /// L2 demand accesses on the black-box epoch-summary clock (separate
-    /// from `occ_accesses`, which only ticks while telemetry records).
-    bb_accesses: u64,
+    /// L2 demand accesses since the system was built: the clock of the
+    /// occupancy and black-box samples.
+    l2_accesses: u64,
 }
 
 impl std::fmt::Debug for System {
@@ -251,9 +255,7 @@ impl System {
             llc: Cache::new(llc_params),
             dram: Dram::new(config.dram_service_cycles(), config.dram_latency),
             config,
-            probe: ProbeCounts::new(),
-            occ_accesses: 0,
-            bb_accesses: 0,
+            l2_accesses: 0,
         }
     }
 
@@ -372,7 +374,11 @@ impl System {
         for ctx in &mut self.cores {
             ctx.done = false;
         }
-        let start_cycles: u64 = self.cores.iter().map(|c| c.core.cycles()).sum();
+        let before: Vec<RunStats> = if mab_telemetry::STATIC_ENABLED {
+            (0..self.cores.len()).map(|i| self.stats(i)).collect()
+        } else {
+            Vec::new()
+        };
         let mut clock = StageClock::start(&STAGES);
         for ctx in &mut self.cores {
             ctx.l2_stages = prefetcher_stages(&mut clock, ctx.pf_label, stage::CACHE_ACCESS);
@@ -380,10 +386,9 @@ impl System {
         }
         drive(self, traces, instructions_per_core, &mut clock);
         clock.finish();
-        let end_cycles: u64 = self.cores.iter().map(|c| c.core.cycles()).sum();
-        self.probe.add(Stat::SimCycles, end_cycles - start_cycles);
-        self.probe.flush();
-        (0..self.cores.len()).map(|i| self.stats(i)).collect()
+        let after: Vec<RunStats> = (0..self.cores.len()).map(|i| self.stats(i)).collect();
+        count_run(&before, &after);
+        after
     }
 
     /// Sequential reference scheduler: one full scan per record, stepping
@@ -551,16 +556,13 @@ impl System {
         let mut fills = std::mem::take(&mut ctx.fill_scratch);
         ctx.mshr.drain_ready_into(t, &mut fills);
         for &(filled, fill_l1) in &fills {
-            self.probe.bump(Stat::L2Fill);
             if let Some(ev) = ctx.l2.fill(filled, true) {
                 if ev.unused_prefetch {
                     ctx.pf.wrong += 1;
-                    self.probe.bump(Stat::PrefetchWrong);
                     ctx.prefetcher.on_prefetch_evicted_unused(ev.line);
                 }
             }
             if fill_l1 {
-                self.probe.bump(Stat::L1Fill);
                 ctx.l1.fill(filled, true);
             }
             ctx.prefetcher.on_prefetch_fill(filled, t);
@@ -569,11 +571,6 @@ impl System {
         clock.lap(stage::CACHE_FILL);
 
         let l1_hit = matches!(ctx.l1.demand_lookup(line), LookupResult::Hit { .. });
-        if l1_hit {
-            self.probe.bump(Stat::L1DemandHit);
-        } else {
-            self.probe.bump(Stat::L1DemandMiss);
-        }
         clock.lap(stage::L1);
         // An L1 prefetcher trains on every demand access.
         if let Some(l1_prefetcher) = &mut ctx.l1_prefetcher {
@@ -597,56 +594,19 @@ impl System {
 
         // The rest of the access — L2 lookup and everything below it — is
         // the `cache_access` stage, less its `mshr` and `dram_queue` laps.
-
-        // Sampled occupancy tracks (DRAM channel backlog, per-core MSHR
-        // fill) for the Perfetto timeline, on the L2-demand-access clock.
-        if mab_telemetry::enabled() {
-            self.occ_accesses += 1;
-            if self.occ_accesses.is_multiple_of(OCCUPANCY_SAMPLE_PERIOD) {
-                mab_telemetry::emit!(Occupancy {
-                    track: "dram_backlog",
-                    id: 0,
-                    value: self.dram.backlog(t),
-                    cycle: t,
-                });
-                mab_telemetry::emit!(Occupancy {
-                    track: "mshr",
-                    id: i,
-                    value: self.cores[i].mshr.len() as f64,
-                    cycle: t,
-                });
-            }
-        }
-
-        // Black-box epoch summary on the same sampling clock: DRAM backlog
-        // at the sample point. Feature-independent, one branch while the
-        // flight recorder is off.
-        if mab_telemetry::blackbox::is_on() {
-            self.bb_accesses += 1;
-            if self.bb_accesses.is_multiple_of(OCCUPANCY_SAMPLE_PERIOD) {
-                mab_telemetry::blackbox::epoch(
-                    "mem",
-                    self.bb_accesses / OCCUPANCY_SAMPLE_PERIOD,
-                    t,
-                    self.dram.backlog(t),
-                );
-            }
+        self.l2_accesses += 1;
+        if self.l2_accesses.is_multiple_of(OCCUPANCY_SAMPLE_PERIOD) {
+            self.sample(i, t);
         }
 
         // L2 demand access: this is where the prefetcher trains.
         let ctx = &mut self.cores[i];
         let l2_result = ctx.l2.demand_lookup(line);
         let hit = matches!(l2_result, LookupResult::Hit { .. });
-        if hit {
-            self.probe.bump(Stat::L2DemandHit);
-        } else {
-            self.probe.bump(Stat::L2DemandMiss);
-        }
         let latency = match l2_result {
             LookupResult::Hit { first_prefetch_use } => {
                 if first_prefetch_use {
                     ctx.pf.timely += 1;
-                    self.probe.bump(Stat::PrefetchTimely);
                     ctx.prefetcher.on_prefetch_used(line, t);
                 }
                 l2_lat
@@ -658,15 +618,11 @@ impl System {
                     // fill (consumed immediately by this access) is credited
                     // to prefetching at every level the request targeted.
                     ctx.pf.late += 1;
-                    self.probe.bump(Stat::PrefetchLate);
                     ctx.prefetcher.on_prefetch_late(line, t);
                     ctx.mshr.remove(line);
-                    self.probe.bump(Stat::L2Fill);
-                    self.probe.bump(Stat::L1Fill);
                     if let Some(ev) = ctx.l2.fill_late_prefetch(line) {
                         if ev.unused_prefetch {
                             ctx.pf.wrong += 1;
-                            self.probe.bump(Stat::PrefetchWrong);
                             ctx.prefetcher.on_prefetch_evicted_unused(ev.line);
                         }
                     }
@@ -703,17 +659,11 @@ impl System {
                     clock.lap(stage::MSHR);
                     let start = t + mshr_wait as u64;
                     let path = match self.llc.demand_lookup(line) {
-                        LookupResult::Hit { .. } => {
-                            self.probe.bump(Stat::LlcDemandHit);
-                            llc_lat
-                        }
+                        LookupResult::Hit { .. } => llc_lat,
                         LookupResult::Miss => {
-                            self.probe.bump(Stat::LlcDemandMiss);
-                            self.probe.bump(Stat::DramAccess);
                             clock.lap(stage::CACHE_ACCESS);
                             let dram_lat = self.dram.access(start + llc_lat as u64);
                             clock.lap(stage::DRAM_QUEUE);
-                            self.probe.bump(Stat::LlcFill);
                             self.llc.fill(line, false);
                             llc_lat + dram_lat as u32
                         }
@@ -723,15 +673,12 @@ impl System {
                     let ctx = &mut self.cores[i];
                     ctx.demand_inflight
                         .push(std::cmp::Reverse(start + path as u64));
-                    self.probe.bump(Stat::L2Fill);
                     if let Some(ev) = ctx.l2.fill(line, false) {
                         if ev.unused_prefetch {
                             ctx.pf.wrong += 1;
-                            self.probe.bump(Stat::PrefetchWrong);
                             ctx.prefetcher.on_prefetch_evicted_unused(ev.line);
                         }
                     }
-                    self.probe.bump(Stat::L1Fill);
                     ctx.l1.fill(line, false);
                     beyond_l2
                 }
@@ -757,6 +704,34 @@ impl System {
         latency
     }
 
+    /// Takes the sampled readings at an L2 demand access of core `i` at
+    /// cycle `t`: the DRAM channel backlog and core `i`'s MSHR fill as
+    /// occupancy tracks for the Perfetto timeline, and the backlog as the
+    /// black box's memory epoch summary, each when its sink is live.
+    #[cold]
+    fn sample(&self, i: usize, t: u64) {
+        mab_telemetry::emit!(Occupancy {
+            track: "dram_backlog",
+            id: 0,
+            value: self.dram.backlog(t),
+            cycle: t,
+        });
+        mab_telemetry::emit!(Occupancy {
+            track: "mshr",
+            id: i,
+            value: self.cores[i].mshr.len() as f64,
+            cycle: t,
+        });
+        if mab_telemetry::blackbox::is_on() {
+            mab_telemetry::blackbox::epoch(
+                "mem",
+                self.l2_accesses / OCCUPANCY_SAMPLE_PERIOD,
+                t,
+                self.dram.backlog(t),
+            );
+        }
+    }
+
     /// Issues the requests queued by core `i`'s L2 prefetcher or, with
     /// `l1`, by its L1 prefetcher, whose lines already in L2 fill the L1
     /// directly and whose memory fills go to L1 and L2.
@@ -775,15 +750,13 @@ impl System {
         let llc_lat =
             self.config.l1.latency + self.config.l2.latency + self.config.llc_per_core.latency;
         let cap = self.config.prefetch_queue;
-        self.probe
-            .add(Stat::PrefetchRequested, requests.len() as u64);
+        ctx.pf.requested += requests.len() as u64;
         for &line in &requests {
             if l1 && ctx.l1.contains(line) {
                 continue;
             }
             if ctx.l2.contains(line) {
                 if l1 {
-                    self.probe.bump(Stat::L1Fill);
                     ctx.l1.fill(line, true);
                 }
                 continue;
@@ -793,22 +766,18 @@ impl System {
             }
             if ctx.mshr.len() >= cap {
                 ctx.pf.dropped += 1;
-                self.probe.bump(Stat::PrefetchDropped);
                 continue;
             }
             let fill_latency = if self.llc.contains(line) {
                 llc_lat as u64
             } else {
                 // Prefetch also fills the LLC and consumes DRAM bandwidth.
-                self.probe.bump(Stat::DramAccess);
                 let dram_lat = self.dram.access(t + llc_lat as u64);
-                self.probe.bump(Stat::LlcFill);
                 self.llc.fill(line, false);
                 llc_lat as u64 + dram_lat
             };
             ctx.mshr.insert(line, t + fill_latency, l1);
             ctx.pf.issued += 1;
-            self.probe.bump(Stat::PrefetchIssued);
         }
         ctx.req_scratch = requests;
     }

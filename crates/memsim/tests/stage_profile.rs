@@ -45,7 +45,7 @@ fn stage_leaves_sum_to_most_of_the_run_wall_time() {
     .map(|stage| {
         let totals = report.spans[&format!("run;{stage}")];
         assert_eq!(totals.count, instructions, "{stage} covers every step");
-        totals.estimated_ns()
+        totals.total_ns
     })
     .sum();
     assert!(

@@ -313,14 +313,16 @@ impl MonitorState {
                             arm.phase = ArmPhase::Done;
                             arm.wall_ns = obs.wall_ns;
                         }
-                        None => table.arms.push(ArmState {
-                            sweep: obs.sweep,
-                            index: obs.index,
-                            seed: obs.seed,
-                            worker: obs.worker,
-                            phase: ArmPhase::Done,
-                            wall_ns: obs.wall_ns,
-                        }),
+                        None => {
+                            table.arms.push(ArmState {
+                                sweep: obs.sweep,
+                                index: obs.index,
+                                seed: obs.seed,
+                                worker: obs.worker,
+                                phase: ArmPhase::Done,
+                                wall_ns: obs.wall_ns,
+                            });
+                        }
                     }
                     match &mut table.current {
                         Some(current) if current.sweep == obs.sweep => {

@@ -11,13 +11,13 @@ use mab_runner::{sweep, SweepOptions};
 use mab_telemetry::profile;
 use mab_telemetry::span::{self, Category};
 
-fn profile_key(report: &profile::ProfileReport) -> Vec<(String, u64, u64)> {
-    // Wall-clock nanoseconds legitimately vary between schedules; counts
-    // (exact) and timed counts (per-run sampling phase) must not.
+fn profile_key(report: &profile::ProfileReport) -> Vec<(String, u64)> {
+    // Wall-clock nanoseconds legitimately vary between schedules; the
+    // exact counts must not.
     report
         .spans
         .iter()
-        .map(|(path, t)| (path.clone(), t.count, t.timed))
+        .map(|(path, t)| (path.clone(), t.count))
         .collect()
 }
 

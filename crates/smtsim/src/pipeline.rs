@@ -289,13 +289,13 @@ pub struct SmtPipeline {
     rename: RenameStats,
     rr_last: usize,
     epoch_commits_latch: [u64; 2],
-    /// Locally batched telemetry counts `[grants, gated]`, flushed to the
-    /// recorder at epoch boundaries — per-cycle counter traffic would cost
-    /// more than the fetch stage itself.
-    probe_fetch: [u64; 2],
     /// Fetch-slot grants per thread within the current epoch, sampled into
-    /// `fetch_share` occupancy tracks at each epoch boundary.
+    /// `fetch_share` occupancy tracks and counted at each epoch boundary
+    /// (per-cycle counter traffic would cost more than the fetch stage).
     epoch_grants: [u64; 2],
+    /// Fetch slots refused by a gate within the current epoch, counted with
+    /// the grants.
+    epoch_gated: u64,
 }
 
 impl std::fmt::Debug for SmtPipeline {
@@ -337,17 +337,18 @@ impl SmtPipeline {
             rename: RenameStats::default(),
             rr_last: 0,
             epoch_commits_latch: [0; 2],
-            probe_fetch: [0; 2],
             epoch_grants: [0; 2],
+            epoch_gated: 0,
         }
     }
 
-    /// Flushes the locally batched fetch-slot counts to the recorder.
-    fn flush_probes(&mut self) {
+    /// Counts the epoch's fetch-slot grants and gates and starts the next
+    /// epoch's tallies.
+    fn count_fetch_slots(&mut self) {
         if mab_telemetry::STATIC_ENABLED {
-            let [grants, gated] = std::mem::take(&mut self.probe_fetch);
-            mab_telemetry::count!(SmtFetchGrant, grants);
-            mab_telemetry::count!(SmtFetchGated, gated);
+            let [g0, g1] = std::mem::take(&mut self.epoch_grants);
+            mab_telemetry::count!(SmtFetchGrant, g0 + g1);
+            mab_telemetry::count!(SmtFetchGated, std::mem::take(&mut self.epoch_gated));
         }
     }
 
@@ -423,32 +424,29 @@ impl SmtPipeline {
                     self.cycle,
                     per_thread[0] + per_thread[1],
                 );
-                self.flush_probes();
                 // Publish the epoch-boundary cycle before the controller
                 // runs, so any bandit decision it records lands at the right
                 // timeline position; sample the per-thread fetch shares and
                 // IPCs as occupancy tracks.
                 mab_telemetry::clock!(self.cycle);
-                if mab_telemetry::STATIC_ENABLED {
-                    if mab_telemetry::enabled() {
-                        let total = (self.epoch_grants[0] + self.epoch_grants[1]).max(1) as f64;
-                        for (i, &grants) in self.epoch_grants.iter().enumerate() {
-                            mab_telemetry::emit!(Occupancy {
-                                track: "fetch_share",
-                                id: i,
-                                value: grants as f64 / total,
-                                cycle: self.cycle,
-                            });
-                            mab_telemetry::emit!(Occupancy {
-                                track: "thread_ipc",
-                                id: i,
-                                value: per_thread[i],
-                                cycle: self.cycle,
-                            });
-                        }
+                if mab_telemetry::enabled() {
+                    let total = (self.epoch_grants[0] + self.epoch_grants[1]).max(1) as f64;
+                    for (i, &grants) in self.epoch_grants.iter().enumerate() {
+                        mab_telemetry::emit!(Occupancy {
+                            track: "fetch_share",
+                            id: i,
+                            value: grants as f64 / total,
+                            cycle: self.cycle,
+                        });
+                        mab_telemetry::emit!(Occupancy {
+                            track: "thread_ipc",
+                            id: i,
+                            value: per_thread[i],
+                            cycle: self.cycle,
+                        });
                     }
-                    self.epoch_grants = [0; 2];
                 }
+                self.count_fetch_slots();
                 {
                     mab_telemetry::span!(PolicyEval);
                     controller.on_epoch(EpochIpc { per_thread });
@@ -459,7 +457,7 @@ impl SmtPipeline {
             }
         }
         clock.finish();
-        self.flush_probes();
+        self.count_fetch_slots();
         mab_telemetry::count!(SimCycles, self.cycle - start_cycle);
         self.stats()
     }
@@ -802,7 +800,7 @@ impl SmtPipeline {
             }
             if self.gated(i, policy, share) {
                 if mab_telemetry::STATIC_ENABLED {
-                    self.probe_fetch[1] += 1;
+                    self.epoch_gated += 1;
                 }
                 continue;
             }
@@ -839,7 +837,6 @@ impl SmtPipeline {
         };
         self.rr_last = chosen;
         if mab_telemetry::STATIC_ENABLED {
-            self.probe_fetch[0] += 1;
             self.epoch_grants[chosen] += 1;
         }
         let t = &mut self.threads[chosen];

@@ -23,49 +23,9 @@ pub enum Field {
     Str(&'static str),
 }
 
-/// Flattens an event into `(key, value)` pairs, in a stable order.
+/// Flattens an event into `(key, value)` pairs, in [`CSV_COLUMNS`] order.
 pub fn event_fields(event: &Event) -> Vec<(&'static str, Field)> {
     match *event {
-        Event::ArmPulled {
-            agent,
-            step,
-            arm,
-            phase,
-        } => vec![
-            ("agent", Field::U64(agent)),
-            ("step", Field::U64(step)),
-            ("arm", Field::U64(arm as u64)),
-            ("phase", Field::Str(phase)),
-        ],
-        Event::RewardObserved {
-            agent,
-            step,
-            arm,
-            reward,
-            normalized,
-        } => vec![
-            ("agent", Field::U64(agent)),
-            ("step", Field::U64(step)),
-            ("arm", Field::U64(arm as u64)),
-            ("reward", Field::F64(reward)),
-            ("normalized", Field::F64(normalized)),
-        ],
-        Event::EpochReset { agent, step } => {
-            vec![("agent", Field::U64(agent)), ("step", Field::U64(step))]
-        }
-        Event::QSnapshot {
-            agent,
-            step,
-            best_arm,
-            best_q,
-            n_total,
-        } => vec![
-            ("agent", Field::U64(agent)),
-            ("step", Field::U64(step)),
-            ("best_arm", Field::U64(best_arm as u64)),
-            ("best_q", Field::F64(best_q)),
-            ("n_total", Field::F64(n_total)),
-        ],
         Event::Occupancy {
             track,
             id,
@@ -126,52 +86,14 @@ pub fn event_to_json(seq: u64, event: &Event) -> String {
     line
 }
 
-/// Every CSV column, in output order. Events leave inapplicable columns
-/// empty, so heterogeneous kinds share one table. No event carries
-/// `level`, `core`, `thread`, `line`, `hit` or `prefetch`; those columns
-/// stay, always empty, so readers keyed on this 21-column header keep
-/// working.
-pub const CSV_COLUMNS: [&str; 21] = [
-    "seq",
-    "kind",
-    "agent",
-    "step",
-    "arm",
-    "phase",
-    "reward",
-    "normalized",
-    "best_arm",
-    "best_q",
-    "n_total",
-    "level",
-    "core",
-    "thread",
-    "line",
-    "hit",
-    "prefetch",
-    "track",
-    "id",
-    "value",
-    "cycle",
-];
+/// Every CSV column, in output order: the event number and kind, then the
+/// event's fields.
+pub const CSV_COLUMNS: [&str; 6] = ["seq", "kind", "track", "id", "value", "cycle"];
 
 /// Event number `seq` as a CSV row following [`CSV_COLUMNS`].
 pub fn event_to_csv(seq: u64, event: &Event) -> String {
-    let fields = event_fields(event);
-    let mut row = Vec::with_capacity(CSV_COLUMNS.len());
-    for &col in &CSV_COLUMNS {
-        match col {
-            "seq" => row.push(seq.to_string()),
-            "kind" => row.push(escape_csv(event.kind())),
-            _ => row.push(
-                fields
-                    .iter()
-                    .find(|(k, _)| *k == col)
-                    .map(|&(_, v)| csv_value(v))
-                    .unwrap_or_default(),
-            ),
-        }
-    }
+    let mut row = vec![seq.to_string(), escape_csv(event.kind())];
+    row.extend(event_fields(event).into_iter().map(|(_, v)| csv_value(v)));
     row.join(",")
 }
 
@@ -224,12 +146,10 @@ pub fn write_jsonl<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
     for (path, totals) in &prof.spans {
         writeln!(
             w,
-            "{{\"kind\":\"span\",\"path\":\"{}\",\"count\":{},\"timed\":{},\"total_ns\":{},\"est_ns\":{},\"self_ns\":{}}}",
+            "{{\"kind\":\"span\",\"path\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
             json::escape(path),
             totals.count,
-            totals.timed,
             totals.total_ns,
-            totals.estimated_ns(),
             self_ns.get(path).copied().unwrap_or(0),
         )?;
     }
@@ -253,6 +173,15 @@ pub fn write_csv<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
 mod tests {
     use super::*;
 
+    fn occupancy(value: f64) -> Event {
+        Event::Occupancy {
+            track: "dram_backlog",
+            id: 2,
+            value,
+            cycle: 120,
+        }
+    }
+
     #[test]
     fn csv_escaping_quotes_when_needed() {
         assert_eq!(escape_csv("plain"), "plain");
@@ -262,59 +191,30 @@ mod tests {
     }
 
     #[test]
-    fn arm_pulled_round_trips_to_json() {
-        let e = Event::ArmPulled {
-            agent: 3,
-            step: 12,
-            arm: 4,
-            phase: "main",
-        };
+    fn occupancy_round_trips_to_json() {
         assert_eq!(
-            event_to_json(7, &e),
-            "{\"seq\":7,\"kind\":\"arm_pulled\",\"agent\":3,\"step\":12,\"arm\":4,\"phase\":\"main\"}"
+            event_to_json(7, &occupancy(3.5)),
+            "{\"seq\":7,\"kind\":\"occupancy\",\"track\":\"dram_backlog\",\"id\":2,\"value\":3.5,\"cycle\":120}"
         );
     }
 
     #[test]
-    fn csv_rows_match_header_width() {
-        let events = [
-            Event::ArmPulled {
-                agent: 1,
-                step: 0,
-                arm: 2,
-                phase: "round_robin",
-            },
-            Event::RewardObserved {
-                agent: 1,
-                step: 1,
-                arm: 2,
-                reward: 1.25,
-                normalized: 0.9,
-            },
-            Event::Occupancy {
-                track: "dram_backlog",
-                id: 0,
-                value: 3.5,
-                cycle: 120,
-            },
-        ];
-        for (seq, event) in events.into_iter().enumerate() {
-            let row = event_to_csv(seq as u64, &event);
-            assert_eq!(row.split(',').count(), CSV_COLUMNS.len(), "{row}");
-        }
+    fn csv_rows_follow_the_header() {
+        let keys: Vec<&str> = event_fields(&occupancy(3.5))
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(keys, CSV_COLUMNS[2..]);
+        assert_eq!(
+            event_to_csv(4, &occupancy(3.5)),
+            "4,occupancy,dram_backlog,2,3.5,120"
+        );
     }
 
     #[test]
     fn non_finite_floats_export_as_null() {
-        let e = Event::RewardObserved {
-            agent: 0,
-            step: 0,
-            arm: 0,
-            reward: f64::NAN,
-            normalized: f64::INFINITY,
-        };
-        let json = event_to_json(0, &e);
-        assert!(json.contains("\"reward\":null"), "{json}");
-        assert!(json.contains("\"normalized\":null"), "{json}");
+        let event = occupancy(f64::NAN);
+        assert!(event_to_json(0, &event).contains("\"value\":null"));
+        assert_eq!(event_to_csv(0, &event), "0,occupancy,dram_backlog,2,,120");
     }
 }

@@ -44,8 +44,9 @@
 //! — zero runtime cost. With the feature on, the macros are additionally
 //! gated at runtime on a recorder having been [`install`]ed.
 //!
-//! Events are per bandit step or per sampled epoch; per-access and
-//! per-cycle simulator activity only bumps [`Stat`] counters.
+//! Each thing is recorded once: a bandit decision as its
+//! [`DecisionRecord`], a simulator's statistics as [`Stat`] counters added
+//! once per run, and the sampled occupancy readings as [`Event`]s.
 
 // `unsafe` is confined to the `signal(2)` shim, which allows it locally.
 #![deny(unsafe_code)]
@@ -75,9 +76,10 @@ pub use ring::Ring;
 pub use span::{Category, SpanGuard, SpanTotals};
 pub use trace::{ArmProbe, DecisionRecord, TraceRing};
 
+use std::cell::Cell;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Compile-time master switch: `true` only when the `on` feature is enabled.
@@ -99,7 +101,6 @@ pub struct Recorder {
     hists: [Histogram; Hist::COUNT],
     ring: Mutex<Ring<Event>>,
     trace: TraceRing,
-    clock: AtomicU64,
 }
 
 impl Default for Recorder {
@@ -116,7 +117,6 @@ impl Recorder {
             hists: std::array::from_fn(|_| Histogram::new()),
             ring: Mutex::new(Ring::new(EVENT_CAPACITY)),
             trace: TraceRing::new(TRACE_CAPACITY),
-            clock: AtomicU64::new(0),
         }
     }
 
@@ -145,20 +145,6 @@ impl Recorder {
     #[inline]
     pub fn trace(&self) -> &TraceRing {
         &self.trace
-    }
-
-    /// Publishes the current simulated cycle. Simulators call this at bandit
-    /// step / epoch boundaries so decision records and occupancy samples
-    /// carry a timeline position.
-    #[inline]
-    pub fn set_clock(&self, cycle: u64) {
-        self.clock.store(cycle, Ordering::Relaxed);
-    }
-
-    /// The last published simulated cycle (0 before any simulator reported).
-    #[inline]
-    pub fn clock(&self) -> u64 {
-        self.clock.load(Ordering::Relaxed)
     }
 
     /// Pushes an event into the ring.
@@ -242,6 +228,26 @@ pub fn enabled() -> bool {
     STATIC_ENABLED && ACTIVE.load(Ordering::Relaxed)
 }
 
+thread_local! {
+    /// The simulated cycle last published on this thread. Each run, a
+    /// four-core system's included, runs start to finish on one thread, so
+    /// a decision reads its own run's cycle whatever other workers publish.
+    static CLOCK: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Publishes the current simulated cycle for this thread's decisions.
+/// Simulators call it through [`clock!`] at bandit step / epoch boundaries.
+#[inline]
+pub fn set_clock(cycle: u64) {
+    CLOCK.with(|c| c.set(cycle));
+}
+
+/// The simulated cycle last published on this thread (0 before any).
+#[inline]
+pub fn clock() -> u64 {
+    CLOCK.with(Cell::get)
+}
+
 /// Bumps a [`Stat`] counter: `count!(ArmPulls)` or `count!(L2Fill, n)`.
 #[macro_export]
 macro_rules! count {
@@ -284,7 +290,7 @@ macro_rules! record_raw {
 }
 
 /// Pushes a structured [`Event`] into the ring:
-/// `emit!(ArmPulled { agent: seed, step, arm, phase: "main" })`.
+/// `emit!(Occupancy { track: "mshr", id: core, value, cycle })`.
 #[macro_export]
 macro_rules! emit {
     ($variant:ident { $($field:ident : $value:expr),* $(,)? }) => {
@@ -296,15 +302,16 @@ macro_rules! emit {
     };
 }
 
-/// Publishes the simulated cycle to the recorder clock: `clock!(cycle)`.
-/// Called by simulators at bandit step / epoch boundaries (not per cycle),
-/// so decision records carry a timeline position.
+/// Publishes the simulated cycle to this thread's recorder clock
+/// ([`set_clock`]): `clock!(cycle)`. Called by simulators at bandit step /
+/// epoch boundaries (not per cycle), so decision records carry a timeline
+/// position.
 #[macro_export]
 macro_rules! clock {
     ($cycle:expr) => {
         if $crate::STATIC_ENABLED {
-            if let Some(r) = $crate::recorder() {
-                r.set_clock($cycle as u64);
+            if $crate::recorder().is_some() {
+                $crate::set_clock($cycle as u64);
             }
         }
     };
@@ -334,19 +341,23 @@ mod tests {
         assert_eq!(STATIC_ENABLED, cfg!(feature = "on"));
     }
 
+    fn occupancy() -> Event {
+        Event::Occupancy {
+            track: "mshr",
+            id: 1,
+            value: 3.0,
+            cycle: 44,
+        }
+    }
+
     #[test]
     fn recorder_routes_events_to_the_ring() {
         let rec = Recorder::new();
-        rec.emit(Event::ArmPulled {
-            agent: 1,
-            step: 0,
-            arm: 2,
-            phase: "main",
-        });
+        rec.emit(occupancy());
         let ring = rec.ring();
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.capacity(), EVENT_CAPACITY);
-        assert_eq!(ring.iter().next().unwrap().kind(), "arm_pulled");
+        assert_eq!(ring.iter().next().unwrap().kind(), "occupancy");
     }
 
     #[test]
@@ -354,7 +365,7 @@ mod tests {
         let rec = Recorder::new();
         rec.counters().add(Stat::ArmPulls, 2);
         rec.hist(Hist::Reward).record_f64(1.5);
-        rec.emit(Event::EpochReset { agent: 9, step: 44 });
+        rec.emit(occupancy());
         let mut out = Vec::new();
         rec.export_jsonl(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
@@ -364,12 +375,14 @@ mod tests {
             text.contains("\"stat\":\"arm_pulls\",\"value\":2"),
             "{text}"
         );
-        assert!(text.contains("\"kind\":\"epoch_reset\""), "{text}");
+        assert!(text.contains("\"kind\":\"occupancy\""), "{text}");
 
         let mut csv = Vec::new();
         rec.export_csv(&mut csv).unwrap();
         let csv = String::from_utf8(csv).unwrap();
-        assert!(csv.starts_with("seq,kind,"), "{csv}");
-        assert_eq!(csv.lines().count(), 2, "{csv}");
+        assert_eq!(
+            csv,
+            "seq,kind,track,id,value,cycle\n0,occupancy,mshr,1,3,44\n"
+        );
     }
 }

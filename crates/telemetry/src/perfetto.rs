@@ -7,8 +7,9 @@
 //! - **pid 1 `bandit`** — one thread per agent. Each decision becomes a
 //!   complete ("X") slice named `arm N` lasting until the agent's next
 //!   decision, with the full per-arm provenance in `args`; arm switches and
-//!   §4.3 restart sweeps are instant ("i") markers; the attributed
-//!   normalized reward is a counter ("C") track per agent.
+//!   §4.3 restart sweeps (the sweep's first decision) are instant ("i")
+//!   markers; the attributed normalized reward is a counter ("C") track per
+//!   agent.
 //! - **pid 2 `memsim`** — [`Event::Occupancy`] samples (DRAM backlog, MSHR
 //!   fill) as named counter tracks.
 //! - **pid 3 `smtsim`** — fetch/thread occupancy tracks (per-thread fetch
@@ -159,36 +160,31 @@ pub fn write_trace_json<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
                 r.cycle, r.chosen
             ))?;
         }
+        // A restart sweep always opens on arm 0.
+        if r.phase == "restart_sweep" && r.chosen == 0 {
+            items.item(&format!(
+                "{{\"ph\":\"i\",\"pid\":{PID_BANDIT},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\
+                 \"cat\":\"reset\",\"name\":\"restart sweep (step {})\"}}",
+                r.cycle, r.epoch
+            ))?;
+        }
     }
 
-    // Ring events: occupancy counter tracks and restart-sweep instants.
-    let ring = rec.ring().clone();
-    for event in ring.iter() {
-        match *event {
-            Event::Occupancy {
-                track,
-                id,
-                value,
-                cycle,
-            } => {
-                items.item(&format!(
-                    "{{\"ph\":\"C\",\"pid\":{},\"ts\":{cycle},\"name\":\"{}[{id}]\",\
-                     \"args\":{{\"value\":{}}}}}",
-                    occupancy_pid(track),
-                    json::escape(track),
-                    json::fmt_f64(value)
-                ))?;
-            }
-            Event::EpochReset { agent, step } if agents.contains(&agent) => {
-                items.item(&format!(
-                    "{{\"ph\":\"i\",\"pid\":{PID_BANDIT},\"tid\":{},\"ts\":{},\"s\":\"t\",\
-                     \"cat\":\"reset\",\"name\":\"restart sweep (step {step})\"}}",
-                    tid_of(agent),
-                    rec.clock()
-                ))?;
-            }
-            _ => {}
-        }
+    // Occupancy counter tracks.
+    for event in rec.ring().clone().iter() {
+        let Event::Occupancy {
+            track,
+            id,
+            value,
+            cycle,
+        } = *event;
+        items.item(&format!(
+            "{{\"ph\":\"C\",\"pid\":{},\"ts\":{cycle},\"name\":\"{}[{id}]\",\
+             \"args\":{{\"value\":{}}}}}",
+            occupancy_pid(track),
+            json::escape(track),
+            json::fmt_f64(value)
+        ))?;
     }
 
     writeln!(w, "\n]}}")
@@ -304,6 +300,36 @@ mod tests {
         );
         assert!(
             text.contains("\"pid\":3,\"ts\":150,\"name\":\"fetch_share[1]\""),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn restart_sweep_instants_sit_at_their_decisions_cycles() {
+        let rec = Recorder::new();
+        let sweep = |epoch: u64, cycle: u64, chosen: usize| DecisionRecord {
+            phase: "restart_sweep",
+            ..decision(7, epoch, cycle, chosen)
+        };
+        rec.trace().push(decision(7, 0, 100, 1));
+        rec.trace().push(sweep(1, 8_000, 0));
+        rec.trace().push(sweep(2, 9_000, 1));
+        rec.trace().push(decision(7, 3, 10_000, 1));
+        rec.trace().push(sweep(4, 197_000, 0));
+        let mut out = Vec::new();
+        write_trace_json(&rec, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let instants: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"cat\":\"reset\""))
+            .collect();
+        assert_eq!(instants.len(), 2, "{text}");
+        assert!(
+            instants[0].contains("\"ts\":8000,") && instants[0].contains("(step 1)"),
+            "{text}"
+        );
+        assert!(
+            instants[1].contains("\"ts\":197000,") && instants[1].contains("(step 4)"),
             "{text}"
         );
     }

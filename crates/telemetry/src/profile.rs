@@ -110,7 +110,7 @@ impl ProfileReport {
         }
     }
 
-    /// Estimated *self* nanoseconds per path: the path's total minus its
+    /// *Self* nanoseconds per path: the path's total minus its
     /// direct children's, clamped at zero (overlapping children, such as
     /// the bandit's spans inside memsim's train stage, can sum past their
     /// parent).
@@ -118,14 +118,11 @@ impl ProfileReport {
         let mut out: BTreeMap<String, u64> = self
             .spans
             .iter()
-            .map(|(path, totals)| (path.clone(), totals.estimated_ns()))
+            .map(|(path, totals)| (path.clone(), totals.total_ns))
             .collect();
         for (path, totals) in &self.spans {
-            let children: u64 = self
-                .direct_children(path)
-                .map(|(_, t)| t.estimated_ns())
-                .sum();
-            out.insert(path.clone(), totals.estimated_ns().saturating_sub(children));
+            let children: u64 = self.direct_children(path).map(|(_, t)| t.total_ns).sum();
+            out.insert(path.clone(), totals.total_ns.saturating_sub(children));
         }
         out
     }
@@ -146,7 +143,7 @@ impl ProfileReport {
     }
 
     /// Writes the profile as collapsed stacks: one `path;path;frame N` line
-    /// per span with nonzero estimated self-time, where N is self-time in
+    /// per span with nonzero self-time, where N is self-time in
     /// nanoseconds. The format loads directly in `inferno-flamegraph`,
     /// speedscope and the original `flamegraph.pl`.
     pub fn write_collapsed<W: Write>(&self, w: &mut W) -> io::Result<()> {
@@ -174,18 +171,11 @@ mod tests {
     /// them.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    fn report(paths: &[(&str, u64, u64, u64)]) -> ProfileReport {
-        let mut spans = BTreeMap::new();
-        for &(path, count, timed, total_ns) in paths {
-            spans.insert(
-                path.to_string(),
-                SpanTotals {
-                    count,
-                    timed,
-                    total_ns,
-                },
-            );
-        }
+    fn report(paths: &[(&str, u64, u64)]) -> ProfileReport {
+        let spans = paths
+            .iter()
+            .map(|&(path, count, total_ns)| (path.to_string(), SpanTotals { count, total_ns }))
+            .collect();
         ProfileReport { spans }
     }
 
@@ -203,9 +193,9 @@ mod tests {
     #[test]
     fn self_time_subtracts_direct_children() {
         let r = report(&[
-            ("run", 1, 1, 1_000),
-            ("run;cache_access", 10, 10, 600),
-            ("run;cache_access;dram_queue", 10, 10, 200),
+            ("run", 1, 1_000),
+            ("run;cache_access", 10, 600),
+            ("run;cache_access;dram_queue", 10, 200),
         ]);
         let self_ns = r.self_ns();
         assert_eq!(self_ns["run"], 400);
@@ -216,15 +206,15 @@ mod tests {
 
     #[test]
     fn self_time_clamps_when_children_exceed_parent() {
-        let r = report(&[("run", 1, 1, 100), ("run;cache_access", 4, 2, 300)]);
-        // Child extrapolates to 600ns > parent's 100ns: clamp, don't wrap.
+        let r = report(&[("run", 1, 100), ("run;cache_access", 4, 300)]);
+        // Child's 300ns > parent's 100ns: clamp, don't wrap.
         assert_eq!(r.self_ns()["run"], 0);
     }
 
     #[test]
     fn merge_is_a_pathwise_sum() {
-        let mut a = report(&[("run", 1, 1, 100), ("run;fetch", 5, 5, 50)]);
-        let b = report(&[("run", 1, 1, 200), ("run;rename", 2, 2, 20)]);
+        let mut a = report(&[("run", 1, 100), ("run;fetch", 5, 50)]);
+        let b = report(&[("run", 1, 200), ("run;rename", 2, 20)]);
         a.merge(&b);
         assert_eq!(a.spans["run"].count, 2);
         assert_eq!(a.spans["run"].total_ns, 300);
@@ -235,9 +225,9 @@ mod tests {
     #[test]
     fn collapsed_output_is_valid_path_count_lines() {
         let r = report(&[
-            ("run", 1, 1, 1_000),
-            ("run;cache_access", 10, 10, 600),
-            ("run;cache_access;dram_queue", 10, 10, 200),
+            ("run", 1, 1_000),
+            ("run;cache_access", 10, 600),
+            ("run;cache_access;dram_queue", 10, 200),
         ]);
         let mut out = Vec::new();
         r.write_collapsed(&mut out).unwrap();
@@ -273,11 +263,8 @@ mod tests {
         job(100);
         job(37);
         let serial = snapshot();
-        let key = |r: &ProfileReport| -> Vec<(String, u64, u64)> {
-            r.spans
-                .iter()
-                .map(|(p, t)| (p.clone(), t.count, t.timed))
-                .collect()
+        let key = |r: &ProfileReport| -> Vec<(String, u64)> {
+            r.spans.iter().map(|(p, t)| (p.clone(), t.count)).collect()
         };
         let serial_key = key(&serial);
 
@@ -293,8 +280,6 @@ mod tests {
         assert_eq!(serial.spans["run"].count, 2);
         assert_eq!(serial.spans["run;cache_access"].count, 137);
         assert_eq!(serial.spans["run;cache_access;dram_queue"].count, 137);
-        // Every entry is timed.
-        assert_eq!(serial.spans["run;cache_access"].timed, 137);
 
         set_enabled(false);
         reset();
@@ -321,9 +306,7 @@ mod tests {
         reset();
         let fetch = snap.spans["run;fetch"];
         let commit = snap.spans["run;commit"];
-        assert_eq!((fetch.count, fetch.timed), (3_000, 3_000));
-        assert_eq!((commit.count, commit.timed), (3_000, 3_000));
-        assert_eq!(fetch.estimated_ns(), fetch.total_ns);
+        assert_eq!((fetch.count, commit.count), (3_000, 3_000));
         assert!(fetch.total_ns + commit.total_ns <= snap.spans["run"].total_ns);
     }
 }

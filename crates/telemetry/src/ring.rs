@@ -50,13 +50,15 @@ impl<T> Ring<T> {
         self.capacity
     }
 
-    /// Appends `value`, evicting the oldest entry if the ring is full.
-    pub fn push(&mut self, value: T) {
+    /// Appends `value`, evicting the oldest entry if the ring is full, and
+    /// returns its push number.
+    pub fn push(&mut self, value: T) -> u64 {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
         }
         self.buf.push_back(value);
         self.total += 1;
+        self.total - 1
     }
 
     /// Number of entries currently retained.
@@ -78,6 +80,12 @@ impl<T> Ring<T> {
     /// oldest retained entry.
     pub fn dropped(&self) -> u64 {
         self.total - self.buf.len() as u64
+    }
+
+    /// The entry pushed as number `number`, unless it was evicted.
+    pub fn get_mut(&mut self, number: u64) -> Option<&mut T> {
+        let index = number.checked_sub(self.dropped())?;
+        self.buf.get_mut(usize::try_from(index).ok()?)
     }
 
     /// The retained entries, oldest first.
@@ -110,7 +118,7 @@ mod tests {
         fn keeps_the_newest_entries_numbered_in_push_order(cap in 0usize..=8, n in 0u64..=40) {
             let mut ring = Ring::new(cap);
             for i in 0..n {
-                ring.push(i);
+                prop_assert_eq!(ring.push(i), i);
             }
             let kept = n.min(cap.max(1) as u64);
             prop_assert_eq!(ring.capacity(), cap.max(1));
@@ -124,6 +132,11 @@ mod tests {
             let expected: Vec<(u64, u64)> = (n - kept..n).map(|i| (i, i)).collect();
             prop_assert_eq!(numbered, expected);
             prop_assert!(ring.iter().copied().eq(n - kept..n));
+            // Each push number reaches its own entry until it is evicted.
+            for i in 0..n + 2 {
+                let retained = (n - kept..n).contains(&i);
+                prop_assert_eq!(ring.get_mut(i).copied(), retained.then_some(i));
+            }
         }
     }
 }

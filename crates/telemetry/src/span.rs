@@ -136,28 +136,14 @@ pub struct SpanTotals {
     /// Exact number of times the span was entered, or, for a stage-clock
     /// stage, the number of steps the stage covered.
     pub count: u64,
-    /// Number of entries that were wall-clock timed; always `count` now
-    /// that every entry is timed.
-    pub timed: u64,
-    /// Total nanoseconds across the timed entries.
+    /// Total nanoseconds across the entries.
     pub total_ns: u64,
 }
 
 impl SpanTotals {
-    /// Estimated total nanoseconds across *all* entries, `total_ns × count
-    /// / timed` (0 when never timed): `total_ns`, now every entry is timed.
-    pub fn estimated_ns(&self) -> u64 {
-        if self.timed == 0 {
-            0
-        } else {
-            (self.total_ns as u128 * self.count as u128 / self.timed as u128) as u64
-        }
-    }
-
     /// Accumulates `other` into `self`.
     pub fn add(&mut self, other: &SpanTotals) {
         self.count += other.count;
-        self.timed += other.timed;
         self.total_ns += other.total_ns;
     }
 }
@@ -440,14 +426,12 @@ fn exit() {
         };
         let end = t.now_ns();
         let cur = t.current as usize;
-        let n = &mut t.nodes[cur];
-        n.totals.timed += 1;
-        n.totals.total_ns += end.saturating_sub(frame.start_ns);
+        t.nodes[cur].totals.total_ns += end.saturating_sub(frame.start_ns);
         t.current = frame.prev;
     });
 }
 
-/// Deposits `count` timed entries totalling `total_ns` as a child of the
+/// Deposits `count` entries totalling `total_ns` as a child of the
 /// current span: how a [`StageClock`] reports each stage.
 pub(crate) fn leaf(cat: Category, label: u32, count: u64, total_ns: u64) {
     if !crate::STATIC_ENABLED || !PROFILING.load(Ordering::Relaxed) || count == 0 {
@@ -459,7 +443,6 @@ pub(crate) fn leaf(cat: Category, label: u32, count: u64, total_ns: u64) {
         let node = t.find_or_add(parent, cat as u8, label);
         let n = &mut t.nodes[node as usize];
         n.totals.count += count;
-        n.totals.timed += count;
         n.totals.total_ns += total_ns;
     });
 }
@@ -809,21 +792,5 @@ mod tests {
         let mut out = BTreeMap::new();
         flatten_thread_into(&mut out);
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn estimated_ns_extrapolates_from_the_sample() {
-        let t = SpanTotals {
-            count: 100,
-            timed: 10,
-            total_ns: 1_000,
-        };
-        assert_eq!(t.estimated_ns(), 10_000);
-        let never = SpanTotals {
-            count: 5,
-            timed: 0,
-            total_ns: 0,
-        };
-        assert_eq!(never.estimated_ns(), 0);
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! Records live in a [`TraceRing`]: a [`Ring`] (fixed capacity,
 //! evict-oldest, sequence numbers and drop accounting) plus delayed-reward
-//! attribution, under one short mutex critical section (decisions are per
-//! bandit step, orders of magnitude rarer than counter bumps).
+//! attribution by ring number, under one short mutex critical section
+//! (decisions are per bandit step, orders of magnitude rarer than counter
+//! bumps).
 
 use crate::export::json_number_array;
 use crate::json;
@@ -34,12 +35,12 @@ pub struct ArmProbe {
 /// One bandit decision with full provenance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionRecord {
-    /// Agent identity (its RNG seed — unique per agent in practice).
+    /// Agent identity: its RNG seed, which agents of one sweep share.
     pub agent: u64,
     /// Bandit step index at selection time (0-based; monotone per agent).
     pub epoch: u64,
-    /// Simulated-cycle timestamp from the recorder clock (0 before any
-    /// simulator published a cycle).
+    /// Simulated-cycle timestamp from the deciding thread's recorder clock
+    /// (0 before its simulator published a cycle).
     pub cycle: u64,
     /// The selected arm index.
     pub chosen: usize,
@@ -97,23 +98,18 @@ impl TraceRing {
             .expect("trace ring lock poisoned by a panicking thread")
     }
 
-    /// Appends a decision, evicting the oldest if the ring is full.
-    pub fn push(&self, record: DecisionRecord) {
-        self.lock().ring.push(record);
+    /// Appends a decision, evicting the oldest if the ring is full, and
+    /// returns its ring number for [`TraceRing::attribute`].
+    pub fn push(&self, record: DecisionRecord) -> u64 {
+        self.lock().ring.push(record)
     }
 
-    /// Attributes the delayed reward of step `epoch` of `agent` back to its
-    /// decision record. Scans newest-first: the target is almost always the
-    /// most recent record of that agent. Counts the attribution as lost when
-    /// the decision has already been evicted.
-    pub fn attribute(&self, agent: u64, epoch: u64, reward: f64, normalized: f64) {
+    /// Attributes a delayed reward to the decision [`TraceRing::push`]
+    /// numbered `seq`. Counts the attribution as lost when the decision has
+    /// already been evicted.
+    pub fn attribute(&self, seq: u64, reward: f64, normalized: f64) {
         let mut inner = self.lock();
-        let found = inner
-            .ring
-            .iter_mut()
-            .rev()
-            .find(|d| d.agent == agent && d.epoch == epoch);
-        match found {
+        match inner.ring.get_mut(seq) {
             Some(d) => {
                 d.reward = reward;
                 d.normalized = normalized;
@@ -260,25 +256,30 @@ mod tests {
     }
 
     #[test]
-    fn rewards_attribute_to_the_matching_decision() {
+    fn rewards_attribute_to_the_numbered_decision() {
         let ring = TraceRing::new(8);
-        ring.push(record(1, 0));
-        ring.push(record(2, 0));
-        ring.attribute(1, 0, 1.25, 0.625);
+        // Two agents sharing a seed, each at epoch 0.
+        let first = ring.push(record(1, 0));
+        let second = ring.push(record(1, 0));
+        ring.attribute(first, 1.25, 0.625);
         let got = ring.decisions();
         assert_eq!(got[0].record.reward, 1.25);
         assert_eq!(got[0].record.normalized, 0.625);
         assert!(got[1].record.reward.is_nan());
+        ring.attribute(second, 2.0, 1.0);
+        assert_eq!(ring.decisions()[1].record.reward, 2.0);
+        assert_eq!(ring.decisions()[0].record.reward, 1.25);
         assert_eq!(ring.unattributed(), 0);
     }
 
     #[test]
     fn attribution_after_eviction_is_accounted() {
         let ring = TraceRing::new(1);
-        ring.push(record(1, 0));
-        ring.push(record(1, 1)); // evicts epoch 0
-        ring.attribute(1, 0, 1.0, 1.0);
+        let evicted = ring.push(record(1, 0));
+        ring.push(record(1, 1));
+        ring.attribute(evicted, 1.0, 1.0);
         assert_eq!(ring.unattributed(), 1);
+        assert!(ring.decisions()[0].record.reward.is_nan());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! End-to-end telemetry replay test (requires `--features telemetry`).
 //!
 //! Runs a bandit-prefetched single-core simulation with the recorder
-//! installed, exports the telemetry as JSON lines, and checks that the
-//! exported event log *reconstructs* the run: per-arm `arm_pulled` counts
-//! must equal the per-arm counts in the bandit's own selection history, and
-//! the exported counters must agree with the simulator's `RunStats`. It then
+//! installed, exports the decision trace and the telemetry as JSON lines,
+//! and checks that they *reconstruct* the run: per-arm counts of the
+//! exported decisions must equal the per-arm counts in the bandit's own
+//! selection history, and the exported counters must agree with the
+//! simulator's `RunStats`. It then
 //! arms the black box, drives a DUCB agent directly and dumps a crash
 //! report: every black-box decision must match its trace record, because
 //! the agent probes each decision once and feeds both sinks the same values.
@@ -45,7 +46,7 @@ fn u64_field(line: &JsonValue, key: &str) -> u64 {
 }
 
 #[test]
-fn exported_event_log_replays_the_prefetch_run() {
+fn exported_decision_log_replays_the_prefetch_run() {
     let rec = mab_telemetry::install();
 
     let mut bandit = BanditL2::paper_default(SEED);
@@ -71,30 +72,47 @@ fn exported_event_log_replays_the_prefetch_run() {
     let lines = parse_lines(&text);
     let of_kind = |kind: &'static str| lines.iter().filter(move |l| str_field(l, "kind") == kind);
 
-    // Nothing may have been evicted, or the replay below would be partial.
     let meta = lines.first().expect("meta line");
     assert_eq!(str_field(meta, "kind"), "meta", "{meta:?}");
     assert_eq!(u64_field(meta, "events_dropped"), 0, "{meta:?}");
+    // The event ring holds occupancy samples only.
+    assert!(
+        lines.iter().skip(1).all(|l| matches!(
+            str_field(l, "kind"),
+            "counter" | "histogram" | "span" | "occupancy"
+        )),
+        "unexpected line kind in the export"
+    );
 
-    // Replay: per-arm pull counts reconstructed from the exported events
-    // must equal the per-arm counts in the bandit's selection history.
+    // Replay: per-arm pull counts reconstructed from the exported decision
+    // log must equal the per-arm counts in the bandit's selection history.
+    let mut trace_out = Vec::new();
+    mab_telemetry::trace::write_trace_jsonl(rec.trace(), &mut trace_out).expect("trace export");
+    let trace_lines = parse_lines(&String::from_utf8(trace_out).expect("utf8"));
+    let trace_meta = trace_lines.first().expect("trace_meta line");
+    assert_eq!(str_field(trace_meta, "kind"), "trace_meta");
+    // Nothing may have been evicted, or the replay below would be partial.
+    assert_eq!(u64_field(trace_meta, "decisions_dropped"), 0);
     let n_arms = history.iter().map(|&(_, arm)| arm).max().unwrap() + 1;
-    let mut from_events = vec![0u64; n_arms];
+    let mut from_log = vec![0u64; n_arms];
     let mut pulls_in_log = 0u64;
-    for line in of_kind("arm_pulled") {
+    for line in trace_lines
+        .iter()
+        .filter(|l| str_field(l, "kind") == "decision")
+    {
         assert_eq!(u64_field(line, "agent"), SEED, "{line:?}");
-        from_events[u64_field(line, "arm") as usize] += 1;
+        from_log[u64_field(line, "arm") as usize] += 1;
         pulls_in_log += 1;
     }
     let mut from_history = vec![0u64; n_arms];
     for &(_, arm) in &history {
         from_history[arm] += 1;
     }
-    assert_eq!(from_events, from_history, "per-arm pull counts diverge");
+    assert_eq!(from_log, from_history, "per-arm pull counts diverge");
 
-    // Counter lines agree with the event log and the agent's final state:
-    // every selection is one history entry, and all but the final pending
-    // selection completed a reward step.
+    // Counter lines agree with the decision log and the agent's final
+    // state: every selection is one history entry, and all but the final
+    // pending selection completed a reward step.
     assert_eq!(pulls_in_log, history.len() as u64);
     let counter = |stat: &str| {
         let line = of_kind("counter")
@@ -107,9 +125,13 @@ fn exported_event_log_replays_the_prefetch_run() {
     assert_eq!(steps, history.len() as u64 - 1);
 
     // Simulator counters agree with the run's own statistics.
+    assert_eq!(counter("prefetch_requested"), stats.prefetch.requested);
     assert_eq!(counter("prefetch_issued"), stats.prefetch.issued);
     assert_eq!(counter("l2_demand_hit"), stats.l2.demand_hits);
     assert_eq!(counter("l2_demand_miss"), stats.l2.demand_misses);
+    assert_eq!(counter("l1_fill"), stats.l1.fills);
+    assert_eq!(counter("l2_fill"), stats.l2.fills);
+    assert_eq!(counter("llc_fill"), stats.llc.fills);
 
     // The reward histogram saw exactly one observation per completed step.
     let hist = of_kind("histogram")
@@ -146,22 +168,9 @@ fn exported_event_log_replays_the_prefetch_run() {
     );
     assert!(cycles.last().copied().unwrap() > 0, "clock never published");
 
-    // JSONL trace export round-trips the same decision count.
-    let mut trace_out = Vec::new();
-    mab_telemetry::trace::write_trace_jsonl(rec.trace(), &mut trace_out).expect("trace export");
-    let trace_lines = parse_lines(&String::from_utf8(trace_out).expect("utf8"));
-    let meta_line = trace_lines.first().expect("trace_meta line");
-    assert_eq!(str_field(meta_line, "kind"), "trace_meta");
     assert_eq!(
-        u64_field(meta_line, "decisions_retained"),
+        u64_field(trace_meta, "decisions_retained"),
         history.len() as u64
-    );
-    assert_eq!(
-        trace_lines
-            .iter()
-            .filter(|l| str_field(l, "kind") == "decision")
-            .count(),
-        history.len()
     );
 
     // The Perfetto export renders one slice per decision plus the sampled
