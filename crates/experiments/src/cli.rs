@@ -9,8 +9,8 @@
 //! - `--quick` — a fast smoke-test preset,
 //! - `--jobs N` — worker threads for the experiment's sweep (default: all
 //!   available cores; results are identical at any setting),
-//! - `--telemetry PATH` — export the telemetry recorder at exit
-//!   (`.csv` → CSV, anything else → JSON lines),
+//! - `--telemetry PATH` — export the telemetry recorder at exit as JSON
+//!   lines,
 //! - `--trace PATH` — export the decision trace at exit (`.json` → Perfetto
 //!   Chrome-trace JSON, anything else → decision JSONL for `mab-inspect`),
 //! - `--trace-dir DIR` — record workload instruction streams to `.mabt`
@@ -19,16 +19,17 @@
 //! - `--profile PATH` — write a collapsed-stack span profile of the run
 //!   (`path;path count` lines, flamegraph-tool compatible),
 //! - `--ledger DIR` — append a run record (config digest, wall time, key
-//!   stats, artifact pointers) to the append-only run ledger under DIR
-//!   (also honored via the `MAB_LEDGER` environment variable; the flag
-//!   wins, and an empty value disables recording),
+//!   stats, artifact pointers) to the append-only run ledger under DIR,
 //! - `--monitor ADDR` — serve live `/metrics`, `/status` and `/events`
-//!   endpoints on ADDR for the duration of the run (also honored via the
-//!   `MAB_MONITOR` environment variable when the flag is absent; an empty
-//!   value keeps the monitor off),
-//! - `--quiet` — suppress `[mab]` stderr progress lines (also honored via
-//!   the `MAB_QUIET=1` environment variable),
+//!   endpoints on ADDR for the duration of the run (an empty value keeps
+//!   the monitor off),
+//! - `--quiet` — suppress `[mab]` stderr progress lines,
+//! - `--crash-dir DIR` — where black-box crash reports land,
 //! - `--help`.
+//!
+//! Settings come from flags alone: no environment variable stands in for
+//! one. An empty directory value is a usage error, since it would resolve
+//! to the working directory.
 
 use std::path::PathBuf;
 
@@ -54,16 +55,16 @@ pub struct Options {
     pub trace_dir: Option<PathBuf>,
     /// Where to write the collapsed-stack span profile at exit, if anywhere.
     pub profile: Option<PathBuf>,
-    /// Run-ledger directory (`--ledger` / `MAB_LEDGER`): append a run
-    /// record there at exit, if set.
+    /// Run-ledger directory (`--ledger`): append a run record there at
+    /// exit, if set.
     pub ledger: Option<PathBuf>,
-    /// Live-monitor bind address (`--monitor` / `MAB_MONITOR`), e.g.
+    /// Live-monitor bind address (`--monitor`), e.g.
     /// `127.0.0.1:9464` (port `0` picks an ephemeral port). `None` keeps
     /// the monitor off.
     pub monitor: Option<String>,
-    /// Suppress `[mab]` stderr progress lines (`--quiet` / `MAB_QUIET=1`).
+    /// Suppress `[mab]` stderr progress lines (`--quiet`).
     pub quiet: bool,
-    /// Where crash reports land (`--crash-dir` / `MAB_CRASH_DIR`). `None`
+    /// Where crash reports land (`--crash-dir`). `None`
     /// uses the default (`results/crashes`); the directory is only created
     /// if a crash actually happens.
     pub crash_dir: Option<PathBuf>,
@@ -77,44 +78,21 @@ impl Options {
     /// # Panics
     ///
     /// Panics when `name` is not in the registry — a workspace bug, since
-    /// every experiment binary must be registered.
+    /// every experiment binary must be registered. Prints usage and exits
+    /// the process on `--help` or malformed input — appropriate for a
+    /// binary entry point.
     pub fn parse_experiment(name: &str) -> Options {
         let def = crate::spec::find(name)
             .unwrap_or_else(|| panic!("experiment {name:?} missing from spec::EXPERIMENTS"));
-        Options::parse(def.default_instructions, def.default_mixes)
-    }
-
-    /// Parses `std::env::args` with explicit per-experiment defaults.
-    /// `default_instructions` is the experiment's recorded-run size; the
-    /// `--quick` preset divides it by 10. Prefer [`Options::parse_experiment`]
-    /// for registered binaries.
-    ///
-    /// # Panics
-    ///
-    /// Prints usage and exits the process on `--help` or malformed input —
-    /// appropriate for a binary entry point.
-    pub fn parse(default_instructions: u64, default_mixes: usize) -> Options {
-        let mut opts = Options::parse_from(
+        Options::parse_from(
             std::env::args().skip(1),
-            default_instructions,
-            default_mixes,
-        );
-        // Environment variables only augment real invocations; the
-        // testable core stays a pure function of its arguments.
-        opts.quiet |= quiet_env();
-        if opts.ledger.is_none() {
-            opts.ledger = ledger_env();
-        }
-        if opts.monitor.is_none() {
-            opts.monitor = monitor_env();
-        }
-        if opts.crash_dir.is_none() {
-            opts.crash_dir = crash_dir_env();
-        }
-        opts
+            def.default_instructions,
+            def.default_mixes,
+        )
     }
 
-    /// Testable parser core.
+    /// Testable parser core. `default_instructions` is the experiment's
+    /// recorded-run size; the `--quick` preset divides it by 10.
     pub fn parse_from(
         args: impl Iterator<Item = String>,
         default_instructions: u64,
@@ -174,36 +152,21 @@ impl Options {
                         args.next().unwrap_or_else(|| usage("--trace needs a path")),
                     ));
                 }
-                "--trace-dir" => {
-                    opts.trace_dir = Some(PathBuf::from(
-                        args.next()
-                            .unwrap_or_else(|| usage("--trace-dir needs a directory")),
-                    ));
-                }
+                "--trace-dir" => opts.trace_dir = Some(dir_arg(args.next(), "--trace-dir")),
                 "--profile" => {
                     opts.profile = Some(PathBuf::from(
                         args.next()
                             .unwrap_or_else(|| usage("--profile needs a path")),
                     ));
                 }
-                "--ledger" => {
-                    opts.ledger = Some(PathBuf::from(
-                        args.next()
-                            .unwrap_or_else(|| usage("--ledger needs a directory")),
-                    ));
-                }
+                "--ledger" => opts.ledger = Some(dir_arg(args.next(), "--ledger")),
                 "--monitor" => {
                     let addr = args
                         .next()
                         .unwrap_or_else(|| usage("--monitor needs an address (host:port)"));
                     opts.monitor = (!addr.is_empty()).then_some(addr);
                 }
-                "--crash-dir" => {
-                    opts.crash_dir = Some(PathBuf::from(
-                        args.next()
-                            .unwrap_or_else(|| usage("--crash-dir needs a directory")),
-                    ));
-                }
+                "--crash-dir" => opts.crash_dir = Some(dir_arg(args.next(), "--crash-dir")),
                 "--quiet" => {
                     opts.quiet = true;
                 }
@@ -226,35 +189,13 @@ impl Options {
     }
 }
 
-/// True when `MAB_QUIET` is set to anything but `0` or the empty string.
-fn quiet_env() -> bool {
-    std::env::var("MAB_QUIET").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Ledger directory from `MAB_LEDGER`, if set non-empty. Scripts export it
-/// once instead of threading `--ledger` through every invocation; setting
-/// it to the empty string disables recording.
-fn ledger_env() -> Option<PathBuf> {
-    std::env::var("MAB_LEDGER")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
-}
-
-/// Monitor bind address from `MAB_MONITOR`, if set non-empty. Setting it to
-/// the empty string keeps the monitor off.
-fn monitor_env() -> Option<String> {
-    std::env::var("MAB_MONITOR").ok().filter(|v| !v.is_empty())
-}
-
-/// Crash-report directory from `MAB_CRASH_DIR`, if set non-empty. The
-/// `mab-serve` daemon uses this to give each spawned arm a per-job crash
-/// directory, so a crash is attributable to its owning job.
-fn crash_dir_env() -> Option<PathBuf> {
-    std::env::var("MAB_CRASH_DIR")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
+/// A directory flag's value. A missing or empty value is a usage error: an
+/// empty path resolves to the working directory, which no flag means.
+fn dir_arg(value: Option<String>, flag: &str) -> PathBuf {
+    match value {
+        Some(dir) if !dir.is_empty() => PathBuf::from(dir),
+        _ => usage(&format!("{flag} needs a non-empty directory")),
+    }
 }
 
 fn usage<T>(error: &str) -> T {
@@ -271,8 +212,8 @@ fn usage<T>(error: &str) -> T {
          --quick           10x smaller preset for smoke tests\n\
          --jobs N          worker threads for sweeps (default: all cores;\n\
          \x20                 results are identical at any setting)\n\
-         --telemetry PATH  export telemetry at exit (.csv -> CSV, else JSONL;\n\
-         \x20                 needs the `telemetry` cargo feature)\n\
+         --telemetry PATH  export telemetry at exit as JSON lines (needs the\n\
+         \x20                 `telemetry` cargo feature)\n\
          --trace PATH      export the decision trace at exit (.json -> Perfetto\n\
          \x20                 Chrome-trace JSON, else decision JSONL for\n\
          \x20                 mab-inspect; needs the `telemetry` cargo feature)\n\
@@ -284,19 +225,17 @@ fn usage<T>(error: &str) -> T {
          \x20                 needs the `telemetry` cargo feature)\n\
          --ledger DIR      append a run record (config digest, wall time, key\n\
          \x20                 stats, artifact pointers) to the run ledger under\n\
-         \x20                 DIR (MAB_LEDGER does the same; query it with\n\
-         \x20                 mab-inspect history/trend/regress)\n\
+         \x20                 DIR; query it with mab-inspect history/trend/regress\n\
          --monitor ADDR    serve live /metrics, /status and /events endpoints\n\
          \x20                 on ADDR (host:port; port 0 picks one) for the\n\
-         \x20                 duration of the run (MAB_MONITOR does the same;\n\
-         \x20                 watch it with mab-inspect watch URL)\n\
-         --quiet           suppress [mab] stderr progress lines (MAB_QUIET=1\n\
-         \x20                 does the same)\n\
+         \x20                 duration of the run; watch it with mab-inspect watch\n\
+         --quiet           suppress [mab] stderr progress lines\n\
          --crash-dir DIR   where black-box crash reports (.mabcrash) land on a\n\
          \x20                 panic or fatal signal (default results/crashes;\n\
-         \x20                 MAB_CRASH_DIR does the same; MAB_BLACKBOX=0\n\
-         \x20                 disables the flight recorder; inspect reports\n\
-         \x20                 with mab-inspect postmortem)"
+         \x20                 MAB_BLACKBOX=0 disables the flight recorder;\n\
+         \x20                 inspect reports with mab-inspect postmortem)\n\
+         \n\
+         DIR values must be non-empty."
     );
     std::process::exit(if error.is_empty() { 0 } else { 2 });
 }
@@ -358,8 +297,8 @@ mod tests {
     fn telemetry_path_is_captured() {
         let o = parse(&["--telemetry", "out/run.jsonl"]);
         assert_eq!(o.telemetry, Some(PathBuf::from("out/run.jsonl")));
-        let o = parse(&["-t", "run.csv"]);
-        assert_eq!(o.telemetry, Some(PathBuf::from("run.csv")));
+        let o = parse(&["-t", "run.jsonl"]);
+        assert_eq!(o.telemetry, Some(PathBuf::from("run.jsonl")));
         assert!(parse(&[]).telemetry.is_none());
     }
 

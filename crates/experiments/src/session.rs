@@ -4,20 +4,19 @@
 //! cargo feature is enabled this installs the global recorder at startup,
 //! prints a counter/histogram summary to stderr at the end, and — if the
 //! user passed `--telemetry PATH` — exports the full recorder state to that
-//! path (`.csv` → CSV, anything else → JSON lines). `--trace PATH`
-//! additionally exports the decision trace (`.json` → Perfetto Chrome-trace
-//! JSON, anything else → decision JSONL for `mab-inspect`). `--profile
-//! PATH` turns the hierarchical span profiler on for the run and writes a
-//! collapsed-stack file (`path;path count` lines, directly consumable by
-//! flamegraph tools) at the end. With the feature off every method is a
-//! cheap no-op except for a warning when an export path was requested that
-//! cannot be honored.
+//! path as JSON lines. `--trace PATH` additionally exports the decision
+//! trace (`.json` → Perfetto Chrome-trace JSON, anything else → decision
+//! JSONL for `mab-inspect`). `--profile PATH` turns the hierarchical span
+//! profiler on for the run and writes a collapsed-stack file (`path;path
+//! count` lines, directly consumable by flamegraph tools) at the end. With
+//! the feature off every method is a cheap no-op except for a warning when
+//! an export path was requested that cannot be honored.
 //!
 //! # Run-ledger recording
 //!
-//! `--ledger DIR` (or `MAB_LEDGER=DIR`) additionally appends one
-//! [`RunRecord`] to the append-only run ledger under DIR at
-//! [`TelemetrySession::finish`]: the experiment name, the canonical config
+//! `--ledger DIR` additionally appends one [`RunRecord`] to the
+//! append-only run ledger under DIR at [`TelemetrySession::finish`]: the
+//! experiment name, the canonical config
 //! (instructions/seed/mixes/quick — the digest inputs), wall time, key
 //! telemetry stats *for this session* (deltas from a start-of-run snapshot,
 //! since the recorder is process-global), per-arm sweep observations from
@@ -138,11 +137,6 @@ impl TelemetrySession {
                 .map(|dir| LedgerCapture::start(name, dir.clone(), opts)),
             monitor: Mutex::new(monitor),
         }
-    }
-
-    /// The live monitor's base URL while one is serving.
-    pub fn monitor_url(&self) -> Option<String> {
-        self.monitor.lock().unwrap().as_ref().map(Monitor::url)
     }
 
     /// Prints the end-of-run counter/histogram summary to stderr, writes

@@ -26,9 +26,9 @@ fn injected_panic_dumps_a_report_naming_the_arm_and_its_decisions() {
     let crash_dir = temp_dir("inject");
     let exe = env!("CARGO_BIN_EXE_fig08_singlecore");
     let output = Command::new(exe)
-        .args(["--quick", "--quiet"])
+        .args(["--quick", "--quiet", "--crash-dir"])
+        .arg(&crash_dir)
         .env("MAB_TEST_PANIC_ARM", BANDIT_ARM)
-        .env("MAB_CRASH_DIR", &crash_dir)
         .env_remove("MAB_BLACKBOX")
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {exe}: {e}"));
@@ -120,8 +120,8 @@ fn clean_run_stdout_is_byte_identical_with_recorder_on_and_off() {
     let exe = env!("CARGO_BIN_EXE_fig08_singlecore");
     let run = |blackbox_env: Option<&str>| -> String {
         let mut cmd = Command::new(exe);
-        cmd.args(["--instructions", "2000", "--mixes", "2"])
-            .env("MAB_CRASH_DIR", &crash_dir)
+        cmd.args(["--instructions", "2000", "--mixes", "2", "--crash-dir"])
+            .arg(&crash_dir)
             .env_remove("MAB_TEST_PANIC_ARM");
         match blackbox_env {
             Some(v) => cmd.env("MAB_BLACKBOX", v),

@@ -8,10 +8,10 @@
 #![cfg(feature = "telemetry")]
 
 use mab_inspect::artifact::RunArtifact;
-use mab_telemetry::{Event, Hist, Recorder, EVENT_CAPACITY};
+use mab_telemetry::{Hist, Occupancy, Recorder, EVENT_CAPACITY};
 
-fn occupancy(cycle: u64) -> Event {
-    Event::Occupancy {
+fn occupancy(cycle: u64) -> Occupancy {
+    Occupancy {
         track: "dram_backlog",
         id: 0,
         value: 2.5,
@@ -88,34 +88,4 @@ fn histogram_buckets_and_span_totals_round_trip_through_jsonl() {
         assert_eq!(parsed.self_ns, expected_self[path], "{path}");
     }
     assert_eq!(artifact.spans["run;trace_decode"].count, Some(130));
-}
-
-#[test]
-fn csv_export_round_trips_the_retained_events() {
-    let rec = Recorder::new();
-    rec.emit(occupancy(512));
-    let mut out = Vec::new();
-    mab_telemetry::export::write_csv(&rec, &mut out).unwrap();
-    let text = String::from_utf8(out).unwrap();
-    let mut lines = text.lines();
-    let header = lines.next().unwrap();
-    assert_eq!(
-        header.split(',').count(),
-        mab_telemetry::export::CSV_COLUMNS.len()
-    );
-    let row: Vec<&str> = lines.next().unwrap().split(',').collect();
-    assert_eq!(row.len(), mab_telemetry::export::CSV_COLUMNS.len());
-    let col = |name: &str| {
-        let i = mab_telemetry::export::CSV_COLUMNS
-            .iter()
-            .position(|&c| c == name)
-            .unwrap();
-        row[i]
-    };
-    assert_eq!(col("kind"), "occupancy");
-    assert_eq!(col("track"), "dram_backlog");
-    assert_eq!(col("id"), "0");
-    assert_eq!(col("value"), "2.5");
-    assert_eq!(col("cycle"), "512");
-    assert!(lines.next().is_none());
 }

@@ -91,21 +91,9 @@ USAGE:
         records (numbers/bools become metrics, strings become config).
         Re-ingesting an unchanged file is a no-op append.
 
-    The ledger directory defaults to results/ledger, or $MAB_LEDGER when
-    set.
+    The ledger directory defaults to results/ledger, where the run scripts
+    record; --ledger DIR must be non-empty.
 ";
-
-/// Ledger directory: `--ledger` flag value, else `$MAB_LEDGER`, else
-/// `results/ledger` — mirroring the experiment binaries.
-fn ledger_dir(flag: Option<PathBuf>) -> PathBuf {
-    flag.or_else(|| {
-        std::env::var("MAB_LEDGER")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from)
-    })
-    .unwrap_or_else(|| PathBuf::from("results/ledger"))
-}
 
 /// Opens the ledger and reads all records, surfacing per-line corruption
 /// warnings on stderr.
@@ -330,7 +318,7 @@ struct LedgerArgs {
 
 fn parse_ledger_args(args: &[String]) -> Result<LedgerArgs, String> {
     let mut out = LedgerArgs {
-        dir: PathBuf::new(),
+        dir: PathBuf::from("results/ledger"),
         filter: Filter::default(),
         json: false,
         metric: None,
@@ -338,13 +326,13 @@ fn parse_ledger_args(args: &[String]) -> Result<LedgerArgs, String> {
         per_metric_pct: Vec::new(),
         paths: Vec::new(),
     };
-    let mut dir_flag = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            // An empty path would resolve to the working directory.
             "--ledger" => match it.next() {
-                Some(d) => dir_flag = Some(PathBuf::from(d)),
-                None => return Err("--ledger needs a directory".to_string()),
+                Some(d) if !d.is_empty() => out.dir = PathBuf::from(d),
+                _ => return Err("--ledger needs a non-empty directory".to_string()),
             },
             "--experiment" => match it.next() {
                 Some(e) => out.filter.experiment = Some(e.clone()),
@@ -390,7 +378,6 @@ fn parse_ledger_args(args: &[String]) -> Result<LedgerArgs, String> {
             path => out.paths.push(PathBuf::from(path)),
         }
     }
-    out.dir = ledger_dir(dir_flag);
     Ok(out)
 }
 

@@ -105,6 +105,7 @@ fn describe(event: &CrashEvent) -> String {
             str_of(event, "what"),
             str_of(event, "detail"),
         ),
+        // Earlier builds recorded free-form notes; their reports still render.
         "note" => format!("note      {}", str_of(event, "text")),
         other => other.to_string(),
     }

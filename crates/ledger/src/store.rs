@@ -135,9 +135,11 @@ impl Ledger {
     }
 
     /// All records with the given digest (usually zero or one; several when
-    /// reruns disagreed). Served from the index in O(1) when it is fresh;
-    /// falls back to a scan (rebuilding the index) otherwise. Extra
-    /// read-only segments are always scanned.
+    /// reruns disagreed). When the index is fresh, a lookup reads and
+    /// parses all of `ledger.idx` (a linear pass over short `digest offset`
+    /// lines) and then seeks to each matching record, so it never parses
+    /// the other records; a stale index falls back to a scan (rebuilding
+    /// the index). Extra read-only segments are always scanned.
     ///
     /// # Errors
     ///

@@ -133,11 +133,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets the counters (not the contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     #[inline]
     fn set_base(&self, line: u64) -> usize {
         let set = if self.pow2_sets {

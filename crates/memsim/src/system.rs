@@ -274,22 +274,6 @@ impl System {
         self.cores[core].prefetcher = prefetcher;
     }
 
-    /// Swaps the L2 prefetcher on core `core`, returning the previous one —
-    /// the way experiments read back agent state (histograms, selection
-    /// histories) after a run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn replace_prefetcher(
-        &mut self,
-        core: usize,
-        prefetcher: Box<dyn Prefetcher + Send>,
-    ) -> Box<dyn Prefetcher + Send> {
-        self.cores[core].pf_label = mab_telemetry::span::intern(prefetcher.name());
-        std::mem::replace(&mut self.cores[core].prefetcher, prefetcher)
-    }
-
     /// Installs an L1 prefetcher on core `core`: trained on every demand
     /// access, fills into L1 (Fig. 12's multi-level configurations).
     ///

@@ -4,8 +4,7 @@
 //! decision traces, span profiles, the run ledger) is post-hoc — nothing is
 //! visible until the run finishes and files land on disk. This crate adds
 //! the live side: a dependency-free, std-only HTTP server that runs inside
-//! an experiment binary (enabled with `--monitor ADDR` / `MAB_MONITOR`) and
-//! exposes
+//! an experiment binary (enabled with `--monitor ADDR`) and exposes
 //!
 //! - `GET /metrics` — Prometheus text exposition rendered from live
 //!   snapshots of the telemetry counter/histogram registry plus sweep-level
@@ -19,7 +18,7 @@
 //!
 //! # Invariants
 //!
-//! The monitor is **read-only over snapshots**: scrapes read the sharded
+//! The monitor is **read-only over snapshots**: scrapes read the
 //! counters with relaxed loads, and the arm table — which also holds the
 //! sweep progress counted from the runner's arm events — under a short
 //! mutex that only the arm-granularity observer ever writes. No lock is

@@ -1,6 +1,6 @@
 //! Prometheus text-exposition rendering for `GET /metrics`.
 //!
-//! The page is assembled from read-only snapshots: the sharded-counter sums
+//! The page is assembled from read-only snapshots: the counter values
 //! and histogram bucket loads from the installed `mab-telemetry` recorder
 //! (relaxed loads, no locks), and one short lock of the monitor's arm
 //! table, which also holds the sweep progress counted from the runner's

@@ -21,7 +21,7 @@
 //!    index. [`sweep`] returns results in spec order, so downstream report
 //!    code sees exactly the vector a serial loop would have produced.
 //! 3. **Commutative telemetry.** The global [`mab_telemetry`] recorder is
-//!    already thread-safe (sharded atomic counters, mutex-protected
+//!    already thread-safe (atomic counters, mutex-protected
 //!    rings); workers record into it directly and the totals are
 //!    order-independent sums, so one merged artifact falls out for free.
 //!    Only scheduling-invariant quantities (runs completed, panics) are

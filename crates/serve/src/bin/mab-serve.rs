@@ -19,12 +19,14 @@ use std::time::Duration;
 const USAGE: &str = "usage: mab-serve [options]
   --addr HOST:PORT   listen address            (default 127.0.0.1:8640)
   --cache-dir DIR    content-addressed cache   (default cache/serve)
-  --ledger DIR       run-ledger directory      (default $MAB_LEDGER if set)
+  --ledger DIR       run-ledger directory      (default: no ledger)
   --bin-dir DIR      experiment binaries       (default: mab-serve's own dir)
   --workers N        executor threads          (default: available cores)
   --queue-cap N      max admitted open arms    (default 256)
   --quiet            suppress stderr progress lines
   --help             print this help
+
+DIR values must be non-empty.
 ";
 
 struct Flags {
@@ -33,13 +35,20 @@ struct Flags {
     bin_dir: Option<std::path::PathBuf>,
 }
 
+/// A directory flag's value. An empty path resolves to the working
+/// directory, which no directory flag means, so it is a usage error.
+fn dir(value: String, name: &str) -> Result<std::path::PathBuf, String> {
+    if value.is_empty() {
+        Err(format!("{name} needs a non-empty directory"))
+    } else {
+        Ok(value.into())
+    }
+}
+
 fn parse_flags() -> Result<Flags, String> {
     let mut flags = Flags {
         addr: "127.0.0.1:8640".to_string(),
-        config: ServeConfig {
-            ledger_dir: std::env::var_os("MAB_LEDGER").map(std::path::PathBuf::from),
-            ..ServeConfig::default()
-        },
+        config: ServeConfig::default(),
         bin_dir: None,
     };
     let mut args = std::env::args().skip(1);
@@ -50,9 +59,9 @@ fn parse_flags() -> Result<Flags, String> {
         };
         match arg.as_str() {
             "--addr" => flags.addr = value("--addr")?,
-            "--cache-dir" => flags.config.cache_dir = value("--cache-dir")?.into(),
-            "--ledger" => flags.config.ledger_dir = Some(value("--ledger")?.into()),
-            "--bin-dir" => flags.bin_dir = Some(value("--bin-dir")?.into()),
+            "--cache-dir" => flags.config.cache_dir = dir(value("--cache-dir")?, "--cache-dir")?,
+            "--ledger" => flags.config.ledger_dir = Some(dir(value("--ledger")?, "--ledger")?),
+            "--bin-dir" => flags.bin_dir = Some(dir(value("--bin-dir")?, "--bin-dir")?),
             "--workers" => {
                 flags.config.workers = value("--workers")?
                     .parse()
@@ -86,7 +95,7 @@ fn main() {
     let quiet = flags.config.quiet;
     // Arm the daemon's own flight recorder: a panic or fatal signal in
     // the daemon itself leaves a report in the crash root (executed arms
-    // get per-job subdirectories via MAB_CRASH_DIR).
+    // get per-job subdirectories through --crash-dir).
     mab_telemetry::blackbox::install(
         "mab-serve",
         "",

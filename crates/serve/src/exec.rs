@@ -58,24 +58,17 @@ impl Executor for BinaryExecutor {
     fn run(&self, spec: &RunSpec, crash_dir: Option<&Path>) -> Result<String, String> {
         let program = self.bin_dir.join(&spec.experiment);
         let mut command = Command::new(&program);
+        // Quiet progress lines; the child records no ledger and serves no
+        // monitor, since the daemon does its own recording.
         command
             .args(spec.cli_args())
+            .arg("--quiet")
             .stdin(Stdio::null())
-            .stderr(Stdio::null())
-            // Quiet progress lines; never inherit ledger/monitor settings —
-            // the daemon does its own recording.
-            .env("MAB_QUIET", "1")
-            .env_remove("MAB_LEDGER")
-            .env_remove("MAB_MONITOR");
+            .stderr(Stdio::null());
         // Point the child's flight recorder at the per-job crash directory
         // so a panic or fatal signal leaves an attributable report.
-        match crash_dir {
-            Some(dir) => {
-                command.env("MAB_CRASH_DIR", dir);
-            }
-            None => {
-                command.env_remove("MAB_CRASH_DIR");
-            }
+        if let Some(dir) = crash_dir {
+            command.arg("--crash-dir").arg(dir);
         }
         let output = command
             .output()

@@ -235,7 +235,7 @@ impl ServeState {
     }
 
     /// Per-job crash directory. Executed children get it as
-    /// `MAB_CRASH_DIR`, so a dying arm's flight-recorder report lands
+    /// `--crash-dir`, so a dying arm's flight-recorder report lands
     /// where the daemon can attribute it back to the owning job.
     pub fn job_crash_dir(&self, job_id: u64) -> PathBuf {
         self.crash_root().join(format!("job-{job_id}"))

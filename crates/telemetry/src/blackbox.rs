@@ -222,8 +222,6 @@ pub enum BbEvent {
         what: &'static str,
         detail: String,
     },
-    /// Free-form breadcrumb.
-    Note { text: String },
 }
 
 impl BbEvent {
@@ -236,7 +234,6 @@ impl BbEvent {
             BbEvent::SweepBegin { .. } => "sweep_begin",
             BbEvent::SweepEnd { .. } => "sweep_end",
             BbEvent::Job { .. } => "job",
-            BbEvent::Note { .. } => "note",
         }
     }
 
@@ -277,7 +274,6 @@ impl BbEvent {
                 "{head},\"job\":{job},\"what\":\"{what}\",\"detail\":\"{}\"}}",
                 json::escape(detail)
             ),
-            BbEvent::Note { text } => format!("{head},\"text\":\"{}\"}}", json::escape(text)),
         }
     }
 }
@@ -450,19 +446,6 @@ pub fn job_event(job: u64, what: &'static str, detail: &str) {
             job,
             what,
             detail: detail.to_string(),
-        })
-    });
-}
-
-/// Records a free-form breadcrumb.
-#[inline]
-pub fn note(text: &str) {
-    if !is_on() {
-        return;
-    }
-    with_ring(|r| {
-        r.push(BbEvent::Note {
-            text: text.to_string(),
         })
     });
 }
@@ -851,7 +834,7 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap();
         set_enabled(false);
         decision(1, 2, 3, 0.5, 0.6, false);
-        note("ignored");
+        job_event(0, "ignored", "");
         assert_eq!(dump("test", "off", None, false), None);
     }
 
@@ -903,7 +886,7 @@ mod tests {
         assert!(install("drop_test", "d1gest", &[], &dir));
         let extra = 10;
         for i in 0..(RING_CAPACITY + extra) {
-            note(&format!("n{i}"));
+            job_event(i as u64, "queued", "");
         }
         let path = dump("test", "drop accounting", None, false).expect("dump");
         set_enabled(false);
@@ -912,11 +895,10 @@ mod tests {
         let t = report.current_thread().expect("current thread ring");
         assert_eq!(t.events.len(), RING_CAPACITY);
         assert!(t.dropped >= extra as u64, "dropped = {}", t.dropped);
-        // The oldest retained note is the one right after the dropped span.
-        let first_note = t.events.iter().find(|e| e.etype == "note").unwrap();
-        let text = first_note.fields.get("text").unwrap().as_str().unwrap();
-        let idx: usize = text[1..].parse().unwrap();
-        assert!(idx >= extra, "oldest retained = {text}");
+        // The oldest retained event is the one right after the dropped span.
+        let first = t.events.iter().find(|e| e.etype == "job").unwrap();
+        let idx = first.fields.get("job").and_then(JsonValue::as_u64).unwrap();
+        assert!(idx >= extra as u64, "oldest retained = job {idx}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -925,7 +907,7 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap();
         let dir = temp_dir("unnamed");
         assert!(install("unnamed_test", "d1gest", &[], &dir));
-        note("on the named test thread");
+        job_event(0, "queued", "on the named test thread");
         let path = std::thread::spawn(|| {
             for step in 0..3 {
                 decision(9, step, 1, 0.5, 0.6, false);
@@ -990,7 +972,7 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap();
         let dir = temp_dir("corrupt");
         assert!(install("corrupt_test", "d", &[], &dir));
-        note("before crash");
+        job_event(0, "queued", "before crash");
         let path = dump("test", "corruption target", None, false).expect("dump");
         set_enabled(false);
 

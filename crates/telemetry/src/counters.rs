@@ -1,12 +1,13 @@
-//! Sharded lock-free counters.
+//! Lock-free counters: one [`AtomicU64`] per statistic.
 //!
-//! Each statistic is an [`AtomicU64`] replicated across a small number of
-//! cache-line-aligned shards. Writers pick a shard from their thread id and
-//! increment with a relaxed fetch-add — no locks, no contention between
-//! simulator threads. Readers sum across shards; sums are monotone but not a
-//! point-in-time snapshot, which is fine for end-of-run reporting.
+//! Writers increment with a relaxed fetch-add, no locks. No counter is
+//! bumped per access or per cycle: the simulators add their statistics
+//! once per run or per epoch, the agent a few times per decision and the
+//! runner once per arm, so the threads seldom meet on a line. Reads are
+//! monotone but not a point-in-time snapshot, which is fine for end-of-run
+//! reporting.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Every counted statistic, across the agent, both simulators and the
 /// prefetch subsystem.
@@ -126,50 +127,9 @@ impl Stat {
     }
 }
 
-/// Number of write shards. A small power of two: enough to keep simulator
-/// threads off each other's cache lines without bloating read-side sums.
-pub const SHARDS: usize = 8;
-
-/// One cache line of counters per shard slice to avoid false sharing.
-#[repr(align(64))]
-struct Shard {
-    slots: [AtomicU64; Stat::COUNT],
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            slots: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// The sharded counter registry.
+/// The counter registry: one slot per [`Stat`].
 pub struct Counters {
-    shards: [Shard; SHARDS],
-}
-
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Each thread claims a shard round-robin on first use. Const-initialized
-    /// to a sentinel so the per-access TLS read skips lazy-init machinery;
-    /// the round-robin claim happens on the first `add` of each thread.
-    static MY_SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-}
-
-#[inline]
-fn my_shard() -> usize {
-    MY_SHARD.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            v
-        } else {
-            let claimed = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            s.set(claimed);
-            claimed
-        }
-    })
+    slots: [AtomicU64; Stat::COUNT],
 }
 
 impl Default for Counters {
@@ -182,41 +142,27 @@ impl Counters {
     /// An all-zero registry.
     pub fn new() -> Self {
         Counters {
-            shards: std::array::from_fn(|_| Shard::new()),
+            slots: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
-    /// Adds `n` to `stat` on the calling thread's shard (relaxed, lock-free).
+    /// Adds `n` to `stat` (relaxed, lock-free).
     #[inline]
     pub fn add(&self, stat: Stat, n: u64) {
-        self.shards[my_shard()].slots[stat as usize].fetch_add(n, Ordering::Relaxed);
+        self.slots[stat as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds `n` to `stat` on an explicit shard (used by tests).
-    #[inline]
-    pub fn add_on_shard(&self, shard: usize, stat: Stat, n: u64) {
-        self.shards[shard % SHARDS].slots[stat as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The merged value of `stat` across all shards.
+    /// The current value of `stat`.
     pub fn sum(&self, stat: Stat) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.slots[stat as usize].load(Ordering::Relaxed))
-            .sum()
+        self.slots[stat as usize].load(Ordering::Relaxed)
     }
 
-    /// Per-shard values of `stat`, in shard order.
-    pub fn shard_values(&self, stat: Stat) -> [u64; SHARDS] {
-        std::array::from_fn(|i| self.shards[i].slots[stat as usize].load(Ordering::Relaxed))
-    }
-
-    /// Merged values for every statistic, in [`Stat::ALL`] order.
+    /// Values of every statistic, in [`Stat::ALL`] order.
     pub fn snapshot(&self) -> [u64; Stat::COUNT] {
         std::array::from_fn(|i| self.sum(Stat::ALL[i]))
     }
 
-    /// Statistics with a non-zero merged value.
+    /// Statistics with a non-zero value.
     pub fn nonzero(&self) -> Vec<(Stat, u64)> {
         Stat::ALL
             .iter()
@@ -246,17 +192,6 @@ mod tests {
         assert_eq!(c.sum(Stat::L2DemandHit), 7);
         assert_eq!(c.sum(Stat::ArmPulls), 1);
         assert_eq!(c.sum(Stat::DramAccess), 0);
-    }
-
-    #[test]
-    fn shards_merge_into_sum() {
-        let c = Counters::new();
-        for shard in 0..SHARDS {
-            c.add_on_shard(shard, Stat::PrefetchIssued, shard as u64 + 1);
-        }
-        let per_shard: u64 = c.shard_values(Stat::PrefetchIssued).iter().sum();
-        assert_eq!(c.sum(Stat::PrefetchIssued), per_shard);
-        assert_eq!(per_shard, (1..=SHARDS as u64).sum::<u64>());
     }
 
     #[test]

@@ -1,54 +1,15 @@
-//! JSON-lines and CSV exporters.
+//! The JSON-lines exporter.
 //!
 //! serde is stubbed in this offline workspace, so serialization is
-//! hand-rolled: each event is flattened into `(key, value)` fields shared by
-//! both formats, and JSON values go through the [`json`] codec's escaper
-//! and float writer.
+//! hand-rolled: numbers and strings go through the [`json`] codec's float
+//! writer and escaper.
 
 use crate::counters::Stat;
-use crate::event::Event;
+use crate::event::Occupancy;
 use crate::hist::Hist;
 use crate::json;
 use crate::Recorder;
 use std::io::{self, Write};
-
-/// A flattened field value.
-#[derive(Debug, Clone, Copy)]
-pub enum Field {
-    /// Unsigned integer.
-    U64(u64),
-    /// Floating point; non-finite values export as `null` / empty.
-    F64(f64),
-    /// Static string.
-    Str(&'static str),
-}
-
-/// Flattens an event into `(key, value)` pairs, in [`CSV_COLUMNS`] order.
-pub fn event_fields(event: &Event) -> Vec<(&'static str, Field)> {
-    match *event {
-        Event::Occupancy {
-            track,
-            id,
-            value,
-            cycle,
-        } => vec![
-            ("track", Field::Str(track)),
-            ("id", Field::U64(id as u64)),
-            ("value", Field::F64(value)),
-            ("cycle", Field::U64(cycle)),
-        ],
-    }
-}
-
-/// Escapes a field for CSV: quotes it when it contains a comma, quote or
-/// newline, doubling embedded quotes.
-pub fn escape_csv(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
 
 /// Floats as a JSON array of [`json::fmt_f64`] numbers.
 pub fn json_number_array(values: impl Iterator<Item = f64>) -> String {
@@ -56,45 +17,15 @@ pub fn json_number_array(values: impl Iterator<Item = f64>) -> String {
     format!("[{}]", items.join(","))
 }
 
-fn json_value(f: Field) -> String {
-    match f {
-        Field::U64(v) => v.to_string(),
-        Field::F64(v) => json::fmt_f64(v),
-        Field::Str(s) => format!("\"{}\"", json::escape(s)),
-    }
-}
-
-fn csv_value(f: Field) -> String {
-    match f {
-        Field::U64(v) => v.to_string(),
-        Field::F64(v) if v.is_finite() => format!("{v}"),
-        Field::F64(_) => String::new(),
-        Field::Str(s) => escape_csv(s),
-    }
-}
-
-/// Event number `seq` as a JSON object on a single line.
-pub fn event_to_json(seq: u64, event: &Event) -> String {
-    let mut line = format!(
-        "{{\"seq\":{seq},\"kind\":\"{}\"",
-        json::escape(event.kind())
-    );
-    for (key, value) in event_fields(event) {
-        line.push_str(&format!(",\"{}\":{}", json::escape(key), json_value(value)));
-    }
-    line.push('}');
-    line
-}
-
-/// Every CSV column, in output order: the event number and kind, then the
-/// event's fields.
-pub const CSV_COLUMNS: [&str; 6] = ["seq", "kind", "track", "id", "value", "cycle"];
-
-/// Event number `seq` as a CSV row following [`CSV_COLUMNS`].
-pub fn event_to_csv(seq: u64, event: &Event) -> String {
-    let mut row = vec![seq.to_string(), escape_csv(event.kind())];
-    row.extend(event_fields(event).into_iter().map(|(_, v)| csv_value(v)));
-    row.join(",")
+/// Occupancy event number `seq` as a JSON object on a single line.
+pub fn event_to_json(seq: u64, event: &Occupancy) -> String {
+    format!(
+        "{{\"seq\":{seq},\"kind\":\"occupancy\",\"track\":\"{}\",\"id\":{},\"value\":{},\"cycle\":{}}}",
+        json::escape(event.track),
+        event.id,
+        json::fmt_f64(event.value),
+        event.cycle
+    )
 }
 
 /// Writes the full recorder state as JSON lines: a meta line, one line per
@@ -133,10 +64,10 @@ pub fn write_jsonl<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
                 "{{\"kind\":\"histogram\",\"hist\":\"{}\",\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}",
                 json::escape(h.name()),
                 hist.count(),
-                json_value(Field::F64(rec.hist_display(h, hist.mean()))),
-                json_value(Field::F64(rec.hist_display(h, hist.percentile(0.5) as f64))),
-                json_value(Field::F64(rec.hist_display(h, hist.percentile(0.9) as f64))),
-                json_value(Field::F64(rec.hist_display(h, hist.percentile(0.99) as f64))),
+                json::fmt_f64(rec.hist_display(h, hist.mean())),
+                json::fmt_f64(rec.hist_display(h, hist.percentile(0.5) as f64)),
+                json::fmt_f64(rec.hist_display(h, hist.percentile(0.9) as f64)),
+                json::fmt_f64(rec.hist_display(h, hist.percentile(0.99) as f64)),
                 buckets,
             )?;
         }
@@ -159,35 +90,17 @@ pub fn write_jsonl<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
     Ok(())
 }
 
-/// Writes the retained events as a CSV table ([`CSV_COLUMNS`] header first).
-pub fn write_csv<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
-    writeln!(w, "{}", CSV_COLUMNS.join(","))?;
-    let ring = rec.ring().clone();
-    for (seq, event) in ring.numbered() {
-        writeln!(w, "{}", event_to_csv(seq, event))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn occupancy(value: f64) -> Event {
-        Event::Occupancy {
+    fn occupancy(value: f64) -> Occupancy {
+        Occupancy {
             track: "dram_backlog",
             id: 2,
             value,
             cycle: 120,
         }
-    }
-
-    #[test]
-    fn csv_escaping_quotes_when_needed() {
-        assert_eq!(escape_csv("plain"), "plain");
-        assert_eq!(escape_csv("a,b"), "\"a,b\"");
-        assert_eq!(escape_csv("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(escape_csv("two\nlines"), "\"two\nlines\"");
     }
 
     #[test]
@@ -199,22 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_rows_follow_the_header() {
-        let keys: Vec<&str> = event_fields(&occupancy(3.5))
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(keys, CSV_COLUMNS[2..]);
-        assert_eq!(
-            event_to_csv(4, &occupancy(3.5)),
-            "4,occupancy,dram_backlog,2,3.5,120"
-        );
-    }
-
-    #[test]
     fn non_finite_floats_export_as_null() {
-        let event = occupancy(f64::NAN);
-        assert!(event_to_json(0, &event).contains("\"value\":null"));
-        assert_eq!(event_to_csv(0, &event), "0,occupancy,dram_backlog,2,,120");
+        assert!(event_to_json(0, &occupancy(f64::NAN)).contains("\"value\":null"));
     }
 }

@@ -119,11 +119,6 @@ impl Histogram {
         }
     }
 
-    /// Mean in original (pre-[`Histogram::record_f64`]) units.
-    pub fn mean_f64(&self) -> f64 {
-        self.mean() / MICRO
-    }
-
     /// Upper bound of the bucket containing the `p`-quantile (`p` in 0..=1).
     /// Returns 0 for an empty histogram. Monotone in `p`.
     pub fn percentile(&self, p: f64) -> u64 {

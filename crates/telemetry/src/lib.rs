@@ -3,13 +3,13 @@
 //!
 //! # Architecture
 //!
-//! - [`Counters`](counters::Counters) — sharded lock-free counters, one
-//!   [`Stat`] per probe point across the agent, both simulators and the
-//!   prefetch subsystem.
+//! - [`Counters`](counters::Counters) — one array of lock-free counters,
+//!   one [`Stat`] per probe point across the agent, both simulators and
+//!   the prefetch subsystem.
 //! - [`Histogram`](hist::Histogram) — lock-free log2-bucket histograms for
 //!   reward, epoch-IPC and latency distributions.
 //! - [`Ring`] — the one fixed-capacity, evict-oldest buffer with push
-//!   numbering and drop accounting. The recorder's [`Event`] ring, the
+//!   numbering and drop accounting. The recorder's [`Occupancy`] ring, the
 //!   decision [`TraceRing`] and each black-box thread ring are built on it
 //!   (as are `mab-monitor`'s SSE ring and arm table); each owner keeps it
 //!   under its own lock.
@@ -17,7 +17,7 @@
 //!   float writer), and [`crc32`] — its one CRC32. They live in this, the
 //!   lowest crate, so every writer and reader of an artifact (exporters,
 //!   black box, ledger, trace container, daemons, inspector) shares them.
-//! - [`export`] — hand-rolled JSON-lines and CSV exporters.
+//! - [`export`] — the hand-rolled JSON-lines exporter.
 //! - [`summary`] — stderr progress lines, the sweep progress display and
 //!   the end-of-run counter summary used by experiment binaries.
 //! - [`live`] — the shared ETA/rate arithmetic and formatting behind the
@@ -46,7 +46,8 @@
 //!
 //! Each thing is recorded once: a bandit decision as its
 //! [`DecisionRecord`], a simulator's statistics as [`Stat`] counters added
-//! once per run, and the sampled occupancy readings as [`Event`]s.
+//! once per run, and the sampled occupancy readings as [`Occupancy`]
+//! events.
 
 // `unsafe` is confined to the `signal(2)` shim, which allows it locally.
 #![deny(unsafe_code)]
@@ -69,7 +70,7 @@ pub mod trace;
 
 pub use counters::{Counters, Stat};
 pub use crc::crc32;
-pub use event::Event;
+pub use event::Occupancy;
 pub use hist::{Hist, Histogram};
 pub use profile::ProfileReport;
 pub use ring::Ring;
@@ -99,7 +100,7 @@ pub const TRACE_CAPACITY: usize = 65_536;
 pub struct Recorder {
     counters: Counters,
     hists: [Histogram; Hist::COUNT],
-    ring: Mutex<Ring<Event>>,
+    ring: Mutex<Ring<Occupancy>>,
     trace: TraceRing,
 }
 
@@ -135,7 +136,7 @@ impl Recorder {
     /// The event ring, locked. Hold the guard only briefly: every
     /// [`emit!`] waits on it.
     #[inline]
-    pub fn ring(&self) -> MutexGuard<'_, Ring<Event>> {
+    pub fn ring(&self) -> MutexGuard<'_, Ring<Occupancy>> {
         self.ring
             .lock()
             .expect("event ring lock poisoned by a panicking thread")
@@ -149,7 +150,7 @@ impl Recorder {
 
     /// Pushes an event into the ring.
     #[inline]
-    pub fn emit(&self, event: Event) {
+    pub fn emit(&self, event: Occupancy) {
         self.ring().push(event);
     }
 
@@ -167,19 +168,10 @@ impl Recorder {
         export::write_jsonl(self, w)
     }
 
-    /// Writes the retained events as CSV.
-    pub fn export_csv<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        export::write_csv(self, w)
-    }
-
-    /// Exports to `path`, choosing the format from the extension
-    /// (`.csv` → CSV, anything else → JSON lines).
+    /// Exports the full recorder state to `path` as JSON lines.
     pub fn export_to_path(&self, path: &Path) -> io::Result<()> {
         let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("csv") => self.export_csv(&mut file),
-            _ => self.export_jsonl(&mut file),
-        }
+        self.export_jsonl(&mut file)
     }
 
     /// Exports the decision trace to `path`, choosing the format from the
@@ -289,14 +281,14 @@ macro_rules! record_raw {
     };
 }
 
-/// Pushes a structured [`Event`] into the ring:
+/// Pushes an [`Occupancy`] sample into the ring:
 /// `emit!(Occupancy { track: "mshr", id: core, value, cycle })`.
 #[macro_export]
 macro_rules! emit {
-    ($variant:ident { $($field:ident : $value:expr),* $(,)? }) => {
+    (Occupancy { $($field:ident : $value:expr),* $(,)? }) => {
         if $crate::STATIC_ENABLED {
             if let Some(r) = $crate::recorder() {
-                r.emit($crate::Event::$variant { $($field : $value),* });
+                r.emit($crate::Occupancy { $($field : $value),* });
             }
         }
     };
@@ -341,8 +333,8 @@ mod tests {
         assert_eq!(STATIC_ENABLED, cfg!(feature = "on"));
     }
 
-    fn occupancy() -> Event {
-        Event::Occupancy {
+    fn occupancy() -> Occupancy {
+        Occupancy {
             track: "mshr",
             id: 1,
             value: 3.0,
@@ -357,7 +349,7 @@ mod tests {
         let ring = rec.ring();
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.capacity(), EVENT_CAPACITY);
-        assert_eq!(ring.iter().next().unwrap().kind(), "occupancy");
+        assert_eq!(ring.iter().next(), Some(&occupancy()));
     }
 
     #[test]
@@ -376,13 +368,5 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("\"kind\":\"occupancy\""), "{text}");
-
-        let mut csv = Vec::new();
-        rec.export_csv(&mut csv).unwrap();
-        let csv = String::from_utf8(csv).unwrap();
-        assert_eq!(
-            csv,
-            "seq,kind,track,id,value,cycle\n0,occupancy,mshr,1,3,44\n"
-        );
     }
 }

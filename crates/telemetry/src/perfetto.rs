@@ -10,7 +10,7 @@
 //!   §4.3 restart sweeps (the sweep's first decision) are instant ("i")
 //!   markers; the attributed normalized reward is a counter ("C") track per
 //!   agent.
-//! - **pid 2 `memsim`** — [`Event::Occupancy`] samples (DRAM backlog, MSHR
+//! - **pid 2 `memsim`** — [`Occupancy`] samples (DRAM backlog, MSHR
 //!   fill) as named counter tracks.
 //! - **pid 3 `smtsim`** — fetch/thread occupancy tracks (per-thread fetch
 //!   share, per-thread IPC).
@@ -18,7 +18,7 @@
 //! Timestamps are trace-event microseconds carrying simulated cycles 1:1 —
 //! absolute durations read as "cycles", which is the unit that matters here.
 
-use crate::event::Event;
+use crate::event::Occupancy;
 use crate::export::json_number_array;
 use crate::json;
 use crate::trace::SeqDecision;
@@ -172,7 +172,7 @@ pub fn write_trace_json<W: Write>(rec: &Recorder, w: &mut W) -> io::Result<()> {
 
     // Occupancy counter tracks.
     for event in rec.ring().clone().iter() {
-        let Event::Occupancy {
+        let Occupancy {
             track,
             id,
             value,
@@ -225,13 +225,13 @@ mod tests {
         let rec = Recorder::new();
         rec.trace().push(decision(7, 0, 100, 1));
         rec.trace().push(decision(7, 1, 200, 0));
-        rec.emit(Event::Occupancy {
+        rec.emit(Occupancy {
             track: "dram_backlog",
             id: 0,
             value: 12.5,
             cycle: 150,
         });
-        rec.emit(Event::Occupancy {
+        rec.emit(Occupancy {
             track: "fetch_share",
             id: 1,
             value: 0.25,

@@ -17,7 +17,7 @@ use std::time::Instant;
 /// from the final result tables on stdout.
 pub const PREFIX: &str = "[mab]";
 
-/// Process-wide quiet switch (`--quiet` / `MAB_QUIET=1`): suppresses every
+/// Process-wide quiet switch (`--quiet`): suppresses every
 /// `[mab]` progress line and the live sweep progress display.
 static QUIET: AtomicBool = AtomicBool::new(false);
 

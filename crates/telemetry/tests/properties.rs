@@ -1,43 +1,13 @@
-//! Property tests for the counter and histogram registries.
+//! Property tests for the histogram registry.
 //!
-//! The sharded counters and log2 histograms are the pieces of the telemetry
-//! layer whose invariants hold over *every* input sequence, so they are
-//! checked with randomized inputs rather than hand-picked cases.
+//! The log2 histograms' invariants hold over *every* input sequence, so
+//! they are checked with randomized inputs rather than hand-picked cases.
 
-use mab_telemetry::counters::SHARDS;
 use mab_telemetry::hist::BUCKETS;
-use mab_telemetry::{Counters, Histogram, Stat};
+use mab_telemetry::Histogram;
 use proptest::prelude::*;
 
 proptest! {
-    /// The merged view of a counter equals the sum over its per-shard
-    /// values, no matter how adds are spread across shards and stats.
-    #[test]
-    fn merged_counters_equal_per_shard_sums(
-        ops in prop::collection::vec(
-            (0usize..SHARDS * 2, 0usize..Stat::COUNT, 0u64..1_000),
-            0..200,
-        ),
-    ) {
-        let c = Counters::new();
-        let mut expected = [0u64; Stat::COUNT];
-        for &(shard, stat, n) in &ops {
-            c.add_on_shard(shard, Stat::ALL[stat], n);
-            expected[stat] += n;
-        }
-        for stat in Stat::ALL {
-            let per_shard: u64 = c.shard_values(stat).iter().sum();
-            prop_assert_eq!(c.sum(stat), per_shard);
-            prop_assert_eq!(c.sum(stat), expected[stat as usize]);
-        }
-        let snapshot = c.snapshot();
-        prop_assert_eq!(snapshot, expected);
-        for (stat, value) in c.nonzero() {
-            prop_assert_eq!(value, expected[stat as usize]);
-            prop_assert_ne!(value, 0);
-        }
-    }
-
     /// Percentile queries are monotone in the requested quantile, bracket
     /// the recorded values, and the count matches the number of records.
     #[test]

@@ -30,9 +30,9 @@ USAGE:
         --seed S      generator seed (default 1)
 
     mab-trace info <file.mabt> [--json]
-        Prints the header: kind, record count, line size, seed, provenance,
-        and whether the file carries an index footer. --json emits the same
-        fields as one JSON object.
+        Prints the header: kind, record count, line size, block length,
+        seed and provenance. --json emits the same fields as one JSON
+        object.
 
     mab-trace validate <file.mabt>...
         Fully decodes each file, verifying every block CRC. Prints one line
@@ -151,8 +151,8 @@ fn smt_names() -> String {
         .join(", ")
 }
 
-/// The header as a JSON object body (no trailing brace, so `info` can
-/// append the index probe).
+/// The header as the body of a JSON object (no braces), so `stats` can
+/// nest it.
 fn meta_json_fields(meta: &TraceMeta) -> String {
     format!(
         "\"kind\":\"{}\",\"records\":{},\"line_size\":{},\"block_len\":{},\
@@ -194,27 +194,10 @@ fn run_info(args: &[String]) -> ExitCode {
         Ok(meta) => meta,
         Err(e) => return usage_error(&format!("cannot read {path}: {e}")),
     };
-    // The index probe needs a typed reader; dispatch on the header's kind.
-    let index = match meta.kind {
-        PayloadKind::Mem => TraceReader::open(path).map(|r| r.indexed_blocks()),
-        PayloadKind::Smt => SmtTraceReader::open(path).map(|r| r.indexed_blocks()),
-    };
-    let index = match index {
-        Ok(index) => index,
-        Err(e) => return usage_error(&format!("cannot read {path}: {e}")),
-    };
     if json {
-        let blocks = index.map_or("null".to_string(), |b| b.to_string());
-        println!(
-            "{{{},\"indexed_blocks\":{blocks}}}",
-            meta_json_fields(&meta)
-        );
+        println!("{{{}}}", meta_json_fields(&meta));
     } else {
         print_meta(&meta);
-        match index {
-            Some(blocks) => println!("index            {blocks} blocks"),
-            None => println!("index            absent (sequential reads only)"),
-        }
     }
     ExitCode::SUCCESS
 }

@@ -9,20 +9,21 @@
 //!          | u64 record_count (sentinel u64::MAX until finalized)
 //!          | u64 seed | u16 provenance_len | provenance utf-8 bytes
 //! blocks   u32 payload_len | u32 n_records | payload | u32 crc32(payload)
-//! footer   u32 n_blocks | { u64 file_offset, u64 first_record }*
-//!          | u64 footer_offset | "TBAM"
 //! ```
 //!
+//! The file ends with its last block. Files from earlier builds carry an
+//! index footer after it (`u32 n_blocks | { u64 file_offset, u64
+//! first_record }* | u64 footer_offset | "TBAM"`); the reader stops at
+//! `record_count` and never reads it, so those files still decode under
+//! the same [`FORMAT_VERSION`].
+//!
 //! Delta state (previous PC / previous address) resets at every block
-//! boundary, so any block can be decoded knowing only its file offset —
-//! that is what makes the index footer's O(1) skip-ahead sound.
+//! boundary, so any block can be decoded knowing only its file offset.
 
 use crate::error::{Result, TraceError};
 
 /// Leading magic of every trace file.
 pub const MAGIC: [u8; 4] = *b"MABT";
-/// Trailing magic of the index footer (the header magic reversed).
-pub const FOOTER_MAGIC: [u8; 4] = *b"TBAM";
 /// Newest container version this build reads and the version it writes.
 pub const FORMAT_VERSION: u16 = 1;
 /// Records per block unless the writer overrides it.

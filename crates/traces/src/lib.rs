@@ -20,13 +20,12 @@
 //! ```text
 //! header   "MABT" version kind line_size block_len record_count seed provenance
 //! blocks*  payload_len n_records payload crc32       (delta state resets per block)
-//! footer   n_blocks {offset, first_record}* footer_offset "TBAM"   (optional)
 //! ```
 //!
 //! Per-block CRC32 catches corruption; per-block delta-state reset makes
-//! every block independently decodable, which is what lets the index footer
-//! give O(1) skip-ahead. A missing footer (e.g. a file truncated in flight)
-//! degrades to sequential reads, never to wrong records.
+//! every block independently decodable. Files are read front to back and
+//! end with their last block; the index footer that files from earlier
+//! builds carry after it is never read.
 //!
 //! ## Typical use
 //!

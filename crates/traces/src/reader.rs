@@ -1,9 +1,12 @@
-//! Streaming trace reader with CRC verification and O(1) skip-ahead.
+//! Streaming trace reader with CRC verification, front to back.
 //!
 //! [`Reader::open`] validates the header eagerly (magic, version, payload
-//! kind, finalization) and loads the index footer when present. Payloads
-//! are read and CRC-verified a block at a time, and records decode on
-//! demand straight out of the verified block through [`Codec::decode`].
+//! kind, finalization). Payloads are read and CRC-verified a block at a
+//! time, and records decode on demand straight out of the verified block
+//! through [`Codec::decode`]. The reader stops at the header's record
+//! count and never reads past the last block, so the index footer that
+//! earlier builds appended is never read.
+//!
 //! A read costs about as much as regenerating the records from the seeded
 //! generators; replay pays off because one decode is shared by every arm
 //! that replays it (`mab-perf`'s `trace_replay` workload measures both).
@@ -24,11 +27,10 @@
 
 use crate::codec::Codec;
 use crate::error::{Result, TraceError};
-use crate::format::{decode_header, TraceMeta, FOOTER_MAGIC, HEADER_FIXED_LEN};
-use crate::writer::IndexEntry;
+use crate::format::{decode_header, TraceMeta, HEADER_FIXED_LEN};
 use mab_telemetry::crc32;
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::io::{BufReader, Read, Seek};
 use std::marker::PhantomData;
 use std::path::Path;
 
@@ -39,8 +41,6 @@ pub struct Reader<C: Codec> {
     /// Length of the file, which bounds every allocation the reader makes.
     file_len: u64,
     meta: TraceMeta,
-    /// Block index from the footer, when the file carries one.
-    index: Option<Vec<IndexEntry>>,
     /// Codec delta state, reset at every block boundary.
     state: C::State,
     /// Raw payload of the current block (already CRC-verified).
@@ -57,7 +57,7 @@ pub struct Reader<C: Codec> {
 }
 
 impl<C: Codec> Reader<C> {
-    /// Opens `path`, validates the header and probes for the index footer.
+    /// Opens `path` and validates the header.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
@@ -75,11 +75,10 @@ impl<C: Codec> Reader<C> {
                 expected: C::KIND.name(),
             });
         }
-        let mut reader = Reader {
+        Ok(Reader {
             input,
             file_len,
             meta,
-            index: None,
             state: C::State::default(),
             raw: Vec::new(),
             pos: 0,
@@ -87,76 +86,12 @@ impl<C: Codec> Reader<C> {
             records_read: 0,
             blocks_read: 0,
             _codec: PhantomData,
-        };
-        reader.index = reader.load_index()?;
-        Ok(reader)
+        })
     }
 
     /// Header metadata (with the final record count).
     pub fn meta(&self) -> &TraceMeta {
         &self.meta
-    }
-
-    /// Whether the file carries an index footer for O(1) skip-ahead.
-    pub fn has_index(&self) -> bool {
-        self.index.is_some()
-    }
-
-    /// Number of blocks listed in the index footer, if present.
-    pub fn indexed_blocks(&self) -> Option<usize> {
-        self.index.as_ref().map(Vec::len)
-    }
-
-    /// Probes the end of the file for the footer; tolerates its absence
-    /// (truncated or foreign-tool files fall back to sequential reads and
-    /// surface [`TraceError::Truncated`] when the stream runs short).
-    fn load_index(&mut self) -> Result<Option<Vec<IndexEntry>>> {
-        let end = self.file_len;
-        let data_start = self.data_start();
-        if end < data_start + 12 {
-            self.input.seek(SeekFrom::Start(data_start))?;
-            return Ok(None);
-        }
-        let mut tail = [0u8; 12];
-        self.input.seek(SeekFrom::Start(end - 12))?;
-        self.input.read_exact(&mut tail)?;
-        if tail[8..12] != FOOTER_MAGIC {
-            self.input.seek(SeekFrom::Start(data_start))?;
-            return Ok(None);
-        }
-        let footer_offset = u64::from_le_bytes(tail[..8].try_into().expect("8 bytes"));
-        if footer_offset < data_start || footer_offset > end - 12 {
-            return Err(TraceError::Corrupt {
-                context: "index footer offset",
-                offset: end - 12,
-            });
-        }
-        self.input.seek(SeekFrom::Start(footer_offset))?;
-        let mut n = [0u8; 4];
-        self.input.read_exact(&mut n)?;
-        let n_blocks = u32::from_le_bytes(n) as u64;
-        if footer_offset + 4 + n_blocks * 16 != end - 12 {
-            return Err(TraceError::Corrupt {
-                context: "index footer length",
-                offset: footer_offset,
-            });
-        }
-        let mut entries = Vec::with_capacity(n_blocks as usize);
-        let mut raw = vec![0u8; (n_blocks * 16) as usize];
-        self.input.read_exact(&mut raw)?;
-        for chunk in raw.chunks_exact(16) {
-            entries.push(IndexEntry {
-                offset: u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes")),
-                first_record: u64::from_le_bytes(chunk[8..].try_into().expect("8 bytes")),
-            });
-        }
-        self.input.seek(SeekFrom::Start(data_start))?;
-        Ok(Some(entries))
-    }
-
-    /// File offset of the first block.
-    fn data_start(&self) -> u64 {
-        (HEADER_FIXED_LEN + self.meta.provenance.len()) as u64
     }
 
     /// Bytes between the read position and the end of the file.
@@ -203,7 +138,7 @@ impl<C: Codec> Reader<C> {
         let n_records = u32::from_le_bytes(head[4..].try_into().expect("4 bytes"));
         // A block can never be larger than the most verbose legal encoding
         // of its records; an oversized length means a corrupt or foreign
-        // field (e.g. reading the footer as a block), not a huge block.
+        // field, not a huge block.
         if n_records == 0 || payload_len > n_records as usize * MAX_RECORD_BYTES {
             return Err(TraceError::Corrupt {
                 context: "block header",
@@ -238,43 +173,6 @@ impl<C: Codec> Reader<C> {
         self.pos = 0;
         self.block_remaining = n_records;
         self.blocks_read += 1;
-        Ok(())
-    }
-
-    /// Positions the reader so the next record returned is record `n`
-    /// (zero-based). Uses the index footer to seek directly to the owning
-    /// block when present — O(1) in the file size — and decodes forward
-    /// within the block.
-    pub fn skip_to(&mut self, n: u64) -> Result<()> {
-        if n > self.meta.record_count {
-            return Err(TraceError::Truncated {
-                decoded: self.meta.record_count,
-                expected: n,
-            });
-        }
-        let block_start = match &self.index {
-            Some(index) if !index.is_empty() && n > 0 => {
-                let i = index
-                    .partition_point(|e| e.first_record <= n)
-                    .saturating_sub(1);
-                let entry = index[i];
-                self.input.seek(SeekFrom::Start(entry.offset))?;
-                self.blocks_read = i as u64;
-                entry.first_record
-            }
-            _ => {
-                // No usable index: restart and decode forward.
-                let start = self.data_start();
-                self.input.seek(SeekFrom::Start(start))?;
-                self.blocks_read = 0;
-                0
-            }
-        };
-        self.raw.clear();
-        self.pos = 0;
-        self.block_remaining = 0;
-        self.records_read = block_start;
-        while self.records_read < n && self.next_record()?.is_some() {}
         Ok(())
     }
 

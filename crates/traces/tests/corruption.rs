@@ -169,8 +169,7 @@ fn future_format_version_is_rejected_with_upgrade_advice() {
 #[test]
 fn truncated_file_reports_decoded_vs_expected() {
     let (path, bytes) = healthy_bytes("truncated");
-    // Cut the file mid-way through the data section: the index footer is
-    // gone (sequential fallback) and a block ends early.
+    // Cut the file mid-way through the data section: a block ends early.
     std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("write");
     match first_error(&path).expect("must fail") {
         TraceError::Truncated { decoded, expected } => {
@@ -185,25 +184,18 @@ fn truncated_file_reports_decoded_vs_expected() {
 #[test]
 fn every_truncation_point_errors_instead_of_panicking() {
     let (path, bytes) = healthy_bytes("truncation-sweep");
-    // A file cut anywhere before the index footer is missing records, so it
-    // must fail; a cut inside the footer itself merely loses the index and
-    // still replays correctly, so stop the sweep at the footer. Its offset
-    // is the u64 stored 12 bytes before the end of a healthy file.
-    let footer_offset = u64::from_le_bytes(
-        bytes[bytes.len() - 12..bytes.len() - 4]
-            .try_into()
-            .expect("8 bytes"),
-    ) as usize;
-    for cut in (0..footer_offset).step_by(61) {
+    // The file ends with its last block, so a cut anywhere before the end
+    // loses part of a block or a header and must fail.
+    let cuts = (0..bytes.len())
+        .step_by(61)
+        .chain(bytes.len() - 4..bytes.len());
+    for cut in cuts {
         std::fs::write(&path, &bytes[..cut]).expect("write");
         let err = first_error(&path).expect("a truncated file must fail");
         // Any structured error is acceptable; the contract is "no panic,
         // no silent success".
         let _ = err.to_string();
     }
-    // Cut inside the footer: index gone, records intact — reads clean.
-    std::fs::write(&path, &bytes[..footer_offset + 4]).expect("write");
-    assert!(first_error(&path).is_none());
     std::fs::remove_file(&path).ok();
 }
 

@@ -64,23 +64,6 @@ proptest! {
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(decoded, records);
     }
-
-    #[test]
-    /// `skip_to(n)` followed by a sequential read agrees with reading from
-    /// the start and discarding `n` records, wherever `n` lands.
-    fn skip_to_matches_sequential_read(start in 0u64..500) {
-        let records: Vec<TraceRecord> = (0..500)
-            .map(|i| TraceRecord::load(0x400 + i * 4, 0x10_0000 + i * 64))
-            .collect();
-        let path = temp_path(&format!("skip-{start}"));
-        write_mem(&path, &records, 32);
-        let mut reader = TraceReader::open(&path).expect("open");
-        prop_assert!(reader.has_index());
-        reader.skip_to(start).expect("skip_to");
-        let tail = reader.read_all().expect("read_all");
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(tail, records[start as usize..].to_vec());
-    }
 }
 
 #[test]

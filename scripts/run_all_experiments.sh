@@ -4,7 +4,8 @@
 # EXPERIMENTS.md (scaled down from the paper's 1B-instruction traces to
 # laptop scale; pass larger --instructions for higher fidelity).
 #
-# Usage: run_all_experiments.sh [--jobs N] [--trace-dir DIR]
+# Usage: run_all_experiments.sh [--jobs N] [--trace-dir DIR] [--ledger DIR]
+#                               [--monitor ADDR]
 #
 # --jobs N (or JOBS=N in the environment) fans each sweep out over N worker
 # threads via mab-runner. Reports are bit-identical at any worker count, so
@@ -27,17 +28,17 @@
 # results/ledger, LEDGER= (empty) disables recording. Query it with
 # `cargo run -p mab-inspect -- history | trend | regress`.
 #
-# --monitor ADDR (or MAB_MONITOR=ADDR) serves live /metrics, /status and
-# /events from each experiment while it runs — follow the batch with
-# `cargo run -p mab-inspect -- watch ADDR`. Experiments run one at a time,
-# so a single fixed port carries the whole script.
+# --monitor ADDR (or MONITOR=ADDR in the environment) serves live /metrics,
+# /status and /events from each experiment while it runs — follow the batch
+# with `cargo run -p mab-inspect -- watch ADDR`. Experiments run one at a
+# time, so a single fixed port carries the whole script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-}"
 TRACE_DIR="${TRACE_DIR:-}"
 LEDGER="${LEDGER-results/ledger}"
-MONITOR="${MAB_MONITOR:-}"
+MONITOR="${MONITOR:-}"
 while [ $# -gt 0 ]; do
   case "$1" in
     --jobs|-j)

@@ -4,7 +4,7 @@
 #
 # Usage: run_round2.sh [--jobs N] [--trace-dir DIR] [--ledger DIR] [--monitor ADDR]
 #
-# --monitor ADDR (or MAB_MONITOR=ADDR) serves live /metrics, /status and
+# --monitor ADDR (or MONITOR=ADDR) serves live /metrics, /status and
 # /events from each experiment — see run_all_experiments.sh.
 #
 # --jobs N (or JOBS=N) fans each sweep out over N worker threads; reports
@@ -25,7 +25,7 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-}"
 TRACE_DIR="${TRACE_DIR:-}"
 LEDGER="${LEDGER-results/ledger}"
-MONITOR="${MAB_MONITOR:-}"
+MONITOR="${MONITOR:-}"
 while [ $# -gt 0 ]; do
   case "$1" in
     --jobs|-j)
