@@ -80,7 +80,7 @@ impl Executor for SpinExecutor {
     fn run(
         &self,
         spec: &mab_experiments::spec::RunSpec,
-        _crash_dir: Option<&std::path::Path>,
+        _crash_dir: &std::path::Path,
     ) -> Result<String, String> {
         if spec.seed >= BLOCKER_SEED {
             self.held.wait();

@@ -6,11 +6,10 @@ use crate::error::ConfigError;
 use crate::tables::BanditTables;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where the agent currently is in the paper's Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AgentPhase {
     /// Initial round-robin phase: every arm is tried once.
     RoundRobin,
@@ -56,7 +55,7 @@ impl fmt::Display for AgentPhase {
 /// assert_eq!(config.arms(), 6);
 /// # Ok::<(), mab_core::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BanditConfig {
     arms: usize,
     algorithm: AlgorithmKind,

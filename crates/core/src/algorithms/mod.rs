@@ -33,7 +33,6 @@ use crate::arm::ArmId;
 use crate::error::ConfigError;
 use crate::tables::BanditTables;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// The three per-step functions a MAB algorithm must provide
 /// (paper Algorithm 1, main loop).
@@ -78,7 +77,7 @@ pub trait Algorithm {
 /// let kind = AlgorithmKind::Ducb { gamma: 0.999, c: 0.04 };
 /// assert!(kind.validate(11).is_ok());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum AlgorithmKind {
     /// ε-Greedy with exploration probability `epsilon`.

@@ -1,6 +1,5 @@
 //! Arm identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a bandit *arm* (an action available to the agent).
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(arm.index(), 3);
 /// assert_eq!(arm.to_string(), "arm#3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArmId(usize);
 
 impl ArmId {

@@ -4,8 +4,6 @@
 //! table sizes and functional-unit latencies; this module encodes them so the
 //! `tab_storage` experiment can regenerate the numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes to store one arm's reward (`f32`, per §5.4).
 pub const REWARD_BYTES: usize = 4;
 /// Bytes to store one arm's selection count (`u32`, per §5.4).
@@ -14,7 +12,7 @@ pub const COUNT_BYTES: usize = 4;
 /// Latencies (cycles) of the arithmetic operations used when computing an
 /// arm's potential, conservatively taken from Intel instruction tables as in
 /// the paper (§5.4: 20 cycles for each of divide and square root).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpLatencies {
     /// Table read (nTable or rTable), cycles.
     pub read: u32,
@@ -108,7 +106,7 @@ pub fn overlapped_selection_latency(ops: OpLatencies) -> u32 {
 }
 
 /// Area/power estimate of one Bandit agent, scaled to 10 nm (§6.5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaPower {
     /// Area in mm².
     pub area_mm2: f64,
@@ -124,7 +122,7 @@ pub const BANDIT_AGENT_10NM: AreaPower = AreaPower {
 
 /// Reference server CPU used for relative overheads: 40-core Intel Icelake,
 /// 628 mm² die, 270 W TDP (§6.5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReferenceCpu {
     /// Core count.
     pub cores: usize,

@@ -7,7 +7,6 @@
 //! so tests can demonstrate that the arm ranking is unchanged under
 //! hardware-faithful arithmetic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
@@ -27,7 +26,7 @@ const ONE_RAW: i64 = 1 << FRAC_BITS;
 /// assert_eq!((a * b).to_f64(), 3.0);
 /// assert!((b.sqrt().to_f64() - 2f64.sqrt()).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fixed(i64);
 
 impl Fixed {

@@ -5,8 +5,6 @@
 //! the committed-instruction counter value latched at the previous step
 //! boundary and divides by the elapsed cycles.
 
-use serde::{Deserialize, Serialize};
-
 /// Computes per-step IPC rewards from monotonically increasing
 /// `(instructions, cycles)` counters.
 ///
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// // Next step: 500 more instructions over 1000 more cycles.
 /// assert_eq!(meter.step(2500, 2000), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IpcMeter {
     last_instructions: u64,
     last_cycles: u64,

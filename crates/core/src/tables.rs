@@ -6,7 +6,6 @@
 //! state: one `(r, n)` pair per arm and the running total `n_total`.
 
 use crate::arm::ArmId;
-use serde::{Deserialize, Serialize};
 
 /// The nTable/rTable pair holding all per-arm bandit state.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.reward(ArmId::new(0)), 0.5);
 /// assert_eq!(t.n_total(), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BanditTables {
     rewards: Vec<f64>,
     selections: Vec<f64>,

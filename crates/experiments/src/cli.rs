@@ -21,15 +21,15 @@
 //! - `--ledger DIR` — append a run record (config digest, wall time, key
 //!   stats, artifact pointers) to the append-only run ledger under DIR,
 //! - `--monitor ADDR` — serve live `/metrics`, `/status` and `/events`
-//!   endpoints on ADDR for the duration of the run (an empty value keeps
-//!   the monitor off),
+//!   endpoints on ADDR for the duration of the run,
 //! - `--quiet` — suppress `[mab]` stderr progress lines,
 //! - `--crash-dir DIR` — where black-box crash reports land,
 //! - `--help`.
 //!
 //! Settings come from flags alone: no environment variable stands in for
 //! one. An empty directory value is a usage error, since it would resolve
-//! to the working directory.
+//! to the working directory, and so is an empty `--monitor` address:
+//! leaving the flag out is the one way to keep the monitor off.
 
 use std::path::PathBuf;
 
@@ -161,10 +161,11 @@ impl Options {
                 }
                 "--ledger" => opts.ledger = Some(dir_arg(args.next(), "--ledger")),
                 "--monitor" => {
-                    let addr = args
-                        .next()
-                        .unwrap_or_else(|| usage("--monitor needs an address (host:port)"));
-                    opts.monitor = (!addr.is_empty()).then_some(addr);
+                    opts.monitor = Some(
+                        args.next()
+                            .filter(|addr| !addr.is_empty())
+                            .unwrap_or_else(|| usage("--monitor needs an address (host:port)")),
+                    );
                 }
                 "--crash-dir" => opts.crash_dir = Some(dir_arg(args.next(), "--crash-dir")),
                 "--quiet" => {
@@ -235,7 +236,7 @@ fn usage<T>(error: &str) -> T {
          \x20                 MAB_BLACKBOX=0 disables the flight recorder;\n\
          \x20                 inspect reports with mab-inspect postmortem)\n\
          \n\
-         DIR values must be non-empty."
+         DIR and ADDR values must be non-empty."
     );
     std::process::exit(if error.is_empty() { 0 } else { 2 });
 }
@@ -348,7 +349,5 @@ mod tests {
         let o = parse(&["--monitor", "127.0.0.1:9464"]);
         assert_eq!(o.monitor.as_deref(), Some("127.0.0.1:9464"));
         assert!(parse(&[]).monitor.is_none());
-        // An empty value keeps the monitor off.
-        assert!(parse(&["--monitor", ""]).monitor.is_none());
     }
 }

@@ -1,6 +1,7 @@
 //! Settings come from flags alone. An environment variable named like a
 //! flag changes nothing, and an empty directory value is refused rather
-//! than resolved to the working directory.
+//! than resolved to the working directory. So is an empty `--monitor`
+//! address, rather than read as "monitor off".
 //!
 //! Each test runs `tab_storage`, the one binary that simulates nothing, in
 //! a private working directory, so whatever a run writes shows up there.
@@ -62,7 +63,7 @@ fn environment_variables_named_like_flags_change_nothing() {
 
 #[test]
 fn an_empty_directory_value_is_a_usage_error() {
-    for flag in ["--ledger", "--trace-dir", "--crash-dir"] {
+    for flag in ["--ledger", "--trace-dir", "--crash-dir", "--monitor"] {
         let cwd = temp_dir("empty");
         let output = tab_storage(&cwd, &[flag, ""], &[]);
         let stderr = String::from_utf8_lossy(&output.stderr);

@@ -15,7 +15,6 @@
 //!   per-access drain is a single compare when nothing has landed.
 
 use crate::config::CacheParams;
-use serde::{Deserialize, Serialize};
 
 /// Lane count for the chunked (SIMD-shaped) way scans. Eight `u64` tags are
 /// one 64-byte chunk — exactly the L1/L2 associativity, half the LLC's — so
@@ -37,7 +36,7 @@ pub enum LookupResult {
 }
 
 /// Per-cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand lookups that hit.
     pub demand_hits: u64,

@@ -1,9 +1,7 @@
 //! Simulated system parameters (paper Table 4 and §6.1 variants).
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
@@ -22,7 +20,7 @@ impl CacheParams {
 }
 
 /// Core pipeline parameters relevant to the interval timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreParams {
     /// Instructions fetched per cycle.
     pub fetch_width: u32,
@@ -35,7 +33,7 @@ pub struct CoreParams {
 }
 
 /// Full single/multi-core system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Core parameters (identical across cores).
     pub core: CoreParams,

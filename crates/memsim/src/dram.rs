@@ -7,10 +7,8 @@
 //! simulator makes prefetch traffic contend with demand traffic, which is
 //! exactly what this single-queue service model does.
 
-use serde::{Deserialize, Serialize};
-
 /// DRAM counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DramStats {
     /// Line transfers served.
     pub transfers: u64,
@@ -46,7 +44,7 @@ impl DramStats {
 /// let second = dram.access(0); // queues behind the first
 /// assert!(second > first);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dram {
     service_cycles: f64,
     latency: u32,

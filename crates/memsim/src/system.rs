@@ -14,10 +14,9 @@ use crate::prefetcher::{L2Access, NoPrefetcher, PrefetchQueue, Prefetcher};
 use mab_telemetry::span::{Category, StageClock};
 use mab_telemetry::Stat;
 use mab_workloads::{MemKind, TraceRecord};
-use serde::{Deserialize, Serialize};
 
 /// Prefetch outcome counters for one core.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchStats {
     /// Requests the L1 and L2 prefetchers queued, before any filtering.
     pub requested: u64,
@@ -34,7 +33,7 @@ pub struct PrefetchStats {
 }
 
 /// Result of simulating one core's trace slice.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunStats {
     /// Instructions simulated.
     pub instructions: u64,

@@ -4,11 +4,10 @@ use crate::ip_stride::IpStride;
 use crate::nextline::NextLine;
 use crate::stream::StreamPrefetcher;
 use mab_memsim::{L2Access, PrefetchQueue, Prefetcher};
-use serde::{Deserialize, Serialize};
 
 /// One ensemble configuration: whether the next-line prefetcher is on and
 /// the degrees of the stride and stream prefetchers (0 = off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arm {
     /// Next-line prefetcher enabled.
     pub nl_on: bool,

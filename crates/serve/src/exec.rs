@@ -22,15 +22,15 @@ pub trait Executor: Send + Sync {
     /// Runs `spec` to completion on the calling worker thread.
     ///
     /// `crash_dir` is where the execution should leave a `.mabcrash`
-    /// flight-recorder report if it dies (the daemon passes a per-job
-    /// directory so crashes attribute back to the owning job); executors
+    /// flight-recorder report if it dies: the daemon passes the job's own
+    /// directory, so crashes attribute back to the owning job. Executors
     /// that cannot crash out-of-process may ignore it.
     ///
     /// # Errors
     ///
     /// A human-readable failure message (spawn failure, non-zero exit,
     /// unreadable output).
-    fn run(&self, spec: &RunSpec, crash_dir: Option<&Path>) -> Result<String, String>;
+    fn run(&self, spec: &RunSpec, crash_dir: &Path) -> Result<String, String>;
 }
 
 /// Runs arms by spawning the experiment binaries found in `bin_dir`.
@@ -55,22 +55,19 @@ impl BinaryExecutor {
 }
 
 impl Executor for BinaryExecutor {
-    fn run(&self, spec: &RunSpec, crash_dir: Option<&Path>) -> Result<String, String> {
+    fn run(&self, spec: &RunSpec, crash_dir: &Path) -> Result<String, String> {
         let program = self.bin_dir.join(&spec.experiment);
-        let mut command = Command::new(&program);
         // Quiet progress lines; the child records no ledger and serves no
-        // monitor, since the daemon does its own recording.
-        command
+        // monitor, since the daemon does its own recording. Its flight
+        // recorder writes to the per-job crash directory, so a panic or
+        // fatal signal leaves an attributable report.
+        let output = Command::new(&program)
             .args(spec.cli_args())
             .arg("--quiet")
+            .arg("--crash-dir")
+            .arg(crash_dir)
             .stdin(Stdio::null())
-            .stderr(Stdio::null());
-        // Point the child's flight recorder at the per-job crash directory
-        // so a panic or fatal signal leaves an attributable report.
-        if let Some(dir) = crash_dir {
-            command.arg("--crash-dir").arg(dir);
-        }
-        let output = command
+            .stderr(Stdio::null())
             .output()
             .map_err(|e| format!("spawn {} failed: {e}", program.display()))?;
         if !output.status.success() {

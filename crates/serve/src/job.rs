@@ -5,6 +5,10 @@
 //! to one [`Arm`] per grid point. Each arm is an independent, fully
 //! resolved [`RunSpec`] with its own content digest — the unit the
 //! scheduler queues, the cache stores, and the ledger records.
+//!
+//! This module owns the job document: [`Job::to_json`] renders it for
+//! `GET /jobs/:id` and for `jobs.json`, and [`Job::from_json`] reads it
+//! back when the daemon resumes.
 
 use mab_experiments::spec::{self, RunSpec};
 use mab_telemetry::json::{self, JsonValue};
@@ -62,6 +66,45 @@ pub struct Arm {
     pub crash: Option<String>,
 }
 
+impl Arm {
+    /// A queued arm for `spec`, addressed under code version `code`.
+    pub fn new(spec: RunSpec, code: &str) -> Arm {
+        Arm {
+            digest: spec.digest(code),
+            spec,
+            status: ArmStatus::Queued,
+            cache_hit: false,
+            wall_ms: 0.0,
+            error: None,
+            crash: None,
+        }
+    }
+
+    /// The arm's element of the job document, at `index` in the job.
+    fn to_json(&self, index: usize) -> String {
+        let mut out = format!(
+            "{{\"index\":{index},\"digest\":\"{}\",\"status\":\"{}\",\"cache_hit\":{},\
+             \"instructions\":{},\"seed\":{},\"mixes\":{},\"quick\":{},\"wall_ms\":{}",
+            self.digest,
+            self.status.name(),
+            self.cache_hit,
+            self.spec.instructions,
+            self.spec.seed,
+            self.spec.mixes,
+            self.spec.quick,
+            json::fmt_f64(self.wall_ms),
+        );
+        if let Some(error) = &self.error {
+            out.push_str(&format!(",\"error\":\"{}\"", json::escape(error)));
+        }
+        if let Some(crash) = &self.crash {
+            out.push_str(&format!(",\"crash\":\"{}\"", json::escape(crash)));
+        }
+        out.push('}');
+        out
+    }
+}
+
 /// One client submission.
 #[derive(Debug)]
 pub struct Job {
@@ -105,33 +148,80 @@ impl Job {
             .count()
     }
 
-    /// Full status document for `GET /jobs/:id`.
+    /// Rebuilds a job from its [`Job::to_json`] document, computing every
+    /// digest under code version `code`. Done and failed arms keep their
+    /// outcome; every other arm comes back queued. The derived fields
+    /// (`status`, the counts, each arm's `index` and `digest`) are not
+    /// read. The experiment is the job's, or, in the form earlier builds
+    /// wrote, each arm's own.
+    ///
+    /// `None` when the document is not a job: no arms, an arm without a
+    /// registered experiment, or a missing field that both forms always
+    /// write (`id`, `client`, `submitted_unix`, each arm's config, and a
+    /// finished arm's `cache_hit` and `wall_ms`).
+    pub fn from_json(doc: &JsonValue, code: &str) -> Option<Job> {
+        let experiment = doc.get("experiment").and_then(JsonValue::as_str);
+        let arms = doc
+            .get("arms")?
+            .as_arr()?
+            .iter()
+            .map(|arm| {
+                let name = experiment.or_else(|| arm.get("experiment")?.as_str())?;
+                let spec = RunSpec {
+                    experiment: spec::find(name)?.name.to_string(),
+                    instructions: arm.get("instructions")?.as_u64()?,
+                    seed: arm.get("seed")?.as_u64()?,
+                    mixes: usize::try_from(arm.get("mixes")?.as_u64()?).ok()?,
+                    quick: arm.get("quick")?.as_bool()?,
+                };
+                let mut rebuilt = Arm::new(spec, code);
+                rebuilt.status = match arm.get("status").and_then(JsonValue::as_str) {
+                    Some("done") => ArmStatus::Done,
+                    Some("failed") => ArmStatus::Failed,
+                    _ => return Some(rebuilt),
+                };
+                let text = |key| arm.get(key).and_then(JsonValue::as_str).map(str::to_string);
+                rebuilt.cache_hit = arm.get("cache_hit")?.as_bool()?;
+                rebuilt.wall_ms = arm.get("wall_ms")?.as_f64()?;
+                rebuilt.error = text("error");
+                rebuilt.crash = text("crash");
+                Some(rebuilt)
+            })
+            .collect::<Option<Vec<Arm>>>()?;
+        if arms.is_empty() {
+            return None;
+        }
+        Some(Job {
+            id: doc.get("id")?.as_u64()?,
+            client: doc.get("client")?.as_str()?.to_string(),
+            arms,
+            submitted_unix: doc.get("submitted_unix")?.as_u64()?,
+            events: std::sync::Arc::new(mab_monitor::EventRing::default()),
+        })
+    }
+
+    /// Full status document for `GET /jobs/:id`, and one element of
+    /// `jobs.json`.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
+        let arms: Vec<String> = self
+            .arms
+            .iter()
+            .enumerate()
+            .map(|(i, arm)| arm.to_json(i))
+            .collect();
+        format!(
             "{{\"id\":{},\"client\":\"{}\",\"experiment\":\"{}\",\"status\":\"{}\",\
-             \"submitted_unix\":{},\"arms_total\":{},\"arms_finished\":{},\"cache_hits\":{},\"arms\":[",
+             \"submitted_unix\":{},\"arms_total\":{},\"arms_finished\":{},\"cache_hits\":{},\"arms\":[{}]}}",
             self.id,
             json::escape(&self.client),
-            json::escape(
-                self.arms
-                    .first()
-                    .map(|a| a.spec.experiment.as_str())
-                    .unwrap_or("")
-            ),
+            json::escape(self.experiment()),
             self.status(),
             self.submitted_unix,
             self.arms.len(),
             self.finished(),
             self.cache_hits(),
-        );
-        for (i, arm) in self.arms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&arm_json(i, arm));
-        }
-        out.push_str("]}");
-        out
+            arms.join(","),
+        )
     }
 
     /// One-line summary for `GET /queue`.
@@ -141,42 +231,18 @@ impl Job {
              \"arms_total\":{},\"arms_finished\":{},\"cache_hits\":{}}}",
             self.id,
             json::escape(&self.client),
-            json::escape(
-                self.arms
-                    .first()
-                    .map(|a| a.spec.experiment.as_str())
-                    .unwrap_or("")
-            ),
+            json::escape(self.experiment()),
             self.status(),
             self.arms.len(),
             self.finished(),
             self.cache_hits(),
         )
     }
-}
 
-/// Renders one arm for the job document.
-pub fn arm_json(index: usize, arm: &Arm) -> String {
-    let mut out = format!(
-        "{{\"index\":{index},\"digest\":\"{}\",\"status\":\"{}\",\"cache_hit\":{},\
-         \"instructions\":{},\"seed\":{},\"mixes\":{},\"quick\":{},\"wall_ms\":{}",
-        arm.digest,
-        arm.status.name(),
-        arm.cache_hit,
-        arm.spec.instructions,
-        arm.spec.seed,
-        arm.spec.mixes,
-        arm.spec.quick,
-        json::fmt_f64(arm.wall_ms),
-    );
-    if let Some(error) = &arm.error {
-        out.push_str(&format!(",\"error\":\"{}\"", json::escape(error)));
+    /// The experiment every arm runs (empty for a job without arms).
+    fn experiment(&self) -> &str {
+        self.arms.first().map_or("", |a| a.spec.experiment.as_str())
     }
-    if let Some(crash) = &arm.crash {
-        out.push_str(&format!(",\"crash\":\"{}\"", json::escape(crash)));
-    }
-    out.push('}');
-    out
 }
 
 /// A parsed, expanded submission: the client id plus one resolved spec per

@@ -29,8 +29,9 @@
 //!
 //! [`ServeState::shutdown`] stops the workers once each finishes its
 //! current arm (its result lands in the cache), and persists the job table
-//! to `jobs.json` under the cache root; the next start resumes it, and
-//! already-completed arms come back as instant cache hits.
+//! to `jobs.json` under the cache root as `{"next_id":N,"jobs":[…]}`, each
+//! element the document `GET /jobs/:id` serves. The next start rebuilds
+//! the jobs with [`Job::from_json`] and requeues their unfinished arms.
 
 use crate::cache::Cache;
 use crate::exec::Executor;
@@ -254,16 +255,8 @@ impl ServeState {
         }
         let arms: Vec<Arm> = spec
             .specs
-            .iter()
-            .map(|s| Arm {
-                digest: s.digest(&self.code),
-                spec: s.clone(),
-                status: ArmStatus::Queued,
-                cache_hit: false,
-                wall_ms: 0.0,
-                error: None,
-                crash: None,
-            })
+            .into_iter()
+            .map(|s| Arm::new(s, &self.code))
             .collect();
         let n = arms.len();
         // Reserve capacity atomically; released per-arm at completion.
@@ -603,51 +596,22 @@ impl ServeState {
     }
 
     /// Writes the job table to `jobs.json` under the cache root (atomic
-    /// tmp+rename); returns the number of unfinished arms persisted.
+    /// tmp+rename): `{"next_id":N,"jobs":[…]}`, each element a job's
+    /// [`Job::to_json`] document. Returns the number of unfinished arms.
     fn persist(&self) -> std::io::Result<usize> {
         let jobs = self.jobs.lock().unwrap();
-        let mut unfinished = 0;
-        let mut out = format!("{{\"next_id\":{},\"jobs\":[", jobs.next_id);
-        for (i, job) in jobs.jobs.values().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"id\":{},\"client\":\"{}\",\"submitted_unix\":{},\"arms\":[",
-                job.id,
-                json::escape(&job.client),
-                job.submitted_unix
-            ));
-            for (j, arm) in job.arms.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                if !arm.status.is_terminal() {
-                    unfinished += 1;
-                }
-                out.push_str(&format!(
-                    "{{\"experiment\":\"{}\",\"instructions\":{},\"seed\":{},\"mixes\":{},\
-                     \"quick\":{},\"status\":\"{}\",\"cache_hit\":{},\"wall_ms\":{}",
-                    json::escape(&arm.spec.experiment),
-                    arm.spec.instructions,
-                    arm.spec.seed,
-                    arm.spec.mixes,
-                    arm.spec.quick,
-                    arm.status.name(),
-                    arm.cache_hit,
-                    json::fmt_f64(arm.wall_ms),
-                ));
-                if let Some(error) = &arm.error {
-                    out.push_str(&format!(",\"error\":\"{}\"", json::escape(error)));
-                }
-                if let Some(crash) = &arm.crash {
-                    out.push_str(&format!(",\"crash\":\"{}\"", json::escape(crash)));
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}\n");
+        let docs: Vec<String> = jobs.jobs.values().map(Job::to_json).collect();
+        let unfinished = jobs
+            .jobs
+            .values()
+            .flat_map(|job| &job.arms)
+            .filter(|arm| !arm.status.is_terminal())
+            .count();
+        let out = format!(
+            "{{\"next_id\":{},\"jobs\":[{}]}}\n",
+            jobs.next_id,
+            docs.join(",")
+        );
         let path = self.cache.root().join("jobs.json");
         let tmp = self.cache.root().join(".jobs.json.tmp");
         std::fs::write(&tmp, out)?;
@@ -655,9 +619,12 @@ impl ServeState {
         Ok(unfinished)
     }
 
-    /// Restores `jobs.json` if present: terminal arms come back as-is,
-    /// unfinished arms re-enter their client queues. Returns the number of
-    /// re-enqueued arms.
+    /// Restores `jobs.json` if present: each job is rebuilt by
+    /// [`Job::from_json`] and its queued arms re-enter their client's
+    /// queue. A document that is not a job is dropped, and so is a job
+    /// whose id is taken or has no successor, since requeuing it could
+    /// point a worker at another job's arms. `next_id` ends past every
+    /// id. Returns the number of re-enqueued arms.
     fn resume(&self) -> usize {
         let path = self.cache.root().join("jobs.json");
         let Ok(text) = std::fs::read_to_string(&path) else {
@@ -668,103 +635,31 @@ impl ServeState {
             let _ = std::fs::remove_file(&path);
             return 0;
         };
-        let mut requeued = 0;
         let mut pending: Vec<(String, Vec<(u64, usize)>)> = Vec::new();
         {
             let mut jobs = self.jobs.lock().unwrap();
             jobs.next_id = doc.get("next_id").and_then(JsonValue::as_u64).unwrap_or(0);
-            for job_doc in doc.get("jobs").and_then(JsonValue::as_arr).unwrap_or(&[]) {
-                let Some(id) = job_doc.get("id").and_then(JsonValue::as_u64) else {
+            let docs = doc.get("jobs").and_then(JsonValue::as_arr).unwrap_or(&[]);
+            for job in docs.iter().filter_map(|d| Job::from_json(d, &self.code)) {
+                let Some(after) = job.id.checked_add(1) else {
                     continue;
                 };
-                let client = job_doc
-                    .get("client")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("anon")
-                    .to_string();
-                let mut arms = Vec::new();
-                let mut requeue = Vec::new();
-                for arm_doc in job_doc
-                    .get("arms")
-                    .and_then(JsonValue::as_arr)
-                    .unwrap_or(&[])
-                {
-                    let Some(experiment) = arm_doc.get("experiment").and_then(JsonValue::as_str)
-                    else {
-                        continue;
-                    };
-                    let spec = RunSpec {
-                        experiment: experiment.to_string(),
-                        instructions: arm_doc
-                            .get("instructions")
-                            .and_then(JsonValue::as_u64)
-                            .unwrap_or(0),
-                        seed: arm_doc.get("seed").and_then(JsonValue::as_u64).unwrap_or(0),
-                        mixes: arm_doc
-                            .get("mixes")
-                            .and_then(JsonValue::as_u64)
-                            .unwrap_or(0) as usize,
-                        quick: arm_doc
-                            .get("quick")
-                            .and_then(JsonValue::as_bool)
-                            .unwrap_or(false),
-                    };
-                    let status = match arm_doc.get("status").and_then(JsonValue::as_str) {
-                        Some("done") => ArmStatus::Done,
-                        Some("failed") => ArmStatus::Failed,
-                        _ => ArmStatus::Queued,
-                    };
-                    if status == ArmStatus::Queued {
-                        requeue.push((id, arms.len()));
-                    }
-                    arms.push(Arm {
-                        digest: spec.digest(&self.code),
-                        spec,
-                        status,
-                        cache_hit: arm_doc
-                            .get("cache_hit")
-                            .and_then(JsonValue::as_bool)
-                            .unwrap_or(false),
-                        wall_ms: arm_doc
-                            .get("wall_ms")
-                            .and_then(JsonValue::as_f64)
-                            .unwrap_or(0.0),
-                        error: arm_doc
-                            .get("error")
-                            .and_then(JsonValue::as_str)
-                            .map(str::to_string),
-                        crash: arm_doc
-                            .get("crash")
-                            .and_then(JsonValue::as_str)
-                            .map(str::to_string),
-                    });
-                }
-                if arms.is_empty() {
+                if jobs.jobs.contains_key(&job.id) {
                     continue;
                 }
-                requeued += requeue.len();
-                if !requeue.is_empty() {
-                    pending.push((client.clone(), requeue));
+                let queued: Vec<(u64, usize)> = (0..job.arms.len())
+                    .filter(|&i| job.arms[i].status == ArmStatus::Queued)
+                    .map(|i| (job.id, i))
+                    .collect();
+                if !queued.is_empty() {
+                    pending.push((job.client.clone(), queued));
                 }
-                jobs.jobs.insert(
-                    id,
-                    Job {
-                        id,
-                        client,
-                        arms,
-                        submitted_unix: job_doc
-                            .get("submitted_unix")
-                            .and_then(JsonValue::as_u64)
-                            .unwrap_or(0),
-                        events: Arc::new(EventRing::default()),
-                    },
-                );
+                jobs.next_id = jobs.next_id.max(after);
+                jobs.jobs.insert(job.id, job);
             }
         }
-        {
-            let mut sched = self.sched.lock().unwrap();
-            sched.open_arms += requeued;
-        }
+        let requeued = pending.iter().map(|(_, items)| items.len()).sum();
+        self.sched.lock().unwrap().open_arms += requeued;
         for (client, items) in pending {
             self.enqueue(&client, items.into_iter());
         }
@@ -800,9 +695,17 @@ impl ServeState {
             (job.arms[arm_idx].digest.clone(), Arc::clone(&job.events))
         };
         mab_telemetry::blackbox::job_event(job_id, "arm_start", &digest);
-        let payload = format!("{{\"job\":{job_id},\"index\":{arm_idx},\"digest\":\"{digest}\"}}");
-        job_events.publish("arm_start", payload.clone());
-        self.events.publish("arm_start", payload);
+        self.publish(
+            &job_events,
+            "arm_start",
+            format!("{{\"job\":{job_id},\"index\":{arm_idx},\"digest\":\"{digest}\"}}"),
+        );
+    }
+
+    /// Publishes one progress event on the job's stream and the global one.
+    fn publish(&self, job_events: &EventRing, event: &'static str, payload: String) {
+        job_events.publish(event, payload.clone());
+        self.events.publish(event, payload);
     }
 
     fn complete_arm(
@@ -868,30 +771,35 @@ impl ServeState {
             if failed { "arm_failed" } else { "arm_done" },
             &digest,
         );
-        let payload = format!(
-            "{{\"job\":{job_id},\"index\":{arm_idx},\"digest\":\"{digest}\",\
-             \"cache_hit\":{cache_hit},\"status\":\"{}\"}}",
-            if failed { "failed" } else { "done" }
+        self.publish(
+            &job_events,
+            "arm_done",
+            format!(
+                "{{\"job\":{job_id},\"index\":{arm_idx},\"digest\":\"{digest}\",\
+                 \"cache_hit\":{cache_hit},\"status\":\"{}\"}}",
+                if failed { "failed" } else { "done" }
+            ),
         );
-        job_events.publish("arm_done", payload.clone());
-        self.events.publish("arm_done", payload);
         if let Some(report) = crash {
             self.crashes.fetch_add(1, Ordering::Relaxed);
             self.progress(&format!(
                 "arm {arm_idx} of job {job_id} crashed; postmortem: mab-inspect postmortem {report}"
             ));
-            let payload = format!(
-                "{{\"job\":{job_id},\"index\":{arm_idx},\"report\":\"{}\"}}",
-                json::escape(&report)
+            self.publish(
+                &job_events,
+                "arm_crash",
+                format!(
+                    "{{\"job\":{job_id},\"index\":{arm_idx},\"report\":\"{}\"}}",
+                    json::escape(&report)
+                ),
             );
-            job_events.publish("arm_crash", payload.clone());
-            self.events.publish("arm_crash", payload);
         }
         if let Some((status, hits)) = finished {
-            let payload =
-                format!("{{\"job\":{job_id},\"status\":\"{status}\",\"cache_hits\":{hits}}}");
-            job_events.publish("job_done", payload.clone());
-            self.events.publish("job_done", payload);
+            self.publish(
+                &job_events,
+                "job_done",
+                format!("{{\"job\":{job_id},\"status\":\"{status}\",\"cache_hits\":{hits}}}"),
+            );
         }
         let mut sched = self.sched.lock().unwrap();
         sched.open_arms = sched.open_arms.saturating_sub(1);
@@ -928,18 +836,22 @@ impl ServeState {
         }
         // 3. Execute here, on this worker.
         self.mark_running(job_id, arm_idx);
-        let crash_dir = self.job_crash_dir(job_id);
-        let result = self.executor.run(&spec, Some(&crash_dir));
+        let result = self.executor.run(&spec, &self.job_crash_dir(job_id));
         let wall_ms = elapsed_ms(started);
+        // Store while the digest is still in flight, so an identical arm
+        // scheduled meanwhile subscribes or hits the cache instead of
+        // executing again.
+        if let Ok(report) = &result {
+            if let Err(e) = self.cache.store(&digest, report) {
+                self.progress(&format!("cache store for {digest} failed: {e}"));
+            }
+        }
         let subscribers = {
             let mut sched = self.sched.lock().unwrap();
             sched.inflight.remove(&digest).unwrap_or_default()
         };
         match result {
-            Ok(report) => {
-                if let Err(e) = self.cache.store(&digest, &spec.experiment, &report) {
-                    self.progress(&format!("cache store for {digest} failed: {e}"));
-                }
+            Ok(_) => {
                 self.arms_executed.fetch_add(1, Ordering::Relaxed);
                 self.complete_arm(job_id, arm_idx, false, wall_ms, None);
                 for (sub_job, sub_arm) in subscribers {

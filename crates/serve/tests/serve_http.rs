@@ -33,7 +33,7 @@ impl Executor for StubExecutor {
     fn run(
         &self,
         spec: &mab_experiments::spec::RunSpec,
-        _crash_dir: Option<&std::path::Path>,
+        _crash_dir: &std::path::Path,
     ) -> Result<String, String> {
         std::thread::sleep(self.delay);
         self.runs.fetch_add(1, Ordering::SeqCst);
@@ -59,7 +59,7 @@ impl Executor for GateExecutor {
     fn run(
         &self,
         spec: &mab_experiments::spec::RunSpec,
-        _crash_dir: Option<&std::path::Path>,
+        _crash_dir: &std::path::Path,
     ) -> Result<String, String> {
         if spec.seed == GATE_SEED {
             self.started.lock().unwrap().send(()).ok();
@@ -278,9 +278,12 @@ fn corrupt_cache_entries_are_recomputed_not_served() {
             .unwrap()
             .to_string()
     };
-    let report_path = srv.dir.join("cache").join(&digest).join("report.txt");
+    let entry_path = srv.dir.join("cache").join(format!("{digest}.report"));
+    let entry = std::fs::read_to_string(&entry_path).unwrap();
+    let (header, report) = entry.split_once('\n').unwrap();
+    assert_eq!(report, good);
     let corrupted: String = good.chars().rev().collect();
-    std::fs::write(&report_path, corrupted).unwrap();
+    std::fs::write(&entry_path, format!("{header}\n{corrupted}")).unwrap();
 
     // The artifact endpoint refuses to serve the corrupt entry.
     let resp = srv.get(&format!("/jobs/{id}/artifact"));
@@ -412,10 +415,9 @@ impl Executor for CrashingExecutor {
     fn run(
         &self,
         spec: &mab_experiments::spec::RunSpec,
-        crash_dir: Option<&std::path::Path>,
+        crash_dir: &std::path::Path,
     ) -> Result<String, String> {
-        let dir = crash_dir.expect("daemon passes a per-job crash dir");
-        std::fs::create_dir_all(dir).unwrap();
+        std::fs::create_dir_all(crash_dir).unwrap();
         let body = format!(
             "{{\"kind\":\"crash\",\"cause\":\"panic\",\"message\":\"injected\",\
              \"thread\":\"main\",\"time_unix\":0,\"experiment\":\"{}\",\"digest\":\"d\"}}\n",
@@ -428,7 +430,7 @@ impl Executor for CrashingExecutor {
             body.lines().count()
         );
         std::fs::write(
-            dir.join(format!("crash-0-{}-0.mabcrash", spec.seed)),
+            crash_dir.join(format!("crash-0-{}-0.mabcrash", spec.seed)),
             format!("{header}{body}"),
         )
         .unwrap();
@@ -640,5 +642,182 @@ fn one_worker_runs_one_arm_at_a_time_and_serves_clients_round_robin() {
         srv.wait_done(id);
     }
     let dir = srv.stop();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn jobs_json_holds_the_job_documents_and_the_cache_one_file_per_entry() {
+    let executor = StubExecutor::new(Duration::from_millis(150));
+    let srv = TestServer::start("persist", Arc::clone(&executor), 1, 64);
+
+    let done = job_id(&srv.post_job(
+        "{\"experiment\":\"fig09_accuracy\",\"client\":\"p\",\"seeds\":[1,2],\"quick\":true}",
+    ));
+    srv.wait_done(done);
+    // Three slow arms on one worker: shutdown lands mid-sweep.
+    let pending = job_id(&srv.post_job(
+        "{\"experiment\":\"fig09_accuracy\",\"client\":\"q\",\"seeds\":[3,4,5],\"quick\":true}",
+    ));
+    std::thread::sleep(Duration::from_millis(50));
+    srv.state.shutdown();
+
+    let bodies: Vec<String> = [done, pending]
+        .iter()
+        .map(|&id| srv.state.job_json(id).unwrap())
+        .collect();
+    let cache = srv.dir.join("cache");
+    assert_eq!(
+        std::fs::read_to_string(cache.join("jobs.json")).unwrap(),
+        format!("{{\"next_id\":2,\"jobs\":[{}]}}\n", bodies.join(","))
+    );
+    assert!(bodies[1].contains("\"status\":\"queued\""), "{}", bodies[1]);
+
+    // Beside jobs.json, the cache root holds one `<digest>.report` file
+    // per executed arm and nothing else.
+    let mut names: Vec<String> = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            assert!(e.file_type().unwrap().is_file(), "{:?}", e.path());
+            e.file_name().into_string().unwrap()
+        })
+        .collect();
+    names.sort();
+    assert_eq!(names.pop().as_deref(), Some("jobs.json"));
+    assert_eq!(names.len(), executor.runs());
+    assert!(names
+        .iter()
+        .all(|n| n.len() == 16 + ".report".len() && n.ends_with(".report")));
+    assert_eq!(srv.state.cache.entries(), executor.runs());
+
+    let dir = srv.stop();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A `jobs.json` as earlier builds wrote it: each arm names its
+/// experiment, the job does not, and no derived field is written. A
+/// one-worker daemon left it at shutdown: job 0's seed 1 done, seed 2
+/// failed with a crash report, seed 3 done, and seed 4 and job 1 queued.
+const EARLIER_JOBS_JSON: &str = r#"{"next_id":2,"jobs":[{"id":0,"client":"alice","submitted_unix":1792430515,"arms":[{"experiment":"fig09_accuracy","instructions":150000,"seed":1,"mixes":2,"quick":true,"status":"done","cache_hit":false,"wall_ms":0.719867},{"experiment":"fig09_accuracy","instructions":150000,"seed":2,"mixes":2,"quick":true,"status":"failed","cache_hit":false,"wall_ms":2.101932,"error":"fig09_accuracy exited with exit status: 1","crash":"cache/crashes/job-0/crash-7-2-0.mabcrash"},{"experiment":"fig09_accuracy","instructions":150000,"seed":3,"mixes":2,"quick":true,"status":"done","cache_hit":false,"wall_ms":3002.2263159999998},{"experiment":"fig09_accuracy","instructions":150000,"seed":4,"mixes":2,"quick":true,"status":"queued","cache_hit":false,"wall_ms":0}]},{"id":1,"client":"bob","submitted_unix":1792430516,"arms":[{"experiment":"fig09_accuracy","instructions":150000,"seed":1,"mixes":2,"quick":true,"status":"queued","cache_hit":false,"wall_ms":0}]}]}
+"#;
+
+#[test]
+fn a_jobs_json_written_by_earlier_builds_resumes() {
+    let dir = std::env::temp_dir().join(format!("mab-serve-e2e-earlier-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(dir.join("cache")).unwrap();
+    std::fs::write(dir.join("cache").join("jobs.json"), EARLIER_JOBS_JSON).unwrap();
+    let executor = StubExecutor::new(Duration::ZERO);
+    let config = ServeConfig {
+        workers: 1,
+        queue_cap: 64,
+        cache_dir: dir.join("cache"),
+        ledger_dir: None,
+        quiet: true,
+    };
+    let state = ServeState::start(config, executor.clone() as Arc<dyn Executor>).unwrap();
+    let doc = |id: u64| mab_telemetry::json::parse(&state.job_json(id).unwrap()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while [0, 1].iter().any(|&id| {
+        let d = doc(id);
+        d.get("arms_finished").and_then(|v| v.as_u64())
+            != d.get("arms_total").and_then(|v| v.as_u64())
+    }) {
+        assert!(Instant::now() < deadline, "resumed arms never finished");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    // Only the two queued arms ran.
+    assert_eq!(executor.runs(), 2);
+
+    let job0 = doc(0);
+    assert_eq!(
+        job0.get("experiment").and_then(|v| v.as_str()),
+        Some("fig09_accuracy")
+    );
+    assert_eq!(job0.get("status").and_then(|v| v.as_str()), Some("failed"));
+    let arms = job0.get("arms").and_then(|v| v.as_arr()).unwrap();
+    let field = |i: usize, key: &str| {
+        arms[i]
+            .get(key)
+            .and_then(|v| v.as_str())
+            .map(str::to_string)
+    };
+    let statuses: Vec<_> = (0..4).map(|i| field(i, "status").unwrap()).collect();
+    assert_eq!(statuses, ["done", "failed", "done", "done"]);
+    assert_eq!(
+        field(1, "error").as_deref(),
+        Some("fig09_accuracy exited with exit status: 1")
+    );
+    assert_eq!(
+        field(1, "crash").as_deref(),
+        Some("cache/crashes/job-0/crash-7-2-0.mabcrash")
+    );
+    assert_eq!(
+        arms[0].get("wall_ms").and_then(|v| v.as_f64()),
+        Some(0.719867)
+    );
+    // Every digest is computed under the running code version.
+    let def = mab_experiments::spec::find("fig09_accuracy").unwrap();
+    for (i, seed) in (1..=4).enumerate() {
+        let spec = mab_experiments::spec::RunSpec::resolve(def, Some(150_000), seed, Some(2), true);
+        assert_eq!(field(i, "digest"), Some(spec.digest(&state.code)));
+    }
+    assert_eq!(doc(1).get("status").and_then(|v| v.as_str()), Some("done"));
+    // The next submission takes the next id.
+    let spec = mab_serve::parse_job("{\"experiment\":\"fig09_accuracy\",\"seeds\":9}", 64).unwrap();
+    assert_eq!(state.submit(spec), Ok(2));
+    state.shutdown();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_jobs_json_that_reuses_ids_resumes_each_id_once() {
+    // Job 0 twice (three arms, then one), an id with no successor, and a
+    // `next_id` behind them all. Requeuing both job 0s would hand a worker
+    // arm 2 of a one-arm job.
+    let arm = |seed: u64| {
+        format!("{{\"instructions\":1000,\"seed\":{seed},\"mixes\":2,\"quick\":true,\"status\":\"queued\"}}")
+    };
+    let job = |id: u64, seeds: &[u64]| {
+        let arms: Vec<String> = seeds.iter().map(|&s| arm(s)).collect();
+        format!(
+            "{{\"id\":{id},\"client\":\"c\",\"experiment\":\"fig09_accuracy\",\
+             \"submitted_unix\":0,\"arms\":[{}]}}",
+            arms.join(",")
+        )
+    };
+    let dir = std::env::temp_dir().join(format!("mab-serve-e2e-reused-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(dir.join("cache")).unwrap();
+    std::fs::write(
+        dir.join("cache").join("jobs.json"),
+        format!(
+            "{{\"next_id\":0,\"jobs\":[{},{},{}]}}",
+            job(0, &[1, 2, 3]),
+            job(0, &[4]),
+            job(u64::MAX, &[5])
+        ),
+    )
+    .unwrap();
+    let executor = StubExecutor::new(Duration::ZERO);
+    let config = ServeConfig {
+        workers: 1,
+        queue_cap: 64,
+        cache_dir: dir.join("cache"),
+        ledger_dir: None,
+        quiet: true,
+    };
+    let state = ServeState::start(config, executor.clone() as Arc<dyn Executor>).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !state.job_json(0).unwrap().contains("\"status\":\"done\"") {
+        assert!(Instant::now() < deadline, "{}", state.job_json(0).unwrap());
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert!(state.job_json(0).unwrap().contains("\"arms_total\":3"));
+    assert_eq!(executor.runs(), 3);
+    assert_eq!(state.job_json(u64::MAX), None);
+    let spec = mab_serve::parse_job("{\"experiment\":\"fig09_accuracy\",\"seeds\":9}", 64).unwrap();
+    assert_eq!(state.submit(spec), Ok(1));
+    state.shutdown();
     std::fs::remove_dir_all(dir).ok();
 }

@@ -1,9 +1,7 @@
 //! SMT pipeline parameters (paper Table 5, the SecSMT configuration).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the simulated 2-way SMT core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmtParams {
     /// Instructions fetched per cycle from the selected thread
     /// (Table 5's 16-byte fetch ≈ 4 x86 instructions).

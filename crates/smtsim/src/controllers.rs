@@ -9,10 +9,9 @@
 use crate::hill_climb::HillClimb;
 use crate::policies::PgPolicy;
 use mab_core::{reward, AlgorithmKind, BanditAgent, BanditConfig, ConfigError};
-use serde::{Deserialize, Serialize};
 
 /// Per-thread IPC observed over one Hill-Climbing epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochIpc {
     /// IPC of each hardware thread over the epoch.
     pub per_thread: [f64; 2],
@@ -37,7 +36,7 @@ impl EpochIpc {
 /// (§6.4: "Bandit can easily optimize other metrics, such as the average
 /// weighted IPC or harmonic mean of weighted IPC by simply changing the
 /// Bandit reward").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum RewardMetric {
     /// Sum of per-thread IPCs (throughput; the paper's evaluation metric).

@@ -6,15 +6,13 @@
 //! best-performing setting. The paper observes these thresholds are mostly
 //! *temporally stable* — the same property that motivates MABs.
 
-use serde::{Deserialize, Serialize};
-
 /// δ expressed as a share of the IQ (the paper defines δ = 2 IQ entries).
 pub const DELTA_SHARE: f64 = 2.0 / 97.0;
 /// Minimum share either thread may hold.
 pub const MIN_SHARE: f64 = 0.10;
 
 /// Which trial the climber is running this epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Trial {
     Base,
     Up,
@@ -41,7 +39,7 @@ enum Trial {
 /// }
 /// assert!(hc.share(0) > base);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HillClimb {
     base_share: f64,
     trial: Trial,

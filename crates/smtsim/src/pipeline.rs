@@ -16,7 +16,6 @@ use crate::controllers::{EpochIpc, PgController};
 use crate::policies::{FetchPriority, PgPolicy};
 use mab_telemetry::span::{Category, StageClock};
 use mab_workloads::smt::{MemClass, SmtInstr, SmtOpKind, ThreadGen, ThreadSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Size of the per-thread rings indexed by `seq % DEP_RING`, which hold
@@ -63,7 +62,7 @@ enum RenameBlock {
 }
 
 /// Per-cycle classification of the rename stage (paper Fig. 15).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RenameStats {
     /// Cycles stalled with the ROB full.
     pub stalled_rob: u64,
@@ -94,7 +93,7 @@ impl RenameStats {
 }
 
 /// Result of one SMT simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SmtStats {
     /// Cycles simulated.
     pub cycles: u64,

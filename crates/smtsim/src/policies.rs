@@ -6,12 +6,11 @@
 //! bit 3 = IQ, bit 2 = LSQ, bit 1 = ROB, bit 0 = IRF, exactly as in
 //! Table 1. `IC_1011` is the Choi policy; `IC_0000` is plain ICount.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Fetch priority policies of Tullsen et al. (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FetchPriority {
     /// Fewest branches in the ROB.
     BranchCount,
@@ -44,7 +43,7 @@ impl FetchPriority {
 }
 
 /// Which structures the fetch-gating policy monitors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct GateMask {
     /// Gate on instruction-queue occupancy.
     pub iq: bool,
@@ -113,7 +112,7 @@ impl GateMask {
 /// assert_eq!(choi.to_string(), "IC_1011");
 /// assert_eq!("LSQC_1111".parse::<PgPolicy>().unwrap().to_string(), "LSQC_1111");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PgPolicy {
     /// The fetch priority policy.
     pub priority: FetchPriority,

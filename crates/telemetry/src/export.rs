@@ -1,8 +1,7 @@
 //! The JSON-lines exporter.
 //!
-//! serde is stubbed in this offline workspace, so serialization is
-//! hand-rolled: numbers and strings go through the [`json`] codec's float
-//! writer and escaper.
+//! Serialization is hand-rolled: numbers and strings go through the
+//! [`json`] codec's float writer and escaper.
 
 use crate::counters::Stat;
 use crate::event::Occupancy;

@@ -1,16 +1,16 @@
 //! The workspace's one JSON codec: a parser, a string escaper and a float
 //! writer.
 //!
-//! The offline build has no serde_json, and the shimmed `serde` is a no-op,
-//! so every artifact is written and read by hand through this module: the
-//! telemetry and decision-trace exporters, the black box's `.mabcrash`
-//! reports, the run ledger, `mab-serve`'s cache entries and API documents,
-//! `mab-monitor`'s `/status` and `mab-inspect`'s `--json` views. The subset
+//! The workspace has no serialization framework, so every JSON artifact
+//! is written and read by hand through this module: the telemetry and
+//! decision-trace exporters, the black box's `.mabcrash` reports, the run
+//! ledger, `mab-serve`'s job table and API documents, `mab-monitor`'s
+//! `/status` and `mab-inspect`'s `--json` views. The subset
 //! is full JSON minus exotic escapes: objects, arrays, strings (with `\"`,
 //! `\\`, `\n`, `\t`, `\r`, `\uXXXX`), numbers, booleans and `null`.
 //!
-//! The parser reads untrusted input (HTTP bodies, ledger lines, cache
-//! entries, crash reports), so it fails with `Err` rather than panicking,
+//! The parser reads untrusted input (HTTP bodies, ledger lines,
+//! `jobs.json`, crash reports), so it fails with `Err` rather than panicking,
 //! and refuses documents nested deeper than [`MAX_DEPTH`] so a run of `[`
 //! cannot overflow the stack of the thread parsing it.
 

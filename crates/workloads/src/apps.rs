@@ -8,14 +8,13 @@ use crate::suites::Suite;
 use crate::trace::{MemKind, TraceRecord, LINE_BYTES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Description of one address-stream kernel inside a phase.
 ///
 /// `streams` instantiates that many independent copies of the kernel, each
 /// with its own program counter and address region — this is how an
 /// IP-stride prefetcher gets multiple concurrent per-PC strides to learn.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum PatternSpec {
     /// Sequential streaming over `footprint_lines`.
@@ -152,7 +151,7 @@ impl PatternSpec {
 }
 
 /// One program phase: an instruction mix plus a weighted set of kernels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSpec {
     /// Kernels active in this phase with their selection weights.
     pub patterns: Vec<(PatternSpec, f64)>,
@@ -180,7 +179,7 @@ impl PhaseSpec {
 }
 
 /// A named synthetic application: a suite tag plus a cyclic phase schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// Short name (the benchmark this app imitates, e.g. `"mcf"`).
     pub name: String,

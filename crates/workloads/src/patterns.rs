@@ -12,7 +12,6 @@
 
 use crate::draw::{draw_threshold, unit_bits, Cmp, SpanDraw};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// A kernel generating cache-line indices.
 pub trait Pattern {
@@ -48,7 +47,7 @@ impl Pattern for Kernel {
 
 /// Pure sequential streaming (what a stream prefetcher loves): lines
 /// `base, base+1, base+2, …`, wrapping at the footprint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stream {
     base: u64,
     footprint: u64,
@@ -80,7 +79,7 @@ impl Pattern for Stream {
 
 /// Constant-stride access (what an IP-stride prefetcher loves): lines
 /// `base, base+s, base+2s, …` modulo the footprint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Strided {
     base: u64,
     /// The stride reduced into `0..footprint`: a step forward by it lands
@@ -121,7 +120,7 @@ impl Pattern for Strided {
 /// Recurring spatial footprints over fixed-size regions (what Bingo loves):
 /// visiting a region touches a *deterministic*, region-specific subset of its
 /// lines, so revisits repeat the same footprint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionFootprint {
     base: u64,
     region_lines: u32,
@@ -209,7 +208,7 @@ impl Pattern for RegionFootprint {
 /// Pointer-chasing: a deterministic pseudo-random permutation walk over the
 /// footprint (what no spatial prefetcher can predict). Implemented as a
 /// 4-round Feistel bijection so footprints of any size cost O(1) memory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointerChase {
     base: u64,
     footprint: u64,
@@ -280,7 +279,7 @@ impl Pattern for PointerChase {
 
 /// Uniformly random lines over a footprint (cloud-like, cache-hostile when
 /// the footprint exceeds the LLC).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UniformRandom {
     base: u64,
     footprint: SpanDraw,
@@ -305,7 +304,7 @@ impl Pattern for UniformRandom {
 
 /// Hot/cold working sets: a small hot set absorbs `hot_frac` of accesses,
 /// the remainder spill into a large cold set (models skewed reuse).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotCold {
     base: u64,
     hot_lines: SpanDraw,

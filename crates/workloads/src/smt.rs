@@ -11,11 +11,10 @@
 use crate::draw::{draw_threshold, unit_bits, Cmp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Latency class of a memory operation (Table 5 hierarchy: L1, a 4 MB L2,
 /// and DRAM — no L3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemClass {
     /// Hits in the L1 data cache.
     L1,
@@ -26,7 +25,7 @@ pub enum MemClass {
 }
 
 /// Operation class of one SMT instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SmtOpKind {
     /// Single-cycle integer ALU operation.
     Alu,
@@ -44,7 +43,7 @@ pub enum SmtOpKind {
 }
 
 /// One dynamic instruction of an SMT thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmtInstr {
     /// Operation class.
     pub kind: SmtOpKind,
@@ -58,7 +57,7 @@ pub struct SmtInstr {
 }
 
 /// Statistical description of an SMT thread.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreadSpec {
     /// Name of the SPEC17 application this thread imitates.
     pub name: String,

@@ -8,14 +8,13 @@
 //! have deep, skewed working sets.
 
 use crate::apps::{AppSpec, PatternSpec, PhaseSpec};
-use serde::{Deserialize, Serialize};
 
 /// Default phase length (instructions). Applications with phase behaviour
 /// (e.g. `mcf`) switch kernels on this granularity.
 pub const PHASE_LEN: u64 = 1_000_000;
 
 /// The five application suites of the paper's evaluation (§6.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPEC CPU 2006-like.
     Spec06Like,

@@ -1,12 +1,10 @@
 //! Instruction-trace record format consumed by the memory simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// Cache-line size used throughout the reproduction (bytes).
 pub const LINE_BYTES: u64 = 64;
 
 /// Whether a memory operand is a load or a store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemKind {
     /// Demand load.
     Load,
@@ -20,7 +18,7 @@ pub enum MemKind {
 /// an optional memory operand and a branch flag. Branch direction only
 /// matters to the SMT simulator; the memory simulator treats branches as
 /// plain instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Program counter of the instruction.
     pub pc: u64,
