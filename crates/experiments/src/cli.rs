@@ -5,8 +5,12 @@
 //! - `--instructions N` — instructions to simulate per core (prefetching)
 //!   or commits per thread (SMT),
 //! - `--seed S` — the base RNG seed,
-//! - `--mixes N` — cap on the number of workload mixes (SMT sweeps),
-//! - `--quick` — a fast smoke-test preset,
+//! - `--mixes N` — cap on the number of workload mixes, accepted only by
+//!   the five experiments that read one (fig05, fig13, fig15,
+//!   smt_fairness, tab09); the others refuse it as a usage error,
+//! - `--quick` — a fast smoke-test preset: the sizes a run starts from
+//!   before explicit `--instructions` and `--mixes` values, which win
+//!   wherever `--quick` sits,
 //! - `--jobs N` — worker threads for the experiment's sweep (default: all
 //!   available cores; results are identical at any setting),
 //! - `--telemetry PATH` — export the telemetry recorder at exit as JSON
@@ -31,6 +35,7 @@
 //! to the working directory, and so is an empty `--monitor` address:
 //! leaving the flag out is the one way to keep the monitor off.
 
+use crate::spec::{ExperimentDef, RunSpec};
 use std::path::PathBuf;
 
 /// Parsed common options.
@@ -40,10 +45,9 @@ pub struct Options {
     pub instructions: u64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Cap on the number of mixes in sweep experiments.
+    /// Cap on the number of mixes in sweep experiments; 0 for an
+    /// experiment without mixes.
     pub mixes: usize,
-    /// Quick-preset flag.
-    pub quick: bool,
     /// Worker threads for the experiment's sweep. Sweeps are deterministic:
     /// any value produces bit-identical reports (see `mab-runner`).
     pub jobs: usize,
@@ -71,9 +75,9 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parses `std::env::args` for a registered experiment, taking the
-    /// defaults from the shared registry ([`crate::spec::EXPERIMENTS`]) so
-    /// binaries and the `mab-serve` daemon resolve identical specs.
+    /// Parses `std::env::args` for a registered experiment against its
+    /// registry entry ([`crate::spec::EXPERIMENTS`]), so binaries and the
+    /// `mab-serve` daemon resolve identical specs.
     ///
     /// # Panics
     ///
@@ -84,25 +88,18 @@ impl Options {
     pub fn parse_experiment(name: &str) -> Options {
         let def = crate::spec::find(name)
             .unwrap_or_else(|| panic!("experiment {name:?} missing from spec::EXPERIMENTS"));
-        Options::parse_from(
-            std::env::args().skip(1),
-            def.default_instructions,
-            def.default_mixes,
-        )
+        Options::parse_from(std::env::args().skip(1), def)
     }
 
-    /// Testable parser core. `default_instructions` is the experiment's
-    /// recorded-run size; the `--quick` preset divides it by 10.
-    pub fn parse_from(
-        args: impl Iterator<Item = String>,
-        default_instructions: u64,
-        default_mixes: usize,
-    ) -> Options {
+    /// Testable parser core: collects the flags, then resolves the run's
+    /// settings for `def` through [`RunSpec::resolve`], whose refusal (a
+    /// mix cap for an experiment without mixes) is a usage error.
+    pub fn parse_from(mut args: impl Iterator<Item = String>, def: &ExperimentDef) -> Options {
+        let (mut instructions, mut seed, mut mixes, mut quick) = (None, 42, None, false);
         let mut opts = Options {
-            instructions: default_instructions,
-            seed: 42,
-            mixes: default_mixes,
-            quick: false,
+            instructions: 0,
+            seed: 0,
+            mixes: 0,
             jobs: mab_runner::available_jobs(),
             telemetry: None,
             trace: None,
@@ -113,27 +110,13 @@ impl Options {
             quiet: false,
             crash_dir: None,
         };
-        let mut args = args.peekable();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--instructions" | "-n" => {
-                    opts.instructions = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--instructions needs a number"));
+                    instructions = Some(number(args.next(), "--instructions"));
                 }
-                "--seed" | "-s" => {
-                    opts.seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs a number"));
-                }
-                "--mixes" | "-m" => {
-                    opts.mixes = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--mixes needs a number"));
-                }
+                "--seed" | "-s" => seed = number(args.next(), "--seed"),
+                "--mixes" | "-m" => mixes = Some(number(args.next(), "--mixes")),
                 "--jobs" | "-j" => {
                     opts.jobs = args
                         .next()
@@ -141,24 +124,10 @@ impl Options {
                         .filter(|&n| n >= 1)
                         .unwrap_or_else(|| usage("--jobs needs a positive number"));
                 }
-                "--telemetry" | "-t" => {
-                    opts.telemetry = Some(PathBuf::from(
-                        args.next()
-                            .unwrap_or_else(|| usage("--telemetry needs a path")),
-                    ));
-                }
-                "--trace" => {
-                    opts.trace = Some(PathBuf::from(
-                        args.next().unwrap_or_else(|| usage("--trace needs a path")),
-                    ));
-                }
+                "--telemetry" | "-t" => opts.telemetry = Some(path_arg(args.next(), "--telemetry")),
+                "--trace" => opts.trace = Some(path_arg(args.next(), "--trace")),
                 "--trace-dir" => opts.trace_dir = Some(dir_arg(args.next(), "--trace-dir")),
-                "--profile" => {
-                    opts.profile = Some(PathBuf::from(
-                        args.next()
-                            .unwrap_or_else(|| usage("--profile needs a path")),
-                    ));
-                }
+                "--profile" => opts.profile = Some(path_arg(args.next(), "--profile")),
                 "--ledger" => opts.ledger = Some(dir_arg(args.next(), "--ledger")),
                 "--monitor" => {
                     opts.monitor = Some(
@@ -168,26 +137,31 @@ impl Options {
                     );
                 }
                 "--crash-dir" => opts.crash_dir = Some(dir_arg(args.next(), "--crash-dir")),
-                "--quiet" => {
-                    opts.quiet = true;
-                }
-                "--quick" | "-q" => {
-                    opts.quick = true;
-                    let (instructions, mixes) =
-                        crate::spec::quick_preset(default_instructions, default_mixes);
-                    opts.instructions = instructions;
-                    opts.mixes = mixes;
-                }
-                "--help" | "-h" => {
-                    usage::<()>("");
-                }
-                other => {
-                    usage::<()>(&format!("unknown argument {other:?}"));
-                }
+                "--quiet" => opts.quiet = true,
+                "--quick" | "-q" => quick = true,
+                "--help" | "-h" => usage(""),
+                other => usage(&format!("unknown argument {other:?}")),
             }
         }
+        let spec =
+            RunSpec::resolve(def, instructions, seed, mixes, quick).unwrap_or_else(|e| usage(&e));
+        opts.instructions = spec.instructions;
+        opts.seed = spec.seed;
+        opts.mixes = spec.mixes;
         opts
     }
+}
+
+/// A numeric flag's value; a missing or malformed one is a usage error.
+fn number<T: std::str::FromStr>(value: Option<String>, flag: &str) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage(&format!("{flag} needs a number")))
+}
+
+/// A path flag's value; a missing one is a usage error.
+fn path_arg(value: Option<String>, flag: &str) -> PathBuf {
+    PathBuf::from(value.unwrap_or_else(|| usage(&format!("{flag} needs a path"))))
 }
 
 /// A directory flag's value. A missing or empty value is a usage error: an
@@ -209,8 +183,10 @@ fn usage<T>(error: &str) -> T {
          \n\
          --instructions N  instructions per core / commits per thread\n\
          --seed S          base RNG seed (default 42)\n\
-         --mixes N         cap on workload mixes in sweeps\n\
-         --quick           10x smaller preset for smoke tests\n\
+         --mixes N         cap on workload mixes (fig05, fig13, fig15,\n\
+         \x20                 smt_fairness and tab09 only)\n\
+         --quick           10x smaller preset for smoke tests; explicit\n\
+         \x20                 --instructions and --mixes win in any order\n\
          --jobs N          worker threads for sweeps (default: all cores;\n\
          \x20                 results are identical at any setting)\n\
          --telemetry PATH  export telemetry at exit as JSON lines (needs the\n\
@@ -245,8 +221,15 @@ fn usage<T>(error: &str) -> T {
 mod tests {
     use super::*;
 
+    /// An experiment with mixes, for the parser alone.
+    const DEF: ExperimentDef = ExperimentDef {
+        name: "cli_test",
+        default_instructions: 1_000_000,
+        default_mixes: 40,
+    };
+
     fn parse(args: &[&str]) -> Options {
-        Options::parse_from(args.iter().map(|s| s.to_string()), 1_000_000, 40)
+        Options::parse_from(args.iter().map(|s| s.to_string()), &DEF)
     }
 
     #[test]
@@ -255,7 +238,6 @@ mod tests {
         assert_eq!(o.instructions, 1_000_000);
         assert_eq!(o.seed, 42);
         assert_eq!(o.mixes, 40);
-        assert!(!o.quick);
     }
 
     #[test]
@@ -271,7 +253,8 @@ mod tests {
         let o = parse(&["--quick"]);
         assert_eq!(o.instructions, 100_000);
         assert_eq!(o.mixes, 10);
-        assert!(o.quick);
+        let o = parse(&["--mixes", "3", "--quick"]);
+        assert_eq!((o.instructions, o.mixes), (100_000, 3));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! `--ledger DIR` additionally appends one [`RunRecord`] to the
 //! append-only run ledger under DIR at [`TelemetrySession::finish`]: the
 //! experiment name, the canonical config
-//! (instructions/seed/mixes/quick — the digest inputs), wall time, key
+//! (instructions/mixes/seed — the digest inputs), wall time, key
 //! telemetry stats *for this session* (deltas from a start-of-run snapshot,
 //! since the recorder is process-global), per-arm sweep observations from
 //! `mab-runner`, and pointers to any artifacts the run exported. Ledger
@@ -26,6 +26,7 @@
 //! ledger directory — experiment stdout stays byte-identical.
 
 use crate::cli::Options;
+use crate::spec::RunSpec;
 use mab_ledger::{code_version, Append, ArmRun, Ledger, RunRecord};
 use mab_monitor::Monitor;
 use mab_runner::{ArmEvent, ArmObservation, ObserverId};
@@ -72,24 +73,21 @@ impl TelemetrySession {
     /// and the sweep arm observer when `--ledger` is active.
     pub fn start(name: &str, opts: &Options) -> Self {
         mab_telemetry::summary::set_quiet(opts.quiet);
+        // The run's identity, built once: the black box, the monitor and the
+        // ledger record all carry this spec, code version and digest, the
+        // ones `mab-serve` caches the run under.
+        let identity = RunSpec::from_options(name, opts).identity_record(&code_version());
+        let digest = identity.digest();
         // Arm the always-on black-box flight recorder (feature-independent)
         // before anything can panic: a crash anywhere after this point dumps
         // a `.mabcrash` report stamped with this run's identity. Disabled by
         // `MAB_BLACKBOX=0`; writes only to the crash dir and stderr, so
         // experiment stdout stays byte-identical either way.
-        {
-            let spec = crate::spec::RunSpec::from_options(name, opts);
-            let crash_dir = opts
-                .crash_dir
-                .clone()
-                .unwrap_or_else(|| PathBuf::from("results/crashes"));
-            mab_telemetry::blackbox::install(
-                name,
-                &spec.digest(&code_version()),
-                &spec.config_pairs(),
-                &crash_dir,
-            );
-        }
+        let crash_dir = opts
+            .crash_dir
+            .clone()
+            .unwrap_or_else(|| PathBuf::from("results/crashes"));
+        mab_telemetry::blackbox::install(name, &digest, &identity.config, &crash_dir);
         if mab_telemetry::STATIC_ENABLED {
             mab_telemetry::install();
             if opts.profile.is_some() {
@@ -102,13 +100,9 @@ impl TelemetrySession {
             );
         }
         let monitor = opts.monitor.as_ref().and_then(|addr| {
-            // The monitor needs the run's config digest; building the
-            // identity record is cheap, so do it whether or not `--ledger`
-            // is also active.
-            let identity = identity_record(name, opts);
             let run = mab_monitor::RunInfo {
                 experiment: name.to_string(),
-                digest: identity.digest(),
+                digest,
                 code: identity.code.clone(),
                 jobs: opts.jobs as u64,
                 started_unix: unix_now(),
@@ -134,7 +128,7 @@ impl TelemetrySession {
             ledger: opts
                 .ledger
                 .as_ref()
-                .map(|dir| LedgerCapture::start(name, dir.clone(), opts)),
+                .map(|dir| LedgerCapture::start(identity, dir.clone(), opts)),
             monitor: Mutex::new(monitor),
         }
     }
@@ -207,19 +201,10 @@ fn unix_now() -> u64 {
         .map_or(0, |d| d.as_secs())
 }
 
-/// Builds the identity (digest-relevant) part of a run record: experiment
-/// name, code version and the canonical config pairs. Goes through the
-/// shared [`crate::spec::RunSpec`] so ledger recording, the live monitor
-/// and the `mab-serve` cache all report the same digest.
-fn identity_record(name: &str, opts: &Options) -> RunRecord {
-    crate::spec::RunSpec::from_options(name, opts).identity_record(&code_version())
-}
-
 impl LedgerCapture {
-    /// Builds the identity half of the record, snapshots the recorder and
-    /// registers the runner observer that collects completed arms.
-    fn start(name: &str, dir: PathBuf, opts: &Options) -> LedgerCapture {
-        let mut record = identity_record(name, opts);
+    /// Starts the record from the run's identity, snapshots the recorder
+    /// and registers the runner observer that collects completed arms.
+    fn start(mut record: RunRecord, dir: PathBuf, opts: &Options) -> LedgerCapture {
         record.jobs = opts.jobs as u64;
         record.started_unix = unix_now();
         // Host circumstance: lets cross-host trend/regress comparisons
@@ -302,7 +287,6 @@ mod tests {
             instructions: 1,
             seed: 1,
             mixes: 1,
-            quick: false,
             jobs: 1,
             telemetry: telemetry.map(PathBuf::from),
             trace: None,
@@ -412,7 +396,8 @@ mod tests {
         let record = &out.records[0];
         assert_eq!(record.experiment, "fig_ledger_test");
         assert_eq!(record.config_value("seed"), Some("77"));
-        assert_eq!(record.config_value("quick"), Some("false"));
+        let keys: Vec<&str> = record.config.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["instructions", "mixes", "seed"]);
         assert_eq!(record.code, code_version());
         // Host circumstance is recorded but never digested.
         assert!(record.cpus >= 1);

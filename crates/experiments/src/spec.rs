@@ -9,6 +9,9 @@
 //! the exact identity a direct invocation would record, or cache keys
 //! drift and memoization silently breaks. [`RunSpec`] is that resolution:
 //!
+//! - [`RunSpec::resolve`] is the one place a run's settings are resolved:
+//!   the `--quick` preset, the defaults, explicit values, and the refusal
+//!   of a mix cap for an experiment that reads none;
 //! - [`RunSpec::config_pairs`] produces exactly the canonical config the
 //!   session records (and therefore feeds [`mab_ledger::config_digest`]);
 //! - [`RunSpec::cli_args`] produces an argv that makes the experiment
@@ -26,114 +29,71 @@ pub struct ExperimentDef {
     pub name: &'static str,
     /// Default `--instructions` (per core / commits per thread).
     pub default_instructions: u64,
-    /// Default `--mixes` cap (0 = the experiment's built-in set).
+    /// Default `--mixes` cap; 0 for an experiment that reads no mixes.
     pub default_mixes: usize,
 }
 
-/// Every experiment binary in the workspace, sorted by name. The single
-/// source of the per-experiment defaults: binaries parse their CLI through
-/// it and `mab-serve` resolves submitted specs against it.
+/// Every experiment binary in the workspace, sorted by name, with its
+/// default instructions and mix cap. The single source of the
+/// per-experiment defaults: binaries parse their CLI through it and
+/// `mab-serve` resolves submitted specs against it.
 pub const EXPERIMENTS: &[ExperimentDef] = &[
-    ExperimentDef {
-        name: "ablations",
-        default_instructions: 1_000_000,
-        default_mixes: 0,
-    },
-    ExperimentDef {
-        name: "fig02_homogeneity",
-        default_instructions: 2_000_000,
-        default_mixes: 0,
-    },
-    ExperimentDef {
-        name: "fig05_pg_space",
-        default_instructions: 60_000,
-        default_mixes: 12,
-    },
-    ExperimentDef {
-        name: "fig07_exploration",
-        default_instructions: 3_000_000,
-        default_mixes: 0,
-    },
-    ExperimentDef {
-        name: "fig08_singlecore",
-        default_instructions: 2_000_000,
-        default_mixes: 0,
-    },
-    ExperimentDef {
-        name: "fig09_accuracy",
-        default_instructions: 1_500_000,
-        default_mixes: 0,
-    },
-    ExperimentDef {
-        name: "fig10_bandwidth",
-        default_instructions: 1_500_000,
-        default_mixes: 0,
-    },
-    ExperimentDef {
-        name: "fig11_altcache",
-        default_instructions: 2_000_000,
-        default_mixes: 0,
-    },
-    ExperimentDef {
-        name: "fig12_multilevel",
-        default_instructions: 1_500_000,
-        default_mixes: 0,
-    },
-    ExperimentDef {
-        name: "fig13_smt_scurve",
-        default_instructions: 60_000,
-        default_mixes: 226,
-    },
-    ExperimentDef {
-        name: "fig14_fourcore",
-        default_instructions: 400_000,
-        default_mixes: 0,
-    },
-    ExperimentDef {
-        name: "fig15_rename",
-        default_instructions: 60_000,
-        default_mixes: 40,
-    },
-    ExperimentDef {
-        name: "smt_fairness",
-        default_instructions: 80_000,
-        default_mixes: 6,
-    },
-    ExperimentDef {
-        name: "tab08_tuneset_prefetch",
-        default_instructions: 1_500_000,
-        default_mixes: 0,
-    },
-    ExperimentDef {
-        name: "tab09_tuneset_smt",
-        default_instructions: 80_000,
-        default_mixes: 43,
-    },
-    ExperimentDef {
-        name: "tab_storage",
-        default_instructions: 1,
-        default_mixes: 0,
-    },
+    def("ablations", 1_000_000, 0),
+    def("fig02_homogeneity", 2_000_000, 0),
+    def("fig05_pg_space", 60_000, 12),
+    def("fig07_exploration", 3_000_000, 0),
+    def("fig08_singlecore", 2_000_000, 0),
+    def("fig09_accuracy", 1_500_000, 0),
+    def("fig10_bandwidth", 1_500_000, 0),
+    def("fig11_altcache", 2_000_000, 0),
+    def("fig12_multilevel", 1_500_000, 0),
+    def("fig13_smt_scurve", 60_000, 226),
+    def("fig14_fourcore", 400_000, 0),
+    def("fig15_rename", 60_000, 40),
+    def("smt_fairness", 80_000, 6),
+    def("tab08_tuneset_prefetch", 1_500_000, 0),
+    def("tab09_tuneset_smt", 80_000, 43),
+    def("tab_storage", 1, 0),
 ];
+
+/// One registry row.
+const fn def(name: &'static str, default_instructions: u64, default_mixes: usize) -> ExperimentDef {
+    ExperimentDef {
+        name,
+        default_instructions,
+        default_mixes,
+    }
+}
 
 /// Looks up an experiment by name.
 pub fn find(name: &str) -> Option<&'static ExperimentDef> {
     EXPERIMENTS.iter().find(|def| def.name == name)
 }
 
-/// The `--quick` preset applied to an experiment's defaults: a 10x smaller
-/// instruction budget and a 4x smaller mix cap, floored so smoke runs stay
-/// meaningful.
-pub fn quick_preset(default_instructions: u64, default_mixes: usize) -> (u64, usize) {
-    (
-        (default_instructions / 10).max(10_000),
-        (default_mixes / 4).max(2),
-    )
+impl ExperimentDef {
+    /// True for the five experiments that read a mix cap (fig05, fig13,
+    /// fig15, smt_fairness, tab09); the others take no `--mixes`.
+    pub fn reads_mixes(&self) -> bool {
+        self.default_mixes > 0
+    }
 }
 
-/// One fully resolved run identity: the four digest-relevant knobs of an
-/// experiment invocation. Everything else on [`Options`] (jobs, export
-/// paths, monitoring) is circumstance and deliberately absent.
+/// The `--quick` preset applied to an experiment's defaults: a 10x smaller
+/// instruction budget and a 4x smaller mix cap, floored so smoke runs stay
+/// meaningful. An experiment without mixes keeps a mix cap of 0.
+fn quick_preset(def: &ExperimentDef) -> (u64, usize) {
+    let mixes = if def.reads_mixes() {
+        (def.default_mixes / 4).max(2)
+    } else {
+        0
+    };
+    ((def.default_instructions / 10).max(10_000), mixes)
+}
+
+/// One fully resolved run identity: the settings an experiment run reads.
+/// Everything else on [`Options`] (jobs, export paths, monitoring) is
+/// circumstance and deliberately absent, and so is `--quick`, which only
+/// picks the sizes [`RunSpec::resolve`] starts from.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunSpec {
     /// Experiment name.
@@ -142,11 +102,8 @@ pub struct RunSpec {
     pub instructions: u64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Mix cap.
+    /// Mix cap; 0 for an experiment without mixes.
     pub mixes: usize,
-    /// Whether the `--quick` preset was requested (identity-relevant: the
-    /// session records it as a config pair).
-    pub quick: bool,
 }
 
 impl RunSpec {
@@ -157,50 +114,48 @@ impl RunSpec {
             instructions: opts.instructions,
             seed: opts.seed,
             mixes: opts.mixes,
-            quick: opts.quick,
         }
     }
 
-    /// Resolves overrides against an experiment's defaults exactly like the
-    /// binary's CLI would: `quick` applies the preset first, then explicit
-    /// values win.
+    /// Resolves a run's settings against an experiment's defaults: `quick`
+    /// picks the preset's sizes instead of the defaults, and an explicit
+    /// value beats either. The binaries' CLI and `mab-serve` both resolve
+    /// through here, so a flag's position never matters.
+    ///
+    /// # Errors
+    ///
+    /// A mix cap for an experiment that reads none.
     pub fn resolve(
         def: &ExperimentDef,
         instructions: Option<u64>,
         seed: u64,
         mixes: Option<usize>,
         quick: bool,
-    ) -> RunSpec {
-        let (quick_instructions, quick_mixes) =
-            quick_preset(def.default_instructions, def.default_mixes);
-        RunSpec {
-            experiment: def.name.to_string(),
-            instructions: instructions.unwrap_or(if quick {
-                quick_instructions
-            } else {
-                def.default_instructions
-            }),
-            seed,
-            mixes: mixes.unwrap_or(if quick {
-                quick_mixes
-            } else {
-                def.default_mixes
-            }),
-            quick,
+    ) -> Result<RunSpec, String> {
+        if mixes.is_some() && !def.reads_mixes() {
+            return Err(format!("{} takes no mix cap", def.name));
         }
+        let (default_instructions, default_mixes) = if quick {
+            quick_preset(def)
+        } else {
+            (def.default_instructions, def.default_mixes)
+        };
+        Ok(RunSpec {
+            experiment: def.name.to_string(),
+            instructions: instructions.unwrap_or(default_instructions),
+            seed,
+            mixes: mixes.unwrap_or(default_mixes),
+        })
     }
 
     /// The canonical (sorted) config pairs the ledger session records for
     /// this spec — the digest inputs.
     pub fn config_pairs(&self) -> Vec<(String, String)> {
-        let mut pairs = vec![
+        vec![
             ("instructions".to_string(), self.instructions.to_string()),
             ("mixes".to_string(), self.mixes.to_string()),
-            ("quick".to_string(), self.quick.to_string()),
             ("seed".to_string(), self.seed.to_string()),
-        ];
-        pairs.sort();
-        pairs
+        ]
     }
 
     /// The identity half of a [`RunRecord`] for this spec under `code`.
@@ -216,21 +171,18 @@ impl RunSpec {
     }
 
     /// An argv (without the binary name) that makes the experiment binary
-    /// resolve exactly this spec: `--quick` first (so the preset applies),
-    /// then the explicit values, which always win.
+    /// resolve exactly this spec: every setting explicit, and `--mixes` only
+    /// for an experiment that reads it.
     pub fn cli_args(&self) -> Vec<String> {
-        let mut args = Vec::new();
-        if self.quick {
-            args.push("--quick".to_string());
-        }
-        args.extend([
+        let mut args = vec![
             "--instructions".to_string(),
             self.instructions.to_string(),
             "--seed".to_string(),
             self.seed.to_string(),
-            "--mixes".to_string(),
-            self.mixes.to_string(),
-        ]);
+        ];
+        if find(&self.experiment).is_some_and(ExperimentDef::reads_mixes) {
+            args.extend(["--mixes".to_string(), self.mixes.to_string()]);
+        }
         args
     }
 }
@@ -247,74 +199,92 @@ mod tests {
         assert!(find("nope").is_none());
     }
 
+    fn parse(def: &ExperimentDef, args: &[&str]) -> RunSpec {
+        let opts = Options::parse_from(args.iter().map(|s| s.to_string()), def);
+        RunSpec::from_options(def.name, &opts)
+    }
+
     #[test]
-    fn resolve_matches_the_cli_parser() {
+    fn explicit_values_beat_quick_in_either_order() {
         for def in EXPERIMENTS {
-            // Defaults.
-            let parsed = Options::parse_from(
-                std::iter::empty(),
-                def.default_instructions,
-                def.default_mixes,
-            );
-            assert_eq!(
-                RunSpec::resolve(def, None, 42, None, false),
-                RunSpec::from_options(def.name, &parsed),
-                "{}",
-                def.name
-            );
-            // Quick preset.
-            let parsed = Options::parse_from(
-                ["--quick".to_string()].into_iter(),
-                def.default_instructions,
-                def.default_mixes,
-            );
-            assert_eq!(
-                RunSpec::resolve(def, None, 42, None, true),
-                RunSpec::from_options(def.name, &parsed),
-                "{}",
-                def.name
-            );
-            // Explicit values override the preset.
-            let parsed = Options::parse_from(
-                ["--quick", "--instructions", "5000", "--seed", "7"]
-                    .iter()
-                    .map(|s| s.to_string()),
-                def.default_instructions,
-                def.default_mixes,
-            );
-            assert_eq!(
-                RunSpec::resolve(def, Some(5000), 7, None, true),
-                RunSpec::from_options(def.name, &parsed),
-                "{}",
-                def.name
-            );
+            for args in [
+                ["--instructions", "5000", "--quick"],
+                ["--quick", "--instructions", "5000"],
+            ] {
+                let spec = parse(def, &args);
+                assert_eq!(spec.instructions, 5000, "{} {args:?}", def.name);
+                assert_eq!(
+                    spec,
+                    RunSpec::resolve(def, Some(5000), 42, None, true).unwrap()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn quick_preset_keeps_mixes_at_zero_without_mixes() {
+        let fig09 = find("fig09_accuracy").unwrap();
+        assert_eq!(quick_preset(fig09), (150_000, 0));
+        assert_eq!(
+            quick_preset(find("fig13_smt_scurve").unwrap()),
+            (10_000, 56)
+        );
+        for def in EXPERIMENTS {
+            let spec = RunSpec::resolve(def, None, 42, None, true).unwrap();
+            assert_eq!(spec.mixes == 0, !def.reads_mixes(), "{}", def.name);
+        }
+    }
+
+    #[test]
+    fn only_the_five_mix_experiments_take_a_mix_cap() {
+        let readers: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|d| d.reads_mixes())
+            .map(|d| d.name)
+            .collect();
+        assert_eq!(
+            readers,
+            [
+                "fig05_pg_space",
+                "fig13_smt_scurve",
+                "fig15_rename",
+                "smt_fairness",
+                "tab09_tuneset_smt"
+            ]
+        );
+        for def in EXPERIMENTS {
+            let resolved = RunSpec::resolve(def, None, 1, Some(3), false);
+            assert_eq!(resolved.is_ok(), def.reads_mixes(), "{}", def.name);
         }
     }
 
     #[test]
     fn cli_args_round_trip_through_the_parser() {
-        let def = find("fig13_smt_scurve").unwrap();
-        for spec in [
-            RunSpec::resolve(def, None, 42, None, false),
-            RunSpec::resolve(def, None, 9, Some(8), true),
-            RunSpec::resolve(def, Some(123_456), 1, None, true),
+        let fig13 = find("fig13_smt_scurve").unwrap();
+        let fig08 = find("fig08_singlecore").unwrap();
+        for (def, spec) in [
+            (fig13, RunSpec::resolve(fig13, None, 42, None, false)),
+            (fig13, RunSpec::resolve(fig13, None, 9, Some(8), true)),
+            (fig13, RunSpec::resolve(fig13, Some(123_456), 1, None, true)),
+            (fig08, RunSpec::resolve(fig08, None, 7, None, true)),
         ] {
-            let parsed = Options::parse_from(
-                spec.cli_args().into_iter(),
-                def.default_instructions,
-                def.default_mixes,
-            );
-            assert_eq!(spec, RunSpec::from_options(def.name, &parsed), "{spec:?}");
+            let spec = spec.unwrap();
+            let args = spec.cli_args();
+            assert_eq!(args.contains(&"--mixes".to_string()), def.reads_mixes());
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            assert_eq!(spec, parse(def, &args), "{spec:?}");
         }
     }
 
     #[test]
     fn digest_matches_the_session_identity() {
         let def = find("fig08_singlecore").unwrap();
-        let spec = RunSpec::resolve(def, None, 42, None, true);
+        let spec = RunSpec::resolve(def, None, 42, None, true).unwrap();
         let record = spec.identity_record("0.1.0+abc1234");
         assert_eq!(spec.digest("0.1.0+abc1234"), record.digest());
-        assert_eq!(record.config_value("quick"), Some("true"));
+        let keys: Vec<&str> = record.config.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["instructions", "mixes", "seed"]);
         assert_eq!(record.config_value("instructions"), Some("200000"));
+        assert_eq!(record.config_value("mixes"), Some("0"));
     }
 }

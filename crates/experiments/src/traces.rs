@@ -55,24 +55,30 @@ pub const SMT_RECORD_MARGIN: u64 = 4;
 #[derive(Debug, Clone, Default)]
 pub struct TraceStore {
     dir: Option<PathBuf>,
-    /// Single-slot memo of the last memory trace decoded by this store:
-    /// sweeps replay the same `(app, seed)` file once per configuration, so
-    /// repeat runs iterate the already-decoded records from memory instead
-    /// of re-reading and re-decoding the file. Clones share the slot. It
-    /// holds one decode, column-wise ([`MemColumns`]), and a miss decodes
-    /// into that decode's buffers unless a running arm still replays them,
-    /// so the store holds at most one decode that no running arm replays.
-    /// A cached prefix longer than requested is safe for the same reason a
-    /// longer file is: every trace is a prefix of the deterministic
-    /// generator stream.
-    mem_memo: Arc<Mutex<Option<MemMemo>>>,
+    /// Memo of the memory traces decoded by this store: sweeps replay the
+    /// same `(app, seed)` files once per configuration, so repeat runs
+    /// iterate the already-decoded records from memory instead of
+    /// re-reading and re-decoding the files. Clones share the memo. It
+    /// holds the decodes of the app it last served, column-wise
+    /// ([`MemColumns`]), one per seed asked for: one for a single-core
+    /// sweep, four for a four-core one, whose arms each ask for seeds
+    /// `s..s+3`. Decodes are refilled in buffers no running arm replays,
+    /// so the store holds at most one app's worth of decodes that no
+    /// running arm replays. A cached prefix longer than requested is safe
+    /// for the same reason a longer file is: every trace is a prefix of
+    /// the deterministic generator stream.
+    mem_memo: Arc<Mutex<MemMemo>>,
 }
 
-/// The memo slot: the file a decode came from, and its first `n` records.
-#[derive(Debug)]
+/// The memo: one app's decodes, each of the first `n` records of the
+/// file for one seed.
+#[derive(Debug, Default)]
 struct MemMemo {
-    path: PathBuf,
-    columns: Arc<MemColumns>,
+    app: String,
+    decodes: Vec<(u64, Arc<MemColumns>)>,
+    /// Another app's decodes that no running arm held when the memo moved
+    /// on: buffers to refill before any is allocated.
+    spare: Vec<Arc<MemColumns>>,
 }
 
 impl TraceStore {
@@ -129,7 +135,7 @@ impl TraceStore {
         });
     }
 
-    /// Record source for a single-core memory run: the recorded file when
+    /// Record source for one core of a memory run: the recorded file when
     /// the store is enabled, the generator otherwise. The file is recorded
     /// first if missing or shorter than `n`, decoded once, and memoized so
     /// the other arms of a sweep replay it from memory.
@@ -138,27 +144,36 @@ impl TraceStore {
             return MemSource::Generated(app.trace(seed));
         };
         self.ensure_mem(app, seed, n);
-        // The slot stays locked through a decode, so arms that want the
+        // The memo stays locked through a decode, so arms that want the
         // trace being decoded wait for it instead of decoding it again. A
-        // decode that panics leaves the slot empty, so a poisoned lock
-        // still guards a valid slot.
-        let mut slot = self.mem_memo.lock().unwrap_or_else(PoisonError::into_inner);
-        let columns = match slot.take() {
-            Some(memo) if memo.path == path && memo.columns.len() as u64 >= n => memo.columns,
-            stale => {
-                // Reuse the stale decode's buffers unless an arm still
-                // replays them; that arm then keeps them to itself.
-                let mut columns = stale
-                    .and_then(|memo| Arc::try_unwrap(memo.columns).ok())
-                    .unwrap_or_default();
-                columns.decode(&path, n);
-                Arc::new(columns)
+        // decode that panics has taken its buffer out of the memo, so a
+        // poisoned lock still guards a valid memo.
+        let mut memo = self.mem_memo.lock().unwrap_or_else(PoisonError::into_inner);
+        // A decode no running arm replays; an arm that still replays one
+        // keeps it to itself.
+        let unheld =
+            |mut columns: Arc<MemColumns>| Arc::get_mut(&mut columns).is_some().then_some(columns);
+        if memo.app != app.name {
+            let stale = std::mem::take(&mut memo.decodes);
+            memo.spare
+                .extend(stale.into_iter().filter_map(|(_, c)| unheld(c)));
+            memo.app.clone_from(&app.name);
+        }
+        let found = memo.decodes.iter().position(|(s, _)| *s == seed);
+        let columns = match found {
+            Some(i) if memo.decodes[i].1.len() as u64 >= n => Arc::clone(&memo.decodes[i].1),
+            _ => {
+                // A miss refills this seed's shorter decode or a spare
+                // buffer, whichever no arm holds, before allocating.
+                let shorter = found.and_then(|i| unheld(memo.decodes.swap_remove(i).1));
+                let mut columns = shorter.or_else(|| memo.spare.pop()).unwrap_or_default();
+                Arc::get_mut(&mut columns)
+                    .expect("no arm holds a buffer being refilled")
+                    .decode(&path, n);
+                memo.decodes.push((seed, Arc::clone(&columns)));
+                columns
             }
         };
-        *slot = Some(MemMemo {
-            path,
-            columns: Arc::clone(&columns),
-        });
         MemSource::Replay {
             columns,
             cursor: 0,
@@ -237,7 +252,7 @@ pub enum MemSource {
     /// Recorded trace, decoded once and shared across the runs that replay
     /// it (see [`TraceStore::mem_source`]).
     Replay {
-        /// The decoded trace, shared with the store's memo slot.
+        /// The decoded trace, shared with the store's memo.
         columns: Arc<MemColumns>,
         /// Next record to yield.
         cursor: usize,
@@ -452,6 +467,34 @@ mod tests {
         }
         // Nothing held the earlier decodes, so each miss refilled them.
         assert!(buffers.iter().all(|&p| p == buffers[0]), "{buffers:?}");
+    }
+
+    #[test]
+    fn four_seeds_of_one_app_stay_decoded_across_arms() {
+        let store = store("mem-four");
+        let (a, b) = (
+            suites::app_by_name("mcf").unwrap(),
+            suites::app_by_name("lbm").unwrap(),
+        );
+        // One four-core arm: seeds s..s+3 of one app, all held at once.
+        let arm = |app: &AppSpec| -> Vec<MemSource> {
+            (0..4)
+                .map(|i| store.mem_source(app, 10 + i, 2000))
+                .collect()
+        };
+        let first: Vec<_> = arm(&a).iter().map(pcs_buffer).collect();
+        let second = arm(&a);
+        assert_eq!(second.iter().map(pcs_buffer).collect::<Vec<_>>(), first);
+        for (i, source) in second.into_iter().enumerate() {
+            let want: Vec<_> = a.trace(10 + i as u64).take(2000).collect();
+            assert_eq!(source.take(2000).collect::<Vec<_>>(), want);
+        }
+        // The next app refills the four buffers no arm holds any more.
+        let mut refilled: Vec<_> = arm(&b).iter().map(pcs_buffer).collect();
+        let mut reused = first.clone();
+        refilled.sort_unstable();
+        reused.sort_unstable();
+        assert_eq!(refilled, reused);
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn injected_panic_dumps_a_report_naming_the_arm_and_its_decisions() {
         report
             .config
             .iter()
-            .any(|(k, v)| k == "quick" && v == "true"),
+            .any(|(k, v)| k == "instructions" && v == "200000"),
         "config snapshot missing: {:?}",
         report.config
     );
@@ -120,7 +120,7 @@ fn clean_run_stdout_is_byte_identical_with_recorder_on_and_off() {
     let exe = env!("CARGO_BIN_EXE_fig08_singlecore");
     let run = |blackbox_env: Option<&str>| -> String {
         let mut cmd = Command::new(exe);
-        cmd.args(["--instructions", "2000", "--mixes", "2", "--crash-dir"])
+        cmd.args(["--instructions", "2000", "--crash-dir"])
             .arg(&crash_dir)
             .env_remove("MAB_TEST_PANIC_ARM");
         match blackbox_env {

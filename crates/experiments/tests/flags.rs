@@ -1,10 +1,13 @@
 //! Settings come from flags alone. An environment variable named like a
 //! flag changes nothing, and an empty directory value is refused rather
 //! than resolved to the working directory. So is an empty `--monitor`
-//! address, rather than read as "monitor off".
+//! address, rather than read as "monitor off", and so is `--mixes` for an
+//! experiment without mixes. `--quick` only picks sizes: a run recorded
+//! at the preset is the run recorded at the same explicit sizes.
 //!
-//! Each test runs `tab_storage`, the one binary that simulates nothing, in
-//! a private working directory, so whatever a run writes shows up there.
+//! Each test runs its binary in a private working directory, so whatever
+//! a run writes shows up there. Most run `tab_storage`, the one binary
+//! that simulates nothing.
 
 use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
@@ -18,7 +21,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn tab_storage(cwd: &Path, args: &[&str], env: &[(&str, &OsStr)]) -> Output {
-    let exe = env!("CARGO_BIN_EXE_tab_storage");
+    run(env!("CARGO_BIN_EXE_tab_storage"), cwd, args, env)
+}
+
+fn run(exe: &str, cwd: &Path, args: &[&str], env: &[(&str, &OsStr)]) -> Output {
     let mut cmd = Command::new(exe);
     cmd.args(args).current_dir(cwd);
     for (key, value) in env {
@@ -73,4 +79,52 @@ fn an_empty_directory_value_is_a_usage_error() {
         assert_eq!(entries(&cwd), Vec::<String>::new(), "{flag} ''");
         std::fs::remove_dir_all(&cwd).ok();
     }
+}
+
+#[test]
+fn mixes_for_an_experiment_without_mixes_is_a_usage_error() {
+    let cwd = temp_dir("mixes");
+    let exe = env!("CARGO_BIN_EXE_fig08_singlecore");
+    let output = run(exe, &cwd, &["--mixes", "3"], &[]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("fig08_singlecore takes no mix cap"),
+        "{stderr}"
+    );
+    assert!(output.stdout.is_empty(), "--mixes 3 ran the experiment");
+    assert_eq!(entries(&cwd), Vec::<String>::new());
+    std::fs::remove_dir_all(&cwd).ok();
+}
+
+#[test]
+fn quick_and_the_same_explicit_sizes_are_one_ledger_record() {
+    let cwd = temp_dir("quick-ledger");
+    let exe = env!("CARGO_BIN_EXE_tab09_tuneset_smt");
+    let quick = run(exe, &cwd, &["--quick", "--ledger", "ledger"], &[]);
+    assert!(
+        quick.status.success(),
+        "{}",
+        String::from_utf8_lossy(&quick.stderr)
+    );
+    let explicit = [
+        "--instructions",
+        "10000",
+        "--mixes",
+        "10",
+        "--ledger",
+        "ledger",
+    ];
+    let explicit = run(exe, &cwd, &explicit, &[]);
+    let stderr = String::from_utf8_lossy(&explicit.stderr);
+    assert!(explicit.status.success(), "{stderr}");
+    assert_eq!(quick.stdout, explicit.stdout);
+    assert!(stderr.contains("not re-appended"), "{stderr}");
+    let records = mab_ledger::Ledger::open(cwd.join("ledger"))
+        .unwrap()
+        .read_all()
+        .unwrap()
+        .records;
+    assert_eq!(records.len(), 1, "{records:?}");
+    std::fs::remove_dir_all(&cwd).ok();
 }

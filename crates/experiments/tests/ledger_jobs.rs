@@ -18,7 +18,6 @@ fn options(ledger: &Path, jobs: usize) -> Options {
         instructions: 1000,
         seed: 9,
         mixes: 4,
-        quick: false,
         jobs,
         telemetry: None,
         trace: None,

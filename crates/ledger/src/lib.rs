@@ -6,15 +6,17 @@
 //! carrying its *outcome* (key metrics, the per-arm sweep log) and
 //! *circumstances* (wall time, worker count, artifact paths). Records live
 //! in CRC-framed JSONL segments under `results/ledger/` with a digest
-//! index for O(1) lookup ([`store`]).
+//! index ([`store`]): a lookup reads the whole index, then only the
+//! records it names, so it costs time linear in the ledger's size but
+//! never parses the other records.
 //!
 //! Three properties make the ledger the substrate for cross-run tooling
-//! (`mab-inspect history`/`trend`/`regress`) and for `mab-serve`'s planned
-//! result cache:
+//! (`mab-inspect history`/`trend`/`regress`); `mab-serve`'s result cache
+//! keys its entries by the same digest:
 //!
 //! - **content addressing** — the digest ignores scheduling and timing, so
 //!   "has this exact (experiment, config, code) run before?" is one index
-//!   probe;
+//!   lookup;
 //! - **idempotent re-records** — recording a run whose digest *and* outcome
 //!   already exist is a no-op append, which determinism (see `mab-runner`)
 //!   guarantees for honest reruns and which makes memoization sound;

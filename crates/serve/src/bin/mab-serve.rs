@@ -7,8 +7,10 @@
 //! ```
 //!
 //! Runs until SIGTERM/SIGINT, then shuts down gracefully: stops accepting
-//! submissions (503), drains in-flight arms into the cache, and persists
-//! unfinished jobs so the next start resumes them instead of recomputing.
+//! submissions (503) and drains in-flight arms into the cache. The job
+//! table is written to `<cache-dir>/jobs.json` whenever it changes, so the
+//! next start resumes unfinished jobs instead of recomputing them, after a
+//! SIGTERM or a `kill -9` alike.
 
 use mab_monitor::http;
 use mab_serve::{api, signal, BinaryExecutor, ServeConfig, ServeState};

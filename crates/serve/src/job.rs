@@ -84,14 +84,13 @@ impl Arm {
     fn to_json(&self, index: usize) -> String {
         let mut out = format!(
             "{{\"index\":{index},\"digest\":\"{}\",\"status\":\"{}\",\"cache_hit\":{},\
-             \"instructions\":{},\"seed\":{},\"mixes\":{},\"quick\":{},\"wall_ms\":{}",
+             \"instructions\":{},\"seed\":{},\"mixes\":{},\"wall_ms\":{}",
             self.digest,
             self.status.name(),
             self.cache_hit,
             self.spec.instructions,
             self.spec.seed,
             self.spec.mixes,
-            self.spec.quick,
             json::fmt_f64(self.wall_ms),
         );
         if let Some(error) = &self.error {
@@ -152,13 +151,16 @@ impl Job {
     /// digest under code version `code`. Done and failed arms keep their
     /// outcome; every other arm comes back queued. The derived fields
     /// (`status`, the counts, each arm's `index` and `digest`) are not
-    /// read. The experiment is the job's, or, in the form earlier builds
-    /// wrote, each arm's own.
+    /// read, and neither is the `quick` key earlier builds wrote on each
+    /// arm, nor an arm's `mixes` for an experiment without mixes. The
+    /// experiment is the job's, or, in the form earlier builds wrote, each
+    /// arm's own.
     ///
     /// `None` when the document is not a job: no arms, an arm without a
     /// registered experiment, or a missing field that both forms always
-    /// write (`id`, `client`, `submitted_unix`, each arm's config, and a
-    /// finished arm's `cache_hit` and `wall_ms`).
+    /// write (`id`, `client`, `submitted_unix`, each arm's `instructions`,
+    /// `seed` and, for an experiment with mixes, `mixes`, and a finished
+    /// arm's `cache_hit` and `wall_ms`).
     pub fn from_json(doc: &JsonValue, code: &str) -> Option<Job> {
         let experiment = doc.get("experiment").and_then(JsonValue::as_str);
         let arms = doc
@@ -166,14 +168,15 @@ impl Job {
             .as_arr()?
             .iter()
             .map(|arm| {
-                let name = experiment.or_else(|| arm.get("experiment")?.as_str())?;
-                let spec = RunSpec {
-                    experiment: spec::find(name)?.name.to_string(),
-                    instructions: arm.get("instructions")?.as_u64()?,
-                    seed: arm.get("seed")?.as_u64()?,
-                    mixes: usize::try_from(arm.get("mixes")?.as_u64()?).ok()?,
-                    quick: arm.get("quick")?.as_bool()?,
+                let def = spec::find(experiment.or_else(|| arm.get("experiment")?.as_str())?)?;
+                let mixes = if def.reads_mixes() {
+                    Some(usize::try_from(arm.get("mixes")?.as_u64()?).ok()?)
+                } else {
+                    None
                 };
+                let instructions = arm.get("instructions")?.as_u64()?;
+                let seed = arm.get("seed")?.as_u64()?;
+                let spec = RunSpec::resolve(def, Some(instructions), seed, mixes, false).ok()?;
                 let mut rebuilt = Arm::new(spec, code);
                 rebuilt.status = match arm.get("status").and_then(JsonValue::as_str) {
                     Some("done") => ArmStatus::Done,
@@ -259,14 +262,17 @@ pub struct JobSpec {
 /// Parses a `POST /jobs` body:
 ///
 /// ```json
-/// {"experiment":"fig08_singlecore","client":"agent-1",
-///  "seeds":[1,2,3],"instructions":200000,"mixes":[4,8],"quick":true}
+/// {"experiment":"fig13_smt_scurve","client":"agent-1",
+///  "seeds":[1,2,3],"instructions":20000,"mixes":[4,8],"quick":true}
 /// ```
 ///
 /// `experiment` is required and must be registered; `client` defaults to
 /// `anon`; `seeds` (scalar or list) defaults to `[42]`; `instructions` and
-/// `mixes` (scalar or list) default to the experiment's registry defaults
-/// (scaled by `quick` when set), exactly as the binary CLI resolves them.
+/// `mixes` (scalar or list) default to the experiment's registry defaults,
+/// or to the `--quick` preset when `quick` is true. Every grid point
+/// resolves through [`RunSpec::resolve`], exactly as the binary CLI
+/// resolves its flags, so `mixes` is refused for an experiment without
+/// mixes, such as `fig08_singlecore`.
 ///
 /// The grid's arm count is checked against `max_arms` (the daemon's queue
 /// cap) before any spec is built: a grid larger than the cap could never
@@ -318,7 +324,7 @@ pub fn parse_job(body: &str, max_arms: usize) -> Result<JobSpec, String> {
     for &i in &instructions {
         for &m in &mixes {
             for &seed in &seeds {
-                specs.push(RunSpec::resolve(def, i, seed, m, quick));
+                specs.push(RunSpec::resolve(def, i, seed, m, quick)?);
             }
         }
     }
@@ -370,7 +376,7 @@ mod tests {
         assert_eq!(spec.experiment, "fig08_singlecore");
         assert_eq!(spec.seed, 42);
         assert_eq!(spec.instructions, 2_000_000);
-        assert!(!spec.quick);
+        assert_eq!(spec.mixes, 0);
     }
 
     #[test]
@@ -382,7 +388,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(job.specs.len(), 4);
-        assert!(job.specs.iter().all(|s| s.mixes == 4 && s.quick));
+        assert!(job.specs.iter().all(|s| s.mixes == 4));
         assert_eq!(job.specs[0].instructions, 1000);
         assert_eq!(job.specs[0].seed, 1);
         assert_eq!(job.specs[1].seed, 2);
@@ -398,7 +404,14 @@ mod tests {
     fn quick_applies_registry_preset() {
         let job = parse_job("{\"experiment\":\"fig08_singlecore\",\"quick\":true}", CAP).unwrap();
         assert_eq!(job.specs[0].instructions, 200_000);
-        assert!(job.specs[0].quick);
+        assert_eq!(job.specs[0].mixes, 0);
+    }
+
+    #[test]
+    fn mixes_are_refused_for_an_experiment_without_mixes() {
+        let err =
+            parse_job("{\"experiment\":\"fig09_accuracy\",\"mixes\":[4,8]}", CAP).unwrap_err();
+        assert!(err.contains("fig09_accuracy takes no mix cap"), "{err}");
     }
 
     #[test]
@@ -415,7 +428,7 @@ mod tests {
         let list = |n: usize| (1..=n).map(|v| v.to_string()).collect::<Vec<_>>().join(",");
         let grid = |seeds: usize| {
             format!(
-                "{{\"experiment\":\"fig08_singlecore\",\"seeds\":[{}],\"mixes\":[1,2]}}",
+                "{{\"experiment\":\"fig13_smt_scurve\",\"seeds\":[{}],\"mixes\":[1,2]}}",
                 list(seeds)
             )
         };
@@ -427,7 +440,7 @@ mod tests {
         );
         // 10^9 arms from about 15 KB of body: refused without building any.
         let huge = format!(
-            "{{\"experiment\":\"fig08_singlecore\",\"seeds\":[{0}],\
+            "{{\"experiment\":\"fig13_smt_scurve\",\"seeds\":[{0}],\
              \"instructions\":[{0}],\"mixes\":[{0}]}}",
             list(1000)
         );
@@ -438,7 +451,8 @@ mod tests {
 
     #[test]
     fn job_status_aggregates_arms() {
-        let spec = RunSpec::resolve(spec::find("fig08_singlecore").unwrap(), None, 1, None, true);
+        let spec =
+            RunSpec::resolve(spec::find("fig08_singlecore").unwrap(), None, 1, None, true).unwrap();
         let arm = |status, cache_hit| Arm {
             spec: spec.clone(),
             digest: spec.digest("c"),

@@ -25,12 +25,14 @@
 //! concurrently share one run. Every completion is recorded in the run
 //! ledger with the `served`/`cache_hit` circumstance fields.
 //!
-//! # Shutdown
+//! # Persistence
 //!
-//! [`ServeState::shutdown`] stops the workers once each finishes its
-//! current arm (its result lands in the cache), and persists the job table
-//! to `jobs.json` under the cache root as `{"next_id":N,"jobs":[…]}`, each
-//! element the document `GET /jobs/:id` serves. The next start rebuilds
+//! The job table is written to `jobs.json` under the cache root whenever
+//! it changes (a job admitted, an arm finished), as
+//! `{"next_id":N,"jobs":[…]}`, each element the document `GET /jobs/:id`
+//! serves. [`ServeState::shutdown`] only stops the workers once each
+//! finishes its current arm (its result lands in the cache), so a daemon
+//! killed outright loses no accepted job either. The next start rebuilds
 //! the jobs with [`Job::from_json`] and requeues their unfinished arms.
 
 use crate::cache::Cache;
@@ -285,6 +287,7 @@ impl ServeState {
                     events: Arc::new(EventRing::default()),
                 },
             );
+            self.persist(&jobs);
             id
         };
         self.enqueue(&spec.client, (0..n).map(|i| (id, i)));
@@ -571,8 +574,8 @@ impl ServeState {
     }
 
     /// Graceful shutdown: stop the workers once each finishes its current
-    /// arm (its result lands in the cache), then persist the job table for
-    /// resume. Idempotent.
+    /// arm (its result lands in the cache). `jobs.json` is already current.
+    /// Idempotent.
     pub fn shutdown(&self) {
         self.draining.store(true, Ordering::SeqCst);
         self.sched.lock().unwrap().stop = true;
@@ -583,30 +586,15 @@ impl ServeState {
                 self.progress("a worker thread panicked");
             }
         }
-        match self.persist() {
-            Ok(unfinished) => {
-                if unfinished > 0 {
-                    self.progress(&format!(
-                        "persisted {unfinished} unfinished arms to jobs.json for resume"
-                    ));
-                }
-            }
-            Err(e) => self.progress(&format!("persisting job table failed: {e}")),
-        }
     }
 
     /// Writes the job table to `jobs.json` under the cache root (atomic
     /// tmp+rename): `{"next_id":N,"jobs":[…]}`, each element a job's
-    /// [`Job::to_json`] document. Returns the number of unfinished arms.
-    fn persist(&self) -> std::io::Result<usize> {
-        let jobs = self.jobs.lock().unwrap();
+    /// [`Job::to_json`] document. The caller holds the jobs lock, so two
+    /// writers never share the temp file. A failed write is reported and
+    /// leaves the previous table in place.
+    fn persist(&self, jobs: &JobTable) {
         let docs: Vec<String> = jobs.jobs.values().map(Job::to_json).collect();
-        let unfinished = jobs
-            .jobs
-            .values()
-            .flat_map(|job| &job.arms)
-            .filter(|arm| !arm.status.is_terminal())
-            .count();
         let out = format!(
             "{{\"next_id\":{},\"jobs\":[{}]}}\n",
             jobs.next_id,
@@ -614,9 +602,9 @@ impl ServeState {
         );
         let path = self.cache.root().join("jobs.json");
         let tmp = self.cache.root().join(".jobs.json.tmp");
-        std::fs::write(&tmp, out)?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(unfinished)
+        if let Err(e) = std::fs::write(&tmp, out).and_then(|()| std::fs::rename(&tmp, &path)) {
+            self.progress(&format!("persisting job table failed: {e}"));
+        }
     }
 
     /// Restores `jobs.json` if present: each job is rebuilt by
@@ -624,7 +612,8 @@ impl ServeState {
     /// queue. A document that is not a job is dropped, and so is a job
     /// whose id is taken or has no successor, since requeuing it could
     /// point a worker at another job's arms. `next_id` ends past every
-    /// id. Returns the number of re-enqueued arms.
+    /// id. The file stays: the next change to the table rewrites it.
+    /// Returns the number of re-enqueued arms.
     fn resume(&self) -> usize {
         let path = self.cache.root().join("jobs.json");
         let Ok(text) = std::fs::read_to_string(&path) else {
@@ -632,7 +621,6 @@ impl ServeState {
         };
         let Ok(doc) = json::parse(text.trim()) else {
             self.progress("jobs.json is unreadable; starting fresh");
-            let _ = std::fs::remove_file(&path);
             return 0;
         };
         let mut pending: Vec<(String, Vec<(u64, usize)>)> = Vec::new();
@@ -663,7 +651,6 @@ impl ServeState {
         for (client, items) in pending {
             self.enqueue(&client, items.into_iter());
         }
-        let _ = std::fs::remove_file(&path);
         requeued
     }
 
@@ -753,14 +740,9 @@ impl ServeState {
                 .iter()
                 .all(|a| a.status.is_terminal())
                 .then(|| (job.status(), job.cache_hits()));
-            (
-                spec,
-                digest,
-                label,
-                Arc::clone(&job.events),
-                finished,
-                crash,
-            )
+            let job_events = Arc::clone(&job.events);
+            self.persist(&jobs);
+            (spec, digest, label, job_events, finished, crash)
         };
         let (spec, digest, label, job_events, finished, crash) = completion;
         if !failed {

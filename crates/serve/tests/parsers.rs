@@ -17,16 +17,19 @@ use rand::{Rng, SeedableRng};
 
 /// A job with arms done, failed, running and queued, under code `c1`.
 fn sample_job() -> Job {
-    let def = spec::find("fig09_accuracy").unwrap();
+    let def = spec::find("fig13_smt_scurve").unwrap();
     let mut arms: Vec<Arm> = (1..=4)
-        .map(|seed| Arm::new(RunSpec::resolve(def, Some(1000), seed, Some(2), true), "c1"))
+        .map(|seed| {
+            let spec = RunSpec::resolve(def, Some(1000), seed, Some(2), false).unwrap();
+            Arm::new(spec, "c1")
+        })
         .collect();
     arms[0].status = ArmStatus::Done;
     arms[0].cache_hit = true;
     arms[0].wall_ms = 1.25;
     arms[1].status = ArmStatus::Failed;
     arms[1].wall_ms = 3.0;
-    arms[1].error = Some("fig09_accuracy exited with \"1\"".to_string());
+    arms[1].error = Some("fig13_smt_scurve exited with \"1\"".to_string());
     arms[1].crash = Some("crashes/job-7/a.mabcrash".to_string());
     arms[2].status = ArmStatus::Running;
     Job {
@@ -76,12 +79,12 @@ fn from_json_rejects_what_is_not_a_job() {
     for (from, to) in [
         ("\"id\":7,", ""),
         (
-            "\"experiment\":\"fig09_accuracy\"",
+            "\"experiment\":\"fig13_smt_scurve\"",
             "\"experiment\":\"nope\"",
         ),
         ("\"seed\":1,", ""),
         ("\"mixes\":2,", "\"mixes\":-2,"),
-        ("\"quick\":true,", "\"quick\":1,"),
+        ("\"mixes\":2,", ""),
         ("\"client\":\"alice\",", ""),
         ("\"wall_ms\":1.25", "\"wall_ms\":null"),
     ] {
@@ -147,7 +150,7 @@ const FRAGMENTS: &[&str] = &[
 const BODIES: &[&str] = &[
     r#"{"experiment":"fig08_singlecore"}"#,
     r#"{"experiment":"fig13_smt_scurve","client":"a","seeds":[1,2],"instructions":[1000,2000],"mixes":4,"quick":true}"#,
-    r#"{"experiment":"fig09_accuracy","seeds":7,"mixes":[1,2,3],"quick":false}"#,
+    r#"{"experiment":"fig13_smt_scurve","seeds":7,"mixes":[1,2,3],"quick":false}"#,
 ];
 
 /// Well-formed job documents: the current form, and the form earlier
@@ -194,7 +197,9 @@ fn check_parse_job(body: &str, cap: usize) -> Result<bool, TestCaseError> {
         job.specs.len()
     );
     for s in &job.specs {
-        prop_assert!(spec::find(&s.experiment).is_some(), "{body:?}");
+        let def = spec::find(&s.experiment);
+        prop_assert!(def.is_some(), "{body:?}");
+        prop_assert!(def.unwrap().reads_mixes() || s.mixes == 0, "{body:?}");
     }
     Ok(true)
 }
@@ -210,7 +215,12 @@ fn check_from_json(text: &str) -> Result<bool, TestCaseError> {
     };
     prop_assert!(!job.arms.is_empty(), "{text:?}");
     for arm in &job.arms {
-        prop_assert!(spec::find(&arm.spec.experiment).is_some(), "{text:?}");
+        let def = spec::find(&arm.spec.experiment);
+        prop_assert!(def.is_some(), "{text:?}");
+        prop_assert!(
+            def.unwrap().reads_mixes() || arm.spec.mixes == 0,
+            "{text:?}"
+        );
         prop_assert_eq!(&arm.digest, &arm.spec.digest(CODE));
         prop_assert!(arm.status != ArmStatus::Running, "{text:?}");
         if arm.status == ArmStatus::Queued {

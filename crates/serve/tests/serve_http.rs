@@ -38,8 +38,8 @@ impl Executor for StubExecutor {
         std::thread::sleep(self.delay);
         self.runs.fetch_add(1, Ordering::SeqCst);
         Ok(format!(
-            "report {} i={} s={} m={} q={}\n",
-            spec.experiment, spec.instructions, spec.seed, spec.mixes, spec.quick
+            "report {} i={} s={} m={}\n",
+            spec.experiment, spec.instructions, spec.seed, spec.mixes
         ))
     }
 }
@@ -185,10 +185,7 @@ fn submit_fetch_and_resubmit_hits_cache() {
     // Per-arm artifact is the executor's exact bytes.
     let arm0 = srv.get(&format!("/jobs/{id}/artifact?arm=0"));
     assert_eq!(arm0.status, 200);
-    assert_eq!(
-        arm0.body,
-        "report fig08_singlecore i=200000 s=1 m=2 q=true\n"
-    );
+    assert_eq!(arm0.body, "report fig08_singlecore i=200000 s=1 m=0\n");
     // Whole-job artifact concatenates with arm headers.
     let all = srv.get(&format!("/jobs/{id}/artifact"));
     assert!(all.body.starts_with("=== arm 0 "));
@@ -344,6 +341,27 @@ fn a_grid_larger_than_the_queue_cap_gets_400_not_429() {
         qdoc.get("rejected_submissions").and_then(|v| v.as_u64()),
         Some(0)
     );
+
+    let dir = srv.stop();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn mixes_are_refused_where_no_experiment_reads_them() {
+    let executor = StubExecutor::new(Duration::ZERO);
+    let srv = TestServer::start("mixes", Arc::clone(&executor), 1, 8);
+
+    let resp = srv.post_job("{\"experiment\":\"fig09_accuracy\",\"mixes\":2,\"quick\":true}");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("takes no mix cap"), "{}", resp.body);
+    let id = job_id(&srv.post_job(
+        "{\"experiment\":\"fig13_smt_scurve\",\"seeds\":[1,2],\"mixes\":[2,3],\"quick\":true}",
+    ));
+    let doc = srv.wait_done(id);
+    assert_eq!(doc.get("arms_total").and_then(|v| v.as_u64()), Some(4));
+    assert_eq!(executor.runs(), 4);
+    let last = srv.get(&format!("/jobs/{id}/artifact?arm=3")).body;
+    assert_eq!(last, "report fig13_smt_scurve i=10000 s=2 m=3\n");
 
     let dir = srv.stop();
     std::fs::remove_dir_all(dir).ok();
@@ -574,10 +592,9 @@ fn shutdown_persists_unfinished_jobs_and_resume_completes_them() {
         std::thread::sleep(Duration::from_millis(25));
     }
     assert_eq!(executor.runs(), 3, "finished arms must not be re-executed");
-    assert!(
-        !dir.join("cache").join("jobs.json").exists(),
-        "jobs.json should be consumed on resume"
-    );
+    // jobs.json stays and follows the table: the job is finished there too.
+    let jobs_json = std::fs::read_to_string(dir.join("cache").join("jobs.json")).unwrap();
+    assert!(!jobs_json.contains("\"queued\""), "{jobs_json}");
     let artifact = state.artifact(id, Some(2)).unwrap();
     assert!(artifact.contains("s=3"));
     state.shutdown();
@@ -759,7 +776,8 @@ fn a_jobs_json_written_by_earlier_builds_resumes() {
     // Every digest is computed under the running code version.
     let def = mab_experiments::spec::find("fig09_accuracy").unwrap();
     for (i, seed) in (1..=4).enumerate() {
-        let spec = mab_experiments::spec::RunSpec::resolve(def, Some(150_000), seed, Some(2), true);
+        let spec =
+            mab_experiments::spec::RunSpec::resolve(def, Some(150_000), seed, None, false).unwrap();
         assert_eq!(field(i, "digest"), Some(spec.digest(&state.code)));
     }
     assert_eq!(doc(1).get("status").and_then(|v| v.as_str()), Some("done"));
