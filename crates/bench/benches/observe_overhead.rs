@@ -44,7 +44,7 @@
 //! Run with: `cargo bench -p mab-bench --bench observe_overhead
 //! [--features telemetry]`
 
-use criterion::black_box;
+use mab_bench::{median, ns_per_call, BenchReport};
 use mab_core::{AlgorithmKind, BanditAgent, BanditConfig};
 use mab_memsim::{config::SystemConfig, System};
 use mab_monitor::{client, Monitor, RunInfo};
@@ -55,7 +55,7 @@ use mab_telemetry::{blackbox, profile};
 use mab_workloads::{smt, suites};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Overhead budget per switch, in percent.
 const BUDGET_PCT: f64 = 5.0;
@@ -326,16 +326,7 @@ struct Measurement {
 /// Times `iters` runs of `f` with `switch` set to `on`, returning ns/iter.
 fn sample(switch: &Switch, on: bool, f: fn() -> f64, iters: u64) -> f64 {
     (switch.set)(on);
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-fn median(v: &mut [f64]) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
+    ns_per_call(iters, f)
 }
 
 fn measure(switch: &Switch, workload: &str, f: fn() -> f64) -> Measurement {
@@ -360,9 +351,9 @@ fn measure(switch: &Switch, workload: &str, f: fn() -> f64) -> Measurement {
     (switch.set)(false);
 
     let m = Measurement {
-        off_ns: median(&mut offs),
-        on_ns: median(&mut ons),
-        overhead_pct: median(&mut overheads),
+        off_ns: median(&offs),
+        on_ns: median(&ons),
+        overhead_pct: median(&overheads),
     };
     println!(
         "{:<8} {workload:<6} off {:>12.1} ns/iter, on {:>12.1} ns/iter -> {:+.2}% \
@@ -393,10 +384,8 @@ fn main() {
     );
     mab_telemetry::install();
 
-    let mut fields = vec![format!(
-        "\"telemetry_feature\": {}",
-        mab_telemetry::STATIC_ENABLED
-    )];
+    let mut report = BenchReport::new("observe_overhead");
+    report.field("telemetry_feature", mab_telemetry::STATIC_ENABLED);
     let mut failed = Vec::new();
     for switch in switches {
         mab_telemetry::set_recording(switch.recording);
@@ -404,9 +393,12 @@ fn main() {
         for &(workload, f) in switch.workloads {
             let m = measure(switch, workload, f);
             let key = format!("{}_{workload}", switch.name);
-            fields.push(format!("\"{key}_off_ns\": {:.1}", m.off_ns));
-            fields.push(format!("\"{key}_on_ns\": {:.1}", m.on_ns));
-            fields.push(format!("\"{key}_overhead_pct\": {:.3}", m.overhead_pct));
+            report.field(&format!("{key}_off_ns"), format!("{:.1}", m.off_ns));
+            report.field(&format!("{key}_on_ns"), format!("{:.1}", m.on_ns));
+            report.field(
+                &format!("{key}_overhead_pct"),
+                format!("{:.3}", m.overhead_pct),
+            );
             worst = worst.max(m.overhead_pct);
         }
         if switch.name == RECORDER.name {
@@ -415,13 +407,10 @@ fn main() {
             println!(
                 "recorder bare decision loop: {per_step:+.1} ns/step probe cost (informational)"
             );
-            fields.push(format!("\"agent_probe_ns_per_step\": {per_step:.3}"));
+            report.field("agent_probe_ns_per_step", format!("{per_step:.3}"));
         }
         if switch.name == MONITOR.name {
-            fields.push(format!(
-                "\"monitor_scrapes_served\": {}",
-                SCRAPES.load(Ordering::Relaxed)
-            ));
+            report.field("monitor_scrapes_served", SCRAPES.load(Ordering::Relaxed));
         }
         if worst < BUDGET_PCT {
             println!(
@@ -438,30 +427,11 @@ fn main() {
     }
     mab_telemetry::set_recording(false);
 
-    fields.push(format!("\"budget_pct\": {BUDGET_PCT}"));
-    fields.push(format!("\"pass\": {}", failed.is_empty()));
-    write_report(&fields);
+    report.field("budget_pct", BUDGET_PCT);
+    report.field("pass", failed.is_empty());
+    report.write();
     if !failed.is_empty() {
         println!("FAIL: over budget: {}", failed.join(", "));
         std::process::exit(1);
-    }
-}
-
-/// Writes the flat result object to BENCH_observe_overhead.json at the repo
-/// root and echoes it to stdout, so a CI log always shows the numbers the
-/// file pinned.
-fn write_report(fields: &[String]) {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_observe_overhead.json"
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"observe_overhead\",\n  {}\n}}\n",
-        fields.join(",\n  ")
-    );
-    print!("{json}");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }

@@ -24,6 +24,7 @@
 //!
 //! Run with: `cargo bench -p mab-bench --bench serve_throughput`
 
+use mab_bench::{median, ns_per_call, BenchReport};
 use mab_monitor::client;
 use mab_monitor::http;
 use mab_serve::{api, Executor, ServeConfig, ServeState};
@@ -98,9 +99,7 @@ impl Executor for SpinExecutor {
 /// Picks an iteration count whose spin takes ~[`TARGET_ARM_MS`].
 fn calibrate() -> u64 {
     let probe = 4_000_000u64;
-    let start = Instant::now();
-    std::hint::black_box(fnv_mix(probe, 1));
-    let ns_per_iter = start.elapsed().as_nanos() as f64 / probe as f64;
+    let ns_per_iter = ns_per_call(1, || fnv_mix(probe, 1)) / probe as f64;
     ((TARGET_ARM_MS * 1e6) / ns_per_iter) as u64
 }
 
@@ -160,12 +159,6 @@ fn run_pass(url: &str, pass: &str, open: Option<&Barrier>) -> Vec<f64> {
     })
 }
 
-fn median(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.total_cmp(b));
-    v[v.len() / 2]
-}
-
 fn main() {
     let iters = calibrate();
     let dir = std::env::temp_dir().join(format!("mab-serve-bench-{}", std::process::id()));
@@ -221,7 +214,18 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
 
     let pass = speedup >= MIN_SPEEDUP && spread <= MAX_SPREAD;
-    write_report(cold_med, cached_med, speedup, spread, pass);
+    let mut report = BenchReport::new("serve_throughput");
+    report.field("clients", CLIENTS);
+    report.field("arms_per_client", ARMS_PER_CLIENT);
+    report.field("workers", WORKERS);
+    report.field("cold_median_ms", format!("{cold_med:.1}"));
+    report.field("cached_median_ms", format!("{cached_med:.1}"));
+    report.field("cache_speedup", format!("{speedup:.2}"));
+    report.field("cold_spread", format!("{spread:.3}"));
+    report.field("min_speedup", MIN_SPEEDUP);
+    report.field("max_spread", MAX_SPREAD);
+    report.field("pass", pass);
+    report.write();
     if pass {
         println!(
             "PASS: cache speedup {speedup:.1}x >= {MIN_SPEEDUP}x and \
@@ -233,27 +237,5 @@ fn main() {
              spread <= {MAX_SPREAD}x (got {spread:.2}x)"
         );
         std::process::exit(1);
-    }
-}
-
-/// Writes BENCH_serve_throughput.json at the repo root (ingest with
-/// `mab-inspect ingest`, gate with `mab-inspect regress`).
-fn write_report(cold_med: f64, cached_med: f64, speedup: f64, spread: f64, pass: bool) {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_serve_throughput.json"
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"clients\": {CLIENTS},\n  \
-         \"arms_per_client\": {ARMS_PER_CLIENT},\n  \"workers\": {WORKERS},\n  \
-         \"cold_median_ms\": {cold_med:.1},\n  \"cached_median_ms\": {cached_med:.1},\n  \
-         \"cache_speedup\": {speedup:.2},\n  \"cold_spread\": {spread:.3},\n  \
-         \"min_speedup\": {MIN_SPEEDUP},\n  \"max_spread\": {MAX_SPREAD},\n  \
-         \"pass\": {pass}\n}}\n"
-    );
-    print!("{json}");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }

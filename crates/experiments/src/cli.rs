@@ -3,8 +3,10 @@
 //! Every binary accepts:
 //!
 //! - `--instructions N` — instructions to simulate per core (prefetching)
-//!   or commits per thread (SMT),
-//! - `--seed S` — the base RNG seed,
+//!   or commits per thread (SMT), accepted by the 15 experiments that
+//!   simulate; `tab_storage`, which simulates nothing, refuses it as a
+//!   usage error,
+//! - `--seed S` — the base RNG seed (default 42), accepted by the same 15,
 //! - `--mixes N` — cap on the number of workload mixes, accepted only by
 //!   the five experiments that read one (fig05, fig13, fig15,
 //!   smt_fairness, tab09); the others refuse it as a usage error,
@@ -93,9 +95,9 @@ impl Options {
 
     /// Testable parser core: collects the flags, then resolves the run's
     /// settings for `def` through [`RunSpec::resolve`], whose refusal (a
-    /// mix cap for an experiment without mixes) is a usage error.
+    /// setting the experiment does not read) is a usage error.
     pub fn parse_from(mut args: impl Iterator<Item = String>, def: &ExperimentDef) -> Options {
-        let (mut instructions, mut seed, mut mixes, mut quick) = (None, 42, None, false);
+        let (mut instructions, mut seed, mut mixes, mut quick) = (None, None, None, false);
         let mut opts = Options {
             instructions: 0,
             seed: 0,
@@ -115,7 +117,7 @@ impl Options {
                 "--instructions" | "-n" => {
                     instructions = Some(number(args.next(), "--instructions"));
                 }
-                "--seed" | "-s" => seed = number(args.next(), "--seed"),
+                "--seed" | "-s" => seed = Some(number(args.next(), "--seed")),
                 "--mixes" | "-m" => mixes = Some(number(args.next(), "--mixes")),
                 "--jobs" | "-j" => {
                     opts.jobs = args
@@ -181,8 +183,9 @@ fn usage<T>(error: &str) -> T {
         "usage: <experiment> [--instructions N] [--seed S] [--mixes N] [--quick]\n\
          \x20                   [--jobs N] [--telemetry PATH] [--trace PATH]\n\
          \n\
-         --instructions N  instructions per core / commits per thread\n\
-         --seed S          base RNG seed (default 42)\n\
+         --instructions N  instructions per core / commits per thread (not\n\
+         \x20                 tab_storage, which simulates nothing)\n\
+         --seed S          base RNG seed (default 42; not tab_storage)\n\
          --mixes N         cap on workload mixes (fig05, fig13, fig15,\n\
          \x20                 smt_fairness and tab09 only)\n\
          --quick           10x smaller preset for smoke tests; explicit\n\

@@ -11,7 +11,9 @@
 //!
 //! - [`RunSpec::resolve`] is the one place a run's settings are resolved:
 //!   the `--quick` preset, the defaults, explicit values, and the refusal
-//!   of a mix cap for an experiment that reads none;
+//!   of a setting the experiment does not read (a mix cap, or for
+//!   `tab_storage`, which simulates nothing, an instruction count or a
+//!   seed);
 //! - [`RunSpec::config_pairs`] produces exactly the canonical config the
 //!   session records (and therefore feeds [`mab_ledger::config_digest`]);
 //! - [`RunSpec::cli_args`] produces an argv that makes the experiment
@@ -27,7 +29,8 @@ use mab_ledger::RunRecord;
 pub struct ExperimentDef {
     /// Binary / experiment name (e.g. `fig08_singlecore`).
     pub name: &'static str,
-    /// Default `--instructions` (per core / commits per thread).
+    /// Default `--instructions` (per core / commits per thread); 0 for an
+    /// experiment that simulates nothing, and so reads no size and no seed.
     pub default_instructions: u64,
     /// Default `--mixes` cap; 0 for an experiment that reads no mixes.
     pub default_mixes: usize,
@@ -53,7 +56,7 @@ pub const EXPERIMENTS: &[ExperimentDef] = &[
     def("smt_fairness", 80_000, 6),
     def("tab08_tuneset_prefetch", 1_500_000, 0),
     def("tab09_tuneset_smt", 80_000, 43),
-    def("tab_storage", 1, 0),
+    def("tab_storage", 0, 0),
 ];
 
 /// One registry row.
@@ -70,7 +73,16 @@ pub fn find(name: &str) -> Option<&'static ExperimentDef> {
     EXPERIMENTS.iter().find(|def| def.name == name)
 }
 
+/// The base RNG seed of a run that names none.
+const DEFAULT_SEED: u64 = 42;
+
 impl ExperimentDef {
+    /// True for the 15 experiments that simulate, and so read an
+    /// instruction count and a seed; `tab_storage` takes neither.
+    pub fn simulates(&self) -> bool {
+        self.default_instructions > 0
+    }
+
     /// True for the five experiments that read a mix cap (fig05, fig13,
     /// fig15, smt_fairness, tab09); the others take no `--mixes`.
     pub fn reads_mixes(&self) -> bool {
@@ -80,14 +92,19 @@ impl ExperimentDef {
 
 /// The `--quick` preset applied to an experiment's defaults: a 10x smaller
 /// instruction budget and a 4x smaller mix cap, floored so smoke runs stay
-/// meaningful. An experiment without mixes keeps a mix cap of 0.
+/// meaningful. A setting the experiment does not read stays 0.
 fn quick_preset(def: &ExperimentDef) -> (u64, usize) {
+    let instructions = if def.simulates() {
+        (def.default_instructions / 10).max(10_000)
+    } else {
+        0
+    };
     let mixes = if def.reads_mixes() {
         (def.default_mixes / 4).max(2)
     } else {
         0
     };
-    ((def.default_instructions / 10).max(10_000), mixes)
+    (instructions, mixes)
 }
 
 /// One fully resolved run identity: the settings an experiment run reads.
@@ -98,9 +115,10 @@ fn quick_preset(def: &ExperimentDef) -> (u64, usize) {
 pub struct RunSpec {
     /// Experiment name.
     pub experiment: String,
-    /// Instructions per core / commits per thread.
+    /// Instructions per core / commits per thread; 0 for an experiment
+    /// that simulates nothing.
     pub instructions: u64,
-    /// Base RNG seed.
+    /// Base RNG seed; 0 for an experiment that simulates nothing.
     pub seed: u64,
     /// Mix cap; 0 for an experiment without mixes.
     pub mixes: usize,
@@ -119,21 +137,27 @@ impl RunSpec {
 
     /// Resolves a run's settings against an experiment's defaults: `quick`
     /// picks the preset's sizes instead of the defaults, and an explicit
-    /// value beats either. The binaries' CLI and `mab-serve` both resolve
-    /// through here, so a flag's position never matters.
+    /// value beats either. The seed defaults to 42, or to 0 for an
+    /// experiment that simulates nothing. The binaries' CLI and
+    /// `mab-serve` both resolve through here, so a flag's position never
+    /// matters.
     ///
     /// # Errors
     ///
-    /// A mix cap for an experiment that reads none.
+    /// A mix cap for an experiment that reads none, or an instruction count
+    /// or a seed for an experiment that simulates nothing.
     pub fn resolve(
         def: &ExperimentDef,
         instructions: Option<u64>,
-        seed: u64,
+        seed: Option<u64>,
         mixes: Option<usize>,
         quick: bool,
     ) -> Result<RunSpec, String> {
         if mixes.is_some() && !def.reads_mixes() {
             return Err(format!("{} takes no mix cap", def.name));
+        }
+        if (instructions.is_some() || seed.is_some()) && !def.simulates() {
+            return Err(format!("{} takes no instruction count or seed", def.name));
         }
         let (default_instructions, default_mixes) = if quick {
             quick_preset(def)
@@ -143,7 +167,7 @@ impl RunSpec {
         Ok(RunSpec {
             experiment: def.name.to_string(),
             instructions: instructions.unwrap_or(default_instructions),
-            seed,
+            seed: seed.unwrap_or(if def.simulates() { DEFAULT_SEED } else { 0 }),
             mixes: mixes.unwrap_or(default_mixes),
         })
     }
@@ -171,16 +195,20 @@ impl RunSpec {
     }
 
     /// An argv (without the binary name) that makes the experiment binary
-    /// resolve exactly this spec: every setting explicit, and `--mixes` only
-    /// for an experiment that reads it.
+    /// resolve exactly this spec: every setting the experiment reads
+    /// explicit, and no other, so `tab_storage`'s is empty.
     pub fn cli_args(&self) -> Vec<String> {
-        let mut args = vec![
-            "--instructions".to_string(),
-            self.instructions.to_string(),
-            "--seed".to_string(),
-            self.seed.to_string(),
-        ];
-        if find(&self.experiment).is_some_and(ExperimentDef::reads_mixes) {
+        let def = find(&self.experiment);
+        let mut args = Vec::new();
+        if def.is_some_and(ExperimentDef::simulates) {
+            args.extend([
+                "--instructions".to_string(),
+                self.instructions.to_string(),
+                "--seed".to_string(),
+                self.seed.to_string(),
+            ]);
+        }
+        if def.is_some_and(ExperimentDef::reads_mixes) {
             args.extend(["--mixes".to_string(), self.mixes.to_string()]);
         }
         args
@@ -206,7 +234,7 @@ mod tests {
 
     #[test]
     fn explicit_values_beat_quick_in_either_order() {
-        for def in EXPERIMENTS {
+        for def in EXPERIMENTS.iter().filter(|def| def.simulates()) {
             for args in [
                 ["--instructions", "5000", "--quick"],
                 ["--quick", "--instructions", "5000"],
@@ -215,7 +243,7 @@ mod tests {
                 assert_eq!(spec.instructions, 5000, "{} {args:?}", def.name);
                 assert_eq!(
                     spec,
-                    RunSpec::resolve(def, Some(5000), 42, None, true).unwrap()
+                    RunSpec::resolve(def, Some(5000), None, None, true).unwrap()
                 );
             }
         }
@@ -230,7 +258,7 @@ mod tests {
             (10_000, 56)
         );
         for def in EXPERIMENTS {
-            let spec = RunSpec::resolve(def, None, 42, None, true).unwrap();
+            let spec = RunSpec::resolve(def, None, None, None, true).unwrap();
             assert_eq!(spec.mixes == 0, !def.reads_mixes(), "{}", def.name);
         }
     }
@@ -253,23 +281,46 @@ mod tests {
             ]
         );
         for def in EXPERIMENTS {
-            let resolved = RunSpec::resolve(def, None, 1, Some(3), false);
+            let resolved = RunSpec::resolve(def, None, None, Some(3), false);
             assert_eq!(resolved.is_ok(), def.reads_mixes(), "{}", def.name);
         }
+    }
+
+    #[test]
+    fn only_tab_storage_takes_no_size_and_no_seed() {
+        let tab = find("tab_storage").unwrap();
+        let idle: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|d| !d.simulates())
+            .map(|d| d.name)
+            .collect();
+        assert_eq!(idle, ["tab_storage"]);
+        for quick in [false, true] {
+            let spec = RunSpec::resolve(tab, None, None, None, quick).unwrap();
+            assert_eq!((spec.instructions, spec.seed, spec.mixes), (0, 0, 0));
+        }
+        assert!(RunSpec::resolve(tab, Some(5000), None, None, false).is_err());
+        assert!(RunSpec::resolve(tab, None, Some(7), None, false).is_err());
     }
 
     #[test]
     fn cli_args_round_trip_through_the_parser() {
         let fig13 = find("fig13_smt_scurve").unwrap();
         let fig08 = find("fig08_singlecore").unwrap();
+        let tab = find("tab_storage").unwrap();
         for (def, spec) in [
-            (fig13, RunSpec::resolve(fig13, None, 42, None, false)),
-            (fig13, RunSpec::resolve(fig13, None, 9, Some(8), true)),
-            (fig13, RunSpec::resolve(fig13, Some(123_456), 1, None, true)),
-            (fig08, RunSpec::resolve(fig08, None, 7, None, true)),
+            (fig13, RunSpec::resolve(fig13, None, None, None, false)),
+            (fig13, RunSpec::resolve(fig13, None, Some(9), Some(8), true)),
+            (
+                fig13,
+                RunSpec::resolve(fig13, Some(123_456), Some(1), None, true),
+            ),
+            (fig08, RunSpec::resolve(fig08, None, Some(7), None, true)),
+            (tab, RunSpec::resolve(tab, None, None, None, true)),
         ] {
             let spec = spec.unwrap();
             let args = spec.cli_args();
+            assert_eq!(args.contains(&"--seed".to_string()), def.simulates());
             assert_eq!(args.contains(&"--mixes".to_string()), def.reads_mixes());
             let args: Vec<&str> = args.iter().map(String::as_str).collect();
             assert_eq!(spec, parse(def, &args), "{spec:?}");
@@ -279,7 +330,7 @@ mod tests {
     #[test]
     fn digest_matches_the_session_identity() {
         let def = find("fig08_singlecore").unwrap();
-        let spec = RunSpec::resolve(def, None, 42, None, true).unwrap();
+        let spec = RunSpec::resolve(def, None, None, None, true).unwrap();
         let record = spec.identity_record("0.1.0+abc1234");
         assert_eq!(spec.digest("0.1.0+abc1234"), record.digest());
         let keys: Vec<&str> = record.config.iter().map(|(k, _)| k.as_str()).collect();

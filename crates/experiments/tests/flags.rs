@@ -1,9 +1,11 @@
 //! Settings come from flags alone. An environment variable named like a
 //! flag changes nothing, and an empty directory value is refused rather
 //! than resolved to the working directory. So is an empty `--monitor`
-//! address, rather than read as "monitor off", and so is `--mixes` for an
-//! experiment without mixes. `--quick` only picks sizes: a run recorded
-//! at the preset is the run recorded at the same explicit sizes.
+//! address, rather than read as "monitor off", and so is a setting the
+//! experiment does not read: `--mixes` for an experiment without mixes,
+//! `--instructions` or `--seed` for `tab_storage`. `--quick` only picks
+//! sizes: a run recorded at the preset is the run recorded at the same
+//! explicit sizes.
 //!
 //! Each test runs its binary in a private working directory, so whatever
 //! a run writes shows up there. Most run `tab_storage`, the one binary
@@ -82,49 +84,56 @@ fn an_empty_directory_value_is_a_usage_error() {
 }
 
 #[test]
-fn mixes_for_an_experiment_without_mixes_is_a_usage_error() {
-    let cwd = temp_dir("mixes");
-    let exe = env!("CARGO_BIN_EXE_fig08_singlecore");
-    let output = run(exe, &cwd, &["--mixes", "3"], &[]);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(2), "{stderr}");
-    assert!(
-        stderr.contains("fig08_singlecore takes no mix cap"),
-        "{stderr}"
-    );
-    assert!(output.stdout.is_empty(), "--mixes 3 ran the experiment");
-    assert_eq!(entries(&cwd), Vec::<String>::new());
-    std::fs::remove_dir_all(&cwd).ok();
+fn a_setting_the_experiment_does_not_read_is_a_usage_error() {
+    let fig08 = env!("CARGO_BIN_EXE_fig08_singlecore");
+    let tab_storage = env!("CARGO_BIN_EXE_tab_storage");
+    let no_size = "tab_storage takes no instruction count or seed";
+    for (exe, flag, value, error) in [
+        (fig08, "--mixes", "3", "fig08_singlecore takes no mix cap"),
+        (tab_storage, "--seed", "7", no_size),
+        (tab_storage, "--instructions", "5000", no_size),
+    ] {
+        let cwd = temp_dir("unread");
+        let output = run(exe, &cwd, &[flag, value], &[]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains(error), "{flag}: {stderr}");
+        assert!(output.stdout.is_empty(), "{flag} ran the experiment");
+        assert_eq!(entries(&cwd), Vec::<String>::new(), "{flag}");
+        std::fs::remove_dir_all(&cwd).ok();
+    }
 }
 
 #[test]
 fn quick_and_the_same_explicit_sizes_are_one_ledger_record() {
-    let cwd = temp_dir("quick-ledger");
-    let exe = env!("CARGO_BIN_EXE_tab09_tuneset_smt");
-    let quick = run(exe, &cwd, &["--quick", "--ledger", "ledger"], &[]);
-    assert!(
-        quick.status.success(),
-        "{}",
-        String::from_utf8_lossy(&quick.stderr)
-    );
-    let explicit = [
-        "--instructions",
-        "10000",
-        "--mixes",
-        "10",
-        "--ledger",
-        "ledger",
-    ];
-    let explicit = run(exe, &cwd, &explicit, &[]);
-    let stderr = String::from_utf8_lossy(&explicit.stderr);
-    assert!(explicit.status.success(), "{stderr}");
-    assert_eq!(quick.stdout, explicit.stdout);
-    assert!(stderr.contains("not re-appended"), "{stderr}");
-    let records = mab_ledger::Ledger::open(cwd.join("ledger"))
-        .unwrap()
-        .read_all()
-        .unwrap()
-        .records;
-    assert_eq!(records.len(), 1, "{records:?}");
-    std::fs::remove_dir_all(&cwd).ok();
+    // tab_storage reads no size, so `--quick` names the default run.
+    for (exe, quick_args, explicit_args) in [
+        (
+            env!("CARGO_BIN_EXE_tab09_tuneset_smt"),
+            &["--quick"][..],
+            &["--instructions", "10000", "--mixes", "10"][..],
+        ),
+        (env!("CARGO_BIN_EXE_tab_storage"), &["--quick"][..], &[][..]),
+    ] {
+        let cwd = temp_dir("quick-ledger");
+        let ledger = ["--ledger", "ledger"];
+        let quick = run(exe, &cwd, &[quick_args, &ledger].concat(), &[]);
+        assert!(
+            quick.status.success(),
+            "{}",
+            String::from_utf8_lossy(&quick.stderr)
+        );
+        let explicit = run(exe, &cwd, &[explicit_args, &ledger].concat(), &[]);
+        let stderr = String::from_utf8_lossy(&explicit.stderr);
+        assert!(explicit.status.success(), "{exe}: {stderr}");
+        assert_eq!(quick.stdout, explicit.stdout);
+        assert!(stderr.contains("not re-appended"), "{exe}: {stderr}");
+        let records = mab_ledger::Ledger::open(cwd.join("ledger"))
+            .unwrap()
+            .read_all()
+            .unwrap()
+            .records;
+        assert_eq!(records.len(), 1, "{exe}: {records:?}");
+        std::fs::remove_dir_all(&cwd).ok();
+    }
 }

@@ -23,9 +23,11 @@
 //! a filled disk, two processes racing on an exotic filesystem — the CRC
 //! frame catches it: readers verify every line's checksum and **skip** bad
 //! lines with a warning, never a panic, so one damaged entry cannot take
-//! down the history. The index carries a freshness marker (the segment
-//! length it covers) and falls back to a full scan plus rewrite whenever
-//! the marker disagrees with the file.
+//! down the history. An append that finds the segment ending mid-line
+//! ends that line first, so a torn tail costs only itself, never the next
+//! record. The index carries a freshness marker (the segment length it
+//! covers) and falls back to a full scan plus rewrite whenever the marker
+//! disagrees with the file.
 
 use crate::record::RunRecord;
 use mab_telemetry::crc32;
@@ -121,16 +123,33 @@ impl Ledger {
         let segment = self.dir.join(SEGMENT);
         let mut file = OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&segment)?;
         let offset = file.seek(SeekFrom::End(0))?;
-        let line = frame(&record.to_json());
+        // A writer that died mid-line left a tail without its newline:
+        // end that line first, or this record would join it and fail its
+        // CRC along with it.
+        let mut last = [b'\n'];
+        if offset > 0 {
+            file.seek(SeekFrom::Start(offset - 1))?;
+            file.read_exact(&mut last)?;
+        }
+        let torn = last[0] != b'\n';
+        let mut line = frame(&record.to_json());
+        if torn {
+            line.insert(0, '\n');
+        }
         // One write_all of the fully framed line: concurrent O_APPEND
         // writers interleave at line granularity, and anything torn is
         // caught by the CRC on read.
         file.write_all(line.as_bytes())?;
-        let new_len = offset + line.len() as u64;
-        self.extend_index(&digest, offset, new_len)?;
+        // The newline may have completed the torn tail into a record the
+        // index never saw: leave the index stale, so the next lookup
+        // rescans the segment and indexes both.
+        if !torn {
+            self.extend_index(&digest, offset, offset + line.len() as u64)?;
+        }
         Ok(Append::Recorded(digest))
     }
 
@@ -325,10 +344,14 @@ fn scan_segment(path: &Path) -> std::io::Result<ScanOutcome> {
         };
         let line = &rest[..nl];
         // Bit flips can produce invalid UTF-8; lossy decoding keeps the
-        // line comparable and lets the CRC check reject it cleanly.
-        match unframe(&String::from_utf8_lossy(line)) {
-            Ok(rec) => records.push((rec, offset as u64)),
-            Err(why) => warnings.push(format!("{name}:{line_no}: {why}; line skipped")),
+        // line comparable and lets the CRC check reject it cleanly. An
+        // empty line is the newline that ends a torn tail, written by
+        // every appender that found the tail (see `Ledger::record`).
+        if !line.is_empty() {
+            match unframe(&String::from_utf8_lossy(line)) {
+                Ok(rec) => records.push((rec, offset as u64)),
+                Err(why) => warnings.push(format!("{name}:{line_no}: {why}; line skipped")),
+            }
         }
         offset += nl + 1;
     }
@@ -507,6 +530,53 @@ mod tests {
         assert_eq!(out.warnings.len(), 4, "{:?}", out.warnings);
         assert!(out.warnings.iter().any(|w| w.contains("CRC mismatch")));
         assert!(out.warnings.iter().any(|w| w.contains("truncated")));
+    }
+
+    #[test]
+    fn a_record_after_a_torn_tail_lands_intact_at_every_cut() {
+        let dir = temp_dir("torn-tail");
+        let (r1, torn, r2) = (record(1), record(99), record(2));
+        let line = frame(&torn.to_json());
+        let only_r2 = std::slice::from_ref(&r2);
+        for cut in 1..line.len() {
+            std::fs::remove_dir_all(&dir).ok();
+            let ledger = Ledger::open(&dir).unwrap();
+            ledger.record(&r1).unwrap();
+            let mut segment = OpenOptions::new()
+                .append(true)
+                .open(dir.join(SEGMENT))
+                .unwrap();
+            segment.write_all(&line.as_bytes()[..cut]).unwrap();
+            assert!(
+                matches!(ledger.record(&r2).unwrap(), Append::Recorded(_)),
+                "cut {cut}"
+            );
+            // A cut that lost only the newline leaves the torn record whole.
+            let whole = cut == line.len() - 1;
+            let out = ledger.read_all().unwrap();
+            let expected = if whole {
+                vec![r1.clone(), torn.clone(), r2.clone()]
+            } else {
+                vec![r1.clone(), r2.clone()]
+            };
+            assert_eq!(out.records, expected, "cut {cut}");
+            assert_eq!(
+                out.warnings.len(),
+                usize::from(!whole),
+                "cut {cut}: {:?}",
+                out.warnings
+            );
+            assert_eq!(ledger.find(&r2.digest()).unwrap(), only_r2, "cut {cut}");
+            let found_torn = ledger.find(&torn.digest()).unwrap().len();
+            assert_eq!(found_torn, usize::from(whole), "cut {cut}");
+            std::fs::remove_file(dir.join(INDEX)).unwrap();
+            assert_eq!(ledger.find(&r2.digest()).unwrap(), only_r2, "cut {cut}");
+            assert!(
+                matches!(ledger.record(&r2).unwrap(), Append::Deduplicated(_)),
+                "cut {cut}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -186,6 +186,25 @@ mod tests {
     }
 
     #[test]
+    fn a_temp_file_left_by_a_killed_store_is_never_served() {
+        let digest = "feedfacecafebeef";
+        let report = "the full report body\n";
+        let entry = entry_header(report) + report;
+        // A daemon killed between the temp write and the rename: mid-write,
+        // then after the whole entry was written. Pid 1 never runs a test.
+        for (tag, left) in [("partial", &entry[..entry.len() / 2]), ("whole", &entry)] {
+            let cache = temp_cache(&format!("killed-{tag}"));
+            std::fs::write(cache.root().join(format!(".tmp-{digest}-1")), left).unwrap();
+            assert_eq!(cache.lookup(digest), None, "{tag}");
+            assert_eq!(cache.entries(), 0, "{tag}");
+            cache.store(digest, report).unwrap();
+            assert_eq!(cache.lookup(digest).as_deref(), Some(report), "{tag}");
+            assert_eq!(cache.entries(), 1, "{tag}");
+            std::fs::remove_dir_all(cache.root()).ok();
+        }
+    }
+
+    #[test]
     fn store_replaces_an_entry_and_an_old_entry_directory_does_not_block_it() {
         let cache = temp_cache("overwrite");
         let digest = "0123456789abcdef";

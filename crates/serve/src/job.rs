@@ -152,15 +152,16 @@ impl Job {
     /// outcome; every other arm comes back queued. The derived fields
     /// (`status`, the counts, each arm's `index` and `digest`) are not
     /// read, and neither is the `quick` key earlier builds wrote on each
-    /// arm, nor an arm's `mixes` for an experiment without mixes. The
-    /// experiment is the job's, or, in the form earlier builds wrote, each
-    /// arm's own.
+    /// arm, nor a setting the arm's experiment does not read: `mixes` for
+    /// an experiment without mixes, `instructions` and `seed` for one that
+    /// simulates nothing. The experiment is the job's, or, in the form
+    /// earlier builds wrote, each arm's own.
     ///
     /// `None` when the document is not a job: no arms, an arm without a
     /// registered experiment, or a missing field that both forms always
-    /// write (`id`, `client`, `submitted_unix`, each arm's `instructions`,
-    /// `seed` and, for an experiment with mixes, `mixes`, and a finished
-    /// arm's `cache_hit` and `wall_ms`).
+    /// write (`id`, `client`, `submitted_unix`, each arm's settings that
+    /// its experiment reads, and a finished arm's `cache_hit` and
+    /// `wall_ms`).
     pub fn from_json(doc: &JsonValue, code: &str) -> Option<Job> {
         let experiment = doc.get("experiment").and_then(JsonValue::as_str);
         let arms = doc
@@ -174,9 +175,13 @@ impl Job {
                 } else {
                     None
                 };
-                let instructions = arm.get("instructions")?.as_u64()?;
-                let seed = arm.get("seed")?.as_u64()?;
-                let spec = RunSpec::resolve(def, Some(instructions), seed, mixes, false).ok()?;
+                let (instructions, seed) = if def.simulates() {
+                    let instructions = arm.get("instructions")?.as_u64()?;
+                    (Some(instructions), Some(arm.get("seed")?.as_u64()?))
+                } else {
+                    (None, None)
+                };
+                let spec = RunSpec::resolve(def, instructions, seed, mixes, false).ok()?;
                 let mut rebuilt = Arm::new(spec, code);
                 rebuilt.status = match arm.get("status").and_then(JsonValue::as_str) {
                     Some("done") => ArmStatus::Done,
@@ -267,12 +272,12 @@ pub struct JobSpec {
 /// ```
 ///
 /// `experiment` is required and must be registered; `client` defaults to
-/// `anon`; `seeds` (scalar or list) defaults to `[42]`; `instructions` and
-/// `mixes` (scalar or list) default to the experiment's registry defaults,
-/// or to the `--quick` preset when `quick` is true. Every grid point
-/// resolves through [`RunSpec::resolve`], exactly as the binary CLI
-/// resolves its flags, so `mixes` is refused for an experiment without
-/// mixes, such as `fig08_singlecore`.
+/// `anon`; `seeds`, `instructions` and `mixes` (scalar or list) default to
+/// the experiment's registry defaults (seed 42), or to the `--quick`
+/// preset when `quick` is true. Every grid point resolves through
+/// [`RunSpec::resolve`], exactly as the binary CLI resolves its flags, so
+/// `mixes` is refused for an experiment without mixes, such as
+/// `fig08_singlecore`, and `seeds` and `instructions` for `tab_storage`.
 ///
 /// The grid's arm count is checked against `max_arms` (the daemon's queue
 /// cap) before any spec is built: a grid larger than the cap could never
@@ -298,13 +303,9 @@ pub fn parse_job(body: &str, max_arms: usize) -> Result<JobSpec, String> {
         .get("quick")
         .and_then(JsonValue::as_bool)
         .unwrap_or(false);
-    let seeds = u64_list(&doc, "seeds")?.unwrap_or_else(|| vec![42]);
-    let instructions = u64_list(&doc, "instructions")?;
+    let seeds = axis(u64_list(&doc, "seeds")?);
+    let instructions = axis(u64_list(&doc, "instructions")?);
     let mixes = u64_list(&doc, "mixes")?;
-    let instructions: Vec<Option<u64>> = match instructions {
-        Some(list) => list.into_iter().map(Some).collect(),
-        None => vec![None],
-    };
     let mixes: Vec<Option<usize>> = match mixes {
         Some(list) => list.into_iter().map(|m| Some(m as usize)).collect(),
         None => vec![None],
@@ -332,6 +333,14 @@ pub fn parse_job(body: &str, max_arms: usize) -> Result<JobSpec, String> {
         return Err("empty config grid".to_string());
     }
     Ok(JobSpec { client, specs })
+}
+
+/// A grid axis: each listed value, or one point that takes the default.
+fn axis(list: Option<Vec<u64>>) -> Vec<Option<u64>> {
+    match list {
+        Some(list) => list.into_iter().map(Some).collect(),
+        None => vec![None],
+    }
 }
 
 /// Reads `key` as either a scalar u64 or a list of them.
@@ -451,8 +460,14 @@ mod tests {
 
     #[test]
     fn job_status_aggregates_arms() {
-        let spec =
-            RunSpec::resolve(spec::find("fig08_singlecore").unwrap(), None, 1, None, true).unwrap();
+        let spec = RunSpec::resolve(
+            spec::find("fig08_singlecore").unwrap(),
+            None,
+            Some(1),
+            None,
+            true,
+        )
+        .unwrap();
         let arm = |status, cache_hit| Arm {
             spec: spec.clone(),
             digest: spec.digest("c"),

@@ -15,7 +15,7 @@ fn the_child_gets_quiet_and_the_job_crash_dir_as_flags() {
     std::fs::remove_dir_all(&bin_dir).ok();
     std::fs::create_dir_all(&bin_dir).unwrap();
     let def = spec::find("fig08_singlecore").unwrap();
-    let spec = RunSpec::resolve(def, None, 7, None, true).unwrap();
+    let spec = RunSpec::resolve(def, None, Some(7), None, true).unwrap();
     let stub = bin_dir.join(&spec.experiment);
     std::fs::write(
         &stub,

@@ -20,7 +20,7 @@ fn sample_job() -> Job {
     let def = spec::find("fig13_smt_scurve").unwrap();
     let mut arms: Vec<Arm> = (1..=4)
         .map(|seed| {
-            let spec = RunSpec::resolve(def, Some(1000), seed, Some(2), false).unwrap();
+            let spec = RunSpec::resolve(def, Some(1000), Some(seed), Some(2), false).unwrap();
             Arm::new(spec, "c1")
         })
         .collect();
@@ -95,6 +95,20 @@ fn from_json_rejects_what_is_not_a_job() {
     }
     let empty = json::parse("{\"id\":1,\"experiment\":\"fig09_accuracy\",\"arms\":[]}").unwrap();
     assert!(Job::from_json(&empty, "c").is_none());
+}
+
+#[test]
+fn from_json_ignores_the_size_and_seed_tab_storage_does_not_read() {
+    // A tab_storage arm as builds that digested both wrote it.
+    let doc = json::parse(
+        r#"{"id":0,"client":"a","experiment":"tab_storage","submitted_unix":1,"arms":[{"status":"done","cache_hit":false,"instructions":1,"seed":42,"mixes":0,"wall_ms":2}]}"#,
+    )
+    .unwrap();
+    let job = Job::from_json(&doc, "c").unwrap();
+    let def = spec::find("tab_storage").unwrap();
+    let spec = RunSpec::resolve(def, None, None, None, false).unwrap();
+    assert_eq!(job.arms[0].spec, spec);
+    assert_eq!(job.arms[0].status, ArmStatus::Done);
 }
 
 /// Code version the job documents are read under.

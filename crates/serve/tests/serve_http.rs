@@ -347,13 +347,28 @@ fn a_grid_larger_than_the_queue_cap_gets_400_not_429() {
 }
 
 #[test]
-fn mixes_are_refused_where_no_experiment_reads_them() {
+fn settings_are_refused_where_the_experiment_reads_none() {
     let executor = StubExecutor::new(Duration::ZERO);
     let srv = TestServer::start("mixes", Arc::clone(&executor), 1, 8);
 
-    let resp = srv.post_job("{\"experiment\":\"fig09_accuracy\",\"mixes\":2,\"quick\":true}");
-    assert_eq!(resp.status, 400, "{}", resp.body);
-    assert!(resp.body.contains("takes no mix cap"), "{}", resp.body);
+    for (body, error) in [
+        (
+            "{\"experiment\":\"fig09_accuracy\",\"mixes\":2,\"quick\":true}",
+            "takes no mix cap",
+        ),
+        (
+            "{\"experiment\":\"tab_storage\",\"seeds\":[1,2,3]}",
+            "takes no instruction count or seed",
+        ),
+        (
+            "{\"experiment\":\"tab_storage\",\"instructions\":5000}",
+            "takes no instruction count or seed",
+        ),
+    ] {
+        let resp = srv.post_job(body);
+        assert_eq!(resp.status, 400, "{body}: {}", resp.body);
+        assert!(resp.body.contains(error), "{body}: {}", resp.body);
+    }
     let id = job_id(&srv.post_job(
         "{\"experiment\":\"fig13_smt_scurve\",\"seeds\":[1,2],\"mixes\":[2,3],\"quick\":true}",
     ));
@@ -362,6 +377,15 @@ fn mixes_are_refused_where_no_experiment_reads_them() {
     assert_eq!(executor.runs(), 4);
     let last = srv.get(&format!("/jobs/{id}/artifact?arm=3")).body;
     assert_eq!(last, "report fig13_smt_scurve i=10000 s=2 m=3\n");
+    // tab_storage reads no size: `quick` names the run it names without.
+    for (body, hits) in [
+        ("{\"experiment\":\"tab_storage\"}", 0),
+        ("{\"experiment\":\"tab_storage\",\"quick\":true}", 1),
+    ] {
+        let doc = srv.wait_done(job_id(&srv.post_job(body)));
+        assert_eq!(doc.get("cache_hits").and_then(|v| v.as_u64()), Some(hits));
+    }
+    assert_eq!(executor.runs(), 5);
 
     let dir = srv.stop();
     std::fs::remove_dir_all(dir).ok();
@@ -777,7 +801,8 @@ fn a_jobs_json_written_by_earlier_builds_resumes() {
     let def = mab_experiments::spec::find("fig09_accuracy").unwrap();
     for (i, seed) in (1..=4).enumerate() {
         let spec =
-            mab_experiments::spec::RunSpec::resolve(def, Some(150_000), seed, None, false).unwrap();
+            mab_experiments::spec::RunSpec::resolve(def, Some(150_000), Some(seed), None, false)
+                .unwrap();
         assert_eq!(field(i, "digest"), Some(spec.digest(&state.code)));
     }
     assert_eq!(doc(1).get("status").and_then(|v| v.as_str()), Some("done"));
