@@ -18,15 +18,11 @@
 mod ducb;
 mod epsilon_greedy;
 mod heuristics;
-mod sw_ucb;
-mod thompson;
 mod ucb;
 
 pub use ducb::Ducb;
 pub use epsilon_greedy::EpsilonGreedy;
 pub use heuristics::{Periodic, Single, StaticArm};
-pub use sw_ucb::SwUcb;
-pub use thompson::ThompsonGaussian;
 pub use ucb::Ucb;
 
 use crate::arm::ArmId;
@@ -52,8 +48,7 @@ pub trait Algorithm {
     fn update_reward(&mut self, tables: &mut BanditTables, arm: ArmId, r_step: f64);
 
     /// Telemetry: fills `out` with the per-arm selection bound the algorithm
-    /// is currently using — the UCB/DUCB potential, SW-UCB's windowed bound,
-    /// Thompson's one-sigma posterior quantile. Captured into
+    /// is currently using — the UCB/DUCB potential. Captured into
     /// [decision records](mab_telemetry::DecisionRecord) so traces show not
     /// just *what* was picked but what the alternatives scored. Must not
     /// mutate algorithm state or draw randomness. The default is the
@@ -116,21 +111,6 @@ pub enum AlgorithmKind {
         /// The arm to play.
         arm: usize,
     },
-    /// Gaussian Thompson Sampling (Thompson 1933, the paper's ref. [73]):
-    /// randomized probability-matching exploration.
-    Thompson {
-        /// Posterior prior scale; larger explores more.
-        sigma: f64,
-    },
-    /// Sliding-Window UCB (Garivier & Moulines, the paper's ref. [24]):
-    /// abrupt forgetting over a fixed window, the companion algorithm to
-    /// DUCB's exponential forgetting.
-    SwUcb {
-        /// Window length in bandit steps.
-        window: usize,
-        /// Exploration constant.
-        c: f64,
-    },
 }
 
 impl AlgorithmKind {
@@ -170,19 +150,6 @@ impl AlgorithmKind {
                     return Err(ConfigError::ArmOutOfRange { arm, arms });
                 }
             }
-            AlgorithmKind::Thompson { sigma } => {
-                if !sigma.is_finite() || sigma < 0.0 {
-                    return Err(ConfigError::InvalidExplorationConstant(sigma));
-                }
-            }
-            AlgorithmKind::SwUcb { window, c } => {
-                if window == 0 {
-                    return Err(ConfigError::InvalidPeriod);
-                }
-                if !c.is_finite() || c < 0.0 {
-                    return Err(ConfigError::InvalidExplorationConstant(c));
-                }
-            }
         }
         Ok(())
     }
@@ -199,8 +166,6 @@ impl AlgorithmKind {
                 window,
             } => Box::new(Periodic::new(arms, exploit_len, window)),
             AlgorithmKind::Static { arm } => Box::new(StaticArm::new(ArmId::new(arm))),
-            AlgorithmKind::Thompson { sigma } => Box::new(ThompsonGaussian::new(sigma)),
-            AlgorithmKind::SwUcb { window, c } => Box::new(SwUcb::new(window, c)),
         }
     }
 
@@ -213,8 +178,6 @@ impl AlgorithmKind {
             AlgorithmKind::Single => "single",
             AlgorithmKind::Periodic { .. } => "periodic",
             AlgorithmKind::Static { .. } => "static",
-            AlgorithmKind::Thompson { .. } => "thompson",
-            AlgorithmKind::SwUcb { .. } => "sw-ucb",
         }
     }
 }

@@ -65,7 +65,6 @@ pub mod arm;
 pub mod cost;
 pub mod error;
 pub mod fixed;
-pub mod hierarchical;
 pub mod reward;
 pub mod tables;
 

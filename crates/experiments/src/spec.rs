@@ -23,8 +23,8 @@
 use crate::cli::Options;
 use mab_ledger::RunRecord;
 
-/// Registry entry for one experiment binary: its name and the recorded-run
-/// defaults the `--quick` preset scales down from.
+/// Registry entry for one experiment binary: its name and its default
+/// sizes, which the `--quick` preset scales down from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentDef {
     /// Binary / experiment name (e.g. `fig08_singlecore`).
@@ -37,7 +37,10 @@ pub struct ExperimentDef {
 }
 
 /// Every experiment binary in the workspace, sorted by name, with its
-/// default instructions and mix cap. The single source of the
+/// default instructions and mix cap: the sizes of a bare invocation and of
+/// a `POST /jobs` that names none, which `--quick` scales down. (The
+/// recorded runs behind EXPERIMENTS.md pass their own sizes, from
+/// `scripts/run_all_experiments.sh`.) The single source of the
 /// per-experiment defaults: binaries parse their CLI through it and
 /// `mab-serve` resolves submitted specs against it.
 pub const EXPERIMENTS: &[ExperimentDef] = &[

@@ -43,7 +43,6 @@
 pub mod bandit_l2;
 pub mod bingo;
 pub mod catalog;
-pub mod classified;
 pub mod composite;
 pub mod ip_stride;
 pub mod ipcp;

@@ -18,8 +18,10 @@
 //!
 //! A store writes a temp file and renames it over `<digest>.report`, so
 //! concurrent writers and crashed daemons can never publish a torn entry.
-//! The `.report` suffix also keeps a `<digest>/` directory, the entry
-//! layout of earlier builds, from blocking the rename.
+//! A daemon killed between the two steps leaves its `.tmp-<digest>-<pid>`
+//! behind; the next [`Cache::open`] deletes it. The `.report` suffix also
+//! keeps a `<digest>/` directory, the entry layout of earlier builds, from
+//! blocking the rename.
 
 use mab_telemetry::crc32;
 use std::path::{Path, PathBuf};
@@ -31,14 +33,24 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Opens (creating if needed) the store rooted at `root`.
+    /// Opens (creating if needed) the store rooted at `root` and deletes
+    /// every `.tmp-*` file in it: the temp files of stores that never
+    /// reached their rename. A store another process has in flight in the
+    /// same root loses its temp file and fails, which costs an entry, never
+    /// tears one.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation failures.
+    /// Propagates failures to create or list the directory.
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<Cache> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
+        for entry in std::fs::read_dir(&root)?.filter_map(Result::ok) {
+            let is_file = entry.file_type().is_ok_and(|t| t.is_file());
+            if is_file && entry.file_name().to_string_lossy().starts_with(".tmp-") {
+                std::fs::remove_file(entry.path()).ok();
+            }
+        }
         Ok(Cache { root })
     }
 
@@ -202,6 +214,31 @@ mod tests {
             assert_eq!(cache.entries(), 1, "{tag}");
             std::fs::remove_dir_all(cache.root()).ok();
         }
+    }
+
+    #[test]
+    fn open_deletes_the_temp_files_killed_stores_left() {
+        let cache = temp_cache("sweep");
+        let digest = "feedfacecafebeef";
+        let report = "the full report body\n";
+        cache.store(digest, report).unwrap();
+        // A store killed mid-write and one killed just before its rename.
+        let entry = entry_header(report) + report;
+        let partial = cache.root().join(format!(".tmp-{digest}-1"));
+        let whole = cache.root().join(".tmp-0011223344556677-1");
+        std::fs::write(&partial, &entry[..entry.len() / 2]).unwrap();
+        std::fs::write(&whole, &entry).unwrap();
+        let jobs = cache.root().join("jobs.json");
+        std::fs::write(&jobs, "{}").unwrap();
+        let crashes = cache.root().join("crashes");
+        std::fs::create_dir_all(&crashes).unwrap();
+
+        let cache = Cache::open(cache.root()).unwrap();
+        assert!(!partial.exists() && !whole.exists());
+        assert!(jobs.exists() && crashes.is_dir());
+        assert_eq!(cache.lookup(digest).as_deref(), Some(report));
+        assert_eq!(cache.entries(), 1);
+        std::fs::remove_dir_all(cache.root()).ok();
     }
 
     #[test]

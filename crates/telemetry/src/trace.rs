@@ -25,8 +25,7 @@ pub struct ArmProbe {
     /// Empirical mean (normalized) reward `r_i` — the rTable entry.
     pub q: f64,
     /// The algorithm's selection potential for this arm: the UCB/DUCB upper
-    /// confidence bound, SW-UCB's windowed bound, Thompson's one-sigma
-    /// posterior quantile, or plain `q` for greedy selection.
+    /// confidence bound, or plain `q` for greedy selection.
     pub bound: f64,
     /// (Possibly discounted) selection count `n_i` — the nTable entry.
     pub pulls: f64,

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure, teeing outputs into results/.
-# Sizes below are the "recorded run" configuration documented in
-# EXPERIMENTS.md (scaled down from the paper's 1B-instruction traces to
-# laptop scale; pass larger --instructions for higher fidelity).
+# Runs each of the 16 experiment binaries once, at the size its heading in
+# EXPERIMENTS.md names: the recorded runs behind that file's numbers
+# (scaled down from the paper's 1B-instruction traces to laptop scale;
+# pass larger --instructions for higher fidelity).
 #
 # Usage: run_all_experiments.sh [--jobs N] [--trace-dir DIR] [--ledger DIR]
 #                               [--monitor ADDR]
@@ -72,16 +73,17 @@ run() {
 run tab_storage
 run fig02_homogeneity --instructions 1500000
 run fig07_exploration --instructions 2500000
-run fig08_singlecore  --instructions 700000
+run fig08_singlecore  --instructions 1500000
 run fig09_accuracy    --instructions 600000
 run fig10_bandwidth   --instructions 500000
 run fig11_altcache    --instructions 700000
-run fig12_multilevel  --instructions 500000
-run fig14_fourcore    --instructions 150000
+run fig12_multilevel  --instructions 1000000
+run fig14_fourcore    --instructions 300000
 run tab08_tuneset_prefetch --instructions 500000
-run fig05_pg_space    --instructions 50000 --mixes 8
-run tab09_tuneset_smt --instructions 60000 --mixes 30
-run fig13_smt_scurve  --instructions 50000 --mixes 231
-run fig15_rename      --instructions 60000 --mixes 40
+run fig05_pg_space    --instructions 80000 --mixes 8
+run tab09_tuneset_smt --instructions 100000 --mixes 30
+run fig13_smt_scurve  --instructions 80000 --mixes 150
+run fig15_rename      --instructions 80000 --mixes 40
+run smt_fairness      --instructions 80000 --mixes 6
 run ablations         --instructions 600000
 echo "all experiments done"
